@@ -76,33 +76,40 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.output_dir, "run_manifest.ini"), render_manifest(cfg))
     train, test = load_corpora(cfg)
-    rows = []
+    finished = {strategy: [] for strategy in cfg.strategies}  # (final accuracy, forgetting) per run
     failures = 0
-    for strategy in cfg.strategies:
-        final_accs = []
-        forgettings = []
-        for k in range(cfg.num_seeds):
-            run_seed = cfg.seed0 + k
+    # Seeds outside, strategies inside: one stream per seed serves every strategy.
+    for k in range(cfg.num_seeds):
+        run_seed = cfg.seed0 + k
+        stream = stream_error = None  # drop the previous seed's stream before building the next
+        try:
+            stream = build_stream(cfg, train, test, run_seed)
+        except Exception as exc:  # fails every run on this seed
+            stream_error = exc
+        for strategy in cfg.strategies:
             run_dir = os.path.join(cfg.output_dir, f"{strategy}-seed{run_seed}")
             try:
-                stream = build_stream(cfg, train, test, run_seed)
+                if stream_error is not None:
+                    raise stream_error
                 state = run_stream(stream, cfg.train_config(strategy, run_seed), out_dir=run_dir)
                 summary = run_metrics(state)
-                final_accs.append(summary["final_average_accuracy"])
-                forgettings.append(summary["average_forgetting"])
+                finished[strategy].append((summary["final_average_accuracy"], summary["average_forgetting"]))
                 log(f"{strategy} seed {run_seed}: accuracy {summary['final_average_accuracy']:.4f}")
             except Exception as exc:  # a broken run must not sink the sweep
                 failures += 1
                 os.makedirs(run_dir, exist_ok=True)
                 atomic_write_text(os.path.join(run_dir, "FAILED.txt"), f"{type(exc).__name__}: {exc}\n")
                 log(f"{strategy} seed {run_seed} FAILED: {exc}", file=sys.stderr)
-        if final_accs:
-            acc_mean, acc_std = _mean_std(final_accs)
-            f_mean, f_std = _mean_std(forgettings)
+    rows = []
+    for strategy in cfg.strategies:
+        runs = finished[strategy]
+        if runs:
+            acc_mean, acc_std = _mean_std([acc for acc, _ in runs])
+            f_mean, f_std = _mean_std([f for _, f in runs])
             cells = [format_sig(v) for v in (acc_mean, acc_std, f_mean, f_std)]
         else:
             cells = ["", "", "", ""]
-        rows.append([strategy, str(len(final_accs))] + cells)
+        rows.append([strategy, str(len(runs))] + cells)
     lines = ["strategy,runs,accuracy_mean,accuracy_std,forgetting_mean,forgetting_std"]
     lines.extend(",".join(row) for row in rows)
     atomic_write_text(os.path.join(cfg.output_dir, "summary.csv"), "\n".join(lines) + "\n")

@@ -280,8 +280,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     for strategy in cfg.strategies:
         if strategy not in STRATEGIES:
             raise ConfigError(f"key 'strategies': unknown strategy '{strategy}' (choose from {', '.join(STRATEGIES)})")
-    if cfg.kappa > cfg.stream_batch_size:
-        raise ConfigError(f"key 'kappa' ({cfg.kappa}) cannot exceed stream_batch_size ({cfg.stream_batch_size})")
     try:
         cfg.train_config(cfg.strategies[0], cfg.seed0)
     except ValueError as exc:

@@ -23,3 +23,7 @@ class ConfigError(CoreselError, ValueError):
 
 class IncompleteMatrixError(CoreselError, ValueError):
     """An accuracy matrix is missing entries required by a metric."""
+
+
+class ContractError(CoreselError, ArithmeticError):
+    """A result falls outside its documented range, e.g. a NaN score from a non-finite gradient."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, IncompleteMatrixError
 from .model import GradSelector, ParamSet, mean_gradient
+from .selection import cosines_to_vector
 
 __all__ = [
     "AccuracyMatrix",
@@ -89,13 +90,6 @@ class DiagnosticRow:
     cross_l2: float | None
     cross_cosine: float | None
 
-    def as_dict(self) -> dict:
-        out = {"batch_size": self.batch_size, "mean_l2": self.mean_l2, "mean_cosine": self.mean_cosine}
-        if self.cross_l2 is not None:
-            out["cross_l2"] = self.cross_l2
-            out["cross_cosine"] = self.cross_cosine
-        return out
-
 
 def _full_mean_gradient(params: ParamSet, x, y, selector, chunk: int = 2048) -> np.ndarray:
     """Whole-dataset mean loss gradient, accumulated in fixed-size chunks."""
@@ -126,41 +120,39 @@ def grad_approx_diagnostic(
     against that dataset's full gradient for contrast. A batch size >= the
     dataset uses the whole dataset once.
     """
-    from .linalg import cosine_similarity, l2_distance
-
     x, y = dataset.x, dataset.y
     n = x.shape[0]
-    full = _full_mean_gradient(params, x, y, selector)
-    cross_full = None
+    # Row 0: this dataset's full gradient; row 1 (optional): the other dataset's.
+    targets = [_full_mean_gradient(params, x, y, selector)]
     if other_dataset is not None:
-        cross_full = _full_mean_gradient(params, other_dataset.x, other_dataset.y, selector)
+        targets.append(_full_mean_gradient(params, other_dataset.x, other_dataset.y, selector))
+    targets = np.stack(targets)
+    cross = other_dataset is not None
 
     rows = []
     for b_idx, batch_size in enumerate(batch_sizes):
         batch_size = int(batch_size)
         if batch_size < 1:
             raise DimensionError(f"batch size must be >= 1, got {batch_size}")
-        l2s, cosines, cross_l2s, cross_cosines = [], [], [], []
-        draws = 1 if batch_size >= n else n_batches
-        for k in range(draws):
+        l2s, cosines = [], []
+        for k in range(1 if batch_size >= n else n_batches):
             if batch_size >= n:
                 idx = np.arange(n)
             else:
                 rng = np.random.default_rng(np.random.SeedSequence([int(seed), b_idx, k]))
                 idx = rng.choice(n, size=batch_size, replace=False)
             g = mean_gradient(params, x[idx], y[idx], selector)
-            l2s.append(l2_distance(g, full))
-            cosines.append(cosine_similarity(g, full))
-            if cross_full is not None:
-                cross_l2s.append(l2_distance(g, cross_full))
-                cross_cosines.append(cosine_similarity(g, cross_full))
+            l2s.append(np.linalg.norm(targets - g, axis=1))
+            cosines.append(cosines_to_vector(targets, g))
+        l2 = np.mean(l2s, axis=0)
+        cos = np.mean(cosines, axis=0)
         rows.append(
             DiagnosticRow(
                 batch_size=batch_size,
-                mean_l2=float(np.mean(l2s)),
-                mean_cosine=float(np.mean(cosines)),
-                cross_l2=float(np.mean(cross_l2s)) if cross_l2s else None,
-                cross_cosine=float(np.mean(cross_cosines)) if cross_cosines else None,
+                mean_l2=float(l2[0]),
+                mean_cosine=float(cos[0]),
+                cross_l2=float(l2[1]) if cross else None,
+                cross_cosine=float(cos[1]) if cross else None,
             )
         )
     return rows

@@ -25,7 +25,6 @@ __all__ = [
     "GradSelector",
     "PerExampleGrads",
     "init_params",
-    "forward",
     "forward_batch",
     "embeddings",
     "loss",
@@ -174,14 +173,6 @@ def forward_batch(params: ParamSet, x) -> np.ndarray:
     """Logits for a (batch, features) matrix."""
     x, _ = _check_batch(params, x)
     return _forward_pass(params, x)[2]
-
-
-def forward(params: ParamSet, x) -> np.ndarray:
-    """Logits for a single example vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"expected a feature vector, got shape {x.shape}")
-    return forward_batch(params, x[None, :])[0]
 
 
 def embeddings(params: ParamSet, x) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError
+from .errors import ContractError, DimensionError, EmptyInputError
 from .ioutil import atomic_write_text
 
 _TAG_DOWNSAMPLE = 1
@@ -95,9 +95,6 @@ class Coreset:
         src = np.array([e.source_index for e in pool], dtype=np.int64)
         return x, y, src
 
-    def staged_count(self, task_id: int) -> int:
-        return len(self._staged.get(int(task_id), []))
-
     # -- committing ---------------------------------------------------------
 
     def commit_task(self, task_id: int, ranking, class_balanced: bool = True) -> CommitRecord:
@@ -143,7 +140,11 @@ class Coreset:
             per_task_counts=tuple(len(self._stored[t]) for t in self._commit_order),
             total=self.total_stored,
         )
-        assert record.total <= self.capacity
+        if record.total > self.capacity:
+            raise ContractError(
+                f"commit of task {task_id} left {record.total} examples, over capacity {self.capacity} "
+                f"(per-task counts {record.per_task_counts})"
+            )
         return record
 
     @staticmethod
@@ -200,13 +201,6 @@ class Coreset:
         for task_id in self._commit_order:
             out.extend(self._stored[task_id])
         return out
-
-    def sample_batch(self, batch_size: int, seed) -> list[StoredExample] | None:
-        """Uniform replay batch, or None while the buffer is still empty."""
-        items = self.all_examples()
-        if not items:
-            return None
-        return sample_items(items, batch_size, seed)
 
 
 def examples_as_arrays(examples) -> tuple[np.ndarray, np.ndarray]:

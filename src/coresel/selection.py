@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError
+from .errors import ContractError, DimensionError, EmptyInputError
 from .model import PerExampleGrads
 
 STRATEGIES = ("ocs", "uniform", "reservoir", "kmeans_embedding")
@@ -46,7 +46,10 @@ def _grad_matrix(grads) -> np.ndarray:
 
 
 def cosines_to_vector(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cosine against one vector, zero-norm operands scoring 0."""
+    """Row-wise cosine against one vector: 0 for a zero-norm operand, else clamped into [-1, 1].
+
+    The package's one cosine: scores, commit ranking and the gradient diagnostic all use it.
+    """
     if v.shape != (rows.shape[1],):
         raise DimensionError(f"reference length {v.shape} does not match gradient width {rows.shape[1]}")
     row_norms = np.linalg.norm(rows, axis=1)
@@ -58,12 +61,21 @@ def cosines_to_vector(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
+def _in_range(name: str, values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """`values` unchanged, or ContractError naming the first entry outside [lo, hi] (NaN included)."""
+    bad = np.flatnonzero(~((values >= lo) & (values <= hi)))
+    if bad.size:
+        n = int(bad[0])
+        raise ContractError(
+            f"{name} of row {n} is {values[n]}, outside [{lo:g}, {hi:g}]; is that gradient row non-finite?"
+        )
+    return values
+
+
 def minibatch_similarity(grads) -> np.ndarray:
     """S_n: cosine between row n and the mean gradient of its batch."""
     rows = _grad_matrix(grads)
-    s = cosines_to_vector(rows, rows.mean(axis=0))
-    assert np.all(s >= -1.0) and np.all(s <= 1.0)
-    return s
+    return _in_range("similarity", cosines_to_vector(rows, rows.mean(axis=0)), -1.0, 1.0)
 
 
 def sample_diversity(grads) -> np.ndarray:
@@ -83,9 +95,7 @@ def sample_diversity(grads) -> np.ndarray:
     total = unit.sum(axis=0)
     self_sim = np.einsum("ij,ij->i", unit, unit)
     v = -(unit @ total - self_sim) / (b - 1)
-    v = np.clip(v, -1.0, 0.0)
-    assert np.all(v >= -1.0) and np.all(v <= 0.0)
-    return v
+    return _in_range("diversity", np.clip(v, -1.0, 0.0), -1.0, 0.0)
 
 
 def coreset_affinity(grads, ref_mean_grad) -> np.ndarray:
@@ -94,9 +104,7 @@ def coreset_affinity(grads, ref_mean_grad) -> np.ndarray:
     ref = np.asarray(ref_mean_grad, dtype=np.float64)
     if ref.ndim != 1:
         raise DimensionError(f"reference gradient must be a vector, got shape {ref.shape}")
-    a = cosines_to_vector(rows, ref)
-    assert np.all(a >= -1.0) and np.all(a <= 1.0)
-    return a
+    return _in_range("affinity", cosines_to_vector(rows, ref), -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -132,11 +140,6 @@ def select_topk(scores, kappa: int) -> np.ndarray:
     return np.sort(order[:kappa]).astype(np.int64)
 
 
-def ocs_select(grads, ref_mean_grad, cfg: SelectionConfig) -> np.ndarray:
-    """Top-kappa by similarity + diversity (+ tau * affinity when ref given)."""
-    return select_topk(score_batch(grads, ref_mean_grad, cfg.tau).combined, cfg.kappa)
-
-
 # ---------------------------------------------------------------------------
 # Baselines
 
@@ -161,13 +164,14 @@ class ReservoirState:
     items: list = field(default_factory=list)
     seen: int = 0
 
+    def all_examples(self) -> list:
+        return list(self.items)
 
-def reservoir_update(state: ReservoirState, item, stream_position: int | None, seed) -> ReservoirState:
-    """Offer one stream item: item i enters a full reservoir with probability J/i."""
-    i = state.seen + 1 if stream_position is None else int(stream_position)
-    if stream_position is not None and i != state.seen + 1:
-        raise ValueError(f"stream position {i} does not follow {state.seen} items seen")
-    state.seen = i
+
+def reservoir_update(state: ReservoirState, item, seed) -> ReservoirState:
+    """Offer the next stream item: item i enters a full reservoir with probability J/i."""
+    state.seen += 1
+    i = state.seen
     if state.capacity == 0:
         return state
     if len(state.items) < state.capacity:

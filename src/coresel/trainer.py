@@ -1,12 +1,15 @@
 """The training loop over a task stream.
 
 Each iteration takes one candidate batch from the current task's shuffled
-stream: score and select a subset, form the objective gradient (selected-batch
-mean loss plus lambda times a replay-batch mean loss), optionally project it
-away from conflicting with the replay gradient, step, and stage the selected
-examples for the end-of-task buffer commit. After each task the model is
-evaluated on every test set seen so far, filling one row of the accuracy
-matrix.
+stream: pick a subset, form the objective gradient (selected-batch mean loss
+plus lambda times a replay-batch mean loss), optionally project it away from
+conflicting with the replay gradient, step, and store examples for the
+end-of-task buffer commit. After each task the model is evaluated on every
+test set seen so far, filling one row of the accuracy matrix.
+
+What differs between selection methods lives in one `Strategy` object per
+method, looked up by name in `REGISTRY`: the buffer kind, the per-step pick,
+what gets stored, and the commit order.
 
 Every random draw derives from (seed, task, epoch, iteration, purpose tag),
 so a run is a pure function of (stream, config).
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .datastream import TaskStream, stream_manifest
-from .errors import DimensionError, EmptyInputError
+from .errors import ContractError, DimensionError, EmptyInputError
 from .ioutil import atomic_write_text
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
 from .model import (
@@ -80,14 +83,11 @@ class TrainConfig:
     num_classes: int = 10
     seed: int = 0
     log_scores: bool = False
-    # Test seams: replace per-iteration index choice / commit preference order.
-    selection_override: object = None
-    commit_override: object = None
 
     def __post_init__(self):
         if self.selection.kappa > self.stream_batch_size:
             raise ValueError(
-                f"kappa {self.selection.kappa} exceeds stream batch size {self.stream_batch_size}"
+                f"kappa {self.selection.kappa} exceeds stream_batch_size {self.stream_batch_size}"
             )
         if self.lr0 <= 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
@@ -122,8 +122,8 @@ class IterationInfo:
 @dataclass
 class RunState:
     params: ParamSet
-    coreset: Coreset | None
-    reservoir: ReservoirState | None
+    strategy: Strategy
+    buffer: Coreset | ReservoirState
     matrix: AccuracyMatrix
     lr: float
     task_index: int = 0
@@ -135,26 +135,25 @@ class RunState:
     commit_records: list = field(default_factory=list)
 
     def buffer_examples(self) -> list[StoredExample]:
-        if self.reservoir is not None:
-            return list(self.reservoir.items)
-        return self.coreset.all_examples()
+        return self.buffer.all_examples()
 
 
 def _seed_seq(cfg_seed: int, *parts: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(cfg_seed)] + [int(p) for p in parts])
 
 
+def _step_seed(state: RunState, cfg: TrainConfig, tag: int) -> np.random.SeedSequence:
+    return _seed_seq(cfg.seed, state.task_index, state.epoch, state.iteration_in_epoch, tag)
+
+
 def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int = 784) -> RunState:
     sizes = [input_dim, *cfg.hidden, cfg.num_classes]
     params = init_params(sizes, np.random.default_rng(_seed_seq(cfg.seed, _T_INIT)))
-    if cfg.selection.strategy == "reservoir":
-        coreset, reservoir = None, ReservoirState(capacity=cfg.buffer_capacity)
-    else:
-        coreset, reservoir = Coreset(cfg.buffer_capacity, cfg.seed, cfg.num_classes), None
+    strategy = REGISTRY[cfg.selection.strategy]
     return RunState(
         params=params,
-        coreset=coreset,
-        reservoir=reservoir,
+        strategy=strategy,
+        buffer=strategy.new_buffer(cfg),
         matrix=AccuracyMatrix(num_tasks),
         lr=cfg.lr0,
     )
@@ -175,16 +174,21 @@ def agem_project(g, g_ref) -> np.ndarray:
         return g
     ref_sq = float(g_ref @ g_ref)
     projected = g - (dot / ref_sq) * g_ref
-    assert float(projected @ g_ref) >= -1e-10
+    residual = float(projected @ g_ref)
+    if not residual >= -1e-10:
+        raise ContractError(
+            f"projected gradient still conflicts with the reference: dot {residual:.3e} "
+            f"(before projection {dot:.3e}, reference norm^2 {ref_sq:.3e})"
+        )
     return projected
 
 
-def objective_gradient(params, sel_x, sel_y, buf_x, buf_y, lam: float) -> np.ndarray:
-    """Full-parameter gradient of mean(selected loss) + lam * mean(buffer loss)."""
-    g = mean_gradient(params, sel_x, sel_y)
-    if buf_x is not None:
-        g = g + lam * mean_gradient(params, buf_x, buf_y)
-    return g
+def _restrict(params: ParamSet, g: np.ndarray, selector: GradSelector | None) -> np.ndarray:
+    """The blocks of a full-parameter gradient that `selector` names, in layer order."""
+    if selector is None:
+        return g
+    slices = params.block_slices()
+    return np.concatenate([g[slices[l]] for l in selector.resolve(params.n_layers)])
 
 
 def _score_pool(params, x, y, selector, ref, tau: float, chunk: int = 64) -> np.ndarray:
@@ -227,30 +231,122 @@ def _score_pool(params, x, y, selector, ref, tau: float, chunk: int = 64) -> np.
 
 
 # ---------------------------------------------------------------------------
-# one iteration
+# strategies
 
 
-def _pick_indices(state: RunState, cfg: TrainConfig, batch: StreamBatch, buf_x, buf_y, kappa: int):
-    """Index set to train on, per strategy; also the score breakdown when scored."""
-    if cfg.selection_override is not None:
-        return np.asarray(cfg.selection_override(batch.x, batch.y, kappa), dtype=np.int64), None
-    strategy = cfg.selection.strategy
-    ctx = (state.task_index, state.epoch, state.iteration_in_epoch)
-    if strategy == "ocs":
+class Strategy:
+    """One selection method: its buffer, its per-step pick, what it stores, its commit order.
+
+    The default buffer is a Coreset that stages the picked rows during a task
+    and, at the task boundary, keeps the pool's best rows along
+    `commit_ranking` (per class when `class_balanced`).
+    """
+
+    class_balanced = False
+
+    def new_buffer(self, cfg: TrainConfig):
+        return Coreset(cfg.buffer_capacity, cfg.seed, cfg.num_classes)
+
+    def pick(self, state: RunState, cfg: TrainConfig, batch: StreamBatch, kappa: int, g_buf):
+        """(indices to train on, ScoreBreakdown or None); g_buf is the replay mean gradient or None."""
+        raise NotImplementedError
+
+    def store(self, state: RunState, cfg: TrainConfig, batch: StreamBatch, selected: np.ndarray) -> None:
+        state.buffer.stage_candidates(
+            batch.task_id, batch.x[selected], batch.y[selected], batch.source_index[selected]
+        )
+
+    def commit_ranking(self, state: RunState, cfg: TrainConfig, pool_x, pool_y) -> np.ndarray:
+        """Staging-pool positions, best first."""
+        raise NotImplementedError
+
+    def commit(self, state: RunState, cfg: TrainConfig, task_id: int):
+        pool_x, pool_y, _ = state.buffer.staged_pool(task_id)
+        ranking = self.commit_ranking(state, cfg, pool_x, pool_y)
+        return state.buffer.commit_task(task_id, ranking, class_balanced=self.class_balanced)
+
+
+class Ocs(Strategy):
+    """Top-kappa by gradient similarity + diversity + tau * affinity to the replay gradient."""
+
+    class_balanced = True
+
+    def pick(self, state, cfg, batch, kappa, g_buf):
         grads = per_example_gradients(state.params, batch.x, batch.y, cfg.grad_selector)
-        ref = None
-        if buf_x is not None:
-            ref = mean_gradient(state.params, buf_x, buf_y, cfg.grad_selector)
+        ref = None if g_buf is None else _restrict(state.params, g_buf, cfg.grad_selector)
         breakdown = score_batch(grads, ref, cfg.selection.tau)
         return select_topk(breakdown.combined, kappa), breakdown
-    if strategy in ("uniform", "reservoir"):
-        seed = _seed_seq(cfg.seed, *ctx, _T_SELECT)
-        return uniform_select(batch.x.shape[0], kappa, seed), None
-    if strategy == "kmeans_embedding":
-        seed = _seed_seq(cfg.seed, *ctx, _T_SELECT)
+
+    def commit_ranking(self, state, cfg, pool_x, pool_y):
+        ref = None
+        buffer_items = state.buffer_examples()
+        if buffer_items:
+            sampled = sample_items(
+                buffer_items, cfg.buffer_batch_size, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF)
+            )
+            ref_x, ref_y = examples_as_arrays(sampled)
+            ref = mean_gradient(state.params, ref_x, ref_y, cfg.grad_selector)
+        scores = _score_pool(state.params, pool_x, pool_y, cfg.grad_selector, ref, cfg.selection.tau)
+        return np.argsort(-scores, kind="stable").astype(np.int64)
+
+
+class Uniform(Strategy):
+    """Uniform pick per step, uniform order at commit."""
+
+    def pick(self, state, cfg, batch, kappa, g_buf):
+        return uniform_select(batch.x.shape[0], kappa, _step_seed(state, cfg, _T_SELECT)), None
+
+    def commit_ranking(self, state, cfg, pool_x, pool_y):
+        rng = np.random.default_rng(_seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK))
+        return rng.permutation(pool_x.shape[0]).astype(np.int64)
+
+
+class Reservoir(Uniform):
+    """Uniform pick per step; every candidate is offered to a classical reservoir, never committed."""
+
+    def new_buffer(self, cfg):
+        return ReservoirState(capacity=cfg.buffer_capacity)
+
+    def store(self, state, cfg, batch, selected):
+        seed = int(_seed_seq(cfg.seed, _T_RESERVOIR).generate_state(1, np.uint64)[0])
+        for n in range(batch.x.shape[0]):
+            item = StoredExample(batch.task_id, batch.x[n].copy(), int(batch.y[n]), int(batch.source_index[n]))
+            reservoir_update(state.buffer, item, seed)
+
+    def commit(self, state, cfg, task_id):
+        return None
+
+
+class KMeansEmbedding(Strategy):
+    """One representative per k-means cluster of penultimate-layer embeddings."""
+
+    def pick(self, state, cfg, batch, kappa, g_buf):
         emb = embeddings(state.params, batch.x)
-        return kmeans_embedding_select(emb, kappa, seed), None
-    raise ValueError(f"unknown strategy {strategy!r}")
+        return kmeans_embedding_select(emb, kappa, _step_seed(state, cfg, _T_SELECT)), None
+
+    def commit_ranking(self, state, cfg, pool_x, pool_y):
+        n = pool_x.shape[0]
+        quota = cfg.buffer_capacity // (len(state.buffer.committed_tasks) + 1)
+        if quota < 1:
+            return np.arange(n, dtype=np.int64)
+        reps = kmeans_embedding_select(
+            embeddings(state.params, pool_x), min(quota, n), _seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK)
+        )
+        rest = np.setdiff1d(np.arange(n, dtype=np.int64), reps)
+        return np.concatenate([reps, rest])
+
+
+# Strategy name (SelectionConfig.strategy) -> the object that implements it.
+REGISTRY: dict[str, Strategy] = {
+    "ocs": Ocs(),
+    "uniform": Uniform(),
+    "reservoir": Reservoir(),
+    "kmeans_embedding": KMeansEmbedding(),
+}
+
+
+# ---------------------------------------------------------------------------
+# one iteration
 
 
 def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> IterationInfo:
@@ -258,36 +354,30 @@ def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> It
     if batch.x.shape[0] == 0:
         raise EmptyInputError("empty candidate batch")
     kappa = min(cfg.selection.kappa, batch.x.shape[0])
-    ctx = (state.task_index, state.epoch, state.iteration_in_epoch)
 
-    buf_x = buf_y = None
+    buf_x = buf_y = g_buf = None
     buffer_items = state.buffer_examples()
     if buffer_items:
-        sampled = sample_items(buffer_items, cfg.buffer_batch_size, _seed_seq(cfg.seed, *ctx, _T_BUFFER))
+        sampled = sample_items(buffer_items, cfg.buffer_batch_size, _step_seed(state, cfg, _T_BUFFER))
         buf_x, buf_y = examples_as_arrays(sampled)
+        g_buf = mean_gradient(state.params, buf_x, buf_y)
 
-    selected, breakdown = _pick_indices(state, cfg, batch, buf_x, buf_y, kappa)
+    selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, g_buf)
 
-    grad = objective_gradient(state.params, batch.x[selected], batch.y[selected], buf_x, buf_y, cfg.lam)
+    # Objective: mean(selected loss) + lam * mean(replay loss).
+    grad = mean_gradient(state.params, batch.x[selected], batch.y[selected])
     agem_fired = False
-    if cfg.agem and buf_x is not None:
-        g_ref = mean_gradient(state.params, buf_x, buf_y)
-        projected = agem_project(grad, g_ref)
-        agem_fired = projected is not grad
-        if agem_fired:
-            state.agem_projections += 1
-        grad = projected
+    if g_buf is not None:
+        grad = grad + cfg.lam * g_buf
+        if cfg.agem:
+            projected = agem_project(grad, g_buf)
+            agem_fired = projected is not grad
+            if agem_fired:
+                state.agem_projections += 1
+            grad = projected
     state.params = sgd_step(state.params, grad, state.lr)
 
-    if cfg.selection.strategy == "reservoir":
-        seed = int(_seed_seq(cfg.seed, _T_RESERVOIR).generate_state(1, np.uint64)[0])
-        for n in range(batch.x.shape[0]):
-            item = StoredExample(batch.task_id, batch.x[n].copy(), int(batch.y[n]), int(batch.source_index[n]))
-            reservoir_update(state.reservoir, item, None, seed)
-    else:
-        state.coreset.stage_candidates(
-            batch.task_id, batch.x[selected], batch.y[selected], batch.source_index[selected]
-        )
+    state.strategy.store(state, cfg, batch, selected)
 
     if cfg.log_scores and breakdown is not None:
         chosen = set(int(i) for i in selected)
@@ -312,46 +402,11 @@ def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> It
 # task boundary
 
 
-def _commit_ranking(state: RunState, cfg: TrainConfig, pool_x, pool_y) -> np.ndarray:
-    n = pool_x.shape[0]
-    if cfg.commit_override is not None:
-        return np.asarray(cfg.commit_override(pool_x, pool_y), dtype=np.int64)
-    strategy = cfg.selection.strategy
-    if strategy == "ocs":
-        ref = None
-        buffer_items = state.buffer_examples()
-        if buffer_items:
-            sampled = sample_items(
-                buffer_items, cfg.buffer_batch_size, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF)
-            )
-            ref_x, ref_y = examples_as_arrays(sampled)
-            ref = mean_gradient(state.params, ref_x, ref_y, cfg.grad_selector)
-        scores = _score_pool(state.params, pool_x, pool_y, cfg.grad_selector, ref, cfg.selection.tau)
-        return np.argsort(-scores, kind="stable").astype(np.int64)
-    if strategy == "uniform":
-        rng = np.random.default_rng(_seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK))
-        return rng.permutation(n).astype(np.int64)
-    if strategy == "kmeans_embedding":
-        quota = cfg.buffer_capacity // (len(state.coreset.committed_tasks) + 1)
-        if quota < 1:
-            return np.arange(n, dtype=np.int64)
-        reps = kmeans_embedding_select(
-            embeddings(state.params, pool_x), min(quota, n), _seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK)
-        )
-        rest = np.setdiff1d(np.arange(n, dtype=np.int64), reps)
-        return np.concatenate([reps, rest])
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def commit_current_task(state: RunState, cfg: TrainConfig, task_id: int):
     """Reduce the staged pool into the bounded buffer (no-op for the reservoir)."""
-    if cfg.selection.strategy == "reservoir":
-        return None
-    pool_x, pool_y, _ = state.coreset.staged_pool(task_id)
-    ranking = _commit_ranking(state, cfg, pool_x, pool_y)
-    balanced = cfg.selection.strategy == "ocs" and cfg.commit_override is None
-    record = state.coreset.commit_task(task_id, ranking, class_balanced=balanced)
-    state.commit_records.append(record)
+    record = state.strategy.commit(state, cfg, task_id)
+    if record is not None:
+        state.commit_records.append(record)
     return record
 
 
@@ -374,22 +429,21 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
     ever sees train data.
     """
     state = new_run_state(cfg, len(stream))
-    try:
-        for t, task in enumerate(stream.tasks):
-            state.task_index = t
-            state.lr = cfg.lr0 * cfg.lr_decay**t
-            for epoch in range(cfg.epochs):
-                state.epoch = epoch
-                state.iteration_in_epoch = 0
-                for idx in _iter_task_batches(task.train, cfg, t, epoch):
-                    batch = StreamBatch(t, task.train.x[idx], task.train.y[idx], task.train.source_index[idx])
-                    train_iteration(state, batch, cfg)
-            commit_current_task(state, cfg, t)
-            for i in range(t + 1):
-                state.matrix.set(t, i, accuracy(state.params, stream.tasks[i].test.x, stream.tasks[i].test.y))
-    finally:
-        if out_dir is not None:
-            _write_artifacts(state, stream, cfg, out_dir)
+    for t, task in enumerate(stream.tasks):
+        state.task_index = t
+        state.lr = cfg.lr0 * cfg.lr_decay**t
+        for epoch in range(cfg.epochs):
+            state.epoch = epoch
+            state.iteration_in_epoch = 0
+            for idx in _iter_task_batches(task.train, cfg, t, epoch):
+                batch = StreamBatch(t, task.train.x[idx], task.train.y[idx], task.train.source_index[idx])
+                train_iteration(state, batch, cfg)
+        commit_current_task(state, cfg, t)
+        for i in range(t + 1):
+            state.matrix.set(t, i, accuracy(state.params, stream.tasks[i].test.x, stream.tasks[i].test.y))
+    # Only a run that finished writes artifacts; a failed one leaves none behind.
+    if out_dir is not None:
+        _write_artifacts(state, stream, cfg, out_dir)
     return state
 
 
@@ -400,13 +454,11 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
 def run_metrics(state: RunState) -> dict:
     completed = [t for t in range(state.matrix.num_tasks) if not np.isnan(state.matrix.values[t, : t + 1]).any()]
     per_task = [average_accuracy(state.matrix, t) for t in completed]
-    out = {
+    return {
         "final_average_accuracy": per_task[-1] if per_task else None,
         "average_forgetting": average_forgetting(state.matrix) if len(completed) == state.matrix.num_tasks else None,
         "per_task_average_accuracy": per_task,
-        "diagnostic_table": [],
     }
-    return out
 
 
 def _matrix_csv(matrix: AccuracyMatrix) -> str:
@@ -425,8 +477,6 @@ def _matrix_csv(matrix: AccuracyMatrix) -> str:
 def _manifest_text(cfg: TrainConfig, stream: TaskStream) -> str:
     lines = ["[train]"]
     for f in fields(cfg):
-        if f.name in ("selection_override", "commit_override"):
-            continue
         value = getattr(cfg, f.name)
         if f.name == "selection":
             lines.append(f"strategy = {value.strategy}")

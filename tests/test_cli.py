@@ -143,14 +143,12 @@ def test_run_experiment_artifacts_and_determinism(tmp_path, monkeypatch):
 
 def test_run_partial_failure_exit_code(tmp_path, monkeypatch):
     path = write_config(tmp_path)
-    calls = {"n": 0}
     import coresel.cli as cli_mod
 
     real = cli_mod.run_stream
 
     def flaky(stream, cfg, out_dir=None):
-        calls["n"] += 1
-        if calls["n"] == 2:
+        if (cfg.selection.strategy, cfg.seed) == ("ocs", 1):
             raise RuntimeError("synthetic failure")
         return real(stream, cfg, out_dir)
 
@@ -161,6 +159,22 @@ def test_run_partial_failure_exit_code(tmp_path, monkeypatch):
     lines = (out / "summary.csv").read_text().strip().splitlines()
     assert lines[1].startswith("ocs,1,")  # one surviving ocs run aggregated
     assert lines[2].startswith("uniform,2,")
+
+
+def test_run_builds_one_stream_per_seed(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    import coresel.cli as cli_mod
+
+    built = []
+    real = cli_mod.build_stream
+
+    def counting(cfg, train, test, run_seed):
+        built.append(run_seed)
+        return real(cfg, train, test, run_seed)
+
+    monkeypatch.setattr(cli_mod, "build_stream", counting)
+    assert run_cli(["run", "--config", path], {}, monkeypatch) == 0
+    assert built == [0, 1]  # two seeds, each stream shared by ocs and uniform
 
 
 def test_config_error_exit_code(tmp_path, monkeypatch, capsys):

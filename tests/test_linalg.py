@@ -1,10 +1,18 @@
+"""The package's one cosine kernel, `selection.cosines_to_vector`.
+
+Every cosine in the package (similarity, diversity, affinity, commit
+ranking, the gradient diagnostic) goes through it, so its conventions are
+pinned here: a zero-norm operand scores 0, never NaN, and results are
+clamped into [-1, 1] after the division.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
 from coresel.errors import DimensionError
-from coresel.linalg import cosine_similarity, l2_distance, row_mean
+from coresel.selection import cosines_to_vector
 
 
 def oracle_cosine(u, v):
@@ -17,87 +25,59 @@ def oracle_cosine(u, v):
     return max(-1.0, min(1.0, dot / (nu * nv)))
 
 
+def cosine(u, v):
+    """Cosine of one pair through the row-wise kernel."""
+    return float(cosines_to_vector(np.asarray([u], dtype=np.float64), np.asarray(v, dtype=np.float64))[0])
+
+
 def test_cosine_worked_example():
     # Oracle: dot=1, norms 1 and sqrt(2) -> 1/sqrt(2) = 0.7071067811865475.
     assert oracle_cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(0.70710678, abs=1e-8)
-    assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(0.70710678, abs=1e-8)
-
-
-def test_l2_worked_example():
-    # Oracle: sqrt(1 + 4) = sqrt(5) = 2.23606797749979.
-    assert math.sqrt(5.0) == pytest.approx(2.23606798, abs=1e-8)
-    assert l2_distance([1.0, 1.0], [2.0, 3.0]) == pytest.approx(2.23606798, abs=1e-8)
+    assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(0.70710678, abs=1e-8)
 
 
 def test_cosine_zero_norm_convention():
-    assert cosine_similarity([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) == 0.0
-    assert cosine_similarity([1.0, 2.0], [0.0, 0.0]) == 0.0
-    assert cosine_similarity([0.0], [0.0]) == 0.0
+    assert cosine([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) == 0.0
+    assert cosine([1.0, 2.0], [0.0, 0.0]) == 0.0
+    assert cosine([0.0], [0.0]) == 0.0
+    rows = np.array([[1.0, 2.0], [0.0, 0.0], [-3.0, 1.0]])
+    assert cosines_to_vector(rows, np.array([2.0, 1.0]))[1] == 0.0
 
 
 def test_cosine_matches_oracle_and_stays_in_range():
     rng = np.random.default_rng(20240811)
-    for _ in range(10_000):
+    for _ in range(2000):
         n = int(rng.integers(1, 12))
-        u = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        rows = rng.normal(size=(5, n)) * 10.0 ** rng.integers(-3, 4)
         v = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-        got = cosine_similarity(u, v)
-        assert -1.0 <= got <= 1.0
-        assert got == pytest.approx(oracle_cosine(u, v), abs=1e-10)
+        got = cosines_to_vector(rows, v)
+        assert np.all(got >= -1.0) and np.all(got <= 1.0)
+        assert got == pytest.approx([oracle_cosine(r, v) for r in rows], abs=1e-10)
 
 
 def test_cosine_parallel_vectors_hit_the_bounds():
-    assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == 1.0
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
+    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
     rng = np.random.default_rng(7)
     for _ in range(200):
         u = rng.normal(size=8)
-        got = cosine_similarity(u, 3.5 * u)
-        assert got == pytest.approx(1.0, abs=1e-12) and got <= 1.0
-        got = cosine_similarity(u, -2.0 * u)
-        assert got == pytest.approx(-1.0, abs=1e-12) and got >= -1.0
+        got = cosines_to_vector(np.stack([3.5 * u, -2.0 * u]), u)
+        assert got[0] == pytest.approx(1.0, abs=1e-12) and got[0] <= 1.0
+        assert got[1] == pytest.approx(-1.0, abs=1e-12) and got[1] >= -1.0
 
 
 def test_cosine_positive_scale_invariance():
     rng = np.random.default_rng(99)
     for _ in range(500):
-        u = rng.normal(size=6)
+        rows = rng.normal(size=(3, 6))
         v = rng.normal(size=6)
-        base = cosine_similarity(u, v)
-        assert cosine_similarity(17.0 * u, v) == pytest.approx(base, abs=1e-12)
-        assert cosine_similarity(u, 0.001 * v) == pytest.approx(base, abs=1e-12)
-
-
-def test_row_mean_and_centering():
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(40, 9))
-    mu = row_mean(m)
-    assert mu.shape == (9,)
-    assert np.allclose(mu, m.sum(axis=0) / 40.0, atol=1e-12)
-    # Centering by the row mean leaves column sums at zero.
-    assert np.abs((m - mu).mean(axis=0)).max() < 1e-12
-
-
-def test_l2_distance_matches_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        n = int(rng.integers(1, 20))
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        want = math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(u, v)))
-        assert l2_distance(u, v) == pytest.approx(want, abs=1e-10)
+        base = cosines_to_vector(rows, v)
+        assert cosines_to_vector(17.0 * rows, v) == pytest.approx(base, abs=1e-12)
+        assert cosines_to_vector(rows, 0.001 * v) == pytest.approx(base, abs=1e-12)
 
 
 def test_shape_errors():
     with pytest.raises(DimensionError):
-        cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
+        cosines_to_vector(np.ones((1, 2)), np.ones(3))
     with pytest.raises(DimensionError):
-        cosine_similarity([], [])
-    with pytest.raises(DimensionError):
-        cosine_similarity(np.ones((2, 2)), np.ones(4))
-    with pytest.raises(DimensionError):
-        l2_distance([1.0], [1.0, 2.0])
-    with pytest.raises(DimensionError):
-        row_mean(np.ones(3))
-    with pytest.raises(DimensionError):
-        row_mean(np.empty((0, 4)))
+        cosines_to_vector(np.ones((2, 2)), np.ones((2, 2)))

@@ -10,7 +10,6 @@ from coresel.model import (
     accuracy,
     embeddings,
     flatten_params,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -104,12 +103,12 @@ def test_forward_zero_params_gives_zero_logits():
         (np.zeros((4, 3)), np.zeros((2, 4))),
         (np.zeros(4), np.zeros(2)),
     )
-    assert np.all(forward(params, [1.0, -2.0, 3.0]) == 0.0)
+    assert np.all(forward_batch(params, [[1.0, -2.0, 3.0]]) == 0.0)
 
 
 def test_forward_single_affine_layer():
     params = ParamSet((np.array([[2.0]]),), (np.array([1.0]),))
-    assert forward(params, [3.0]) == pytest.approx([7.0])
+    assert forward_batch(params, [[3.0]])[0] == pytest.approx([7.0])
 
 
 def test_forward_matches_independent_oracle():
@@ -117,7 +116,7 @@ def test_forward_matches_independent_oracle():
     params = init_params([5, 7, 6, 4], rng)
     for _ in range(50):
         x = rng.normal(size=5)
-        got = forward(params, x)
+        got = forward_batch(params, x[None, :])[0]
         want = oracle_forward(params, x)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -135,7 +134,9 @@ def test_forward_dimension_errors():
     rng = np.random.default_rng(0)
     params = init_params([5, 4, 3], rng)
     with pytest.raises(DimensionError):
-        forward(params, np.ones(6))
+        forward_batch(params, np.ones((1, 6)))
+    with pytest.raises(DimensionError):
+        forward_batch(params, np.ones(5))
     with pytest.raises(EmptyInputError):
         forward_batch(params, np.empty((0, 5)))
 

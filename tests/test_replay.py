@@ -33,7 +33,6 @@ def test_staging_accumulates_and_allows_duplicates():
     c = Coreset(capacity=50, seed=0)
     for it in range(7):
         stage_labeled(c, 0, np.arange(10) % 10, start_src=0)  # same sources every time
-    assert c.staged_count(0) == 70
     x, y, src = c.staged_pool(0)
     assert x.shape == (70, 784)
     assert list(src[:10]) == list(src[10:20])
@@ -189,7 +188,7 @@ def test_sample_batch_small_buffer_returns_everything():
     c = Coreset(capacity=5, seed=12)
     stage_labeled(c, 0, [0, 1, 2, 3, 4])
     c.commit_task(0, np.arange(5))
-    batch = c.sample_batch(5, seed=1)
+    batch = sample_items(c.all_examples(), 5, seed=1)
     assert sorted(e.source_index for e in batch) == [0, 1, 2, 3, 4]
 
 
@@ -197,18 +196,21 @@ def test_sample_batch_with_replacement_when_short():
     c = Coreset(capacity=3, seed=13)
     stage_labeled(c, 0, [0, 1, 2])
     c.commit_task(0, np.arange(3))
-    batch = c.sample_batch(10, seed=2)
+    batch = sample_items(c.all_examples(), 10, seed=2)
     assert len(batch) == 10
+    assert {e.source_index for e in batch} <= {0, 1, 2}
 
 
-def test_sample_batch_deterministic_and_none_when_empty():
+def test_sample_items_deterministic_and_rejects_empty():
     c = Coreset(capacity=5, seed=14)
-    assert c.sample_batch(3, seed=0) is None
+    with pytest.raises(EmptyInputError):
+        sample_items(c.all_examples(), 3, seed=0)
     stage_labeled(c, 0, [0, 1, 2, 3, 4])
     c.commit_task(0, np.arange(5))
-    a = [e.source_index for e in c.sample_batch(3, seed=9)]
-    b = [e.source_index for e in c.sample_batch(3, seed=9)]
+    a = [e.source_index for e in sample_items(c.all_examples(), 3, seed=9)]
+    b = [e.source_index for e in sample_items(c.all_examples(), 3, seed=9)]
     assert a == b
+    assert len(set(a)) == 3  # without replacement when the buffer is large enough
 
 
 def test_sample_items_frequency():

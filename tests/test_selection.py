@@ -1,17 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from coresel.errors import DimensionError, EmptyInputError
-from coresel.linalg import cosine_similarity
+from coresel.errors import ContractError, DimensionError, EmptyInputError
 from coresel.selection import (
     ReservoirState,
     SelectionConfig,
     coreset_affinity,
     kmeans_embedding_select,
     minibatch_similarity,
-    ocs_select,
     reservoir_update,
     sample_diversity,
     score_batch,
@@ -23,9 +22,20 @@ from coresel.selection import (
 # Independent oracles built from pairwise cosine loops.
 
 
+def oracle_cosine(u, v):
+    # Scalar-loop reference, no numpy vector ops: 0 for a zero-norm operand,
+    # otherwise u.v / (|u| |v|) clamped into [-1, 1].
+    dot = sum(float(a) * float(b) for a, b in zip(u, v))
+    nu = math.sqrt(sum(float(a) ** 2 for a in u))
+    nv = math.sqrt(sum(float(b) ** 2 for b in v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, dot / (nu * nv)))
+
+
 def oracle_similarity(rows):
     mean = rows.mean(axis=0)
-    return np.array([cosine_similarity(rows[n], mean) for n in range(rows.shape[0])])
+    return np.array([oracle_cosine(rows[n], mean) for n in range(rows.shape[0])])
 
 
 def oracle_diversity(rows):
@@ -34,13 +44,13 @@ def oracle_diversity(rows):
         return np.zeros(1)
     out = []
     for n in range(b):
-        total = sum(cosine_similarity(rows[n], rows[p]) for p in range(b) if p != n)
+        total = sum(oracle_cosine(rows[n], rows[p]) for p in range(b) if p != n)
         out.append(min(0.0, max(-1.0, -total / (b - 1))))
     return np.array(out)
 
 
 def oracle_affinity(rows, ref):
-    return np.array([cosine_similarity(rows[n], ref) for n in range(rows.shape[0])])
+    return np.array([oracle_cosine(rows[n], ref) for n in range(rows.shape[0])])
 
 
 def oracle_topk(scores, kappa):
@@ -111,6 +121,16 @@ def test_score_ranges_over_random_batches():
         assert np.all(breakdown.affinity >= -1.0) and np.all(breakdown.affinity <= 1.0)
 
 
+def test_non_finite_gradient_row_raises():
+    rows = np.random.default_rng(3).normal(size=(4, 3))
+    rows[1, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ContractError, match="similarity of row"):
+            score_batch(rows, None, tau=1.0)
+        with pytest.raises(ContractError, match="affinity of row 1"):
+            coreset_affinity(rows, np.ones(3))
+
+
 def test_empty_batch_rejected():
     with pytest.raises(EmptyInputError):
         minibatch_similarity(np.empty((0, 3)))
@@ -144,7 +164,12 @@ def test_topk_matches_sort_oracle():
 
 
 # ---------------------------------------------------------------------------
-# ocs_select
+# OCS selection: top-kappa of the combined score
+
+
+def ocs_topk(rows, ref, cfg):
+    """Top-kappa of the combined OCS score, as the trainer selects."""
+    return select_topk(score_batch(rows, ref, cfg.tau).combined, cfg.kappa)
 
 
 def test_ocs_select_no_buffer_is_topk_of_s_plus_v():
@@ -153,7 +178,7 @@ def test_ocs_select_no_buffer_is_topk_of_s_plus_v():
     for _ in range(50):
         rows = rng.normal(size=(8, 5))
         want = select_topk(minibatch_similarity(rows) + sample_diversity(rows), 3)
-        assert np.array_equal(ocs_select(rows, None, cfg), want)
+        assert np.array_equal(ocs_topk(rows, None, cfg), want)
 
 
 def test_ocs_select_tau_zero_ignores_reference():
@@ -161,8 +186,8 @@ def test_ocs_select_tau_zero_ignores_reference():
     for _ in range(50):
         rows = rng.normal(size=(9, 4))
         ref = rng.normal(size=4)
-        no_ref = ocs_select(rows, None, SelectionConfig(kappa=4, tau=0.0))
-        with_ref = ocs_select(rows, ref, SelectionConfig(kappa=4, tau=0.0))
+        no_ref = ocs_topk(rows, None, SelectionConfig(kappa=4, tau=0.0))
+        with_ref = ocs_topk(rows, ref, SelectionConfig(kappa=4, tau=0.0))
         assert np.array_equal(no_ref, with_ref)
 
 
@@ -176,13 +201,13 @@ def test_ocs_select_matches_exhaustive_subset_oracle():
         tau = [0.0, 1.0, 1000.0][trial % 3]
         combined = score_batch(rows, ref, tau).combined
         best = max(itertools.combinations(range(b), kappa), key=lambda s: sum(combined[i] for i in s))
-        got = ocs_select(rows, ref, SelectionConfig(kappa=kappa, tau=tau))
+        got = ocs_topk(rows, ref, SelectionConfig(kappa=kappa, tau=tau))
         assert sorted(best) == list(got)
 
 
 def test_ocs_select_single_candidate():
     cfg = SelectionConfig(kappa=10, tau=1000.0)
-    assert list(ocs_select(np.array([[1.0, 2.0]]), None, cfg)) == [0]
+    assert list(ocs_topk(np.array([[1.0, 2.0]]), None, cfg)) == [0]
 
 
 def test_ocs_select_dyadic_scale_invariance():
@@ -194,7 +219,7 @@ def test_ocs_select_dyadic_scale_invariance():
         rows = rng.normal(size=(8, 5))
         ref = rng.normal(size=5)
         alpha = 2.0 ** int(rng.integers(-3, 4))
-        assert np.array_equal(ocs_select(rows, ref, cfg), ocs_select(alpha * rows, ref, cfg))
+        assert np.array_equal(ocs_topk(rows, ref, cfg), ocs_topk(alpha * rows, ref, cfg))
 
 
 def test_ocs_select_permutation_equivariance():
@@ -203,9 +228,9 @@ def test_ocs_select_permutation_equivariance():
     for _ in range(50):
         rows = rng.normal(size=(7, 4))
         ref = rng.normal(size=4)
-        base = set(int(i) for i in ocs_select(rows, ref, cfg))
+        base = set(int(i) for i in ocs_topk(rows, ref, cfg))
         perm = rng.permutation(7)
-        permuted = ocs_select(rows[perm], ref, cfg)
+        permuted = ocs_topk(rows[perm], ref, cfg)
         want = sorted(j for j in range(7) if int(perm[j]) in base)
         assert list(permuted) == want
 
@@ -240,14 +265,15 @@ def test_uniform_select_frequencies():
 def test_reservoir_short_stream_keeps_everything():
     state = ReservoirState(capacity=5)
     for i in range(1, 4):
-        reservoir_update(state, f"item{i}", i, seed=0)
+        reservoir_update(state, f"item{i}", seed=0)
+    assert state.seen == 3
     assert state.items == ["item1", "item2", "item3"]
 
 
 def test_reservoir_zero_capacity():
     state = ReservoirState(capacity=0)
     for i in range(1, 20):
-        reservoir_update(state, i, i, seed=1)
+        reservoir_update(state, i, seed=1)
     assert state.items == []
 
 
@@ -257,7 +283,7 @@ def test_reservoir_inclusion_frequency():
     for t in range(trials):
         state = ReservoirState(capacity=capacity)
         for i in range(1, n + 1):
-            reservoir_update(state, i - 1, i, seed=t)
+            reservoir_update(state, i - 1, seed=t)
         for kept in state.items:
             counts[kept] += 1
     freq = counts / trials

@@ -4,19 +4,29 @@ import os
 import numpy as np
 import pytest
 
+from coresel import trainer
 from coresel.datastream import build_rotated_stream, make_synthetic_corpus
+from coresel.errors import ContractError
 from coresel.metrics import average_forgetting
-from coresel.model import flatten_params, load_checkpoint, mean_gradient, per_example_gradients, sgd_step
-from coresel.selection import SelectionConfig, score_batch
+from coresel.model import (
+    GradSelector,
+    flatten_params,
+    load_checkpoint,
+    mean_gradient,
+    per_example_gradients,
+    sgd_step,
+)
+from coresel.replay import Coreset
+from coresel.selection import STRATEGIES, ReservoirState, SelectionConfig, score_batch
 from coresel.trainer import (
-    RunState,
     StreamBatch,
+    Strategy,
     TrainConfig,
+    _restrict,
     _score_pool,
     agem_project,
     commit_current_task,
     new_run_state,
-    objective_gradient,
     run_stream,
     train_iteration,
 )
@@ -76,24 +86,53 @@ def test_agem_contract_on_random_pairs():
             assert out is g
 
 
+def test_agem_non_finite_reference_raises():
+    with pytest.raises(ContractError, match="still conflicts"):
+        agem_project(np.array([-1.0, 1.0]), np.array([np.inf, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # objective gradient
 
 
-def test_objective_gradient_replay_term():
+def first_replay_step(lam):
+    """(params before, batch, info, update / lr) of the first step that draws a replay batch."""
     rng = np.random.default_rng(0)
-    state = new_run_state(tiny_config(), num_tasks=1)
-    params = state.params
-    sel_x, sel_y = rng.uniform(size=(6, 784)), rng.integers(0, 10, size=6)
-    buf_x, buf_y = rng.uniform(size=(4, 784)), rng.integers(0, 10, size=4)
-    alone = objective_gradient(params, sel_x, sel_y, None, None, 3.0)
-    lam_zero = objective_gradient(params, sel_x, sel_y, buf_x, buf_y, 0.0)
-    assert np.array_equal(alone, lam_zero)
-    # Linearity in lambda: g(a+b) = g(a) + b * replay gradient.
-    g_buf = mean_gradient(params, buf_x, buf_y)
-    g_a = objective_gradient(params, sel_x, sel_y, buf_x, buf_y, 0.3)
-    g_ab = objective_gradient(params, sel_x, sel_y, buf_x, buf_y, 0.3 + 0.4)
-    assert np.abs(g_ab - (g_a + 0.4 * g_buf)).max() < 1e-10
+    cfg = tiny_config(lam=lam)
+    state = new_run_state(cfg, num_tasks=2)
+    train_iteration(state, make_batch(rng, task_id=0), cfg)
+    commit_current_task(state, cfg, 0)
+    state.task_index, state.iteration_in_epoch = 1, 0
+    p0, batch = state.params, make_batch(rng, task_id=1)
+    info = train_iteration(state, batch, cfg)
+    return p0, batch, info, (flatten_params(p0) - flatten_params(state.params)) / cfg.lr0
+
+
+def test_objective_gradient_replay_term(monkeypatch):
+    # The step is -lr * (selected-batch gradient + lambda * replay-batch gradient),
+    # with the replay batch the one train_iteration drew.
+    replays = []
+    real = trainer.examples_as_arrays
+    monkeypatch.setattr(trainer, "examples_as_arrays", lambda examples: replays.append(real(examples)) or replays[-1])
+    p0, batch, info, step_0 = first_replay_step(0.0)
+    _, _, _, step_a = first_replay_step(0.3)
+    _, _, _, step_ab = first_replay_step(0.3 + 0.4)
+    assert info.buffer_batch_size == 5
+    g_buf = mean_gradient(p0, *replays[-1])
+    sel = info.selected
+    assert np.abs(step_0 - mean_gradient(p0, batch.x[sel], batch.y[sel])).max() < 1e-10
+    assert np.abs(step_ab - (step_a + 0.4 * g_buf)).max() < 1e-10
+
+
+def test_replay_reference_restricts_to_selected_layers():
+    rng = np.random.default_rng(4)
+    params = new_run_state(tiny_config(), num_tasks=1).params
+    x, y = rng.uniform(size=(6, 784)), rng.integers(0, 10, size=6)
+    full = mean_gradient(params, x, y)
+    assert _restrict(params, full, None) is full
+    for layers in ((0,), (1,), (2,), (0, 2), (1, 2)):
+        selector = GradSelector(layers)
+        assert np.array_equal(_restrict(params, full, selector), mean_gradient(params, x, y, selector))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +194,7 @@ def test_iteration_stages_selected_examples():
     cfg = tiny_config()
     state = new_run_state(cfg, num_tasks=1)
     info = train_iteration(state, batch, cfg)
-    assert state.coreset.staged_count(0) == 5
-    _, _, src = state.coreset.staged_pool(0)
+    _, _, src = state.buffer.staged_pool(0)
     assert sorted(src) == sorted(int(i) for i in info.selected)
 
 
@@ -165,9 +203,9 @@ def test_reservoir_strategy_fills_reservoir_not_coreset():
     cfg = tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy="reservoir"))
     state = new_run_state(cfg, num_tasks=1)
     train_iteration(state, batch, cfg)
-    assert state.coreset is None
-    assert len(state.reservoir.items) == 20
-    assert state.reservoir.seen == 20
+    assert isinstance(state.buffer, ReservoirState)
+    assert len(state.buffer.items) == 20
+    assert state.buffer.seen == 20
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +221,10 @@ def test_run_stream_fills_lower_triangle_once():
         for i in range(3):
             assert np.isnan(vals[t, i]) == (i > t)
     assert state.lr == pytest.approx(cfg.lr0 * cfg.lr_decay**2)
-    assert state.coreset.total_stored <= cfg.buffer_capacity
+    assert state.buffer.total_stored <= cfg.buffer_capacity
     quota = cfg.buffer_capacity // 3
     for t in range(3):
-        assert len(state.coreset.stored(t)) <= quota
+        assert len(state.buffer.stored(t)) <= quota
 
 
 def test_single_task_stream_has_zero_forgetting():
@@ -208,27 +246,37 @@ def test_run_stream_is_deterministic():
     ]
 
 
-def test_strategies_identical_under_injected_selection():
-    # With both the per-iteration choice and the commit order stubbed out,
-    # strategy labels must not change the trajectory at all.
-    stream = tiny_stream(num_tasks=2)
+def test_registry_covers_every_strategy_name():
+    assert tuple(trainer.REGISTRY) == STRATEGIES
 
-    def fixed_select(x, y, kappa):
-        return np.arange(kappa)
 
-    def fixed_commit(pool_x, pool_y):
-        return np.arange(pool_x.shape[0])
+class OddRowsLastFirst(Strategy):
+    """Stub: trains on odd rows, commits the most recently staged rows first."""
 
-    runs = {}
-    for strategy in ("ocs", "uniform"):
-        cfg = tiny_config(
-            selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy),
-            selection_override=fixed_select,
-            commit_override=fixed_commit,
-        )
-        runs[strategy] = run_stream(stream, cfg)
-    assert np.array_equal(runs["ocs"].matrix.values, runs["uniform"].matrix.values, equal_nan=True)
-    assert np.array_equal(flatten_params(runs["ocs"].params), flatten_params(runs["uniform"].params))
+    def pick(self, state, cfg, batch, kappa, g_buf):
+        return np.arange(1, batch.x.shape[0], 2)[:kappa], None
+
+    def commit_ranking(self, state, cfg, pool_x, pool_y):
+        return np.arange(pool_x.shape[0])[::-1]
+
+
+def test_trainer_follows_stub_strategy(monkeypatch):
+    monkeypatch.setitem(trainer.REGISTRY, "uniform", OddRowsLastFirst())
+    cfg = tiny_config(buffer_capacity=3, selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform"))
+    state = new_run_state(cfg, num_tasks=1)
+    batch = make_batch(np.random.default_rng(9))
+    p0 = state.params
+    info = train_iteration(state, batch, cfg)
+    assert list(info.selected) == [1, 3, 5, 7, 9]
+    manual = sgd_step(p0, mean_gradient(p0, batch.x[1:10:2], batch.y[1:10:2]), cfg.lr0)
+    assert np.array_equal(flatten_params(state.params), flatten_params(manual))
+    pool_x, pool_y, src = state.buffer.staged_pool(0)
+    assert list(src) == [1, 3, 5, 7, 9]
+    assert np.array_equal(pool_x, batch.x[1:10:2]) and np.array_equal(pool_y, batch.y[1:10:2])
+    # Capacity 3, no class balancing: the three best-ranked, i.e. last-staged, rows.
+    record = commit_current_task(state, cfg, 0)
+    assert record.stored_new == 3
+    assert [e.source_index for e in state.buffer.stored(0)] == [5, 7, 9]
 
 
 def test_strategies_differ_without_injection():
@@ -253,12 +301,13 @@ def test_baseline_strategies_run_end_to_end(strategy):
     examples = state.buffer_examples()
     assert 0 < len(examples) <= cfg.buffer_capacity
     if strategy == "reservoir":
-        assert state.coreset is None
-        assert state.reservoir.seen == 3 * 60
+        assert isinstance(state.buffer, ReservoirState)
+        assert state.buffer.seen == 3 * 60
         assert not state.commit_records
     else:
+        assert isinstance(state.buffer, Coreset)
         assert len(state.commit_records) == 3
-        assert state.coreset.committed_tasks == (0, 1, 2)
+        assert state.buffer.committed_tasks == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +322,7 @@ def test_run_stream_artifacts(tmp_path):
         assert os.path.exists(tmp_path / name), name
 
     blob = json.loads((tmp_path / "metrics.json").read_text())
-    assert set(blob) == {"final_average_accuracy", "average_forgetting", "per_task_average_accuracy", "diagnostic_table"}
+    assert set(blob) == {"final_average_accuracy", "average_forgetting", "per_task_average_accuracy"}
     assert blob["final_average_accuracy"] == pytest.approx(np.nanmean(state.matrix.values[1]), abs=1e-9)
     assert len(blob["per_task_average_accuracy"]) == 2
 
@@ -293,7 +342,24 @@ def test_run_stream_artifacts(tmp_path):
     assert len(scores) > 1
 
     dump_lines = (tmp_path / "coreset_dump.csv").read_text().strip().splitlines()
-    assert len(dump_lines) == 1 + state.coreset.total_stored
+    assert len(dump_lines) == 1 + state.buffer.total_stored
+
+
+def test_failed_run_raises_and_writes_no_artifacts(tmp_path, monkeypatch):
+    real = trainer.train_iteration
+    calls = []
+
+    def failing(state, batch, cfg):
+        calls.append(state.global_iteration)
+        if len(calls) == 4:  # task 1, after task 0 was committed and evaluated
+            raise RuntimeError("step failed")
+        return real(state, batch, cfg)
+
+    monkeypatch.setattr(trainer, "train_iteration", failing)
+    with pytest.raises(RuntimeError, match="step failed"):
+        run_stream(tiny_stream(num_tasks=2), tiny_config(), out_dir=str(tmp_path / "run"))
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+    assert not (tmp_path / "run" / "metrics.json").exists()
 
 
 def test_commit_requires_staged_pool():
