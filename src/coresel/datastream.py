@@ -159,20 +159,8 @@ def _rotation_sampler(angle: float, side: int = IMAGE_SIDE):
     return indices, weights
 
 
-def rotate_image(pixels, angle: float) -> np.ndarray:
-    """Rotate a 28x28 image in [0,1] about its center pixel, bilinear, zero fill."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.shape != (IMAGE_SIDE, IMAGE_SIDE):
-        raise DimensionError(f"expected a {IMAGE_SIDE}x{IMAGE_SIDE} image, got {pixels.shape}")
-    if not 0.0 <= angle <= 180.0:
-        raise ValueError(f"rotation angle must lie in [0, 180], got {angle}")
-    idx, w = _rotation_sampler(angle)
-    flat = pixels.ravel()
-    out = (flat[idx] * w).sum(axis=1)
-    return np.clip(out, 0.0, 1.0).reshape(IMAGE_SIDE, IMAGE_SIDE)
-
-
 def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
+    """Rotate every 28x28 image in [0,1] about its center pixel, bilinear, zero fill."""
     if ds.x.shape[1] != PIXELS:
         raise DimensionError(f"rotation needs {PIXELS}-pixel rows, got {ds.x.shape[1]}")
     if not 0.0 <= angle <= 180.0:

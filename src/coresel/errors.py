@@ -26,4 +26,8 @@ class IncompleteMatrixError(CoreselError, ValueError):
 
 
 class ContractError(CoreselError, ArithmeticError):
-    """A result falls outside its documented range, e.g. a NaN score from a non-finite gradient."""
+    """A result falls outside its documented range, e.g. a cosine score outside [-1, 1]."""
+
+
+class DivergenceError(ContractError):
+    """Training produced non-finite parameters, gradients or logits."""

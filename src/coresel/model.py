@@ -9,6 +9,9 @@ A GradSelector names the layers whose (weight, bias) blocks appear in an
 extracted gradient; the restricted flattening concatenates those blocks in
 layer order, so a partial gradient is exactly a slice-and-concatenate of the
 full one.
+
+`gradient_gram` gives the per-example gradients' inner products without the
+rows that `per_example_gradients` forms (kept as the tests' reference).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, FormatError
+from .errors import DimensionError, DivergenceError, EmptyInputError, FormatError
 from .ioutil import atomic_write_bytes
 
 __all__ = [
@@ -27,8 +30,8 @@ __all__ = [
     "init_params",
     "forward_batch",
     "embeddings",
-    "loss",
     "per_example_gradients",
+    "gradient_gram",
     "mean_gradient",
     "sgd_step",
     "accuracy",
@@ -118,10 +121,6 @@ class PerExampleGrads:
     matrix: np.ndarray  # (B, P') float64
     selector: GradSelector
 
-    @property
-    def batch_size(self) -> int:
-        return self.matrix.shape[0]
-
 
 def init_params(layer_sizes, rng: np.random.Generator) -> ParamSet:
     """Glorot-uniform weights in ±sqrt(6/(fan_in+fan_out)), zero biases."""
@@ -186,17 +185,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def per_example_losses(params: ParamSet, x, y) -> np.ndarray:
-    x, y = _check_batch(params, x, y)
-    log_p = _log_softmax(_forward_pass(params, x)[2])
-    return -log_p[np.arange(x.shape[0]), y]
-
-
-def loss(params: ParamSet, x, y) -> float:
-    """Mean softmax cross-entropy over the batch."""
-    return float(per_example_losses(params, x, y).mean())
-
-
 def _backward_deltas(params: ParamSet, x: np.ndarray, y: np.ndarray):
     """Activations plus per-layer deltas d ℓ_n / d z_l for every example n."""
     acts, preacts, logits = _forward_pass(params, x)
@@ -224,6 +212,41 @@ def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None 
         blocks.append(dw)
         blocks.append(deltas[l])
     return PerExampleGrads(np.concatenate(blocks, axis=1), selector)
+
+
+def gradient_gram(params: ParamSet, x, y, selector: GradSelector | None = None, ref=None):
+    """(G, ref_dots): inner products of the per-example gradients, never forming a gradient row.
+
+    Example n's gradient in layer l is d_n a_n^T for the weights and d_n for
+    the bias (a_n the layer input, d_n the loss gradient at its
+    pre-activation), so over `selector`'s layers
+        G[n, m] = <g_n, g_m> = sum_l (a_n . a_m + 1)(d_n . d_m),
+    and for a reference r with per-layer blocks (R_l, r_l) in the selector's
+    flattening, ref_dots[n] = g_n . r = sum_l d_n . (R_l a_n + r_l).
+    ref_dots is None when `ref` is.
+    """
+    x, y = _check_batch(params, x, y)
+    if selector is None:
+        selector = GradSelector.all_layers(params.n_layers)
+    chosen = selector.resolve(params.n_layers)
+    width = sum(params.weights[l].size + params.biases[l].size for l in chosen)
+    ref = None if ref is None else np.asarray(ref, dtype=np.float64)
+    if ref is not None and ref.shape != (width,):
+        raise DimensionError(f"reference length {ref.shape} does not match gradient width {width}")
+    acts, deltas = _backward_deltas(params, x, y)
+    b = x.shape[0]
+    gram = np.zeros((b, b))
+    ref_dots = None if ref is None else np.zeros(b)
+    offset = 0
+    for l in chosen:
+        a, d, w = acts[l], deltas[l], params.weights[l]
+        gram += (a @ a.T + 1.0) * (d @ d.T)
+        if ref is not None:
+            r_w = ref[offset : offset + w.size].reshape(w.shape)
+            r_b = ref[offset + w.size : offset + w.size + w.shape[0]]
+            ref_dots += np.einsum("bo,bo->b", a @ r_w.T + r_b, d)
+            offset += w.size + w.shape[0]
+    return gram, ref_dots
 
 
 def mean_gradient(params: ParamSet, x, y, selector: GradSelector | None = None) -> np.ndarray:
@@ -265,20 +288,26 @@ def unflatten_params(flat, layer_sizes) -> ParamSet:
 
 
 def sgd_step(params: ParamSet, mean_grad, lr: float) -> ParamSet:
-    """Return params minus lr times a FULL-flattening gradient."""
+    """Return params minus lr times a FULL-flattening gradient; DivergenceError if any result is non-finite."""
     grad = np.asarray(mean_grad, dtype=np.float64)
     if grad.shape != (params.param_count,):
         raise DimensionError(f"gradient length {grad.shape} != parameter count {params.param_count}")
     if lr < 0:
         raise DimensionError("learning rate must be nonnegative")
-    return unflatten_params(flatten_params(params) - lr * grad, params.layer_sizes)
+    stepped = flatten_params(params) - lr * grad
+    if not np.isfinite(stepped).all():
+        raise DivergenceError(f"update left {np.sum(~np.isfinite(stepped))} of {stepped.size} parameters non-finite")
+    return unflatten_params(stepped, params.layer_sizes)
 
 
 def accuracy(params: ParamSet, x, y) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class."""
+    """Fraction of argmax-correct predictions; ties go to the lowest class. DivergenceError on non-finite logits."""
     x, y = _check_batch(params, x, y)
-    preds = np.argmax(forward_batch(params, x), axis=1)
-    return float((preds == y).mean())
+    logits = forward_batch(params, x)
+    finite_rows = np.isfinite(logits).all(axis=1)
+    if not finite_rows.all():
+        raise DivergenceError(f"{np.sum(~finite_rows)} of {x.shape[0]} evaluation rows have non-finite logits")
+    return float((np.argmax(logits, axis=1) == y).mean())
 
 
 def save_checkpoint(params: ParamSet, path: str) -> None:

@@ -1,12 +1,12 @@
 """Candidate scoring and top-k selection over per-example gradients.
 
-Three per-candidate criteria, each a cosine against the candidate's gradient
-row: similarity to the minibatch mean gradient, (negative) average similarity
-to every other row, and similarity to a replay-buffer reference gradient. The
-selection rule ranks rows by their sum — similarity + diversity when no
-buffer exists yet, plus tau * affinity once it does — and keeps the top
-kappa. Baseline selectors (uniform, reservoir, k-means on embeddings) live
-here too.
+Three per-candidate criteria, each a cosine against the candidate's gradient:
+similarity to the minibatch mean gradient, (negative) average similarity to
+every other candidate, and similarity to a replay-buffer reference gradient.
+`score_gram` computes all three from the gradients' Gram matrix and their dots
+with the reference. The selection rule ranks rows by S + V, plus tau * A once
+a buffer exists, and keeps the top kappa. Baseline selectors (uniform,
+reservoir, k-means on embeddings) live here too.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, EmptyInputError
+from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .model import PerExampleGrads
 
 STRATEGIES = ("ocs", "uniform", "reservoir", "kmeans_embedding")
@@ -36,29 +36,22 @@ class SelectionConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
 
 
-def _grad_matrix(grads) -> np.ndarray:
-    m = grads.matrix if isinstance(grads, PerExampleGrads) else np.asarray(grads, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a (batch, params) gradient matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        raise EmptyInputError("empty gradient batch")
-    return m
+def _cosine(dots, norms, other_norms) -> np.ndarray:
+    """dots / (norms * other_norms): 0 where either norm is 0, else clamped into [-1, 1]."""
+    denom = norms * other_norms
+    out = np.zeros(np.broadcast(dots, denom).shape)
+    np.divide(dots, denom, out=out, where=denom > 0.0)
+    return np.clip(out, -1.0, 1.0)
 
 
 def cosines_to_vector(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise cosine against one vector: 0 for a zero-norm operand, else clamped into [-1, 1].
 
-    The package's one cosine: scores, commit ranking and the gradient diagnostic all use it.
+    Shares its zero-norm and clamping convention with every score in `score_gram`.
     """
     if v.shape != (rows.shape[1],):
         raise DimensionError(f"reference length {v.shape} does not match gradient width {rows.shape[1]}")
-    row_norms = np.linalg.norm(rows, axis=1)
-    v_norm = float(np.linalg.norm(v))
-    denom = row_norms * v_norm
-    safe = denom > 0.0
-    out = np.zeros(rows.shape[0])
-    np.divide(rows @ v, denom, out=out, where=safe)
-    return np.clip(out, -1.0, 1.0)
+    return _cosine(rows @ v, np.linalg.norm(rows, axis=1), float(np.linalg.norm(v)))
 
 
 def _in_range(name: str, values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -66,45 +59,8 @@ def _in_range(name: str, values: np.ndarray, lo: float, hi: float) -> np.ndarray
     bad = np.flatnonzero(~((values >= lo) & (values <= hi)))
     if bad.size:
         n = int(bad[0])
-        raise ContractError(
-            f"{name} of row {n} is {values[n]}, outside [{lo:g}, {hi:g}]; is that gradient row non-finite?"
-        )
+        raise ContractError(f"{name} of row {n} is {values[n]}, outside [{lo:g}, {hi:g}]")
     return values
-
-
-def minibatch_similarity(grads) -> np.ndarray:
-    """S_n: cosine between row n and the mean gradient of its batch."""
-    rows = _grad_matrix(grads)
-    return _in_range("similarity", cosines_to_vector(rows, rows.mean(axis=0)), -1.0, 1.0)
-
-
-def sample_diversity(grads) -> np.ndarray:
-    """V_n: negative mean cosine between row n and every other row, in [-1, 0].
-
-    Computed in O(B*P) without the BxB gram: with unit rows g, the cosine sum
-    for n is g_n . sum(g) minus the self term. The raw average lands in
-    [-1, 1]; values above 0 (a row anti-aligned with all peers) are clamped to
-    the documented [-1, 0] range.
-    """
-    rows = _grad_matrix(grads)
-    b = rows.shape[0]
-    if b == 1:
-        return np.zeros(1)  # no peers to differ from
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0.0)
-    total = unit.sum(axis=0)
-    self_sim = np.einsum("ij,ij->i", unit, unit)
-    v = -(unit @ total - self_sim) / (b - 1)
-    return _in_range("diversity", np.clip(v, -1.0, 0.0), -1.0, 0.0)
-
-
-def coreset_affinity(grads, ref_mean_grad) -> np.ndarray:
-    """A_n: cosine between row n and the buffer-batch mean gradient."""
-    rows = _grad_matrix(grads)
-    ref = np.asarray(ref_mean_grad, dtype=np.float64)
-    if ref.ndim != 1:
-        raise DimensionError(f"reference gradient must be a vector, got shape {ref.shape}")
-    return _in_range("affinity", cosines_to_vector(rows, ref), -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -115,14 +71,55 @@ class ScoreBreakdown:
     combined: np.ndarray = field(compare=False)
 
 
-def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:
-    """All criteria plus their weighted sum; affinity only when a reference exists."""
-    s = minibatch_similarity(grads)
-    v = sample_diversity(grads)
-    if ref_mean_grad is None:
+def score_gram(gram, ref_dots, ref_norm, tau: float) -> ScoreBreakdown:
+    """Similarity, diversity, affinity and S + V (+ tau * A) from gradient inner products alone.
+
+    gram[n, m] = g_n . g_m over the B candidates; ref_dots[n] = g_n . r and
+    ref_norm = |r| for the replay reference r, or both None before a buffer
+    exists. The batch mean has g_n . mean = (G 1)_n / B and |mean| = sqrt(1^T G 1) / B.
+    S_n = cos(g_n, mean); V_n = -mean over m != n of cos(g_n, g_m), clamped
+    into [-1, 0] (0 when B = 1); A_n = cos(g_n, r).
+    """
+    gram = np.asarray(gram, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise DimensionError(f"expected a square Gram matrix, got shape {gram.shape}")
+    b = gram.shape[0]
+    if b == 0:
+        raise EmptyInputError("empty gradient batch")
+    sq_norms = np.diag(gram)
+    bad = np.flatnonzero(~np.isfinite(sq_norms))
+    if bad.size:
+        raise DivergenceError(f"gradient row {bad[0]} is non-finite: its squared norm is {sq_norms[bad[0]]}")
+    norms = np.sqrt(np.maximum(sq_norms, 0.0))
+    row_sums = gram.sum(axis=1)
+    mean_norm = np.sqrt(max(float(row_sums.sum()), 0.0)) / b
+    s = _in_range("similarity", _cosine(row_sums / b, norms, mean_norm), -1.0, 1.0)
+    if b == 1:
+        v = np.zeros(1)  # no peers to differ from
+    else:
+        pair = _cosine(gram, norms[:, None], norms[None, :])
+        v = np.clip(-(pair.sum(axis=1) - np.diag(pair)) / (b - 1), -1.0, 0.0)
+    v = _in_range("diversity", v, -1.0, 0.0)
+    if ref_dots is None:
         return ScoreBreakdown(s, v, None, s + v)
-    a = coreset_affinity(grads, ref_mean_grad)
+    ref_dots = np.asarray(ref_dots, dtype=np.float64)
+    if ref_dots.shape != (b,):
+        raise DimensionError(f"{ref_dots.shape} reference dots for {b} candidates")
+    if not (np.isfinite(ref_dots).all() and np.isfinite(ref_norm)):
+        raise DivergenceError(f"the replay reference is non-finite: norm {ref_norm}")
+    a = _in_range("affinity", _cosine(ref_dots, norms, float(ref_norm)), -1.0, 1.0)
     return ScoreBreakdown(s, v, a, s + v + tau * a)
+
+
+def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:
+    """`score_gram` over materialised gradient rows M: the Gram matrix is M M^T, the reference dots M r."""
+    rows = grads.matrix if isinstance(grads, PerExampleGrads) else np.asarray(grads, dtype=np.float64)
+    if ref_mean_grad is None:
+        return score_gram(rows @ rows.T, None, None, tau)
+    ref = np.asarray(ref_mean_grad, dtype=np.float64)
+    if rows.ndim != 2 or ref.shape != (rows.shape[1],):
+        raise DimensionError(f"reference shape {ref.shape} does not match gradient rows {rows.shape}")
+    return score_gram(rows @ rows.T, rows @ ref, float(np.linalg.norm(ref)), tau)
 
 
 def select_topk(scores, kappa: int) -> np.ndarray:
@@ -167,21 +164,27 @@ class ReservoirState:
     def all_examples(self) -> list:
         return list(self.items)
 
+    def put(self, slot: int, item) -> None:
+        """Place `item` in the slot `reservoir_update` granted; the next free slot appends."""
+        self.items[slot : slot + 1] = [item]
 
-def reservoir_update(state: ReservoirState, item, seed) -> ReservoirState:
-    """Offer the next stream item: item i enters a full reservoir with probability J/i."""
+
+def reservoir_update(state: ReservoirState, seed) -> int | None:
+    """Offer the next stream item: the slot it takes, or None when it is rejected.
+
+    Item i enters a full reservoir with probability J/i, replacing a uniform
+    slot; while the reservoir fills, every item takes the next free slot. The
+    caller builds the item only for a granted slot and places it with `put`.
+    """
     state.seen += 1
     i = state.seen
     if state.capacity == 0:
-        return state
+        return None
     if len(state.items) < state.capacity:
-        state.items.append(item)
-        return state
+        return len(state.items)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
     j = int(rng.integers(0, i))
-    if j < state.capacity:
-        state.items[j] = item
-    return state
+    return j if j < state.capacity else None
 
 
 def kmeans_embedding_select(embeddings, kappa: int, seed) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .datastream import TaskStream, stream_manifest
-from .errors import ContractError, DimensionError, EmptyInputError
+from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .ioutil import atomic_write_text
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
 from .model import (
@@ -32,9 +32,9 @@ from .model import (
     ParamSet,
     accuracy,
     embeddings,
+    gradient_gram,
     init_params,
     mean_gradient,
-    per_example_gradients,
     save_checkpoint,
     sgd_step,
 )
@@ -48,11 +48,11 @@ from .replay import (
 )
 from .selection import (
     ReservoirState,
+    ScoreBreakdown,
     SelectionConfig,
-    cosines_to_vector,
     kmeans_embedding_select,
     reservoir_update,
-    score_batch,
+    score_gram,
     select_topk,
     uniform_select,
 )
@@ -191,43 +191,11 @@ def _restrict(params: ParamSet, g: np.ndarray, selector: GradSelector | None) ->
     return np.concatenate([g[slices[l]] for l in selector.resolve(params.n_layers)])
 
 
-def _score_pool(params, x, y, selector, ref, tau: float, chunk: int = 64) -> np.ndarray:
-    """Combined selection scores for a large pool without a pool-sized gradient matrix.
-
-    Two chunked passes: first accumulate the pool mean gradient and the sum of
-    unit gradient rows, then score each chunk against those aggregates —
-    algebraically the same similarity/diversity/affinity sum as score_batch.
-    """
-    n = x.shape[0]
-    if n == 0:
-        raise EmptyInputError("empty pool")
-    grad_sum = None
-    unit_sum = None
-    for start in range(0, n, chunk):
-        rows = per_example_gradients(params, x[start : start + chunk], y[start : start + chunk], selector).matrix
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0.0)
-        grad_sum = rows.sum(axis=0) if grad_sum is None else grad_sum + rows.sum(axis=0)
-        unit_sum = unit.sum(axis=0) if unit_sum is None else unit_sum + unit.sum(axis=0)
-    pool_mean = grad_sum / n
-
-    combined = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        rows = per_example_gradients(params, x[start:stop], y[start:stop], selector).matrix
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0.0)
-        s = cosines_to_vector(rows, pool_mean)
-        if n == 1:
-            v = np.zeros(1)
-        else:
-            self_sim = np.einsum("ij,ij->i", unit, unit)
-            v = np.clip(-(unit @ unit_sum - self_sim) / (n - 1), -1.0, 0.0)
-        total = s + v
-        if ref is not None:
-            total = total + tau * cosines_to_vector(rows, ref)
-        combined[start:stop] = total
-    return combined
+def _ocs_scores(params: ParamSet, x, y, cfg: TrainConfig, ref) -> ScoreBreakdown:
+    """OCS scores of rows (x, y) against the replay reference `ref` (restricted to cfg.grad_selector, or None)."""
+    gram, ref_dots = gradient_gram(params, x, y, cfg.grad_selector, ref)
+    ref_norm = None if ref is None else float(np.linalg.norm(ref))
+    return score_gram(gram, ref_dots, ref_norm, cfg.selection.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +240,8 @@ class Ocs(Strategy):
     class_balanced = True
 
     def pick(self, state, cfg, batch, kappa, g_buf):
-        grads = per_example_gradients(state.params, batch.x, batch.y, cfg.grad_selector)
         ref = None if g_buf is None else _restrict(state.params, g_buf, cfg.grad_selector)
-        breakdown = score_batch(grads, ref, cfg.selection.tau)
+        breakdown = _ocs_scores(state.params, batch.x, batch.y, cfg, ref)
         return select_topk(breakdown.combined, kappa), breakdown
 
     def commit_ranking(self, state, cfg, pool_x, pool_y):
@@ -286,7 +253,7 @@ class Ocs(Strategy):
             )
             ref_x, ref_y = examples_as_arrays(sampled)
             ref = mean_gradient(state.params, ref_x, ref_y, cfg.grad_selector)
-        scores = _score_pool(state.params, pool_x, pool_y, cfg.grad_selector, ref, cfg.selection.tau)
+        scores = _ocs_scores(state.params, pool_x, pool_y, cfg, ref).combined
         return np.argsort(-scores, kind="stable").astype(np.int64)
 
 
@@ -310,8 +277,10 @@ class Reservoir(Uniform):
     def store(self, state, cfg, batch, selected):
         seed = int(_seed_seq(cfg.seed, _T_RESERVOIR).generate_state(1, np.uint64)[0])
         for n in range(batch.x.shape[0]):
-            item = StoredExample(batch.task_id, batch.x[n].copy(), int(batch.y[n]), int(batch.source_index[n]))
-            reservoir_update(state.buffer, item, seed)
+            slot = reservoir_update(state.buffer, seed)
+            if slot is not None:  # copy only the rows the reservoir keeps
+                item = StoredExample(batch.task_id, batch.x[n].copy(), int(batch.y[n]), int(batch.source_index[n]))
+                state.buffer.put(slot, item)
 
     def commit(self, state, cfg, task_id):
         return None
@@ -432,15 +401,19 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
     for t, task in enumerate(stream.tasks):
         state.task_index = t
         state.lr = cfg.lr0 * cfg.lr_decay**t
-        for epoch in range(cfg.epochs):
-            state.epoch = epoch
-            state.iteration_in_epoch = 0
-            for idx in _iter_task_batches(task.train, cfg, t, epoch):
-                batch = StreamBatch(t, task.train.x[idx], task.train.y[idx], task.train.source_index[idx])
-                train_iteration(state, batch, cfg)
-        commit_current_task(state, cfg, t)
-        for i in range(t + 1):
-            state.matrix.set(t, i, accuracy(state.params, stream.tasks[i].test.x, stream.tasks[i].test.y))
+        try:
+            for epoch in range(cfg.epochs):
+                state.epoch = epoch
+                state.iteration_in_epoch = 0
+                for idx in _iter_task_batches(task.train, cfg, t, epoch):
+                    batch = StreamBatch(t, task.train.x[idx], task.train.y[idx], task.train.source_index[idx])
+                    train_iteration(state, batch, cfg)
+            commit_current_task(state, cfg, t)
+            for i in range(t + 1):
+                state.matrix.set(t, i, accuracy(state.params, stream.tasks[i].test.x, stream.tasks[i].test.y))
+        except DivergenceError as exc:
+            where = f"task {t}, epoch {state.epoch}, iteration {state.iteration_in_epoch}, lr {state.lr:g}"
+            raise DivergenceError(f"run diverged at {where}: {exc}") from exc
     # Only a run that finished writes artifacts; a failed one leaves none behind.
     if out_dir is not None:
         _write_artifacts(state, stream, cfg, out_dir)

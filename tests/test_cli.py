@@ -161,6 +161,27 @@ def test_run_partial_failure_exit_code(tmp_path, monkeypatch):
     assert lines[2].startswith("uniform,2,")
 
 
+def test_diverging_sweep_fails_loudly(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(
+            ["run", "--config", path, "--lr0", "1e6", "--hidden", "256,256", "--num-tasks", "3",
+             "--train-per-task", "60", "--synthetic-train", "300"],
+            {}, monkeypatch,
+        )
+    assert code == 2
+    out = tmp_path / "runs"
+    failed = sorted(p.parent.name for p in out.glob("*/FAILED.txt"))
+    assert failed == ["uniform-seed0", "uniform-seed1"]
+    texts = [(out / name / "FAILED.txt").read_text() for name in failed]
+    for text in texts:
+        assert text.startswith("DivergenceError: run diverged at task 2, epoch 0, iteration ")
+        assert ", lr 640000: " in text
+    # One run is caught by the update check, the other by the evaluation check.
+    assert "parameters non-finite" in texts[0] and "evaluation rows have non-finite logits" in texts[1]
+    assert (out / "summary.csv").read_text().splitlines()[2] == "uniform,0,,,,"
+
+
 def test_run_builds_one_stream_per_seed(tmp_path, monkeypatch):
     path = write_config(tmp_path)
     import coresel.cli as cli_mod

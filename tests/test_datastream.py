@@ -14,7 +14,6 @@ from coresel.datastream import (
     make_synthetic_corpus,
     permute_pixels,
     rotate_dataset,
-    rotate_image,
     stream_manifest,
 )
 from coresel.errors import DimensionError, FormatError
@@ -114,6 +113,12 @@ def test_imbalance_counts_on_official_files():
 # rotation
 
 
+def rotate_image(pixels, angle):
+    """One image through `rotate_dataset`, as a 1-row Dataset."""
+    one = Dataset(np.asarray(pixels, dtype=np.float64).reshape(1, -1), np.zeros(1, np.int64), np.zeros(1, np.int64))
+    return rotate_dataset(one, angle).x[0].reshape(pixels.shape)
+
+
 def test_rotate_identity_angle():
     rng = np.random.default_rng(2)
     img = rng.uniform(size=(28, 28))
@@ -156,7 +161,8 @@ def test_rotate_dataset_matches_per_image():
     out = rotate_dataset(ds, 33.0)
     for i in range(5):
         want = rotate_image(ds.x[i].reshape(28, 28), 33.0).ravel()
-        assert np.array_equal(out.x[i], want)
+        # numpy's einsum sums a 1-row batch in another order: pixels in [0, 1] may differ by 1 ulp.
+        assert np.abs(out.x[i] - want).max() <= 2 * np.finfo(np.float64).eps
     assert np.array_equal(out.y, ds.y)
     assert np.array_equal(out.source_index, ds.source_index)
 

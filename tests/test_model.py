@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coresel.errors import DimensionError, EmptyInputError, FormatError
+from coresel.errors import DimensionError, DivergenceError, EmptyInputError, FormatError
 from coresel.model import (
     GradSelector,
     ParamSet,
@@ -13,7 +13,6 @@ from coresel.model import (
     forward_batch,
     init_params,
     load_checkpoint,
-    loss,
     mean_gradient,
     per_example_gradients,
     save_checkpoint,
@@ -62,6 +61,10 @@ def oracle_preacts(params, x):
         out.extend(z)
         a = z if l == n_layers - 1 else [max(v, 0.0) for v in z]
     return out
+
+
+def oracle_batch_loss(params, x, y):
+    return sum(oracle_example_loss(params, x[n], y[n]) for n in range(len(y))) / len(y)
 
 
 def draw_smooth_instance(rng, sizes, n_classes, margin=1e-3):
@@ -208,9 +211,9 @@ def test_gradient_step_decreases_loss():
         params = init_params([6, 9, 5], rng)
         x = rng.normal(size=(16, 6))
         y = rng.integers(0, 5, size=16)
-        before = loss(params, x, y)
+        before = oracle_batch_loss(params, x, y)
         stepped = sgd_step(params, mean_gradient(params, x, y), 1e-4)
-        assert loss(stepped, x, y) < before
+        assert oracle_batch_loss(stepped, x, y) < before
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +228,19 @@ def test_sgd_step_arithmetic():
     assert np.array_equal(flatten_params(sgd_step(params, np.ones(2), 0.0)), flatten_params(params))
     with pytest.raises(DimensionError):
         sgd_step(params, np.ones(3), 0.1)
+
+
+def test_non_finite_update_or_logits_raise_divergence():
+    params = ParamSet((np.array([[1.0], [0.0]]),), (np.zeros(2),))
+    with pytest.raises(DivergenceError, match="update left 1 of 4 parameters non-finite"):
+        sgd_step(params, np.array([np.inf, 0.0, 0.0, 0.0]), 0.1)
+    huge = ParamSet((np.array([[1e308], [0.0]]),), (np.zeros(2),))
+    assert accuracy(huge, np.array([[1.0], [0.5]]), [0, 0]) == 1.0
+    with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError, match="left 1 of 4"):
+            sgd_step(params, np.array([-1e300, 0.0, 0.0, 0.0]), 1e10)  # overflows to inf
+        with pytest.raises(DivergenceError, match="1 of 2 evaluation rows"):
+            accuracy(huge, np.array([[1.0], [10.0]]), [0, 0])
 
 
 def test_accuracy_counts_and_tie_break():

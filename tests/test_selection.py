@@ -8,12 +8,10 @@ from coresel.errors import ContractError, DimensionError, EmptyInputError
 from coresel.selection import (
     ReservoirState,
     SelectionConfig,
-    coreset_affinity,
     kmeans_embedding_select,
-    minibatch_similarity,
     reservoir_update,
-    sample_diversity,
     score_batch,
+    score_gram,
     select_topk,
     uniform_select,
 )
@@ -72,32 +70,44 @@ def random_grad_batch(rng, max_rows=10, max_cols=6, zero_row_prob=0.15):
 # scoring criteria
 
 
+def similarity(rows):
+    return score_batch(rows, None, 0.0).similarity
+
+
+def diversity(rows):
+    return score_batch(rows, None, 0.0).diversity
+
+
+def affinity(rows, ref):
+    return score_batch(rows, ref, 0.0).affinity
+
+
 def test_similarity_worked_examples():
-    assert minibatch_similarity(np.array([[3.0, 4.0]])) == pytest.approx([1.0])
-    assert np.array_equal(minibatch_similarity(np.array([[1.0, 0.0], [-1.0, 0.0]])), [0.0, 0.0])
+    assert similarity(np.array([[3.0, 4.0]])) == pytest.approx([1.0])
+    assert np.array_equal(similarity(np.array([[1.0, 0.0], [-1.0, 0.0]])), [0.0, 0.0])
     # Oracle: mean of (1,0),(0,1) is (0.5,0.5); both cosines are 1/sqrt(2).
-    got = minibatch_similarity(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    got = similarity(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert got == pytest.approx([0.70710678, 0.70710678], abs=1e-8)
 
 
 def test_diversity_worked_examples():
     row = np.array([2.0, 1.0])
-    assert sample_diversity(np.stack([row, row])) == pytest.approx([-1.0, -1.0], abs=1e-12)
-    assert sample_diversity(np.array([[1.0, 0.0], [0.0, 1.0]])) == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert diversity(np.stack([row, row])) == pytest.approx([-1.0, -1.0], abs=1e-12)
+    assert diversity(np.array([[1.0, 0.0], [0.0, 1.0]])) == pytest.approx([0.0, 0.0], abs=1e-12)
     # Oracle: peers of (1,0) are (0,1) and (1,1)/sqrt(2); cosines 0 and
     # 0.70710678, so V_0 = -(0 + 0.70710678)/2 = -0.35355339.
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]])
-    assert sample_diversity(rows)[0] == pytest.approx(-0.35355339, abs=1e-8)
-    assert np.array_equal(sample_diversity(np.array([[5.0, 5.0]])), [0.0])
+    assert diversity(rows)[0] == pytest.approx(-0.35355339, abs=1e-8)
+    assert np.array_equal(diversity(np.array([[5.0, 5.0]])), [0.0])
 
 
 def test_affinity_worked_examples():
     rows = np.array([[1.0, 0.0]])
-    assert coreset_affinity(rows, np.array([2.0, 0.0])) == pytest.approx([1.0])
-    assert coreset_affinity(rows, np.array([-3.0, 0.0])) == pytest.approx([-1.0])
-    assert coreset_affinity(rows, np.array([1.0, 1.0])) == pytest.approx([0.70710678], abs=1e-8)
+    assert affinity(rows, np.array([2.0, 0.0])) == pytest.approx([1.0])
+    assert affinity(rows, np.array([-3.0, 0.0])) == pytest.approx([-1.0])
+    assert affinity(rows, np.array([1.0, 1.0])) == pytest.approx([0.70710678], abs=1e-8)
     with pytest.raises(DimensionError):
-        coreset_affinity(rows, np.array([1.0, 1.0, 1.0]))
+        affinity(rows, np.array([1.0, 1.0, 1.0]))
 
 
 def test_scores_match_pairwise_oracles():
@@ -105,9 +115,9 @@ def test_scores_match_pairwise_oracles():
     for _ in range(300):
         rows = random_grad_batch(rng)
         ref = rng.normal(size=rows.shape[1])
-        assert minibatch_similarity(rows) == pytest.approx(oracle_similarity(rows), abs=1e-10)
-        assert sample_diversity(rows) == pytest.approx(oracle_diversity(rows), abs=1e-10)
-        assert coreset_affinity(rows, ref) == pytest.approx(oracle_affinity(rows, ref), abs=1e-10)
+        assert similarity(rows) == pytest.approx(oracle_similarity(rows), abs=1e-10)
+        assert diversity(rows) == pytest.approx(oracle_diversity(rows), abs=1e-10)
+        assert affinity(rows, ref) == pytest.approx(oracle_affinity(rows, ref), abs=1e-10)
 
 
 def test_score_ranges_over_random_batches():
@@ -125,17 +135,24 @@ def test_non_finite_gradient_row_raises():
     rows = np.random.default_rng(3).normal(size=(4, 3))
     rows[1, 0] = np.inf
     with np.errstate(invalid="ignore"):
-        with pytest.raises(ContractError, match="similarity of row"):
+        with pytest.raises(ContractError, match="gradient row 1 is non-finite"):
             score_batch(rows, None, tau=1.0)
-        with pytest.raises(ContractError, match="affinity of row 1"):
-            coreset_affinity(rows, np.ones(3))
+        with pytest.raises(ContractError, match="gradient row 1 is non-finite"):
+            score_batch(rows, np.ones(3), tau=1.0)
+    finite = np.random.default_rng(4).normal(size=(4, 3))
+    with pytest.raises(ContractError, match="reference is non-finite"):
+        score_batch(finite, np.array([np.nan, 0.0, 0.0]), tau=1.0)
 
 
 def test_empty_batch_rejected():
     with pytest.raises(EmptyInputError):
-        minibatch_similarity(np.empty((0, 3)))
+        similarity(np.empty((0, 3)))
     with pytest.raises(EmptyInputError):
-        sample_diversity(np.empty((0, 3)))
+        score_gram(np.empty((0, 0)), None, None, 1.0)
+    with pytest.raises(DimensionError):
+        score_gram(np.ones((2, 3)), None, None, 1.0)
+    with pytest.raises(DimensionError):
+        score_gram(np.eye(2), np.ones(3), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +194,7 @@ def test_ocs_select_no_buffer_is_topk_of_s_plus_v():
     cfg = SelectionConfig(kappa=3, tau=1000.0)
     for _ in range(50):
         rows = rng.normal(size=(8, 5))
-        want = select_topk(minibatch_similarity(rows) + sample_diversity(rows), 3)
+        want = select_topk(oracle_similarity(rows) + oracle_diversity(rows), 3)
         assert np.array_equal(ocs_topk(rows, None, cfg), want)
 
 
@@ -262,10 +279,16 @@ def test_uniform_select_frequencies():
 # reservoir
 
 
+def offer(state, item, seed):
+    slot = reservoir_update(state, seed)
+    if slot is not None:
+        state.put(slot, item)
+
+
 def test_reservoir_short_stream_keeps_everything():
     state = ReservoirState(capacity=5)
     for i in range(1, 4):
-        reservoir_update(state, f"item{i}", seed=0)
+        offer(state, f"item{i}", seed=0)
     assert state.seen == 3
     assert state.items == ["item1", "item2", "item3"]
 
@@ -273,7 +296,7 @@ def test_reservoir_short_stream_keeps_everything():
 def test_reservoir_zero_capacity():
     state = ReservoirState(capacity=0)
     for i in range(1, 20):
-        reservoir_update(state, i, seed=1)
+        offer(state, i, seed=1)
     assert state.items == []
 
 
@@ -283,7 +306,7 @@ def test_reservoir_inclusion_frequency():
     for t in range(trials):
         state = ReservoirState(capacity=capacity)
         for i in range(1, n + 1):
-            reservoir_update(state, i - 1, seed=t)
+            offer(state, i - 1, seed=t)
         for kept in state.items:
             counts[kept] += 1
     freq = counts / trials

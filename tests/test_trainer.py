@@ -13,17 +13,15 @@ from coresel.model import (
     flatten_params,
     load_checkpoint,
     mean_gradient,
-    per_example_gradients,
     sgd_step,
 )
 from coresel.replay import Coreset
-from coresel.selection import STRATEGIES, ReservoirState, SelectionConfig, score_batch
+from coresel.selection import STRATEGIES, ReservoirState, SelectionConfig
 from coresel.trainer import (
     StreamBatch,
     Strategy,
     TrainConfig,
     _restrict,
-    _score_pool,
     agem_project,
     commit_current_task,
     new_run_state,
@@ -133,25 +131,6 @@ def test_replay_reference_restricts_to_selected_layers():
     for layers in ((0,), (1,), (2,), (0, 2), (1, 2)):
         selector = GradSelector(layers)
         assert np.array_equal(_restrict(params, full, selector), mean_gradient(params, x, y, selector))
-
-
-# ---------------------------------------------------------------------------
-# pool scoring
-
-
-def test_chunked_pool_scores_match_direct_scoring():
-    rng = np.random.default_rng(1)
-    state = new_run_state(tiny_config(), num_tasks=1)
-    x = rng.uniform(size=(50, 784))
-    y = rng.integers(0, 10, size=50)
-    ref = rng.normal(size=flatten_params(state.params).shape[0])
-    direct = score_batch(per_example_gradients(state.params, x, y), ref, 1000.0).combined
-    chunked = _score_pool(state.params, x, y, None, ref, 1000.0, chunk=7)
-    assert np.abs(direct - chunked).max() < 1e-10
-    assert np.array_equal(np.argsort(-direct, kind="stable"), np.argsort(-chunked, kind="stable"))
-    no_ref = _score_pool(state.params, x, y, None, None, 1000.0, chunk=16)
-    direct_no_ref = score_batch(per_example_gradients(state.params, x, y), None, 1000.0).combined
-    assert np.abs(direct_no_ref - no_ref).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
