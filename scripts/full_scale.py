@@ -9,9 +9,9 @@ MNIST IDX files the selective strategy targets a final average accuracy of
 back to the built-in synthetic digit corpus, where those absolute targets do
 not apply (orderings between strategies still should).
 
-A selective run takes about 6 seconds on the synthetic corpus (2-vCPU Xeon,
+A selective run takes about 4.6 seconds on the synthetic corpus (2-vCPU Xeon,
 numpy 2.4 with OpenBLAS), and the default invocation (2 strategies x 3 seeds)
-about 25 seconds. It lives in scripts/ instead of the test suite because its
+about 18 seconds. It lives in scripts/ instead of the test suite because its
 targets need the real corpus.
 
 Usage:

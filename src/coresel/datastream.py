@@ -166,7 +166,13 @@ def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
     if not 0.0 <= angle <= 180.0:
         raise ValueError(f"rotation angle must lie in [0, 180], got {angle}")
     idx, w = _rotation_sampler(angle)
-    out = np.einsum("nkj,kj->nk", ds.x[:, idx], w)
+    # A fixed-order sum over the four corners: a row's pixels do not depend on the batch it is in.
+    out = np.take(ds.x, idx[:, 0], axis=1)
+    out *= w[:, 0]
+    for k in range(1, 4):
+        corner = np.take(ds.x, idx[:, k], axis=1)
+        corner *= w[:, k]
+        out += corner
     return Dataset(np.clip(out, 0.0, 1.0), ds.y, ds.source_index)
 
 

@@ -10,8 +10,10 @@ extracted gradient; the restricted flattening concatenates those blocks in
 layer order, so a partial gradient is exactly a slice-and-concatenate of the
 full one.
 
-`gradient_gram` gives the per-example gradients' inner products without the
-rows that `per_example_gradients` forms (kept as the tests' reference).
+`backprop` keeps one backward pass's layer inputs and deltas; its `gram` and
+`step` give the per-example gradients' inner products and a weighted-sum
+update without the rows that `per_example_gradients` forms (kept as the tests'
+reference).
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ __all__ = [
     "forward_batch",
     "embeddings",
     "per_example_gradients",
-    "gradient_gram",
+    "Backprop",
+    "backprop",
     "mean_gradient",
-    "sgd_step",
     "accuracy",
     "flatten_params",
     "unflatten_params",
@@ -78,20 +80,6 @@ class ParamSet:
     def n_classes(self) -> int:
         return self.weights[-1].shape[0]
 
-    def block_slices(self) -> tuple[slice, ...]:
-        """Per-layer (weights+bias) extents within the full flattening."""
-        slices = []
-        offset = 0
-        for w, b in zip(self.weights, self.biases):
-            size = w.size + b.size
-            slices.append(slice(offset, offset + size))
-            offset += size
-        return tuple(slices)
-
-    @property
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 @dataclass(frozen=True)
 class GradSelector:
@@ -109,17 +97,12 @@ class GradSelector:
             raise DimensionError(f"selector layers {self.layers} outside 0..{n_layers - 1}")
         return self.layers
 
-    @classmethod
-    def all_layers(cls, n_layers: int) -> "GradSelector":
-        return cls(tuple(range(n_layers)))
-
 
 @dataclass(frozen=True)
 class PerExampleGrads:
     """Rows are exact per-example loss gradients over the selected layers."""
 
     matrix: np.ndarray  # (B, P') float64
-    selector: GradSelector
 
 
 def init_params(layer_sizes, rng: np.random.Generator) -> ParamSet:
@@ -198,69 +181,79 @@ def _backward_deltas(params: ParamSet, x: np.ndarray, y: np.ndarray):
     return acts, deltas
 
 
-def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None = None) -> PerExampleGrads:
-    """Exact gradient of each example's own loss, flattened per `selector`."""
-    x, y = _check_batch(params, x, y)
-    if selector is None:
-        selector = GradSelector.all_layers(params.n_layers)
-    chosen = selector.resolve(params.n_layers)
-    acts, deltas = _backward_deltas(params, x, y)
-    b = x.shape[0]
-    blocks = []
-    for l in chosen:
-        dw = np.einsum("bo,bi->boi", deltas[l], acts[l]).reshape(b, -1)
-        blocks.append(dw)
-        blocks.append(deltas[l])
-    return PerExampleGrads(np.concatenate(blocks, axis=1), selector)
+def _chosen(params: ParamSet, selector: GradSelector | None) -> tuple[int, ...]:
+    """`selector`'s layers, or every layer when it is None."""
+    return tuple(range(params.n_layers)) if selector is None else selector.resolve(params.n_layers)
 
 
-def gradient_gram(params: ParamSet, x, y, selector: GradSelector | None = None, ref=None):
-    """(G, ref_dots): inner products of the per-example gradients, never forming a gradient row.
+@dataclass(frozen=True)
+class Backprop:
+    """One forward/backward pass over a batch: each layer's inputs and deltas, per example.
 
     Example n's gradient in layer l is d_n a_n^T for the weights and d_n for
     the bias (a_n the layer input, d_n the loss gradient at its
-    pre-activation), so over `selector`'s layers
-        G[n, m] = <g_n, g_m> = sum_l (a_n . a_m + 1)(d_n . d_m),
-    and for a reference r with per-layer blocks (R_l, r_l) in the selector's
-    flattening, ref_dots[n] = g_n . r = sum_l d_n . (R_l a_n + r_l).
-    ref_dots is None when `ref` is.
+    pre-activation). Every vector a training step needs is a weighted sum of
+    these gradients, so `gram` and `step` never form a gradient row.
     """
+
+    params: ParamSet
+    acts: tuple[np.ndarray, ...]  # acts[l]: (B, in_l) input of layer l
+    deltas: tuple[np.ndarray, ...]  # deltas[l]: (B, out_l)
+
+    def gram(self, selector: GradSelector | None = None) -> np.ndarray:
+        """G[n, m] = <g_n, g_m> = sum_l (a_n . a_m + 1)(d_n . d_m) over `selector`'s layers."""
+        b = self.deltas[0].shape[0]
+        gram = np.zeros((b, b))
+        for l in _chosen(self.params, selector):
+            a, d = self.acts[l], self.deltas[l]
+            gram += (a @ a.T + 1.0) * (d @ d.T)
+        return gram
+
+    def step(self, coef, lr: float) -> ParamSet:
+        """New parameters W_l - lr (coef*D_l)^T A_l, b_l - lr sum_n coef_n d_n; DivergenceError if any is non-finite."""
+        coef = np.asarray(coef, dtype=np.float64)
+        if coef.shape != (self.deltas[0].shape[0],):
+            raise DimensionError(f"{coef.shape} coefficients for {self.deltas[0].shape[0]} examples")
+        if lr < 0:
+            raise DimensionError("learning rate must be nonnegative")
+        scale = -lr * coef
+        weights, biases = [], []
+        for w, bias, a, d in zip(self.params.weights, self.params.biases, self.acts, self.deltas):
+            new_w = (d * scale[:, None]).T @ a
+            new_w += w
+            weights.append(new_w)
+            biases.append(bias + scale @ d)
+        stepped = weights + biases
+        bad = sum(v.size - np.count_nonzero(np.isfinite(v)) for v in stepped)
+        if bad:
+            raise DivergenceError(f"update left {bad} of {sum(v.size for v in stepped)} parameters non-finite")
+        return ParamSet(tuple(weights), tuple(biases))
+
+
+def backprop(params: ParamSet, x, y) -> Backprop:
+    """One forward/backward pass over (x, y), kept for `Backprop.gram` and `Backprop.step`."""
     x, y = _check_batch(params, x, y)
-    if selector is None:
-        selector = GradSelector.all_layers(params.n_layers)
-    chosen = selector.resolve(params.n_layers)
-    width = sum(params.weights[l].size + params.biases[l].size for l in chosen)
-    ref = None if ref is None else np.asarray(ref, dtype=np.float64)
-    if ref is not None and ref.shape != (width,):
-        raise DimensionError(f"reference length {ref.shape} does not match gradient width {width}")
     acts, deltas = _backward_deltas(params, x, y)
-    b = x.shape[0]
-    gram = np.zeros((b, b))
-    ref_dots = None if ref is None else np.zeros(b)
-    offset = 0
-    for l in chosen:
-        a, d, w = acts[l], deltas[l], params.weights[l]
-        gram += (a @ a.T + 1.0) * (d @ d.T)
-        if ref is not None:
-            r_w = ref[offset : offset + w.size].reshape(w.shape)
-            r_b = ref[offset + w.size : offset + w.size + w.shape[0]]
-            ref_dots += np.einsum("bo,bo->b", a @ r_w.T + r_b, d)
-            offset += w.size + w.shape[0]
-    return gram, ref_dots
+    return Backprop(params, tuple(acts[:-1]), tuple(deltas))
+
+
+def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None = None) -> PerExampleGrads:
+    """Exact gradient of each example's own loss, flattened per `selector`."""
+    bp = backprop(params, x, y)
+    b = bp.deltas[0].shape[0]
+    blocks = []
+    for l in _chosen(params, selector):
+        blocks += [np.einsum("bo,bi->boi", bp.deltas[l], bp.acts[l]).reshape(b, -1), bp.deltas[l]]
+    return PerExampleGrads(np.concatenate(blocks, axis=1))
 
 
 def mean_gradient(params: ParamSet, x, y, selector: GradSelector | None = None) -> np.ndarray:
-    """Gradient of the mean batch loss, computed in one fused pass."""
-    x, y = _check_batch(params, x, y)
-    if selector is None:
-        selector = GradSelector.all_layers(params.n_layers)
-    chosen = selector.resolve(params.n_layers)
-    acts, deltas = _backward_deltas(params, x, y)
-    b = x.shape[0]
+    """Gradient of the mean batch loss over `selector`'s layers, flattened."""
+    bp = backprop(params, x, y)
+    b = bp.deltas[0].shape[0]
     blocks = []
-    for l in chosen:
-        blocks.append((deltas[l].T @ acts[l]).ravel() / b)
-        blocks.append(deltas[l].mean(axis=0))
+    for l in _chosen(params, selector):
+        blocks += [(bp.deltas[l].T @ bp.acts[l]).ravel() / b, bp.deltas[l].mean(axis=0)]
     return np.concatenate(blocks)
 
 
@@ -287,26 +280,20 @@ def unflatten_params(flat, layer_sizes) -> ParamSet:
     return ParamSet(tuple(weights), tuple(biases))
 
 
-def sgd_step(params: ParamSet, mean_grad, lr: float) -> ParamSet:
-    """Return params minus lr times a FULL-flattening gradient; DivergenceError if any result is non-finite."""
-    grad = np.asarray(mean_grad, dtype=np.float64)
-    if grad.shape != (params.param_count,):
-        raise DimensionError(f"gradient length {grad.shape} != parameter count {params.param_count}")
-    if lr < 0:
-        raise DimensionError("learning rate must be nonnegative")
-    stepped = flatten_params(params) - lr * grad
-    if not np.isfinite(stepped).all():
-        raise DivergenceError(f"update left {np.sum(~np.isfinite(stepped))} of {stepped.size} parameters non-finite")
-    return unflatten_params(stepped, params.layer_sizes)
-
-
 def accuracy(params: ParamSet, x, y) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class. DivergenceError on non-finite logits."""
+    """Fraction of argmax-correct predictions; ties go to the lowest class.
+
+    DivergenceError on non-finite logits, and when a hidden layer has no unit
+    active on any row: every row then gets the same logits.
+    """
     x, y = _check_batch(params, x, y)
-    logits = forward_batch(params, x)
+    acts, _, logits = _forward_pass(params, x)
     finite_rows = np.isfinite(logits).all(axis=1)
     if not finite_rows.all():
         raise DivergenceError(f"{np.sum(~finite_rows)} of {x.shape[0]} evaluation rows have non-finite logits")
+    for l in range(1, params.n_layers):
+        if not (acts[l] > 0.0).any():
+            raise DivergenceError(f"hidden layer {l - 1} is inactive on all {x.shape[0]} evaluation rows: constant logits")
     return float((np.argmax(logits, axis=1) == y).mean())
 
 

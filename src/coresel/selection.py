@@ -191,8 +191,8 @@ def kmeans_embedding_select(embeddings, kappa: int, seed) -> np.ndarray:
     """One representative per k-means cluster of the embedding rows.
 
     k-means++ seeding, Lloyd iterations capped at 100 with tolerance 1e-6 on
-    center movement; each final center maps to its nearest row (ties to the
-    lower index, duplicates to the next-nearest row).
+    center movement; each final center maps to its nearest row not yet taken
+    (distances within 1e-9 of the squared-norm scale tie, ties to the lower index).
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
@@ -239,9 +239,9 @@ def kmeans_embedding_select(embeddings, kappa: int, seed) -> np.ndarray:
 
     taken: list[int] = []
     for k in range(kappa):
-        order = np.argsort(dist2_to(centers[k]), kind="stable")
-        for idx in order:
-            if int(idx) not in taken:
-                taken.append(int(idx))
-                break
+        d2 = dist2_to(centers[k])
+        d2[taken] = np.inf
+        # Distances within rounding of the nearest count as tied: a two-member cluster's mean is
+        # equidistant from both rows, and summation order alone must not pick one.
+        taken.append(int(np.flatnonzero(d2 <= d2.min() + 1e-9 * (sq.max() + centers[k] @ centers[k]))[0]))
     return np.sort(np.array(taken, dtype=np.int64))

@@ -4,7 +4,10 @@ Each iteration takes one candidate batch from the current task's shuffled
 stream: pick a subset, form the objective gradient (selected-batch mean loss
 plus lambda times a replay-batch mean loss), optionally project it away from
 conflicting with the replay gradient, step, and store examples for the
-end-of-task buffer commit. After each task the model is evaluated on every
+end-of-task buffer commit. A step runs one backward pass, over its rows and
+the replay batch: the objective and the replay gradient are per-row weights
+on that pass's per-example gradients, and A-GEM reweights the rows through
+their Gram matrix. After each task the model is evaluated on every
 test set seen so far, filling one row of the accuracy matrix.
 
 What differs between selection methods lives in one `Strategy` object per
@@ -27,17 +30,7 @@ from .datastream import TaskStream, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .ioutil import atomic_write_text
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
-from .model import (
-    GradSelector,
-    ParamSet,
-    accuracy,
-    embeddings,
-    gradient_gram,
-    init_params,
-    mean_gradient,
-    save_checkpoint,
-    sgd_step,
-)
+from .model import GradSelector, ParamSet, accuracy, backprop, embeddings, init_params, save_checkpoint
 from .replay import (
     Coreset,
     StoredExample,
@@ -116,7 +109,6 @@ class IterationInfo:
     selected: np.ndarray
     buffer_batch_size: int
     agem_fired: bool
-    lr: float
 
 
 @dataclass
@@ -163,18 +155,28 @@ def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int = 784) -> Run
 # gradient plumbing
 
 
-def agem_project(g, g_ref) -> np.ndarray:
-    """Remove g's conflicting component along g_ref when their dot is negative."""
+def agem_project(g, g_ref, gram=None) -> np.ndarray:
+    """Remove g's conflicting component along g_ref when their inner product is negative.
+
+    The inner product is u . v, or u^T gram v when g and g_ref are coefficients
+    over gradient rows M with gram = M M^T; the projected gradient is then M^T out.
+    """
     g = np.asarray(g, dtype=np.float64)
     g_ref = np.asarray(g_ref, dtype=np.float64)
     if g.shape != g_ref.shape or g.ndim != 1:
         raise DimensionError(f"gradient shapes differ: {g.shape} vs {g_ref.shape}")
-    dot = float(g @ g_ref)
+    if gram is not None and gram.shape != (g.size, g.size):
+        raise DimensionError(f"Gram matrix {gram.shape} for {g.size} coefficients")
+
+    def inner(u, v):
+        return float(u @ v if gram is None else u @ gram @ v)
+
+    dot = inner(g, g_ref)
     if dot >= 0.0:
         return g
-    ref_sq = float(g_ref @ g_ref)
+    ref_sq = inner(g_ref, g_ref)
     projected = g - (dot / ref_sq) * g_ref
-    residual = float(projected @ g_ref)
+    residual = inner(projected, g_ref)
     if not residual >= -1e-10:
         raise ContractError(
             f"projected gradient still conflicts with the reference: dot {residual:.3e} "
@@ -183,19 +185,23 @@ def agem_project(g, g_ref) -> np.ndarray:
     return projected
 
 
-def _restrict(params: ParamSet, g: np.ndarray, selector: GradSelector | None) -> np.ndarray:
-    """The blocks of a full-parameter gradient that `selector` names, in layer order."""
-    if selector is None:
-        return g
-    slices = params.block_slices()
-    return np.concatenate([g[slices[l]] for l in selector.resolve(params.n_layers)])
+def _with_replay(x, y, replay):
+    """Rows (x, y) followed by the replay batch's rows, if there is one."""
+    if replay is None:
+        return x, y
+    return np.concatenate([x, replay[0]]), np.concatenate([y, replay[1]])
 
 
-def _ocs_scores(params: ParamSet, x, y, cfg: TrainConfig, ref) -> ScoreBreakdown:
-    """OCS scores of rows (x, y) against the replay reference `ref` (restricted to cfg.grad_selector, or None)."""
-    gram, ref_dots = gradient_gram(params, x, y, cfg.grad_selector, ref)
-    ref_norm = None if ref is None else float(np.linalg.norm(ref))
-    return score_gram(gram, ref_dots, ref_norm, cfg.selection.tau)
+def _ocs_scores(gram: np.ndarray, b: int, tau: float) -> ScoreBreakdown:
+    """OCS scores of the first b rows of a Gram matrix against the mean gradient of the rows after them.
+
+    With m replay rows, g_n . r = (K[:b, b:] 1)_n / m and |r| = sqrt(1^T K[b:, b:] 1) / m.
+    """
+    m = gram.shape[0] - b
+    if m == 0:
+        return score_gram(gram, None, None, tau)
+    ref_norm = np.sqrt(max(float(gram[b:, b:].sum()), 0.0)) / m
+    return score_gram(gram[:b, :b], gram[:b, b:].sum(axis=1) / m, ref_norm, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +217,14 @@ class Strategy:
     """
 
     class_balanced = False
+    scores_gradients = False  # pick reads the backward pass over the candidates and the replay batch
 
     def new_buffer(self, cfg: TrainConfig):
         return Coreset(cfg.buffer_capacity, cfg.seed, cfg.num_classes)
 
-    def pick(self, state: RunState, cfg: TrainConfig, batch: StreamBatch, kappa: int, g_buf):
-        """(indices to train on, ScoreBreakdown or None); g_buf is the replay mean gradient or None."""
+    def pick(self, state: RunState, cfg: TrainConfig, batch: StreamBatch, kappa: int, bp):
+        """(indices to train on, ScoreBreakdown or None); bp is None, or with `scores_gradients`
+        the `Backprop` over the candidates followed by the replay rows."""
         raise NotImplementedError
 
     def store(self, state: RunState, cfg: TrainConfig, batch: StreamBatch, selected: np.ndarray) -> None:
@@ -238,29 +246,29 @@ class Ocs(Strategy):
     """Top-kappa by gradient similarity + diversity + tau * affinity to the replay gradient."""
 
     class_balanced = True
+    scores_gradients = True
 
-    def pick(self, state, cfg, batch, kappa, g_buf):
-        ref = None if g_buf is None else _restrict(state.params, g_buf, cfg.grad_selector)
-        breakdown = _ocs_scores(state.params, batch.x, batch.y, cfg, ref)
+    def pick(self, state, cfg, batch, kappa, bp):
+        breakdown = _ocs_scores(bp.gram(cfg.grad_selector), batch.x.shape[0], cfg.selection.tau)
         return select_topk(breakdown.combined, kappa), breakdown
 
     def commit_ranking(self, state, cfg, pool_x, pool_y):
-        ref = None
+        replay = None
         buffer_items = state.buffer_examples()
         if buffer_items:
             sampled = sample_items(
                 buffer_items, cfg.buffer_batch_size, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF)
             )
-            ref_x, ref_y = examples_as_arrays(sampled)
-            ref = mean_gradient(state.params, ref_x, ref_y, cfg.grad_selector)
-        scores = _ocs_scores(state.params, pool_x, pool_y, cfg, ref).combined
+            replay = examples_as_arrays(sampled)
+        gram = backprop(state.params, *_with_replay(pool_x, pool_y, replay)).gram(cfg.grad_selector)
+        scores = _ocs_scores(gram, pool_x.shape[0], cfg.selection.tau).combined
         return np.argsort(-scores, kind="stable").astype(np.int64)
 
 
 class Uniform(Strategy):
     """Uniform pick per step, uniform order at commit."""
 
-    def pick(self, state, cfg, batch, kappa, g_buf):
+    def pick(self, state, cfg, batch, kappa, bp):
         return uniform_select(batch.x.shape[0], kappa, _step_seed(state, cfg, _T_SELECT)), None
 
     def commit_ranking(self, state, cfg, pool_x, pool_y):
@@ -289,7 +297,7 @@ class Reservoir(Uniform):
 class KMeansEmbedding(Strategy):
     """One representative per k-means cluster of penultimate-layer embeddings."""
 
-    def pick(self, state, cfg, batch, kappa, g_buf):
+    def pick(self, state, cfg, batch, kappa, bp):
         emb = embeddings(state.params, batch.x)
         return kmeans_embedding_select(emb, kappa, _step_seed(state, cfg, _T_SELECT)), None
 
@@ -324,27 +332,33 @@ def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> It
         raise EmptyInputError("empty candidate batch")
     kappa = min(cfg.selection.kappa, batch.x.shape[0])
 
-    buf_x = buf_y = g_buf = None
+    replay = None
     buffer_items = state.buffer_examples()
     if buffer_items:
         sampled = sample_items(buffer_items, cfg.buffer_batch_size, _step_seed(state, cfg, _T_BUFFER))
-        buf_x, buf_y = examples_as_arrays(sampled)
-        g_buf = mean_gradient(state.params, buf_x, buf_y)
+        replay = examples_as_arrays(sampled)
+    m = 0 if replay is None else replay[1].shape[0]
 
-    selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, g_buf)
+    # One backward pass, replay rows last: over the candidates if the pick scores gradients, else the picked rows.
+    if state.strategy.scores_gradients:
+        bp = backprop(state.params, *_with_replay(batch.x, batch.y, replay))
+        selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, bp)
+        lead = np.isin(np.arange(batch.x.shape[0]), selected) / len(selected)
+    else:
+        selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, None)
+        bp = backprop(state.params, *_with_replay(batch.x[selected], batch.y[selected], replay))
+        lead = np.full(len(selected), 1.0 / len(selected))
 
-    # Objective: mean(selected loss) + lam * mean(replay loss).
-    grad = mean_gradient(state.params, batch.x[selected], batch.y[selected])
+    # Objective: mean(selected loss) + lam * mean(replay loss), as weights on bp's rows.
+    replay_mean = np.full(m, 1.0 / max(m, 1))
+    coef = np.concatenate([lead, cfg.lam * replay_mean])
     agem_fired = False
-    if g_buf is not None:
-        grad = grad + cfg.lam * g_buf
-        if cfg.agem:
-            projected = agem_project(grad, g_buf)
-            agem_fired = projected is not grad
-            if agem_fired:
-                state.agem_projections += 1
-            grad = projected
-    state.params = sgd_step(state.params, grad, state.lr)
+    if m and cfg.agem:
+        projected = agem_project(coef, np.concatenate([np.zeros(lead.size), replay_mean]), bp.gram())
+        agem_fired = projected is not coef
+        state.agem_projections += agem_fired
+        coef = projected
+    state.params = bp.step(coef, state.lr)
 
     state.strategy.store(state, cfg, batch, selected)
 
@@ -359,12 +373,7 @@ def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> It
 
     state.iteration_in_epoch += 1
     state.global_iteration += 1
-    return IterationInfo(
-        selected=selected,
-        buffer_batch_size=0 if buf_x is None else buf_x.shape[0],
-        agem_fired=agem_fired,
-        lr=state.lr,
-    )
+    return IterationInfo(selected=selected, buffer_batch_size=m, agem_fired=agem_fired)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +392,6 @@ def commit_current_task(state: RunState, cfg: TrainConfig, task_id: int):
 # full runs
 
 
-def _iter_task_batches(task_train, cfg: TrainConfig, task_index: int, epoch: int):
-    n = len(task_train)
-    order = np.random.default_rng(_seed_seq(cfg.seed, task_index, epoch, _T_SHUFFLE)).permutation(n)
-    for start in range(0, n, cfg.stream_batch_size):
-        idx = order[start : start + cfg.stream_batch_size]
-        yield idx
-
-
 def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None) -> RunState:
     """Train through every task, evaluate after each, and emit artifacts.
 
@@ -405,7 +406,9 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
             for epoch in range(cfg.epochs):
                 state.epoch = epoch
                 state.iteration_in_epoch = 0
-                for idx in _iter_task_batches(task.train, cfg, t, epoch):
+                order = np.random.default_rng(_seed_seq(cfg.seed, t, epoch, _T_SHUFFLE)).permutation(len(task.train))
+                for start in range(0, len(order), cfg.stream_batch_size):
+                    idx = order[start : start + cfg.stream_batch_size]
                     batch = StreamBatch(t, task.train.x[idx], task.train.y[idx], task.train.source_index[idx])
                     train_iteration(state, batch, cfg)
             commit_current_task(state, cfg, t)
@@ -464,6 +467,10 @@ def _manifest_text(cfg: TrainConfig, stream: TaskStream) -> str:
     lines.append("")
     lines.append("[stream]")
     lines.append(stream_manifest(stream).rstrip("\n"))
+    # Checkpoints are bit-identical only under the same numpy, BLAS and BLAS thread count.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]  # mode= needs numpy >= 1.26
+    lines += ["", "[environment]", f"numpy = {np.__version__}", f"blas = {blas.get('name')} {blas.get('version')}"]
+    lines += [f"{var} = {os.environ.get(var, 'unset')}" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
     return "\n".join(lines) + "\n"
 
 

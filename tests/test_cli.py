@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import coresel
 
 from coresel.cli import build_stream, load_corpora, main
 from coresel.config import parse_config, render_manifest
@@ -180,6 +184,48 @@ def test_diverging_sweep_fails_loudly(tmp_path, monkeypatch):
     # One run is caught by the update check, the other by the evaluation check.
     assert "parameters non-finite" in texts[0] and "evaluation rows have non-finite logits" in texts[1]
     assert (out / "summary.csv").read_text().splitlines()[2] == "uniform,0,,,,"
+
+
+# The tiny sweep of four strategies over three 60-row tasks that CHANGES.md uses for parity checks.
+TINY_SWEEP = [
+    "run", "--synthetic-train", "300", "--synthetic-test", "120", "--num-tasks", "3", "--train-per-task", "60",
+    "--test-per-task", "30", "--stream-batch-size", "20", "--kappa", "5", "--buffer-capacity", "20",
+    "--buffer-batch-size", "5", "--strategies", "ocs,uniform,reservoir,kmeans_embedding", "--num-seeds", "2",
+]
+
+
+def test_dead_relu_sweep_fails_loudly(tmp_path, monkeypatch):
+    # At lr0 1e6 every run kills a whole hidden layer: its logits are constant, yet finite.
+    out = tmp_path / "runs"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(TINY_SWEEP + ["--hidden", "16,16", "--lr0", "1e6", "--output-dir", str(out)], {}, monkeypatch)
+    assert code == 2
+    runs = sorted(p.name for p in out.iterdir() if p.is_dir())
+    assert len(runs) == 8
+    for name in runs:
+        text = (out / name / "FAILED.txt").read_text()
+        assert text.startswith("DivergenceError: run diverged at task "), name
+        assert "evaluation rows: constant logits" in text, name
+    assert [line.split(",")[1] for line in (out / "summary.csv").read_text().splitlines()[1:]] == ["0"] * 4
+
+
+def test_rounded_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # The default 256-unit layers are wide enough for OpenBLAS to split its products over two threads,
+    # which changes checkpoints in the last bits; the rounded artifacts must not change.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coresel.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        env.pop("CORESEL_OUTPUT_DIR", None)
+        cmd = [sys.executable, "-m", "coresel.cli", *TINY_SWEEP, "--output-dir", str(out)]
+        assert subprocess.run(cmd, env=env, capture_output=True, timeout=300).returncode == 0
+        assert f"OPENBLAS_NUM_THREADS = {threads}\n" in (out / "ocs-seed0" / "run_manifest.txt").read_text()
+        outs.append(out)
+    names = sorted(p.relative_to(outs[0]) for p in outs[0].glob("*/accuracy_matrix.csv"))
+    assert len(names) == 8
+    for name in [*names, "summary.csv"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_run_builds_one_stream_per_seed(tmp_path, monkeypatch):

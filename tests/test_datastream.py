@@ -160,9 +160,7 @@ def test_rotate_dataset_matches_per_image():
     ds = small_dataset(5)
     out = rotate_dataset(ds, 33.0)
     for i in range(5):
-        want = rotate_image(ds.x[i].reshape(28, 28), 33.0).ravel()
-        # numpy's einsum sums a 1-row batch in another order: pixels in [0, 1] may differ by 1 ulp.
-        assert np.abs(out.x[i] - want).max() <= 2 * np.finfo(np.float64).eps
+        assert np.array_equal(out.x[i], rotate_image(ds.x[i].reshape(28, 28), 33.0).ravel())
     assert np.array_equal(out.y, ds.y)
     assert np.array_equal(out.source_index, ds.source_index)
 

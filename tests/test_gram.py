@@ -1,9 +1,10 @@
 """The Gram ("ghost") scoring path against the materialised per-example gradients.
 
-Production OCS scoring never forms gradient rows: `model.gradient_gram`
-returns their inner products and `selection.score_gram` scores from those.
+Production OCS scoring never forms gradient rows: one `model.backprop` pass
+over the candidates followed by the replay rows gives their Gram matrix, and
+`trainer._ocs_scores` scores from its blocks through `selection.score_gram`.
 The oracle is `score_batch(per_example_gradients(...))`, which materialises
-every row. Scores may differ in the last bits because the sums run in another
+every row, against the replay batch's `mean_gradient`. Scores may differ in the last bits because the sums run in another
 order; the ranking may not.
 """
 
@@ -12,14 +13,14 @@ import pytest
 
 from coresel import trainer
 from coresel.errors import DimensionError
-from coresel.model import GradSelector, ParamSet, gradient_gram, init_params, mean_gradient, per_example_gradients
-from coresel.selection import SelectionConfig, score_batch, score_gram, select_topk
-from coresel.trainer import REGISTRY, TrainConfig, new_run_state
+from coresel.model import GradSelector, ParamSet, backprop, init_params, mean_gradient, per_example_gradients
+from coresel.selection import SelectionConfig, score_batch, select_topk
+from coresel.trainer import REGISTRY, TrainConfig, _ocs_scores, _with_replay, new_run_state
 
 SIZES = [40, 24, 16, 10]  # three layers, so every selector subset below is proper
 SELECTORS = (None, GradSelector((0,)), GradSelector((1, 2)), GradSelector((0, 2)))
 # The two paths sum in different orders, so they agree to rounding: at worst
-# 3e-16 on a cosine and 1.1e-13 on a combined score (tau = 1000) in these tests.
+# 3.3e-16 on a cosine and 2.8e-13 on a combined score (tau = 1000) in these tests.
 COSINE_TOL = 1e-12
 COMBINED_TOL = 1e-9
 
@@ -55,7 +56,8 @@ def draw_batch(rng, params, b):
     return x, y
 
 
-def oracle(params, x, y, selector, ref, tau):
+def oracle(params, x, y, selector, replay, tau):
+    ref = None if replay is None else mean_gradient(params, *replay, selector)
     return score_batch(per_example_gradients(params, x, y, selector), ref, tau)
 
 
@@ -69,25 +71,28 @@ def assert_scores_match(got, want):
     assert np.array_equal(np.argsort(-got.combined, kind="stable"), np.argsort(-want.combined, kind="stable"))
 
 
-def gram_scores(params, x, y, selector, ref, tau):
-    gram, dots = gradient_gram(params, x, y, selector, ref)
-    return score_gram(gram, dots, None if ref is None else float(np.linalg.norm(ref)), tau)
+def gram_scores(params, x, y, selector, replay, tau):
+    gram = backprop(params, *_with_replay(x, y, replay)).gram(selector)
+    return _ocs_scores(gram, x.shape[0], tau)
 
 
 def test_gram_and_reference_dots_equal_the_materialised_products():
     rng = np.random.default_rng(30)
     params = init_params(SIZES, rng)
     x, y = draw_batch(rng, params, 12)
+    rx, ry = draw_batch(rng, params, 5)
+    bp = backprop(params, np.concatenate([x, rx]), np.concatenate([y, ry]))
     for selector in SELECTORS:
-        rows = per_example_gradients(params, x, y, selector).matrix
-        ref = rng.normal(size=rows.shape[1])
-        gram, dots = gradient_gram(params, x, y, selector, ref)
+        rows = per_example_gradients(params, np.concatenate([x, rx]), np.concatenate([y, ry]), selector).matrix
+        gram = bp.gram(selector)
         scale = np.abs(rows).sum(axis=1).max() ** 2
         assert np.abs(gram - rows @ rows.T).max() <= 1e-13 * scale
-        assert np.abs(dots - rows @ ref).max() <= 1e-13 * scale * np.abs(ref).max()
-        assert gradient_gram(params, x, y, selector)[1] is None
+        # The replay mean's dots and squared norm are block sums of the same matrix.
+        ref = rows[12:].mean(axis=0)
+        assert np.abs(gram[:12, 12:].sum(axis=1) / 5 - rows[:12] @ ref).max() <= 1e-13 * scale
+        assert abs(gram[12:, 12:].sum() / 25 - ref @ ref) <= 1e-13 * scale
     with pytest.raises(DimensionError):
-        gradient_gram(params, x, y, GradSelector((1, 2)), np.ones(5))
+        bp.gram(GradSelector((1, 3)))
 
 
 def selector_id(selector):
@@ -101,11 +106,10 @@ def test_gram_scores_match_materialised_scores(selector):
         params = certain_of_class_3(init_params(SIZES, rng))
         b = (1, 2, 7, 25, 100)[trial % 5]
         x, y = draw_batch(rng, params, b)
-        width = per_example_gradients(params, x[:1], y[:1], selector).matrix.shape[1]
-        ref = None if trial % 3 == 0 else rng.normal(size=width)
+        replay = None if trial % 3 == 0 else draw_batch(rng, params, (1, 5, 10)[trial % 3])
         tau = (0.0, 1.0, 1000.0)[trial % 3]
-        want = oracle(params, x, y, selector, ref, tau)
-        got = gram_scores(params, x, y, selector, ref, tau)
+        want = oracle(params, x, y, selector, replay, tau)
+        got = gram_scores(params, x, y, selector, replay, tau)
         assert_scores_match(got, want)
         if b >= 4:  # the one-hot rows are exact zeros on both paths
             zero = y == 3
@@ -118,9 +122,9 @@ def test_dead_relu_rows_have_no_first_layer_gradient():
     params = init_params(SIZES, rng)
     x = dead_relu_rows(params, 3, rng)
     y = np.array([0, 1, 2])
-    gram, _ = gradient_gram(params, x, y, GradSelector((0,)))
-    assert np.all(gram == 0.0)
-    assert np.all(np.diag(gradient_gram(params, x, y, GradSelector((1, 2)))[0]) > 0.0)
+    bp = backprop(params, x, y)
+    assert np.all(bp.gram(GradSelector((0,))) == 0.0)
+    assert np.all(np.diag(bp.gram(GradSelector((1, 2)))) > 0.0)
 
 
 @pytest.mark.parametrize("pool", [200, 333, 460])
@@ -143,17 +147,17 @@ def test_commit_ranking_matches_materialised_pool_scores(pool, monkeypatch):
     state.buffer.stage_candidates(0, buf_x, buf_y, np.arange(30))
     state.buffer.commit_task(0, np.arange(30), class_balanced=False)
     state.task_index = 1
-    refs = []
-    real = trainer.mean_gradient
+    replays = []
+    real = trainer.examples_as_arrays
 
-    def recording(*args):
-        refs.append(real(*args))
-        return refs[-1]
+    def recording(examples):
+        replays.append(real(examples))
+        return replays[-1]
 
-    monkeypatch.setattr(trainer, "mean_gradient", recording)
+    monkeypatch.setattr(trainer, "examples_as_arrays", recording)
     ranking = ocs.commit_ranking(state, cfg, x, y)
-    assert len(refs) == 1
-    want = oracle(state.params, x, y, selector, refs[0], cfg.selection.tau).combined
+    assert len(replays) == 1
+    want = oracle(state.params, x, y, selector, replays[0], cfg.selection.tau).combined
     assert np.array_equal(ranking, np.argsort(-want, kind="stable"))
 
 
@@ -168,10 +172,9 @@ def test_step_pick_matches_materialised_scores():
         state.params = certain_of_class_3(state.params)
         x, y = draw_batch(rng, state.params, 25)
         batch = trainer.StreamBatch(0, x, y, np.arange(25))
-        g_buf = mean_gradient(state.params, *draw_batch(rng, state.params, 10))
-        for ref_full in (None, g_buf):
-            picked, got = REGISTRY["ocs"].pick(state, cfg, batch, 10, ref_full)
-            ref = None if ref_full is None else trainer._restrict(state.params, ref_full, selector)
-            want = oracle(state.params, x, y, selector, ref, cfg.selection.tau)
+        for replay in (None, draw_batch(rng, state.params, 10)):
+            bp = backprop(state.params, *_with_replay(x, y, replay))
+            picked, got = REGISTRY["ocs"].pick(state, cfg, batch, 10, bp)
+            want = oracle(state.params, x, y, selector, replay, cfg.selection.tau)
             assert_scores_match(got, want)
             assert np.array_equal(picked, select_topk(want.combined, 10))

@@ -8,6 +8,7 @@ from coresel.model import (
     GradSelector,
     ParamSet,
     accuracy,
+    backprop,
     embeddings,
     flatten_params,
     forward_batch,
@@ -16,7 +17,6 @@ from coresel.model import (
     mean_gradient,
     per_example_gradients,
     save_checkpoint,
-    sgd_step,
     unflatten_params,
 )
 
@@ -189,7 +189,8 @@ def test_partial_selector_slices_full_gradient():
     x = rng.normal(size=(11, 5))
     y = rng.integers(0, 4, size=11)
     full = per_example_gradients(params, x, y).matrix
-    slices = params.block_slices()
+    bounds = np.cumsum([0] + [w.size + b.size for w, b in zip(params.weights, params.biases)])
+    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     for chosen in [(0,), (2,), (0, 2), (1, 2), (0, 1, 2)]:
         part = per_example_gradients(params, x, y, GradSelector(chosen)).matrix
         want = np.concatenate([full[:, slices[l]] for l in chosen], axis=1)
@@ -212,35 +213,68 @@ def test_gradient_step_decreases_loss():
         x = rng.normal(size=(16, 6))
         y = rng.integers(0, 5, size=16)
         before = oracle_batch_loss(params, x, y)
-        stepped = sgd_step(params, mean_gradient(params, x, y), 1e-4)
+        stepped = backprop(params, x, y).step(np.full(16, 1 / 16), 1e-4)
         assert oracle_batch_loss(stepped, x, y) < before
 
 
 # ---------------------------------------------------------------------------
-# sgd_step / accuracy
+# Backprop.step / accuracy
 
 
-def test_sgd_step_arithmetic():
-    params = ParamSet((np.array([[1.0]]),), (np.array([0.0]),))
-    stepped = sgd_step(params, np.array([2.0, 0.0]), 0.1)
-    assert stepped.weights[0][0, 0] == pytest.approx(0.8)
-    assert np.array_equal(flatten_params(sgd_step(params, np.zeros(2), 0.5)), flatten_params(params))
-    assert np.array_equal(flatten_params(sgd_step(params, np.ones(2), 0.0)), flatten_params(params))
+def test_backprop_step_arithmetic():
+    # One layer, two classes, x = 2, label 1: logits (2, 0), so d = (p0, -p0) with p0 = e^2 / (e^2 + 1).
+    params = ParamSet((np.array([[1.0], [0.0]]),), (np.zeros(2),))
+    bp = backprop(params, np.array([[2.0]]), [1])
+    p0 = math.exp(2.0) / (math.exp(2.0) + 1.0)
+    stepped = bp.step([1.0], 0.1)
+    assert stepped.weights[0][:, 0] == pytest.approx([1.0 - 0.1 * 2 * p0, 0.1 * 2 * p0], rel=1e-15)
+    assert stepped.biases[0] == pytest.approx([-0.1 * p0, 0.1 * p0], rel=1e-15)
+    assert np.array_equal(flatten_params(params), [1.0, 0.0, 0.0, 0.0])  # a new ParamSet; the old one is unchanged
+    assert np.array_equal(flatten_params(bp.step([0.0], 0.5)), flatten_params(params))
+    assert np.array_equal(flatten_params(bp.step([1.0], 0.0)), flatten_params(params))
     with pytest.raises(DimensionError):
-        sgd_step(params, np.ones(3), 0.1)
+        bp.step(np.ones(2), 0.1)
+    with pytest.raises(DimensionError):
+        bp.step([1.0], -0.1)
+
+
+def test_backprop_step_matches_per_example_oracle():
+    # W - lr * M^T c over materialised rows M, for arbitrary per-row coefficients c (zeros and negatives included).
+    rng = np.random.default_rng(40)
+    params = init_params([7, 10, 10, 4], rng)
+    x = rng.normal(size=(13, 7))
+    y = rng.integers(0, 4, size=13)
+    rows = per_example_gradients(params, x, y).matrix
+    for coef in (np.full(13, 1 / 13), rng.normal(size=13), np.where(rng.uniform(size=13) < 0.5, 0.0, 0.2)):
+        want = flatten_params(params) - 0.05 * (rows.T @ coef)
+        got = flatten_params(backprop(params, x, y).step(coef, 0.05))
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_non_finite_update_or_logits_raise_divergence():
     params = ParamSet((np.array([[1.0], [0.0]]),), (np.zeros(2),))
-    with pytest.raises(DivergenceError, match="update left 1 of 4 parameters non-finite"):
-        sgd_step(params, np.array([np.inf, 0.0, 0.0, 0.0]), 0.1)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match="update left 4 of 4 parameters non-finite"):
+            backprop(params, np.array([[1.0]]), [1]).step([np.inf], 0.1)
     huge = ParamSet((np.array([[1e308], [0.0]]),), (np.zeros(2),))
     assert accuracy(huge, np.array([[1.0], [0.5]]), [0, 0]) == 1.0
     with np.errstate(over="ignore"):
-        with pytest.raises(DivergenceError, match="left 1 of 4"):
-            sgd_step(params, np.array([-1e300, 0.0, 0.0, 0.0]), 1e10)  # overflows to inf
+        with pytest.raises(DivergenceError, match="left 2 of 4"):
+            # d = (1, -1) and a = 1e300: the weight steps overflow to inf, the bias steps stay finite.
+            backprop(params, np.array([[1e300]]), [1]).step([1.0], 1e10)
         with pytest.raises(DivergenceError, match="1 of 2 evaluation rows"):
             accuracy(huge, np.array([[1.0], [10.0]]), [0, 0])
+
+
+def test_dead_hidden_layer_fails_evaluation():
+    # Every unit of hidden layer 1 is off on every row, so every row gets the same logits.
+    rng = np.random.default_rng(41)
+    params = init_params([5, 6, 4, 3], rng)
+    x = rng.uniform(size=(8, 5))
+    assert 0.0 <= accuracy(params, x, np.zeros(8, np.int64)) <= 1.0
+    dead = ParamSet(params.weights, (params.biases[0], np.full(4, -1e6), params.biases[2]))
+    with pytest.raises(DivergenceError, match="hidden layer 1 is inactive on all 8 evaluation rows"):
+        accuracy(dead, x, np.zeros(8, np.int64))
 
 
 def test_accuracy_counts_and_tie_break():

@@ -348,6 +348,15 @@ def test_kmeans_single_cluster_picks_nearest_to_centroid():
     assert list(picked) == [want]
 
 
+def test_kmeans_near_tied_rows_go_to_lower_index():
+    # Row 2 is nearer the centroid than row 1 by 2e-12 in squared distance, far below the 1e-9 tie
+    # tolerance: the rows tie and the lower index wins, as for a two-member cluster's mean, whose
+    # members differ only by rounding.
+    x = np.array([[2.0, 0.0], [-1.0 - 1e-12, 0.0], [-1.0, 0.0]])
+    assert list(kmeans_embedding_select(x, 1, 0)) == [1]
+    assert list(kmeans_embedding_select(x + [0.0, 1e-3], 1, 0)) == [1]
+
+
 def test_kmeans_duplicate_points_yield_distinct_indices():
     x = np.ones((5, 2))
     picked = kmeans_embedding_select(x, 3, 0)

@@ -4,24 +4,25 @@ import os
 import numpy as np
 import pytest
 
-from coresel import trainer
+from coresel import model, trainer
 from coresel.datastream import build_rotated_stream, make_synthetic_corpus
-from coresel.errors import ContractError
+from coresel.errors import ContractError, DimensionError
 from coresel.metrics import average_forgetting
 from coresel.model import (
     GradSelector,
+    backprop,
     flatten_params,
     load_checkpoint,
     mean_gradient,
-    sgd_step,
+    per_example_gradients,
 )
 from coresel.replay import Coreset
-from coresel.selection import STRATEGIES, ReservoirState, SelectionConfig
+from coresel.selection import STRATEGIES, ReservoirState, SelectionConfig, score_batch
 from coresel.trainer import (
     StreamBatch,
     Strategy,
     TrainConfig,
-    _restrict,
+    _ocs_scores,
     agem_project,
     commit_current_task,
     new_run_state,
@@ -89,6 +90,27 @@ def test_agem_non_finite_reference_raises():
         agem_project(np.array([-1.0, 1.0]), np.array([np.inf, 1.0]))
 
 
+def test_agem_on_coefficients_matches_materialised_vectors():
+    # Coefficients u, v over gradient rows M project through M M^T exactly as g = M^T u, g_ref = M^T v do.
+    rng = np.random.default_rng(20240818)
+    params = new_run_state(tiny_config(), num_tasks=1).params
+    x, y = rng.uniform(size=(9, 784)), rng.integers(0, 10, size=9)
+    rows = per_example_gradients(params, x, y).matrix
+    gram = backprop(params, x, y).gram()
+    fired = 0
+    for _ in range(200):
+        u, v = rng.normal(size=9), np.where(rng.uniform(size=9) < 0.5, 0.0, rng.uniform(size=9))
+        want = agem_project(rows.T @ u, rows.T @ v)
+        got = agem_project(u, v, gram)
+        assert (got is u) == (float((rows.T @ u) @ (rows.T @ v)) >= 0.0)
+        fired += got is not u
+        assert np.abs(rows.T @ got - want).max() <= 1e-12 * np.abs(want).max()  # measured worst 5.8e-16
+        assert float(got @ gram @ v) >= -1e-10
+    assert 0 < fired < 200
+    with pytest.raises(DimensionError):
+        agem_project(np.ones(3), np.ones(3), np.eye(4))
+
+
 # ---------------------------------------------------------------------------
 # objective gradient
 
@@ -123,14 +145,20 @@ def test_objective_gradient_replay_term(monkeypatch):
 
 
 def test_replay_reference_restricts_to_selected_layers():
+    # OCS takes its replay reference from the Gram blocks of one pass over candidates + replay rows:
+    # over a selector's layers it is the replay batch's mean gradient restricted to those layers.
     rng = np.random.default_rng(4)
     params = new_run_state(tiny_config(), num_tasks=1).params
     x, y = rng.uniform(size=(6, 784)), rng.integers(0, 10, size=6)
-    full = mean_gradient(params, x, y)
-    assert _restrict(params, full, None) is full
-    for layers in ((0,), (1,), (2,), (0, 2), (1, 2)):
-        selector = GradSelector(layers)
-        assert np.array_equal(_restrict(params, full, selector), mean_gradient(params, x, y, selector))
+    rx, ry = rng.uniform(size=(4, 784)), rng.integers(0, 10, size=4)
+    bp = backprop(params, np.concatenate([x, rx]), np.concatenate([y, ry]))
+    for layers in (None, (0,), (1,), (2,), (0, 2), (1, 2)):
+        selector = None if layers is None else GradSelector(layers)
+        ref = mean_gradient(params, rx, ry, selector)
+        rows = per_example_gradients(params, x, y, selector).matrix
+        got = _ocs_scores(bp.gram(selector), 6, 1.0)
+        want = score_batch(rows, ref, 1.0)
+        assert np.abs(got.affinity - want.affinity).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +185,17 @@ def test_empty_buffer_lambda_is_inert():
     assert np.array_equal(results[0], results[1])
 
 
+# The fused step sums in another order than the oracle's W - lr * mean(rows); measured worst difference
+# 2.9e-17 of the largest parameter.
+STEP_RTOL = 1e-14
+
+
+def assert_plain_sgd(p0, x, y, lr, got):
+    """`got` is p0 minus lr times the mean of the materialised per-example gradients of (x, y)."""
+    want = flatten_params(p0) - lr * per_example_gradients(p0, x, y).matrix.mean(axis=0)
+    assert np.abs(flatten_params(got) - want).max() <= STEP_RTOL * np.abs(want).max()
+
+
 def test_saturated_selection_is_plain_sgd():
     batch = make_batch(np.random.default_rng(6))
     cfg = tiny_config(selection=SelectionConfig(kappa=20, tau=0.0, strategy="ocs"))
@@ -164,8 +203,7 @@ def test_saturated_selection_is_plain_sgd():
     p0 = state.params
     info = train_iteration(state, batch, cfg)
     assert list(info.selected) == list(range(20))
-    manual = sgd_step(p0, mean_gradient(p0, batch.x, batch.y), cfg.lr0)
-    assert np.array_equal(flatten_params(state.params), flatten_params(manual))
+    assert_plain_sgd(p0, batch.x, batch.y, cfg.lr0, state.params)
 
 
 def test_iteration_stages_selected_examples():
@@ -232,7 +270,7 @@ def test_registry_covers_every_strategy_name():
 class OddRowsLastFirst(Strategy):
     """Stub: trains on odd rows, commits the most recently staged rows first."""
 
-    def pick(self, state, cfg, batch, kappa, g_buf):
+    def pick(self, state, cfg, batch, kappa, bp):
         return np.arange(1, batch.x.shape[0], 2)[:kappa], None
 
     def commit_ranking(self, state, cfg, pool_x, pool_y):
@@ -247,8 +285,7 @@ def test_trainer_follows_stub_strategy(monkeypatch):
     p0 = state.params
     info = train_iteration(state, batch, cfg)
     assert list(info.selected) == [1, 3, 5, 7, 9]
-    manual = sgd_step(p0, mean_gradient(p0, batch.x[1:10:2], batch.y[1:10:2]), cfg.lr0)
-    assert np.array_equal(flatten_params(state.params), flatten_params(manual))
+    assert_plain_sgd(p0, batch.x[1:10:2], batch.y[1:10:2], cfg.lr0, state.params)
     pool_x, pool_y, src = state.buffer.staged_pool(0)
     assert list(src) == [1, 3, 5, 7, 9]
     assert np.array_equal(pool_x, batch.x[1:10:2]) and np.array_equal(pool_y, batch.y[1:10:2])
@@ -265,10 +302,51 @@ def test_strategies_differ_without_injection():
     assert not np.array_equal(flatten_params(a.params), flatten_params(b.params))
 
 
-def test_agem_projections_counted():
-    stream = tiny_stream(num_tasks=3)
-    state = run_stream(stream, tiny_config(agem=True))
-    assert state.agem_projections >= 0  # count recorded; firing depends on conflict
+def test_agem_projections_counted(monkeypatch):
+    # At lambda = 0 the objective holds no replay term, so a uniform pick can conflict with the replay
+    # gradient (OCS's affinity term picks rows that agree with it).
+    steps, replays = [], []
+    real_iteration, real_arrays = trainer.train_iteration, trainer.examples_as_arrays
+
+    def recording(state, batch, cfg):
+        p0, before = state.params, len(replays)
+        info = real_iteration(state, batch, cfg)
+        replay = replays[-1] if len(replays) > before else None
+        steps.append((p0, state.params, replay, info.agem_fired, state.lr))
+        return info
+
+    monkeypatch.setattr(trainer, "train_iteration", recording)
+    monkeypatch.setattr(trainer, "examples_as_arrays", lambda examples: replays.append(real_arrays(examples)) or replays[-1])
+    uniform = SelectionConfig(kappa=5, tau=1000.0, strategy="uniform")
+    state = run_stream(tiny_stream(num_tasks=3), tiny_config(lam=0.0, agem=True, selection=uniform))
+    fired = [s for s in steps if s[3]]
+    assert state.agem_projections == len(fired) > 0
+    for p0, p1, replay, agem_fired, lr in steps:
+        if replay is None:
+            assert not agem_fired
+            continue
+        update = (flatten_params(p0) - flatten_params(p1)) / lr
+        g_ref = per_example_gradients(p0, *replay).matrix.mean(axis=0)
+        # A fired step is projected onto the half-space; an unfired one already lay in it.
+        assert float(update @ g_ref) >= -1e-10
+
+
+def test_one_backward_pass_per_iteration(monkeypatch):
+    calls = []
+    real = model._backward_deltas
+    monkeypatch.setattr(model, "_backward_deltas", lambda *args: calls.append(1) or real(*args))
+    rng = np.random.default_rng(12)
+    for strategy in trainer.REGISTRY:
+        for agem in (False, True):
+            cfg = tiny_config(agem=agem, selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy))
+            state = new_run_state(cfg, num_tasks=2)
+            for task_id in (0, 1):
+                state.task_index, state.iteration_in_epoch = task_id, 0
+                calls.clear()
+                info = train_iteration(state, make_batch(rng, task_id=task_id), cfg)
+                assert len(calls) == 1, (strategy, agem, task_id)
+                assert (info.buffer_batch_size > 0) == (task_id == 1)
+                commit_current_task(state, cfg, task_id)
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "reservoir", "kmeans_embedding"])
