@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import FULL_DATASET, ExperimentConfig, known_keys, parse_config, render_manifest
 from .datastream import (
+    NUM_CLASSES,
     Dataset,
     TaskStream,
     build_permuted_stream,
@@ -121,7 +122,7 @@ def run_diagnose(cfg: ExperimentConfig, log=print) -> int:
     train, _ = load_corpora(cfg)
     sizes = tuple(train.x.shape[0] if s == FULL_DATASET else s for s in cfg.batch_sizes)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed]))
-    params = init_params([train.x.shape[1], *cfg.hidden, 10], rng)
+    params = init_params([train.x.shape[1], *cfg.hidden, NUM_CLASSES], rng)
     other = permute_pixels(train, np.random.SeedSequence([cfg.master_seed, 1])) if cfg.cross else None
     table = grad_approx_diagnostic(
         params, train, sizes, n_batches=cfg.n_batches, seed=cfg.master_seed, other_dataset=other

@@ -2,10 +2,11 @@
 
 The file format is line-oriented: ``[section]`` headers, ``key = value``
 pairs, blank lines, and comment lines starting with ``#`` or ``;``. Every
-key belongs to a fixed registry; anything else is an error that names the
-key and line, so typos never silently fall back to defaults. Flags override
-file values, which override defaults; the environment may override only the
-output directory (CORESEL_OUTPUT_DIR).
+key is one field of ExperimentConfig, which also holds its section, converter
+and default; anything else is an error that names the key and line, so typos
+never silently fall back to defaults. The [train] defaults are TrainConfig's.
+Flags override file values, which override defaults; the environment may
+override only the output directory (CORESEL_OUTPUT_DIR).
 
 An ExperimentConfig renders back to the same format via `render_manifest`,
 and parsing that text reproduces the config exactly — which is what makes a
@@ -15,12 +16,12 @@ recorded manifest replayable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .model import GradSelector
-from .selection import STRATEGIES, SelectionConfig
-from .trainer import TrainConfig
+from .selection import SelectionConfig
+from .trainer import REGISTRY, TrainConfig
 
 _ENV_OUTPUT_DIR = "CORESEL_OUTPUT_DIR"
 
@@ -85,71 +86,85 @@ def _to_batch_sizes(raw: str):
     return tuple(out)
 
 
+def _key(section: str, convert, describe: str, default, choices: tuple | None = None, key: str | None = None):
+    """An ExperimentConfig field read from `key` (default: the field name) under [section]."""
+    meta = {"section": section, "convert": convert, "describe": describe, "choices": choices, "key": key}
+    return field(default=default, metadata=meta)
+
+
+_TRAIN = TrainConfig()  # the one set of [train] defaults
+
+
 @dataclass(frozen=True)
-class _KeySpec:
-    section: str
-    name: str
-    convert: object
-    default: object
-    describe: str
-    choices: tuple | None = None
+class ExperimentConfig:
+    """Every config key, one field each, in file and manifest order."""
+
+    source: str = _key("data", _to_str, "one of synthetic, idx", "synthetic", ("synthetic", "idx"))
+    train_images: str = _key("data", _to_str, "a file path", "")
+    train_labels: str = _key("data", _to_str, "a file path", "")
+    test_images: str = _key("data", _to_str, "a file path", "")
+    test_labels: str = _key("data", _to_str, "a file path", "")
+    synthetic_train: int = _key("data", _to_int, "an integer", 2000)
+    synthetic_test: int = _key("data", _to_int, "an integer", 1000)
+    kind: str = _key("stream", _to_str, "one of rotated, permuted", "rotated", ("rotated", "permuted"))
+    variant: str = _key("stream", _to_str, "one of balanced, imbalanced, noisy", "balanced", ("balanced", "imbalanced", "noisy"))
+    num_tasks: int = _key("stream", _to_int, "an integer", 5)
+    train_per_task: int = _key("stream", _to_int, "an integer", 1000)
+    test_per_task: int = _key("stream", _to_int, "an integer", 500)
+    noise_fraction: float = _key("stream", _to_float, "a number", 0.6)
+    imbalance_keep: float = _key("stream", _to_float, "a number", 0.1)
+    imbalance_reduced: int = _key("stream", _to_int, "an integer", 8)
+    master_seed: int = _key("stream", _to_int, "an integer", 0)
+    stream_batch_size: int = _key("train", _to_int, "an integer", _TRAIN.stream_batch_size)
+    buffer_batch_size: int = _key("train", _to_int, "an integer", _TRAIN.buffer_batch_size)
+    buffer_capacity: int = _key("train", _to_int, "an integer", _TRAIN.buffer_capacity)
+    lr0: float = _key("train", _to_float, "a number", _TRAIN.lr0)
+    lr_decay: float = _key("train", _to_float, "a number", _TRAIN.lr_decay)
+    epochs: int = _key("train", _to_int, "an integer", _TRAIN.epochs)
+    lam: float = _key("train", _to_float, "a number", _TRAIN.lam, key="lambda")
+    kappa: int = _key("train", _to_int, "an integer", _TRAIN.selection.kappa)
+    tau: float = _key("train", _to_float, "a number", _TRAIN.selection.tau)
+    agem: bool = _key("train", _to_bool, "a boolean", _TRAIN.agem)
+    hidden: tuple = _key("train", _to_int_tuple, "comma-separated integers", _TRAIN.hidden)
+    grad_layers: tuple | None = _key("train", _to_layers, "'all' or comma-separated integers", None)  # None: every layer
+    log_scores: bool = _key("train", _to_bool, "a boolean", _TRAIN.log_scores)
+    strategies: tuple = _key("experiment", _to_str_tuple, "comma-separated strategy names", (_TRAIN.selection.strategy,))
+    num_seeds: int = _key("experiment", _to_int, "an integer", 1)
+    seed0: int = _key("experiment", _to_int, "an integer", 0)
+    output_dir: str = _key("experiment", _to_str, "a directory path", "runs")
+    batch_sizes: tuple = _key("diagnose", _to_batch_sizes, "comma-separated sizes or 'full'", (10, 50, 100, 500))
+    n_batches: int = _key("diagnose", _to_int, "an integer", 20)
+    cross: bool = _key("diagnose", _to_bool, "a boolean", True)
+
+    def train_config(self, strategy: str, seed: int) -> TrainConfig:
+        """The TrainConfig of one run: fields named like a TrainConfig field pass through unchanged."""
+        same = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if hasattr(self, f.name)}
+        selector = None if self.grad_layers is None else GradSelector(self.grad_layers)
+        return TrainConfig(
+            **same,
+            selection=SelectionConfig(kappa=self.kappa, tau=self.tau, strategy=strategy),
+            grad_selector=selector,
+            seed=seed,
+        )
 
 
-_SPECS = (
-    _KeySpec("data", "source", _to_str, "synthetic", "one of synthetic, idx", ("synthetic", "idx")),
-    _KeySpec("data", "train_images", _to_str, "", "a file path"),
-    _KeySpec("data", "train_labels", _to_str, "", "a file path"),
-    _KeySpec("data", "test_images", _to_str, "", "a file path"),
-    _KeySpec("data", "test_labels", _to_str, "", "a file path"),
-    _KeySpec("data", "synthetic_train", _to_int, 2000, "an integer"),
-    _KeySpec("data", "synthetic_test", _to_int, 1000, "an integer"),
-    _KeySpec("stream", "kind", _to_str, "rotated", "one of rotated, permuted", ("rotated", "permuted")),
-    _KeySpec("stream", "variant", _to_str, "balanced", "one of balanced, imbalanced, noisy", ("balanced", "imbalanced", "noisy")),
-    _KeySpec("stream", "num_tasks", _to_int, 5, "an integer"),
-    _KeySpec("stream", "train_per_task", _to_int, 1000, "an integer"),
-    _KeySpec("stream", "test_per_task", _to_int, 500, "an integer"),
-    _KeySpec("stream", "noise_fraction", _to_float, 0.6, "a number"),
-    _KeySpec("stream", "imbalance_keep", _to_float, 0.1, "a number"),
-    _KeySpec("stream", "imbalance_reduced", _to_int, 8, "an integer"),
-    _KeySpec("stream", "master_seed", _to_int, 0, "an integer"),
-    _KeySpec("train", "stream_batch_size", _to_int, 100, "an integer"),
-    _KeySpec("train", "buffer_batch_size", _to_int, 10, "an integer"),
-    _KeySpec("train", "buffer_capacity", _to_int, 200, "an integer"),
-    _KeySpec("train", "lr0", _to_float, 0.005, "a number"),
-    _KeySpec("train", "lr_decay", _to_float, 0.8, "a number"),
-    _KeySpec("train", "epochs", _to_int, 1, "an integer"),
-    _KeySpec("train", "lambda", _to_float, 1.0, "a number"),
-    _KeySpec("train", "kappa", _to_int, 10, "an integer"),
-    _KeySpec("train", "tau", _to_float, 1000.0, "a number"),
-    _KeySpec("train", "agem", _to_bool, False, "a boolean"),
-    _KeySpec("train", "hidden", _to_int_tuple, (256, 256), "comma-separated integers"),
-    _KeySpec("train", "grad_layers", _to_layers, None, "'all' or comma-separated integers"),
-    _KeySpec("train", "log_scores", _to_bool, False, "a boolean"),
-    _KeySpec("experiment", "strategies", _to_str_tuple, ("ocs",), "comma-separated strategy names"),
-    _KeySpec("experiment", "num_seeds", _to_int, 1, "an integer"),
-    _KeySpec("experiment", "seed0", _to_int, 0, "an integer"),
-    _KeySpec("experiment", "output_dir", _to_str, "runs", "a directory path"),
-    _KeySpec("diagnose", "batch_sizes", _to_batch_sizes, (10, 50, 100, 500), "comma-separated sizes or 'full'"),
-    _KeySpec("diagnose", "n_batches", _to_int, 20, "an integer"),
-    _KeySpec("diagnose", "cross", _to_bool, True, "a boolean"),
-)
-
-_BY_KEY = {spec.name: spec for spec in _SPECS}
-assert len(_BY_KEY) == len(_SPECS), "config key names must be globally unique"
-_SECTIONS = tuple(dict.fromkeys(spec.section for spec in _SPECS))
+# Config key -> its ExperimentConfig field.
+_FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
+_SECTIONS = tuple(dict.fromkeys(f.metadata["section"] for f in _FIELDS.values()))
 
 
 def known_keys() -> tuple[str, ...]:
-    return tuple(spec.name for spec in _SPECS)
+    return tuple(_FIELDS)
 
 
-def _convert(spec: _KeySpec, raw: str, where: str):
+def _convert(key: str, raw: str, where: str):
+    meta = _FIELDS[key].metadata
     try:
-        value = spec.convert(raw)
+        value = meta["convert"](raw)
     except ValueError:
-        raise ConfigError(f"value for key '{spec.name}' must be {spec.describe}, got '{raw}' {where}") from None
-    if spec.choices is not None and value not in spec.choices:
-        raise ConfigError(f"value for key '{spec.name}' must be {spec.describe}, got '{raw}' {where}")
+        raise ConfigError(f"value for key '{key}' must be {meta['describe']}, got '{raw}' {where}") from None
+    if meta["choices"] is not None and value not in meta["choices"]:
+        raise ConfigError(f"value for key '{key}' must be {meta['describe']}, got '{raw}' {where}")
     return value
 
 
@@ -175,94 +190,27 @@ def _parse_file(path: str, values: dict) -> None:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if section is None:
             raise ConfigError(f"key '{key}' appears before any [section] header (line {lineno})")
-        spec = _BY_KEY.get(key)
-        if spec is None or spec.section != section:
+        if key not in _FIELDS or _FIELDS[key].metadata["section"] != section:
             raise ConfigError(f"unknown key '{key}' in section [{section}] (line {lineno})")
         if key in seen:
             raise ConfigError(f"duplicate key '{key}' (line {lineno})")
         seen.add(key)
-        values[key] = _convert(spec, raw, f"(line {lineno})")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    source: str
-    train_images: str
-    train_labels: str
-    test_images: str
-    test_labels: str
-    synthetic_train: int
-    synthetic_test: int
-    kind: str
-    variant: str
-    num_tasks: int
-    train_per_task: int
-    test_per_task: int
-    noise_fraction: float
-    imbalance_keep: float
-    imbalance_reduced: int
-    master_seed: int
-    stream_batch_size: int
-    buffer_batch_size: int
-    buffer_capacity: int
-    lr0: float
-    lr_decay: float
-    epochs: int
-    lam: float
-    kappa: int
-    tau: float
-    agem: bool
-    hidden: tuple
-    grad_layers: tuple | None
-    log_scores: bool
-    strategies: tuple
-    num_seeds: int
-    seed0: int
-    output_dir: str
-    batch_sizes: tuple
-    n_batches: int
-    cross: bool
-
-    def train_config(self, strategy: str, seed: int) -> TrainConfig:
-        selector = None if self.grad_layers is None else GradSelector(self.grad_layers)
-        return TrainConfig(
-            stream_batch_size=self.stream_batch_size,
-            buffer_batch_size=self.buffer_batch_size,
-            buffer_capacity=self.buffer_capacity,
-            lr0=self.lr0,
-            lr_decay=self.lr_decay,
-            epochs=self.epochs,
-            lam=self.lam,
-            selection=SelectionConfig(kappa=self.kappa, tau=self.tau, strategy=strategy),
-            agem=self.agem,
-            grad_selector=selector,
-            hidden=self.hidden,
-            seed=seed,
-            log_scores=self.log_scores,
-        )
-
-
-_FIELD_FOR_KEY = {"lambda": "lam"}
-
-
-def _field_name(key: str) -> str:
-    return _FIELD_FOR_KEY.get(key, key)
+        values[_FIELDS[key].name] = _convert(key, raw, f"(line {lineno})")
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None, env=None) -> ExperimentConfig:
     """Resolve defaults, then file, then environment, then flag overrides."""
     env = os.environ if env is None else env
-    values = {spec.name: spec.default for spec in _SPECS}
+    values = {}  # field name -> value; absent fields keep their defaults
     if path is not None:
         _parse_file(path, values)
     if env.get(_ENV_OUTPUT_DIR):
         values["output_dir"] = env[_ENV_OUTPUT_DIR]
     for key, raw in (overrides or {}).items():
-        spec = _BY_KEY.get(key)
-        if spec is None:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown key '{key}' (flag)")
-        values[key] = _convert(spec, raw, "(flag)")
-    cfg = ExperimentConfig(**{_field_name(k): v for k, v in values.items()})
+        values[_FIELDS[key].name] = _convert(key, raw, "(flag)")
+    cfg = ExperimentConfig(**values)
     _validate(cfg)
     return cfg
 
@@ -278,18 +226,18 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.num_seeds < 1:
         raise ConfigError(f"key 'num_seeds' must be at least 1, got {cfg.num_seeds}")
     for strategy in cfg.strategies:
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"key 'strategies': unknown strategy '{strategy}' (choose from {', '.join(STRATEGIES)})")
+        if strategy not in REGISTRY:
+            raise ConfigError(f"key 'strategies': unknown strategy '{strategy}' (choose from {', '.join(REGISTRY)})")
     try:
         cfg.train_config(cfg.strategies[0], cfg.seed0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _render_value(spec: _KeySpec, value) -> str:
-    if spec.name == "grad_layers":
+def _render_value(key: str, value) -> str:
+    if key == "grad_layers":
         return "all" if value is None else ",".join(str(v) for v in value)
-    if spec.name == "batch_sizes":
+    if key == "batch_sizes":
         return ",".join("full" if v == FULL_DATASET else str(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -305,9 +253,8 @@ def render_manifest(cfg: ExperimentConfig) -> str:
     lines = []
     for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for spec in _SPECS:
-            if spec.section != section:
-                continue
-            lines.append(f"{spec.name} = {_render_value(spec, getattr(cfg, _field_name(spec.name)))}")
+        for key, f in _FIELDS.items():
+            if f.metadata["section"] == section:
+                lines.append(f"{key} = {_render_value(key, getattr(cfg, f.name))}")
         lines.append("")
     return "\n".join(lines)

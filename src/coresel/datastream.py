@@ -61,7 +61,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    kind: str  # "rotate" | "permute" | "identity"
+    kind: str  # "rotate" | "permute"
     angle: float | None = None
     permute_seed: int | None = None
     imbalance: tuple[tuple[int, ...], float] | None = None  # (reduced classes, keep fraction)
@@ -245,9 +245,9 @@ def _finish_task(spec: TaskSpec, train: Dataset, test: Dataset, master_seed: int
     return Task(spec, train, test, noisy)
 
 
-def draw_reduced_classes(master_seed: int, num_reduced: int = 8, num_classes: int = NUM_CLASSES) -> tuple[int, ...]:
+def draw_reduced_classes(master_seed: int, num_reduced: int = 8) -> tuple[int, ...]:
     rng = np.random.default_rng(_task_seed(master_seed, 0, _TAG_REDUCED_CLASSES))
-    return tuple(sorted(int(c) for c in rng.choice(num_classes, size=num_reduced, replace=False)))
+    return tuple(sorted(int(c) for c in rng.choice(NUM_CLASSES, size=num_reduced, replace=False)))
 
 
 def build_rotated_stream(
@@ -258,26 +258,19 @@ def build_rotated_stream(
     *,
     train_per_task=None,
     test_per_task=None,
-    angles=None,
     imbalance: tuple[tuple[int, ...], float] | None = None,
     noise_fraction: float = 0.0,
 ) -> TaskStream:
     """Tasks are the base corpus under per-task uniform angles from [0, 180].
 
-    `angles` overrides the drawn sequence (test hook). `imbalance` and
-    `noise_fraction` apply to the train side of every task; test sets stay
-    balanced and clean so accuracies measure true generalization.
+    `imbalance` and `noise_fraction` apply to the train side of every task;
+    test sets stay balanced and clean so accuracies measure true generalization.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
-    if angles is not None and len(angles) != num_tasks:
-        raise DimensionError(f"{len(angles)} angle overrides for {num_tasks} tasks")
     tasks = []
     for t in range(num_tasks):
-        if angles is not None:
-            angle = float(angles[t])
-        else:
-            angle = float(np.random.default_rng(_task_seed(master_seed, t, _TAG_ANGLE)).uniform(0.0, 180.0))
+        angle = float(np.random.default_rng(_task_seed(master_seed, t, _TAG_ANGLE)).uniform(0.0, 180.0))
         task_train = rotate_dataset(_subsample(train, train_per_task, _task_seed(master_seed, t, _TAG_TRAIN_SUBSET)), angle)
         task_test = rotate_dataset(_subsample(test, test_per_task, _task_seed(master_seed, t, _TAG_TEST_SUBSET)), angle)
         spec = TaskSpec(kind="rotate", angle=angle, imbalance=imbalance, noise_fraction=noise_fraction)
@@ -314,12 +307,7 @@ def stream_manifest(stream: TaskStream) -> str:
     lines = [f"master_seed = {stream.master_seed}"]
     for t, task in enumerate(stream.tasks):
         spec = task.spec
-        if spec.kind == "rotate":
-            detail = f"angle={spec.angle:.6f}"
-        elif spec.kind == "permute":
-            detail = f"permute_seed={spec.permute_seed}"
-        else:
-            detail = "identity"
+        detail = f"angle={spec.angle:.6f}" if spec.kind == "rotate" else f"permute_seed={spec.permute_seed}"
         if spec.imbalance is not None:
             reduced, keep = spec.imbalance
             imb = "classes:" + "|".join(str(c) for c in reduced) + f";keep:{keep:g}"
@@ -384,7 +372,12 @@ def _class_canvas(digit: int) -> np.ndarray:
     return np.clip(1.6 * field, -1.0, 1.0)
 
 
-def make_synthetic_corpus(n: int, seed, *, noise_sigma: float = 0.04, max_shift: int = 1) -> Dataset:
+# The synthetic corpus's per-pixel Gaussian noise sigma and largest glyph/canvas shift in pixels.
+_NOISE_SIGMA = 0.04
+_MAX_SHIFT = 1
+
+
+def make_synthetic_corpus(n: int, seed) -> Dataset:
     """Deterministic corpus: digit glyphs over per-class textured canvases.
 
     A stand-in with MNIST's shape and label alphabet for environments where
@@ -397,10 +390,10 @@ def make_synthetic_corpus(n: int, seed, *, noise_sigma: float = 0.04, max_shift:
     glyphs = np.stack([_glyph_template(d) for d in range(NUM_CLASSES)])
     canvases = np.stack([_class_canvas(d) for d in range(NUM_CLASSES)])
     labels = rng.integers(0, NUM_CLASSES, size=n)
-    shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
+    shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
     amplitude = rng.uniform(0.4, 0.5, size=n)
     intensity = rng.uniform(0.7, 1.0, size=n)
-    noise = rng.normal(0.0, noise_sigma, size=(n, IMAGE_SIDE, IMAGE_SIDE))
+    noise = rng.normal(0.0, _NOISE_SIGMA, size=(n, IMAGE_SIDE, IMAGE_SIDE))
     x = np.zeros((n, IMAGE_SIDE, IMAGE_SIDE))
     for i in range(n):
         dr, dc = int(shifts[i, 0]), int(shifts[i, 1])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, IncompleteMatrixError
-from .model import GradSelector, ParamSet, mean_gradient
+from .model import ParamSet, mean_gradient
 from .selection import cosines_to_vector
 
 __all__ = [
@@ -91,13 +91,13 @@ class DiagnosticRow:
     cross_cosine: float | None
 
 
-def _full_mean_gradient(params: ParamSet, x, y, selector, chunk: int = 2048) -> np.ndarray:
+def _full_mean_gradient(params: ParamSet, x, y, chunk: int = 2048) -> np.ndarray:
     """Whole-dataset mean loss gradient, accumulated in fixed-size chunks."""
     n = x.shape[0]
     total = None
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        g = mean_gradient(params, x[start:stop], y[start:stop], selector) * (stop - start)
+        g = mean_gradient(params, x[start:stop], y[start:stop]) * (stop - start)
         total = g if total is None else total + g
     return total / n
 
@@ -110,7 +110,6 @@ def grad_approx_diagnostic(
     n_batches: int = 20,
     seed: int = 0,
     other_dataset=None,
-    selector: GradSelector | None = None,
 ) -> list[DiagnosticRow]:
     """How well random-batch mean gradients approximate the full-dataset one.
 
@@ -123,9 +122,9 @@ def grad_approx_diagnostic(
     x, y = dataset.x, dataset.y
     n = x.shape[0]
     # Row 0: this dataset's full gradient; row 1 (optional): the other dataset's.
-    targets = [_full_mean_gradient(params, x, y, selector)]
+    targets = [_full_mean_gradient(params, x, y)]
     if other_dataset is not None:
-        targets.append(_full_mean_gradient(params, other_dataset.x, other_dataset.y, selector))
+        targets.append(_full_mean_gradient(params, other_dataset.x, other_dataset.y))
     targets = np.stack(targets)
     cross = other_dataset is not None
 
@@ -141,7 +140,7 @@ def grad_approx_diagnostic(
             else:
                 rng = np.random.default_rng(np.random.SeedSequence([int(seed), b_idx, k]))
                 idx = rng.choice(n, size=batch_size, replace=False)
-            g = mean_gradient(params, x[idx], y[idx], selector)
+            g = mean_gradient(params, x[idx], y[idx])
             l2s.append(np.linalg.norm(targets - g, axis=1))
             cosines.append(cosines_to_vector(targets, g))
         l2 = np.mean(l2s, axis=0)

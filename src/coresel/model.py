@@ -28,9 +28,7 @@ from .ioutil import atomic_write_bytes
 __all__ = [
     "ParamSet",
     "GradSelector",
-    "PerExampleGrads",
     "init_params",
-    "forward_batch",
     "embeddings",
     "per_example_gradients",
     "Backprop",
@@ -98,13 +96,6 @@ class GradSelector:
         return self.layers
 
 
-@dataclass(frozen=True)
-class PerExampleGrads:
-    """Rows are exact per-example loss gradients over the selected layers."""
-
-    matrix: np.ndarray  # (B, P') float64
-
-
 def init_params(layer_sizes, rng: np.random.Generator) -> ParamSet:
     """Glorot-uniform weights in ±sqrt(6/(fan_in+fan_out)), zero biases."""
     sizes = [int(s) for s in layer_sizes]
@@ -149,12 +140,6 @@ def _forward_pass(params: ParamSet, x: np.ndarray):
         a = np.maximum(z, 0.0) if l < last else z
         acts.append(a)
     return acts, preacts, acts[-1]
-
-
-def forward_batch(params: ParamSet, x) -> np.ndarray:
-    """Logits for a (batch, features) matrix."""
-    x, _ = _check_batch(params, x)
-    return _forward_pass(params, x)[2]
 
 
 def embeddings(params: ParamSet, x) -> np.ndarray:
@@ -237,14 +222,14 @@ def backprop(params: ParamSet, x, y) -> Backprop:
     return Backprop(params, tuple(acts[:-1]), tuple(deltas))
 
 
-def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None = None) -> PerExampleGrads:
-    """Exact gradient of each example's own loss, flattened per `selector`."""
+def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None = None) -> np.ndarray:
+    """(B, P) rows: the exact gradient of each example's own loss, flattened per `selector`."""
     bp = backprop(params, x, y)
     b = bp.deltas[0].shape[0]
     blocks = []
     for l in _chosen(params, selector):
         blocks += [np.einsum("bo,bi->boi", bp.deltas[l], bp.acts[l]).reshape(b, -1), bp.deltas[l]]
-    return PerExampleGrads(np.concatenate(blocks, axis=1))
+    return np.concatenate(blocks, axis=1)
 
 
 def mean_gradient(params: ParamSet, x, y, selector: GradSelector | None = None) -> np.ndarray:

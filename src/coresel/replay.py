@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datastream import NUM_CLASSES
 from .errors import ContractError, DimensionError, EmptyInputError
 from .ioutil import atomic_write_text
 
@@ -60,11 +61,11 @@ def sample_items(items, batch_size: int, seed) -> list:
 class Coreset:
     """Replay store bounded by `capacity` examples across all tasks."""
 
-    def __init__(self, capacity: int, seed: int, num_classes: int = 10):
+    def __init__(self, capacity: int, seed: int):
         if capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {capacity}")
         self.capacity = int(capacity)
-        self.num_classes = int(num_classes)
+        self.num_classes = NUM_CLASSES  # the classes a balanced commit spreads its quota over
         self._seed = int(seed)
         self._stored: dict[int, list[StoredExample]] = {}
         self._staged: dict[int, list[StoredExample]] = {}

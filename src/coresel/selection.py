@@ -16,24 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
-from .model import PerExampleGrads
-
-STRATEGIES = ("ocs", "uniform", "reservoir", "kmeans_embedding")
 
 
 @dataclass(frozen=True)
 class SelectionConfig:
     kappa: int = 10
     tau: float = 1000.0
-    strategy: str = "ocs"
+    strategy: str = "ocs"  # a name in trainer.REGISTRY, which TrainConfig checks
 
     def __post_init__(self):
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         if self.tau < 0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
 
 
 def _cosine(dots, norms, other_norms) -> np.ndarray:
@@ -113,7 +108,7 @@ def score_gram(gram, ref_dots, ref_norm, tau: float) -> ScoreBreakdown:
 
 def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:
     """`score_gram` over materialised gradient rows M: the Gram matrix is M M^T, the reference dots M r."""
-    rows = grads.matrix if isinstance(grads, PerExampleGrads) else np.asarray(grads, dtype=np.float64)
+    rows = np.asarray(grads, dtype=np.float64)
     if ref_mean_grad is None:
         return score_gram(rows @ rows.T, None, None, tau)
     ref = np.asarray(ref_mean_grad, dtype=np.float64)

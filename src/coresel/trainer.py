@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datastream import TaskStream, stream_manifest
+from .datastream import NUM_CLASSES, TaskStream, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .ioutil import atomic_write_text
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
@@ -73,11 +73,12 @@ class TrainConfig:
     agem: bool = False
     grad_selector: GradSelector | None = None
     hidden: tuple[int, ...] = (256, 256)
-    num_classes: int = 10
     seed: int = 0
     log_scores: bool = False
 
     def __post_init__(self):
+        if self.selection.strategy not in REGISTRY:
+            raise ValueError(f"unknown strategy {self.selection.strategy!r}, expected one of {tuple(REGISTRY)}")
         if self.selection.kappa > self.stream_batch_size:
             raise ValueError(
                 f"kappa {self.selection.kappa} exceeds stream_batch_size {self.stream_batch_size}"
@@ -139,7 +140,7 @@ def _step_seed(state: RunState, cfg: TrainConfig, tag: int) -> np.random.SeedSeq
 
 
 def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int = 784) -> RunState:
-    sizes = [input_dim, *cfg.hidden, cfg.num_classes]
+    sizes = [input_dim, *cfg.hidden, NUM_CLASSES]
     params = init_params(sizes, np.random.default_rng(_seed_seq(cfg.seed, _T_INIT)))
     strategy = REGISTRY[cfg.selection.strategy]
     return RunState(
@@ -220,7 +221,7 @@ class Strategy:
     scores_gradients = False  # pick reads the backward pass over the candidates and the replay batch
 
     def new_buffer(self, cfg: TrainConfig):
-        return Coreset(cfg.buffer_capacity, cfg.seed, cfg.num_classes)
+        return Coreset(cfg.buffer_capacity, cfg.seed)
 
     def pick(self, state: RunState, cfg: TrainConfig, batch: StreamBatch, kappa: int, bp):
         """(indices to train on, ScoreBreakdown or None); bp is None, or with `scores_gradients`
@@ -313,7 +314,7 @@ class KMeansEmbedding(Strategy):
         return np.concatenate([reps, rest])
 
 
-# Strategy name (SelectionConfig.strategy) -> the object that implements it.
+# The one list of strategy names (SelectionConfig.strategy), each with the object that implements it.
 REGISTRY: dict[str, Strategy] = {
     "ocs": Ocs(),
     "uniform": Uniform(),
@@ -428,11 +429,11 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
 
 
 def run_metrics(state: RunState) -> dict:
-    completed = [t for t in range(state.matrix.num_tasks) if not np.isnan(state.matrix.values[t, : t + 1]).any()]
-    per_task = [average_accuracy(state.matrix, t) for t in completed]
+    """Metrics of a finished run; IncompleteMatrixError if an accuracy is missing."""
+    per_task = [average_accuracy(state.matrix, t) for t in range(state.matrix.num_tasks)]
     return {
-        "final_average_accuracy": per_task[-1] if per_task else None,
-        "average_forgetting": average_forgetting(state.matrix) if len(completed) == state.matrix.num_tasks else None,
+        "final_average_accuracy": per_task[-1],
+        "average_forgetting": average_forgetting(state.matrix),
         "per_task_average_accuracy": per_task,
     }
 

@@ -91,7 +91,7 @@ def test_criterion_01_gradients_match_finite_differences():
         if kink:
             continue
         trials += 1
-        analytic = per_example_gradients(params, x[None, :], np.array([y])).matrix[0]
+        analytic = per_example_gradients(params, x[None, :], np.array([y]))[0]
         fd = np.empty_like(theta)
         for j in range(theta.size):
             theta[j] += step

@@ -10,6 +10,7 @@ import coresel
 from coresel.cli import build_stream, load_corpora, main
 from coresel.config import parse_config, render_manifest
 from coresel.errors import ConfigError
+from coresel.trainer import TrainConfig
 
 MINIMAL = """\
 [stream]
@@ -51,6 +52,10 @@ def test_defaults_from_empty_config():
     assert cfg.lam == 1.0
     assert cfg.stream_batch_size == 100
     assert cfg.strategies == ("ocs",)
+
+
+def test_train_defaults_are_train_config_defaults():
+    assert parse_config(None, env={}).train_config("ocs", 0) == TrainConfig()
 
 
 def test_file_values_and_flag_precedence(tmp_path):

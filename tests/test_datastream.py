@@ -261,14 +261,6 @@ def test_rotated_stream_is_bit_reproducible():
         assert ta.noisy_source == tb.noisy_source
 
 
-def test_rotated_stream_angle_hook_and_identity():
-    base_train = small_dataset(30, seed=7)
-    base_test = small_dataset(10, seed=8)
-    stream = build_rotated_stream(base_train, base_test, 1, 0, angles=[0.0])
-    assert np.allclose(stream.tasks[0].train.x, base_train.x, atol=1e-12)
-    assert np.allclose(stream.tasks[0].test.x, base_test.x, atol=1e-12)
-
-
 def test_rotated_stream_draws_distinct_angles():
     train = small_dataset(20, seed=9)
     test = small_dataset(10, seed=10)

@@ -83,7 +83,7 @@ def test_gram_and_reference_dots_equal_the_materialised_products():
     rx, ry = draw_batch(rng, params, 5)
     bp = backprop(params, np.concatenate([x, rx]), np.concatenate([y, ry]))
     for selector in SELECTORS:
-        rows = per_example_gradients(params, np.concatenate([x, rx]), np.concatenate([y, ry]), selector).matrix
+        rows = per_example_gradients(params, np.concatenate([x, rx]), np.concatenate([y, ry]), selector)
         gram = bp.gram(selector)
         scale = np.abs(rows).sum(axis=1).max() ** 2
         assert np.abs(gram - rows @ rows.T).max() <= 1e-13 * scale

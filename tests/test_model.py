@@ -11,7 +11,6 @@ from coresel.model import (
     backprop,
     embeddings,
     flatten_params,
-    forward_batch,
     init_params,
     load_checkpoint,
     mean_gradient,
@@ -19,6 +18,7 @@ from coresel.model import (
     save_checkpoint,
     unflatten_params,
 )
+from coresel.model import _forward_pass
 
 # ---------------------------------------------------------------------------
 # Independent scalar-loop oracles. These share no code with the package.
@@ -101,17 +101,22 @@ def rel_close(analytic, reference, rel=1e-4, floor=1e-8):
 # forward
 
 
+def logits(params, x):
+    """The output layer of the forward pass that `accuracy` and `backprop` run."""
+    return _forward_pass(params, np.asarray(x, dtype=np.float64))[2]
+
+
 def test_forward_zero_params_gives_zero_logits():
     params = ParamSet(
         (np.zeros((4, 3)), np.zeros((2, 4))),
         (np.zeros(4), np.zeros(2)),
     )
-    assert np.all(forward_batch(params, [[1.0, -2.0, 3.0]]) == 0.0)
+    assert np.all(logits(params, [[1.0, -2.0, 3.0]]) == 0.0)
 
 
 def test_forward_single_affine_layer():
     params = ParamSet((np.array([[2.0]]),), (np.array([1.0]),))
-    assert forward_batch(params, [[3.0]])[0] == pytest.approx([7.0])
+    assert logits(params, [[3.0]])[0] == pytest.approx([7.0])
 
 
 def test_forward_matches_independent_oracle():
@@ -119,7 +124,7 @@ def test_forward_matches_independent_oracle():
     params = init_params([5, 7, 6, 4], rng)
     for _ in range(50):
         x = rng.normal(size=5)
-        got = forward_batch(params, x[None, :])[0]
+        got = logits(params, x[None, :])[0]
         want = oracle_forward(params, x)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -127,8 +132,8 @@ def test_forward_matches_independent_oracle():
 def test_forward_softmax_normalizes():
     rng = np.random.default_rng(3)
     params = init_params([6, 8, 8, 5], rng)
-    logits = forward_batch(params, rng.normal(size=(20, 6)))
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    z = logits(params, rng.normal(size=(20, 6)))
+    shifted = np.exp(z - z.max(axis=1, keepdims=True))
     probs = shifted / shifted.sum(axis=1, keepdims=True)
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -137,11 +142,11 @@ def test_forward_dimension_errors():
     rng = np.random.default_rng(0)
     params = init_params([5, 4, 3], rng)
     with pytest.raises(DimensionError):
-        forward_batch(params, np.ones((1, 6)))
+        embeddings(params, np.ones((1, 6)))
     with pytest.raises(DimensionError):
-        forward_batch(params, np.ones(5))
+        embeddings(params, np.ones(5))
     with pytest.raises(EmptyInputError):
-        forward_batch(params, np.empty((0, 5)))
+        embeddings(params, np.empty((0, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +158,7 @@ def test_per_example_gradients_match_finite_differences():
     for trial in range(100):
         params, x, y = draw_smooth_instance(rng, [6, 8, 8, 5], 5)
         grads = per_example_gradients(params, x[None, :], [y])
-        assert rel_close(grads.matrix[0], fd_gradient(params, x, y)), f"trial {trial}"
+        assert rel_close(grads[0], fd_gradient(params, x, y)), f"trial {trial}"
 
 
 def test_single_example_row_is_its_own_loss_gradient():
@@ -161,7 +166,7 @@ def test_single_example_row_is_its_own_loss_gradient():
     params = init_params([4, 6, 3], rng)
     x = rng.normal(size=(1, 4))
     y = np.array([2])
-    row = per_example_gradients(params, x, y).matrix[0]
+    row = per_example_gradients(params, x, y)[0]
     assert np.allclose(row, mean_gradient(params, x, y), atol=1e-14)
 
 
@@ -170,7 +175,7 @@ def test_duplicated_example_gives_identical_rows():
     params = init_params([4, 6, 3], rng)
     x = rng.normal(size=4)
     grads = per_example_gradients(params, np.stack([x, x]), [1, 1])
-    assert np.array_equal(grads.matrix[0], grads.matrix[1])
+    assert np.array_equal(grads[0], grads[1])
 
 
 def test_mean_of_rows_equals_fused_batch_gradient():
@@ -178,7 +183,7 @@ def test_mean_of_rows_equals_fused_batch_gradient():
     params = init_params([7, 10, 10, 4], rng)
     x = rng.normal(size=(33, 7))
     y = rng.integers(0, 4, size=33)
-    rows = per_example_gradients(params, x, y).matrix
+    rows = per_example_gradients(params, x, y)
     fused = mean_gradient(params, x, y)
     assert np.abs(rows.mean(axis=0) - fused).max() < 1e-10
 
@@ -188,11 +193,11 @@ def test_partial_selector_slices_full_gradient():
     params = init_params([5, 6, 7, 4], rng)
     x = rng.normal(size=(11, 5))
     y = rng.integers(0, 4, size=11)
-    full = per_example_gradients(params, x, y).matrix
+    full = per_example_gradients(params, x, y)
     bounds = np.cumsum([0] + [w.size + b.size for w, b in zip(params.weights, params.biases)])
     slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     for chosen in [(0,), (2,), (0, 2), (1, 2), (0, 1, 2)]:
-        part = per_example_gradients(params, x, y, GradSelector(chosen)).matrix
+        part = per_example_gradients(params, x, y, GradSelector(chosen))
         want = np.concatenate([full[:, slices[l]] for l in chosen], axis=1)
         assert np.array_equal(part, want)
 
@@ -244,7 +249,7 @@ def test_backprop_step_matches_per_example_oracle():
     params = init_params([7, 10, 10, 4], rng)
     x = rng.normal(size=(13, 7))
     y = rng.integers(0, 4, size=13)
-    rows = per_example_gradients(params, x, y).matrix
+    rows = per_example_gradients(params, x, y)
     for coef in (np.full(13, 1 / 13), rng.normal(size=13), np.where(rng.uniform(size=13) < 0.5, 0.0, 0.2)):
         want = flatten_params(params) - 0.05 * (rows.T @ coef)
         got = flatten_params(backprop(params, x, y).step(coef, 0.05))
@@ -295,8 +300,8 @@ def test_embeddings_are_final_layer_input():
     emb = embeddings(params, x)
     assert emb.shape == (10, 6)
     # Feeding the embeddings through the last layer reproduces the logits.
-    logits = emb @ params.weights[-1].T + params.biases[-1]
-    assert np.allclose(logits, forward_batch(params, x), atol=1e-12)
+    z = emb @ params.weights[-1].T + params.biases[-1]
+    assert np.allclose(z, logits(params, x), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -368,5 +368,3 @@ def test_selection_config_validation():
         SelectionConfig(kappa=0)
     with pytest.raises(ValueError):
         SelectionConfig(tau=-1.0)
-    with pytest.raises(ValueError):
-        SelectionConfig(strategy="herding")

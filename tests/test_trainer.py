@@ -6,7 +6,7 @@ import pytest
 
 from coresel import model, trainer
 from coresel.datastream import build_rotated_stream, make_synthetic_corpus
-from coresel.errors import ContractError, DimensionError
+from coresel.errors import ContractError, DimensionError, IncompleteMatrixError
 from coresel.metrics import average_forgetting
 from coresel.model import (
     GradSelector,
@@ -17,7 +17,7 @@ from coresel.model import (
     per_example_gradients,
 )
 from coresel.replay import Coreset
-from coresel.selection import STRATEGIES, ReservoirState, SelectionConfig, score_batch
+from coresel.selection import ReservoirState, SelectionConfig, score_batch
 from coresel.trainer import (
     StreamBatch,
     Strategy,
@@ -95,7 +95,7 @@ def test_agem_on_coefficients_matches_materialised_vectors():
     rng = np.random.default_rng(20240818)
     params = new_run_state(tiny_config(), num_tasks=1).params
     x, y = rng.uniform(size=(9, 784)), rng.integers(0, 10, size=9)
-    rows = per_example_gradients(params, x, y).matrix
+    rows = per_example_gradients(params, x, y)
     gram = backprop(params, x, y).gram()
     fired = 0
     for _ in range(200):
@@ -155,7 +155,7 @@ def test_replay_reference_restricts_to_selected_layers():
     for layers in (None, (0,), (1,), (2,), (0, 2), (1, 2)):
         selector = None if layers is None else GradSelector(layers)
         ref = mean_gradient(params, rx, ry, selector)
-        rows = per_example_gradients(params, x, y, selector).matrix
+        rows = per_example_gradients(params, x, y, selector)
         got = _ocs_scores(bp.gram(selector), 6, 1.0)
         want = score_batch(rows, ref, 1.0)
         assert np.abs(got.affinity - want.affinity).max() <= 1e-12
@@ -192,7 +192,7 @@ STEP_RTOL = 1e-14
 
 def assert_plain_sgd(p0, x, y, lr, got):
     """`got` is p0 minus lr times the mean of the materialised per-example gradients of (x, y)."""
-    want = flatten_params(p0) - lr * per_example_gradients(p0, x, y).matrix.mean(axis=0)
+    want = flatten_params(p0) - lr * per_example_gradients(p0, x, y).mean(axis=0)
     assert np.abs(flatten_params(got) - want).max() <= STEP_RTOL * np.abs(want).max()
 
 
@@ -263,10 +263,6 @@ def test_run_stream_is_deterministic():
     ]
 
 
-def test_registry_covers_every_strategy_name():
-    assert tuple(trainer.REGISTRY) == STRATEGIES
-
-
 class OddRowsLastFirst(Strategy):
     """Stub: trains on odd rows, commits the most recently staged rows first."""
 
@@ -326,7 +322,7 @@ def test_agem_projections_counted(monkeypatch):
             assert not agem_fired
             continue
         update = (flatten_params(p0) - flatten_params(p1)) / lr
-        g_ref = per_example_gradients(p0, *replay).matrix.mean(axis=0)
+        g_ref = per_example_gradients(p0, *replay).mean(axis=0)
         # A fired step is projected onto the half-space; an unfired one already lay in it.
         assert float(update @ g_ref) >= -1e-10
 
@@ -419,6 +415,13 @@ def test_failed_run_raises_and_writes_no_artifacts(tmp_path, monkeypatch):
     assert not (tmp_path / "run" / "metrics.json").exists()
 
 
+def test_run_metrics_rejects_an_unfinished_run():
+    state = new_run_state(tiny_config(), num_tasks=2)
+    state.matrix.set(0, 0, 0.5)
+    with pytest.raises(IncompleteMatrixError):
+        trainer.run_metrics(state)
+
+
 def test_commit_requires_staged_pool():
     cfg = tiny_config()
     state = new_run_state(cfg, num_tasks=1)
@@ -429,6 +432,8 @@ def test_commit_requires_staged_pool():
 def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(selection=SelectionConfig(kappa=50, tau=1.0, strategy="ocs"))  # kappa > batch
+    with pytest.raises(ValueError, match="unknown strategy 'herding'"):
+        tiny_config(selection=SelectionConfig(kappa=5, strategy="herding"))  # not in REGISTRY
     with pytest.raises(ValueError):
         tiny_config(lr0=0.0)
     with pytest.raises(ValueError):
