@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Byte-parity sweep: the tiny four-strategy run under every objective variant.
+
+Runs `coresel run` on three 60-row synthetic tasks (batch 20, kappa 5, buffer
+20, replay batch 5) for ocs, uniform, reservoir and kmeans_embedding x 2 seeds
+with per-candidate score logs, once for each combination of --lambda {1.0,
+0.0}, --agem {false, true} and --grad-layers {all, 1,2}. Each combination
+writes its own subdirectory of OUT_DIR (8 subdirectories, 400 files). BLAS is
+pinned to one thread, because the thread count changes checkpoint bits.
+
+Two checkouts are at parity where their outputs compare equal:
+
+    PYTHONPATH=/path/to/old/src python3 scripts/parity_sweep.py out_old
+    PYTHONPATH=src python3 scripts/parity_sweep.py out_new
+    diff -rq out_old out_new
+
+The `output_dir` line of each `run_manifest.ini` names its own directory and
+always differs.
+"""
+
+import argparse
+import itertools
+import os
+import sys
+
+TINY_SWEEP = [
+    "run", "--synthetic-train", "300", "--synthetic-test", "120", "--num-tasks", "3", "--train-per-task", "60",
+    "--test-per-task", "30", "--stream-batch-size", "20", "--kappa", "5", "--buffer-capacity", "20",
+    "--buffer-batch-size", "5", "--strategies", "ocs,uniform,reservoir,kmeans_embedding", "--num-seeds", "2",
+    "--log-scores", "true",
+]
+VARIANTS = {"lambda": ("1.0", "0.0"), "agem": ("false", "true"), "grad-layers": ("all", "1,2")}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", help="directory to write one subdirectory per configuration into")
+    args = parser.parse_args(argv)
+    if "numpy" in sys.modules:
+        raise SystemExit("numpy is already loaded, so its BLAS thread count can no longer be pinned")
+    # OpenBLAS reads these once, when numpy loads.
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    from coresel.cli import main as cli_main
+
+    failed = []
+    for values in itertools.product(*VARIANTS.values()):
+        name = "-".join(f"{key}{value.replace(',', '_')}" for key, value in zip(VARIANTS, values))
+        flags = [arg for key, value in zip(VARIANTS, values) for arg in (f"--{key}", value)]
+        out = os.path.join(args.out_dir, name)
+        print(f"{name} -> {out}", flush=True)
+        if cli_main(TINY_SWEEP + flags + ["--output-dir", out]) != 0:
+            failed.append(name)
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+        return 2
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

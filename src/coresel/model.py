@@ -12,8 +12,8 @@ full one.
 
 `backprop` keeps one backward pass's layer inputs and deltas; its `gram` and
 `step` give the per-example gradients' inner products and a weighted-sum
-update without the rows that `per_example_gradients` forms (kept as the tests'
-reference).
+update without forming a per-example gradient row (the tests keep the
+materialised rows as their oracle, in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "GradSelector",
     "init_params",
     "embeddings",
-    "per_example_gradients",
     "Backprop",
     "backprop",
     "mean_gradient",
@@ -220,16 +219,6 @@ def backprop(params: ParamSet, x, y) -> Backprop:
     x, y = _check_batch(params, x, y)
     acts, deltas = _backward_deltas(params, x, y)
     return Backprop(params, tuple(acts[:-1]), tuple(deltas))
-
-
-def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None = None) -> np.ndarray:
-    """(B, P) rows: the exact gradient of each example's own loss, flattened per `selector`."""
-    bp = backprop(params, x, y)
-    b = bp.deltas[0].shape[0]
-    blocks = []
-    for l in _chosen(params, selector):
-        blocks += [np.einsum("bo,bi->boi", bp.deltas[l], bp.acts[l]).reshape(b, -1), bp.deltas[l]]
-    return np.concatenate(blocks, axis=1)
 
 
 def mean_gradient(params: ParamSet, x, y, selector: GradSelector | None = None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Bounded replay storage across tasks.
+"""Bounded replay storage across tasks: a per-task coreset and a reservoir.
 
 During a task, selected candidates pile up in an unbounded staging pool.
 At the task boundary the pool is committed: the per-task quota becomes
@@ -7,11 +7,14 @@ quota, and the staged pool is reduced to the quota following a caller-supplied
 preference order (best candidate first) — with per-class balancing for the
 gradient-scored strategy. The caller owns scoring; this module owns bounds,
 balance, dedup, and deterministic sampling.
+
+The reservoir baseline runs Algorithm R (Vitter 1985) on one per-run generator in
+stream order, so what it keeps does not depend on how the rows are batched.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +94,8 @@ class Coreset:
         pool = self._staged.get(int(task_id), [])
         if not pool:
             raise EmptyInputError(f"no staged candidates for task {task_id}")
-        x = np.stack([e.x for e in pool])
-        y = np.array([e.y for e in pool], dtype=np.int64)
-        src = np.array([e.source_index for e in pool], dtype=np.int64)
-        return x, y, src
+        x, y = examples_as_arrays(pool)
+        return x, y, np.array([e.source_index for e in pool], dtype=np.int64)
 
     # -- committing ---------------------------------------------------------
 
@@ -127,8 +128,7 @@ class Coreset:
                 positions = np.sort(rng.choice(len(kept), size=quota, replace=False))
                 self._stored[old_task] = [kept[int(i)] for i in positions]
 
-        deduped = self._dedup(pool, ranking)
-        chosen = self._take_quota(pool, deduped, quota, class_balanced)
+        chosen = self._take_quota(pool, ranking.tolist(), quota, class_balanced)
         self._stored[task_id] = [pool[int(i)] for i in chosen]
         self._commit_order.append(task_id)
         del self._staged[task_id]
@@ -148,40 +148,25 @@ class Coreset:
             )
         return record
 
-    @staticmethod
-    def _dedup(pool, ranking) -> list[int]:
-        """Ranking filtered to the best-ranked copy of each source example."""
-        seen: set[int] = set()
-        out = []
-        for i in ranking:
-            src = pool[int(i)].source_index
-            if src not in seen:
-                seen.add(src)
-                out.append(int(i))
-        return out
+    def _take_quota(self, pool, ranking: list[int], quota: int, class_balanced: bool) -> list[int]:
+        """The best-ranked copy of each source, `quota` at most, taken tier by tier in ranking order.
 
-    def _take_quota(self, pool, order: list[int], quota: int, class_balanced: bool) -> list[int]:
-        if not class_balanced:
-            return sorted(order[:quota])
+        With r better-ranked kept rows of its class and base = quota // classes, a row's tier is
+        0 when r < base, 1 when r == base, else 2 (always 0 unbalanced): each class gets its base
+        share, the remainder goes at most one per class, and a class-poor pool still fills the quota.
+        """
         base = quota // self.num_classes
-        counts: dict[int, int] = {}
-        taken: list[int] = []
-        in_taken = set()
-        # Three passes over the preference order: per-class base quota, then
-        # the remainder capped at base+1 (keeps max-min <= 1), then uncapped
-        # so a class-poor pool never wastes capacity.
-        for cap in (base, base + 1, None):
-            for i in order:
-                if len(taken) == quota:
-                    break
-                if i in in_taken:
-                    continue
-                label = pool[i].y
-                if cap is None or counts.get(label, 0) < cap:
-                    counts[label] = counts.get(label, 0) + 1
-                    taken.append(i)
-                    in_taken.add(i)
-        return sorted(taken)
+        sources: set[int] = set()
+        per_class: Counter[int] = Counter()
+        tiers: tuple[list[int], ...] = ([], [], [])
+        for i in ranking:
+            e = pool[i]
+            if e.source_index not in sources:
+                sources.add(e.source_index)
+                r = per_class[e.y]
+                per_class[e.y] = r + 1
+                tiers[(r >= base) + (r > base) if class_balanced else 0].append(i)
+        return sorted((tiers[0] + tiers[1] + tiers[2])[:quota])
 
     # -- reading ------------------------------------------------------------
 
@@ -198,10 +183,40 @@ class Coreset:
 
     def all_examples(self) -> list[StoredExample]:
         """Every stored example in (commit order, insertion order)."""
-        out = []
-        for task_id in self._commit_order:
-            out.extend(self._stored[task_id])
-        return out
+        return [e for task_id in self._commit_order for e in self._stored[task_id]]
+
+
+class ReservoirState:
+    """Algorithm R over the stream: `items` holds min(capacity, seen) rows, `seen` counts every row offered."""
+
+    def __init__(self, capacity: int, seed):
+        if capacity < 0:
+            raise ValueError(f"capacity must be nonnegative, got {capacity}")
+        self.capacity = int(capacity)
+        self.items: list[StoredExample] = []
+        self.seen = 0
+        self._rng = np.random.default_rng(seed)
+
+    def offer(self, task_id: int, x, y, source_index) -> None:
+        """Offer rows in stream order; only the rows that enter are copied.
+
+        Stream row i (1-based) takes the next free slot while the reservoir fills;
+        past the fill it draws j in [0, i) and replaces slot j if j < capacity.
+        """
+        n = len(y)
+        fill = min(self.capacity - len(self.items), n)
+        slots = np.concatenate([
+            np.arange(len(self.items), len(self.items) + fill),
+            self._rng.integers(0, np.arange(self.seen + fill + 1, self.seen + n + 1)),
+        ])
+        self.seen += n
+        for row in np.flatnonzero(slots < self.capacity):
+            slot = int(slots[row])
+            item = StoredExample(int(task_id), np.array(x[row], dtype=np.float64), int(y[row]), int(source_index[row]))
+            self.items[slot : slot + 1] = [item]  # slot == len(items) appends
+
+    def all_examples(self) -> list[StoredExample]:
+        return list(self.items)
 
 
 def examples_as_arrays(examples) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,13 @@
-"""Candidate scoring and top-k selection over per-example gradients.
+"""Candidate scoring and top-k selection over per-example gradients, and the per-step baselines.
 
 Three per-candidate criteria, each a cosine against the candidate's gradient:
 similarity to the minibatch mean gradient, (negative) average similarity to
 every other candidate, and similarity to a replay-buffer reference gradient.
 `score_gram` computes all three from the gradients' Gram matrix and their dots
 with the reference. The selection rule ranks rows by S + V, plus tau * A once
-a buffer exists, and keeps the top kappa. Baseline selectors (uniform,
-reservoir, k-means on embeddings) live here too.
+a buffer exists, and keeps the top kappa. The baseline per-step picks,
+uniform and k-means on embeddings, live here too; the reservoir is replay
+storage (`replay.ReservoirState`).
 """
 
 from __future__ import annotations
@@ -106,17 +107,6 @@ def score_gram(gram, ref_dots, ref_norm, tau: float) -> ScoreBreakdown:
     return ScoreBreakdown(s, v, a, s + v + tau * a)
 
 
-def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:
-    """`score_gram` over materialised gradient rows M: the Gram matrix is M M^T, the reference dots M r."""
-    rows = np.asarray(grads, dtype=np.float64)
-    if ref_mean_grad is None:
-        return score_gram(rows @ rows.T, None, None, tau)
-    ref = np.asarray(ref_mean_grad, dtype=np.float64)
-    if rows.ndim != 2 or ref.shape != (rows.shape[1],):
-        raise DimensionError(f"reference shape {ref.shape} does not match gradient rows {rows.shape}")
-    return score_gram(rows @ rows.T, rows @ ref, float(np.linalg.norm(ref)), tau)
-
-
 def select_topk(scores, kappa: int) -> np.ndarray:
     """Indices of the kappa largest scores, ties to the lower index, ascending."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -146,40 +136,6 @@ def uniform_select(batch_size: int, kappa: int, seed) -> np.ndarray:
         return np.arange(batch_size, dtype=np.int64)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(batch_size, size=kappa, replace=False)).astype(np.int64)
-
-
-@dataclass
-class ReservoirState:
-    """Classical bounded reservoir; `seen` counts stream items offered so far."""
-
-    capacity: int
-    items: list = field(default_factory=list)
-    seen: int = 0
-
-    def all_examples(self) -> list:
-        return list(self.items)
-
-    def put(self, slot: int, item) -> None:
-        """Place `item` in the slot `reservoir_update` granted; the next free slot appends."""
-        self.items[slot : slot + 1] = [item]
-
-
-def reservoir_update(state: ReservoirState, seed) -> int | None:
-    """Offer the next stream item: the slot it takes, or None when it is rejected.
-
-    Item i enters a full reservoir with probability J/i, replacing a uniform
-    slot; while the reservoir fills, every item takes the next free slot. The
-    caller builds the item only for a granted slot and places it with `put`.
-    """
-    state.seen += 1
-    i = state.seen
-    if state.capacity == 0:
-        return None
-    if len(state.items) < state.capacity:
-        return len(state.items)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-    j = int(rng.integers(0, i))
-    return j if j < state.capacity else None
 
 
 def kmeans_embedding_select(embeddings, kappa: int, seed) -> np.ndarray:

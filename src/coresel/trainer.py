@@ -15,7 +15,8 @@ method, looked up by name in `REGISTRY`: the buffer kind, the per-step pick,
 what gets stored, and the commit order.
 
 Every random draw derives from (seed, task, epoch, iteration, purpose tag),
-so a run is a pure function of (stream, config).
+except the reservoir's, which come in stream order from one generator seeded
+by (seed, purpose tag); so a run is a pure function of (stream, config).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
 from .model import GradSelector, ParamSet, accuracy, backprop, embeddings, init_params, save_checkpoint
 from .replay import (
     Coreset,
+    ReservoirState,
     StoredExample,
     examples_as_arrays,
     format_sig,
@@ -40,11 +42,9 @@ from .replay import (
     write_dump,
 )
 from .selection import (
-    ReservoirState,
     ScoreBreakdown,
     SelectionConfig,
     kmeans_embedding_select,
-    reservoir_update,
     score_gram,
     select_topk,
     uniform_select,
@@ -186,6 +186,12 @@ def agem_project(g, g_ref, gram=None) -> np.ndarray:
     return projected
 
 
+def _replay_batch(state: RunState, cfg: TrainConfig, seed) -> tuple[np.ndarray, np.ndarray] | None:
+    """(x, y) of a uniform replay batch from the buffer, or None while the buffer is empty."""
+    items = state.buffer_examples()
+    return examples_as_arrays(sample_items(items, cfg.buffer_batch_size, seed)) if items else None
+
+
 def _with_replay(x, y, replay):
     """Rows (x, y) followed by the replay batch's rows, if there is one."""
     if replay is None:
@@ -254,13 +260,7 @@ class Ocs(Strategy):
         return select_topk(breakdown.combined, kappa), breakdown
 
     def commit_ranking(self, state, cfg, pool_x, pool_y):
-        replay = None
-        buffer_items = state.buffer_examples()
-        if buffer_items:
-            sampled = sample_items(
-                buffer_items, cfg.buffer_batch_size, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF)
-            )
-            replay = examples_as_arrays(sampled)
+        replay = _replay_batch(state, cfg, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF))
         gram = backprop(state.params, *_with_replay(pool_x, pool_y, replay)).gram(cfg.grad_selector)
         scores = _ocs_scores(gram, pool_x.shape[0], cfg.selection.tau).combined
         return np.argsort(-scores, kind="stable").astype(np.int64)
@@ -281,15 +281,10 @@ class Reservoir(Uniform):
     """Uniform pick per step; every candidate is offered to a classical reservoir, never committed."""
 
     def new_buffer(self, cfg):
-        return ReservoirState(capacity=cfg.buffer_capacity)
+        return ReservoirState(cfg.buffer_capacity, _seed_seq(cfg.seed, _T_RESERVOIR))
 
     def store(self, state, cfg, batch, selected):
-        seed = int(_seed_seq(cfg.seed, _T_RESERVOIR).generate_state(1, np.uint64)[0])
-        for n in range(batch.x.shape[0]):
-            slot = reservoir_update(state.buffer, seed)
-            if slot is not None:  # copy only the rows the reservoir keeps
-                item = StoredExample(batch.task_id, batch.x[n].copy(), int(batch.y[n]), int(batch.source_index[n]))
-                state.buffer.put(slot, item)
+        state.buffer.offer(batch.task_id, batch.x, batch.y, batch.source_index)
 
     def commit(self, state, cfg, task_id):
         return None
@@ -333,11 +328,7 @@ def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> It
         raise EmptyInputError("empty candidate batch")
     kappa = min(cfg.selection.kappa, batch.x.shape[0])
 
-    replay = None
-    buffer_items = state.buffer_examples()
-    if buffer_items:
-        sampled = sample_items(buffer_items, cfg.buffer_batch_size, _step_seed(state, cfg, _T_BUFFER))
-        replay = examples_as_arrays(sampled)
+    replay = _replay_batch(state, cfg, _step_seed(state, cfg, _T_BUFFER))
     m = 0 if replay is None else replay[1].shape[0]
 
     # One backward pass, replay rows last: over the candidates if the pick scores gradients, else the picked rows.

