@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Byte-parity sweep: the tiny four-strategy run under every objective variant.
+"""Byte-parity sweep: the tiny four-strategy run under every objective variant and every stream.
 
 Runs `coresel run` on three 60-row synthetic tasks (batch 20, kappa 5, buffer
 20, replay batch 5) for ocs, uniform, reservoir and kmeans_embedding x 2 seeds
-with per-candidate score logs, once for each combination of --lambda {1.0,
-0.0}, --agem {false, true} and --grad-layers {all, 1,2}. Each combination
-writes its own subdirectory of OUT_DIR (8 subdirectories, 400 files). BLAS is
-pinned to one thread, because the thread count changes checkpoint bits.
+with per-candidate score logs. On the rotated balanced stream it runs once for
+each combination of --lambda {1.0, 0.0}, --agem {false, true} and --grad-layers
+{all, 1,2}; the other five --kind {rotated, permuted} x --variant {balanced,
+imbalanced, noisy} streams run once each at the default objective. Each
+configuration writes its own subdirectory of OUT_DIR (13 subdirectories, 650
+files). BLAS is pinned to one thread, because the thread count changes
+checkpoint bits.
 
 Two checkouts are at parity where their outputs compare equal:
 
@@ -29,7 +32,18 @@ TINY_SWEEP = [
     "--buffer-batch-size", "5", "--strategies", "ocs,uniform,reservoir,kmeans_embedding", "--num-seeds", "2",
     "--log-scores", "true",
 ]
-VARIANTS = {"lambda": ("1.0", "0.0"), "agem": ("false", "true"), "grad-layers": ("all", "1,2")}
+OBJECTIVES = {"lambda": ("1.0", "0.0"), "agem": ("false", "true"), "grad-layers": ("all", "1,2")}
+STREAMS = [("rotated", "imbalanced"), ("rotated", "noisy"), ("permuted", "balanced"), ("permuted", "imbalanced"),
+           ("permuted", "noisy")]
+
+
+def configurations():
+    """(subdirectory name, flags): the objective grid on the rotated balanced stream, then the other streams."""
+    for values in itertools.product(*OBJECTIVES.values()):
+        name = "-".join(f"{key}{value.replace(',', '_')}" for key, value in zip(OBJECTIVES, values))
+        yield name, [arg for key, value in zip(OBJECTIVES, values) for arg in (f"--{key}", value)]
+    for kind, variant in STREAMS:
+        yield f"{kind}-{variant}", ["--kind", kind, "--variant", variant]
 
 
 def main(argv=None) -> int:
@@ -43,9 +57,7 @@ def main(argv=None) -> int:
     from coresel.cli import main as cli_main
 
     failed = []
-    for values in itertools.product(*VARIANTS.values()):
-        name = "-".join(f"{key}{value.replace(',', '_')}" for key, value in zip(VARIANTS, values))
-        flags = [arg for key, value in zip(VARIANTS, values) for arg in (f"--{key}", value)]
+    for name, flags in configurations():
         out = os.path.join(args.out_dir, name)
         print(f"{name} -> {out}", flush=True)
         if cli_main(TINY_SWEEP + flags + ["--output-dir", out]) != 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
+from .datastream import NUM_CLASSES
 from .errors import ConfigError
 from .model import GradSelector
 from .selection import SelectionConfig
@@ -225,6 +226,12 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"key '{key}': file not found: {path}")
     if cfg.num_seeds < 1:
         raise ConfigError(f"key 'num_seeds' must be at least 1, got {cfg.num_seeds}")
+    if not 0 <= cfg.imbalance_reduced <= NUM_CLASSES:
+        raise ConfigError(f"key 'imbalance_reduced' must lie in 0..{NUM_CLASSES}, got {cfg.imbalance_reduced}")
+    if not 0.0 < cfg.imbalance_keep <= 1.0:
+        raise ConfigError(f"key 'imbalance_keep' must lie in (0, 1], got {cfg.imbalance_keep}")
+    if not 0.0 <= cfg.noise_fraction <= 1.0:
+        raise ConfigError(f"key 'noise_fraction' must lie in [0, 1], got {cfg.noise_fraction}")
     for strategy in cfg.strategies:
         if strategy not in REGISTRY:
             raise ConfigError(f"key 'strategies': unknown strategy '{strategy}' (choose from {', '.join(REGISTRY)})")

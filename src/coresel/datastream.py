@@ -1,15 +1,18 @@
 """MNIST-format ingestion and deterministic task-stream synthesis.
 
 A Dataset is a bundle of flattened 28x28 images (rows of 784 floats), labels,
-and each example's index in the originating corpus. Streams are built by
-per-task deterministic transforms — rotation, pixel permutation, class
-imbalance, label-preserving noise — with every random draw derived from
-(master_seed, task index, purpose tag), so rebuilding a stream reproduces it
-bit-for-bit.
+and each example's index in the originating corpus; rows travel as Datasets
+from the corpus through a task to the trainer's batches and staging pool. One
+per-task loop builds both stream kinds: every task subsamples the corpus,
+applies its kind's transform (rotation or pixel permutation), then optional
+class imbalance and label-preserving noise, with every random draw derived
+from (master_seed, task index, purpose tag), so rebuilding a stream
+reproduces it bit-for-bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -62,8 +65,7 @@ class Dataset:
 @dataclass(frozen=True)
 class TaskSpec:
     kind: str  # "rotate" | "permute"
-    angle: float | None = None
-    permute_seed: int | None = None
+    angle: float | None = None  # rotate only; the manifest names a permute task's permutation by task index
     imbalance: tuple[tuple[int, ...], float] | None = None  # (reduced classes, keep fraction)
     noise_fraction: float = 0.0
 
@@ -107,6 +109,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, images_path, "image header"))
         if magic != 0x00000803:
             raise FormatError(f"{images_path}: bad image magic 0x{magic:08x} at offset 0")
+        if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
+            raise FormatError(f"{images_path}: images are {rows}x{cols}, expected {IMAGE_SIDE}x{IMAGE_SIDE}")
         pixels = _read_exact(fh, count * rows * cols, images_path, "image data")
         if fh.read(1):
             raise FormatError(f"{images_path}: trailing bytes after image data at offset {16 + count * rows * cols}")
@@ -234,23 +238,13 @@ def _subsample(ds: Dataset, size, seed) -> Dataset:
     return ds.subset(rng.choice(len(ds), size=int(size), replace=False))
 
 
-def _finish_task(spec: TaskSpec, train: Dataset, test: Dataset, master_seed: int, t: int) -> Task:
-    noisy: frozenset = frozenset()
-    if spec.imbalance is not None:
-        reduced, keep_fraction = spec.imbalance
-        train = apply_imbalance(train, reduced, keep_fraction, _task_seed(master_seed, t, _TAG_IMBALANCE))
-    if spec.noise_fraction > 0.0:
-        train, positions = apply_noise(train, spec.noise_fraction, _task_seed(master_seed, t, _TAG_NOISE))
-        noisy = frozenset(int(s) for s in train.source_index[positions])
-    return Task(spec, train, test, noisy)
-
-
 def draw_reduced_classes(master_seed: int, num_reduced: int = 8) -> tuple[int, ...]:
     rng = np.random.default_rng(_task_seed(master_seed, 0, _TAG_REDUCED_CLASSES))
     return tuple(sorted(int(c) for c in rng.choice(NUM_CLASSES, size=num_reduced, replace=False)))
 
 
-def build_rotated_stream(
+def _build_stream(
+    kind: str,
     train: Dataset,
     test: Dataset,
     num_tasks: int,
@@ -261,45 +255,36 @@ def build_rotated_stream(
     imbalance: tuple[tuple[int, ...], float] | None = None,
     noise_fraction: float = 0.0,
 ) -> TaskStream:
-    """Tasks are the base corpus under per-task uniform angles from [0, 180].
+    """Tasks are the base corpus under one per-task transform, then imbalance and noise on the train side.
 
-    `imbalance` and `noise_fraction` apply to the train side of every task;
-    test sets stay balanced and clean so accuracies measure true generalization.
+    The transform is a rotation by a uniform angle from [0, 180] for kind
+    "rotate" and a fixed pixel permutation for "permute". Test sets stay
+    balanced and clean so accuracies measure true generalization.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
     tasks = []
     for t in range(num_tasks):
-        angle = float(np.random.default_rng(_task_seed(master_seed, t, _TAG_ANGLE)).uniform(0.0, 180.0))
-        task_train = rotate_dataset(_subsample(train, train_per_task, _task_seed(master_seed, t, _TAG_TRAIN_SUBSET)), angle)
-        task_test = rotate_dataset(_subsample(test, test_per_task, _task_seed(master_seed, t, _TAG_TEST_SUBSET)), angle)
-        spec = TaskSpec(kind="rotate", angle=angle, imbalance=imbalance, noise_fraction=noise_fraction)
-        tasks.append(_finish_task(spec, task_train, task_test, master_seed, t))
+        if kind == "rotate":
+            angle = float(np.random.default_rng(_task_seed(master_seed, t, _TAG_ANGLE)).uniform(0.0, 180.0))
+            transform = functools.partial(rotate_dataset, angle=angle)
+        else:
+            angle, transform = None, functools.partial(permute_pixels, seed=_task_seed(master_seed, t, _TAG_PERMUTE))
+        task_train = transform(_subsample(train, train_per_task, _task_seed(master_seed, t, _TAG_TRAIN_SUBSET)))
+        task_test = transform(_subsample(test, test_per_task, _task_seed(master_seed, t, _TAG_TEST_SUBSET)))
+        noisy: frozenset = frozenset()
+        if imbalance is not None:
+            task_train = apply_imbalance(task_train, *imbalance, _task_seed(master_seed, t, _TAG_IMBALANCE))
+        if noise_fraction > 0.0:
+            task_train, positions = apply_noise(task_train, noise_fraction, _task_seed(master_seed, t, _TAG_NOISE))
+            noisy = frozenset(int(s) for s in task_train.source_index[positions])
+        tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy))
     return TaskStream(tuple(tasks), int(master_seed))
 
 
-def build_permuted_stream(
-    train: Dataset,
-    test: Dataset,
-    num_tasks: int,
-    master_seed: int,
-    *,
-    train_per_task=None,
-    test_per_task=None,
-    imbalance: tuple[tuple[int, ...], float] | None = None,
-    noise_fraction: float = 0.0,
-) -> TaskStream:
-    """Tasks are the base corpus under per-task fixed pixel permutations."""
-    if num_tasks < 1:
-        raise EmptyInputError("a stream needs at least one task")
-    tasks = []
-    for t in range(num_tasks):
-        perm_seed = _task_seed(master_seed, t, _TAG_PERMUTE)
-        task_train = permute_pixels(_subsample(train, train_per_task, _task_seed(master_seed, t, _TAG_TRAIN_SUBSET)), perm_seed)
-        task_test = permute_pixels(_subsample(test, test_per_task, _task_seed(master_seed, t, _TAG_TEST_SUBSET)), perm_seed)
-        spec = TaskSpec(kind="permute", permute_seed=t, imbalance=imbalance, noise_fraction=noise_fraction)
-        tasks.append(_finish_task(spec, task_train, task_test, master_seed, t))
-    return TaskStream(tuple(tasks), int(master_seed))
+# The two public stream kinds, with _build_stream's arguments after `kind`.
+build_rotated_stream = functools.partial(_build_stream, "rotate")
+build_permuted_stream = functools.partial(_build_stream, "permute")
 
 
 def stream_manifest(stream: TaskStream) -> str:
@@ -307,7 +292,7 @@ def stream_manifest(stream: TaskStream) -> str:
     lines = [f"master_seed = {stream.master_seed}"]
     for t, task in enumerate(stream.tasks):
         spec = task.spec
-        detail = f"angle={spec.angle:.6f}" if spec.kind == "rotate" else f"permute_seed={spec.permute_seed}"
+        detail = f"angle={spec.angle:.6f}" if spec.kind == "rotate" else f"permute_seed={t}"
         if spec.imbalance is not None:
             reduced, keep = spec.imbalance
             imb = "classes:" + "|".join(str(c) for c in reduced) + f";keep:{keep:g}"

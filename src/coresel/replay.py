@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datastream import NUM_CLASSES
+from .datastream import NUM_CLASSES, PIXELS, Dataset
 from .errors import ContractError, DimensionError, EmptyInputError
 from .ioutil import atomic_write_text
 
@@ -29,7 +29,7 @@ _TAG_DOWNSAMPLE = 1
 @dataclass(frozen=True)
 class StoredExample:
     task_id: int
-    x: np.ndarray  # (784,) pixels, copied at staging time and never mutated
+    x: np.ndarray  # (PIXELS,) pixels, copied at staging time and never mutated
     y: int
     source_index: int
 
@@ -70,9 +70,8 @@ class Coreset:
         self.capacity = int(capacity)
         self.num_classes = NUM_CLASSES  # the classes a balanced commit spreads its quota over
         self._seed = int(seed)
-        self._stored: dict[int, list[StoredExample]] = {}
+        self._stored: dict[int, list[StoredExample]] = {}  # filled only by commit_task, so keys are in commit order
         self._staged: dict[int, list[StoredExample]] = {}
-        self._commit_order: list[int] = []
 
     # -- staging ------------------------------------------------------------
 
@@ -89,13 +88,12 @@ class Coreset:
         for row, label, src in zip(x, y, source_index):
             pool.append(StoredExample(int(task_id), row.copy(), int(label), int(src)))
 
-    def staged_pool(self, task_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The staging pool as (x, y, source_index) arrays in staging order."""
+    def staged_pool(self, task_id: int) -> Dataset:
+        """The staging pool in staging order."""
         pool = self._staged.get(int(task_id), [])
         if not pool:
             raise EmptyInputError(f"no staged candidates for task {task_id}")
-        x, y = examples_as_arrays(pool)
-        return x, y, np.array([e.source_index for e in pool], dtype=np.int64)
+        return Dataset(*examples_as_arrays(pool), np.array([e.source_index for e in pool], dtype=np.int64))
 
     # -- committing ---------------------------------------------------------
 
@@ -115,12 +113,11 @@ class Coreset:
         if sorted(int(i) for i in ranking) != list(range(len(pool))):
             raise DimensionError("ranking must be a permutation of the staging pool positions")
 
-        tasks_seen = len(self._commit_order) + 1
-        quota = self.capacity // tasks_seen
+        tasks_seen = len(self._stored) + 1
+        quota = self.next_quota
 
         # Uniformly down-sample every earlier task to the new quota.
-        for old_task in self._commit_order:
-            kept = self._stored[old_task]
+        for old_task, kept in self._stored.items():
             if len(kept) > quota:
                 rng = np.random.default_rng(
                     np.random.SeedSequence([self._seed, _TAG_DOWNSAMPLE, tasks_seen, old_task])
@@ -130,7 +127,6 @@ class Coreset:
 
         chosen = self._take_quota(pool, ranking.tolist(), quota, class_balanced)
         self._stored[task_id] = [pool[int(i)] for i in chosen]
-        self._commit_order.append(task_id)
         del self._staged[task_id]
 
         record = CommitRecord(
@@ -138,7 +134,7 @@ class Coreset:
             tasks_seen=tasks_seen,
             quota=quota,
             stored_new=len(chosen),
-            per_task_counts=tuple(len(self._stored[t]) for t in self._commit_order),
+            per_task_counts=tuple(len(kept) for kept in self._stored.values()),
             total=self.total_stored,
         )
         if record.total > self.capacity:
@@ -176,14 +172,19 @@ class Coreset:
 
     @property
     def committed_tasks(self) -> tuple[int, ...]:
-        return tuple(self._commit_order)
+        return tuple(self._stored)
+
+    @property
+    def next_quota(self) -> int:
+        """Per-task quota after the next commit: floor(capacity / (committed tasks + 1))."""
+        return self.capacity // (len(self._stored) + 1)
 
     def stored(self, task_id: int) -> tuple[StoredExample, ...]:
         return tuple(self._stored.get(int(task_id), ()))
 
     def all_examples(self) -> list[StoredExample]:
         """Every stored example in (commit order, insertion order)."""
-        return [e for task_id in self._commit_order for e in self._stored[task_id]]
+        return [e for kept in self._stored.values() for e in kept]
 
 
 class ReservoirState:
@@ -226,13 +227,12 @@ def examples_as_arrays(examples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dump_csv(examples) -> str:
-    """Stored examples as CSV: task_id, class, example_index_in_source, 784 pixels."""
-    n_pixels = 784
-    header = "task_id,class,example_index_in_source," + ",".join(f"px{i}" for i in range(n_pixels))
+    """Stored examples as CSV: task_id, class, example_index_in_source, then one column per pixel."""
+    header = "task_id,class,example_index_in_source," + ",".join(f"px{i}" for i in range(PIXELS))
     lines = [header]
     for e in examples:
-        if e.x.shape != (n_pixels,):
-            raise DimensionError(f"stored example has {e.x.shape} pixels, expected ({n_pixels},)")
+        if e.x.shape != (PIXELS,):
+            raise DimensionError(f"stored example has {e.x.shape} pixels, expected ({PIXELS},)")
         pixels = ",".join(format_sig(v) for v in e.x)
         lines.append(f"{e.task_id},{e.y},{e.source_index},{pixels}")
     return "\n".join(lines) + "\n"

@@ -1,18 +1,20 @@
 """The training loop over a task stream.
 
-Each iteration takes one candidate batch from the current task's shuffled
-stream: pick a subset, form the objective gradient (selected-batch mean loss
-plus lambda times a replay-batch mean loss), optionally project it away from
-conflicting with the replay gradient, step, and store examples for the
-end-of-task buffer commit. A step runs one backward pass, over its rows and
-the replay batch: the objective and the replay gradient are per-row weights
-on that pass's per-example gradients, and A-GEM reweights the rows through
-their Gram matrix. After each task the model is evaluated on every
-test set seen so far, filling one row of the accuracy matrix.
+Each iteration takes one candidate batch, a `Dataset` slice of the current
+task's shuffled train set: pick a subset, form the objective gradient
+(selected-batch mean loss plus lambda times a replay-batch mean loss),
+optionally project it away from conflicting with the replay gradient, step,
+and store examples for the end-of-task buffer commit. A step runs one
+backward pass, over its rows and the replay batch: the objective and the
+replay gradient are per-row weights on that pass's per-example gradients,
+and A-GEM reweights the rows through their Gram matrix. After each task the
+model is evaluated on every test set seen so far, filling one row of the
+accuracy matrix.
 
 What differs between selection methods lives in one `Strategy` object per
 method, looked up by name in `REGISTRY`: the buffer kind, the per-step pick,
-what gets stored, and the commit order.
+what gets stored, and the commit order. `RunState.task_index` is the one
+record of the current task: staging, commits and every seed read it.
 
 Every random draw derives from (seed, task, epoch, iteration, purpose tag),
 except the reservoir's, which come in stream order from one generator seeded
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datastream import NUM_CLASSES, TaskStream, stream_manifest
+from .datastream import NUM_CLASSES, PIXELS, Dataset, TaskStream, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .ioutil import atomic_write_text
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
@@ -98,14 +100,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class StreamBatch:
-    task_id: int
-    x: np.ndarray
-    y: np.ndarray
-    source_index: np.ndarray
-
-
-@dataclass(frozen=True)
 class IterationInfo:
     selected: np.ndarray
     buffer_batch_size: int
@@ -139,7 +133,7 @@ def _step_seed(state: RunState, cfg: TrainConfig, tag: int) -> np.random.SeedSeq
     return _seed_seq(cfg.seed, state.task_index, state.epoch, state.iteration_in_epoch, tag)
 
 
-def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int = 784) -> RunState:
+def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int = PIXELS) -> RunState:
     sizes = [input_dim, *cfg.hidden, NUM_CLASSES]
     params = init_params(sizes, np.random.default_rng(_seed_seq(cfg.seed, _T_INIT)))
     strategy = REGISTRY[cfg.selection.strategy]
@@ -229,24 +223,22 @@ class Strategy:
     def new_buffer(self, cfg: TrainConfig):
         return Coreset(cfg.buffer_capacity, cfg.seed)
 
-    def pick(self, state: RunState, cfg: TrainConfig, batch: StreamBatch, kappa: int, bp):
+    def pick(self, state: RunState, cfg: TrainConfig, batch: Dataset, kappa: int, bp):
         """(indices to train on, ScoreBreakdown or None); bp is None, or with `scores_gradients`
         the `Backprop` over the candidates followed by the replay rows."""
         raise NotImplementedError
 
-    def store(self, state: RunState, cfg: TrainConfig, batch: StreamBatch, selected: np.ndarray) -> None:
-        state.buffer.stage_candidates(
-            batch.task_id, batch.x[selected], batch.y[selected], batch.source_index[selected]
-        )
+    def store(self, state: RunState, cfg: TrainConfig, batch: Dataset, selected: np.ndarray) -> None:
+        picked = batch.subset(selected)
+        state.buffer.stage_candidates(state.task_index, picked.x, picked.y, picked.source_index)
 
-    def commit_ranking(self, state: RunState, cfg: TrainConfig, pool_x, pool_y) -> np.ndarray:
+    def commit_ranking(self, state: RunState, cfg: TrainConfig, pool: Dataset) -> np.ndarray:
         """Staging-pool positions, best first."""
         raise NotImplementedError
 
-    def commit(self, state: RunState, cfg: TrainConfig, task_id: int):
-        pool_x, pool_y, _ = state.buffer.staged_pool(task_id)
-        ranking = self.commit_ranking(state, cfg, pool_x, pool_y)
-        return state.buffer.commit_task(task_id, ranking, class_balanced=self.class_balanced)
+    def commit(self, state: RunState, cfg: TrainConfig):
+        ranking = self.commit_ranking(state, cfg, state.buffer.staged_pool(state.task_index))
+        return state.buffer.commit_task(state.task_index, ranking, class_balanced=self.class_balanced)
 
 
 class Ocs(Strategy):
@@ -256,13 +248,13 @@ class Ocs(Strategy):
     scores_gradients = True
 
     def pick(self, state, cfg, batch, kappa, bp):
-        breakdown = _ocs_scores(bp.gram(cfg.grad_selector), batch.x.shape[0], cfg.selection.tau)
+        breakdown = _ocs_scores(bp.gram(cfg.grad_selector), len(batch), cfg.selection.tau)
         return select_topk(breakdown.combined, kappa), breakdown
 
-    def commit_ranking(self, state, cfg, pool_x, pool_y):
+    def commit_ranking(self, state, cfg, pool):
         replay = _replay_batch(state, cfg, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF))
-        gram = backprop(state.params, *_with_replay(pool_x, pool_y, replay)).gram(cfg.grad_selector)
-        scores = _ocs_scores(gram, pool_x.shape[0], cfg.selection.tau).combined
+        gram = backprop(state.params, *_with_replay(pool.x, pool.y, replay)).gram(cfg.grad_selector)
+        scores = _ocs_scores(gram, len(pool), cfg.selection.tau).combined
         return np.argsort(-scores, kind="stable").astype(np.int64)
 
 
@@ -270,11 +262,11 @@ class Uniform(Strategy):
     """Uniform pick per step, uniform order at commit."""
 
     def pick(self, state, cfg, batch, kappa, bp):
-        return uniform_select(batch.x.shape[0], kappa, _step_seed(state, cfg, _T_SELECT)), None
+        return uniform_select(len(batch), kappa, _step_seed(state, cfg, _T_SELECT)), None
 
-    def commit_ranking(self, state, cfg, pool_x, pool_y):
+    def commit_ranking(self, state, cfg, pool):
         rng = np.random.default_rng(_seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK))
-        return rng.permutation(pool_x.shape[0]).astype(np.int64)
+        return rng.permutation(len(pool)).astype(np.int64)
 
 
 class Reservoir(Uniform):
@@ -284,9 +276,9 @@ class Reservoir(Uniform):
         return ReservoirState(cfg.buffer_capacity, _seed_seq(cfg.seed, _T_RESERVOIR))
 
     def store(self, state, cfg, batch, selected):
-        state.buffer.offer(batch.task_id, batch.x, batch.y, batch.source_index)
+        state.buffer.offer(state.task_index, batch.x, batch.y, batch.source_index)
 
-    def commit(self, state, cfg, task_id):
+    def commit(self, state, cfg):
         return None
 
 
@@ -297,13 +289,12 @@ class KMeansEmbedding(Strategy):
         emb = embeddings(state.params, batch.x)
         return kmeans_embedding_select(emb, kappa, _step_seed(state, cfg, _T_SELECT)), None
 
-    def commit_ranking(self, state, cfg, pool_x, pool_y):
-        n = pool_x.shape[0]
-        quota = cfg.buffer_capacity // (len(state.buffer.committed_tasks) + 1)
+    def commit_ranking(self, state, cfg, pool):
+        n, quota = len(pool), state.buffer.next_quota
         if quota < 1:
             return np.arange(n, dtype=np.int64)
         reps = kmeans_embedding_select(
-            embeddings(state.params, pool_x), min(quota, n), _seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK)
+            embeddings(state.params, pool.x), min(quota, n), _seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK)
         )
         rest = np.setdiff1d(np.arange(n, dtype=np.int64), reps)
         return np.concatenate([reps, rest])
@@ -322,11 +313,11 @@ REGISTRY: dict[str, Strategy] = {
 # one iteration
 
 
-def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> IterationInfo:
+def train_iteration(state: RunState, batch: Dataset, cfg: TrainConfig) -> IterationInfo:
     """One selective update from a candidate batch; mutates state in place."""
-    if batch.x.shape[0] == 0:
+    if len(batch) == 0:
         raise EmptyInputError("empty candidate batch")
-    kappa = min(cfg.selection.kappa, batch.x.shape[0])
+    kappa = min(cfg.selection.kappa, len(batch))
 
     replay = _replay_batch(state, cfg, _step_seed(state, cfg, _T_BUFFER))
     m = 0 if replay is None else replay[1].shape[0]
@@ -335,7 +326,7 @@ def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> It
     if state.strategy.scores_gradients:
         bp = backprop(state.params, *_with_replay(batch.x, batch.y, replay))
         selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, bp)
-        lead = np.isin(np.arange(batch.x.shape[0]), selected) / len(selected)
+        lead = np.isin(np.arange(len(batch)), selected) / len(selected)
     else:
         selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, None)
         bp = backprop(state.params, *_with_replay(batch.x[selected], batch.y[selected], replay))
@@ -356,7 +347,7 @@ def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> It
 
     if cfg.log_scores and breakdown is not None:
         chosen = set(int(i) for i in selected)
-        for n in range(batch.x.shape[0]):
+        for n in range(len(batch)):
             affinity = breakdown.affinity[n] if breakdown.affinity is not None else float("nan")
             state.score_rows.append(
                 (state.global_iteration, n, breakdown.similarity[n], breakdown.diversity[n],
@@ -372,9 +363,9 @@ def train_iteration(state: RunState, batch: StreamBatch, cfg: TrainConfig) -> It
 # task boundary
 
 
-def commit_current_task(state: RunState, cfg: TrainConfig, task_id: int):
-    """Reduce the staged pool into the bounded buffer (no-op for the reservoir)."""
-    record = state.strategy.commit(state, cfg, task_id)
+def commit_current_task(state: RunState, cfg: TrainConfig):
+    """Reduce the current task's staged pool into the bounded buffer (no-op for the reservoir)."""
+    record = state.strategy.commit(state, cfg)
     if record is not None:
         state.commit_records.append(record)
     return record
@@ -400,10 +391,8 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
                 state.iteration_in_epoch = 0
                 order = np.random.default_rng(_seed_seq(cfg.seed, t, epoch, _T_SHUFFLE)).permutation(len(task.train))
                 for start in range(0, len(order), cfg.stream_batch_size):
-                    idx = order[start : start + cfg.stream_batch_size]
-                    batch = StreamBatch(t, task.train.x[idx], task.train.y[idx], task.train.source_index[idx])
-                    train_iteration(state, batch, cfg)
-            commit_current_task(state, cfg, t)
+                    train_iteration(state, task.train.subset(order[start : start + cfg.stream_batch_size]), cfg)
+            commit_current_task(state, cfg)
             for i in range(t + 1):
                 state.matrix.set(t, i, accuracy(state.params, stream.tasks[i].test.x, stream.tasks[i].test.y))
         except DivergenceError as exc:

@@ -108,6 +108,19 @@ def test_cross_field_validation(tmp_path):
         parse_config(None, {"source": "idx"}, env={})
 
 
+@pytest.mark.parametrize("key, bad, good", [
+    ("imbalance_reduced", ("-1", "11"), ("0", "10")),
+    ("imbalance_keep", ("0.0", "1.5", "nan"), ("1e-3", "1.0")),
+    ("noise_fraction", ("-0.1", "1.01", "nan"), ("0.0", "1.0")),
+])
+def test_stream_keys_out_of_range_are_config_errors(key, bad, good):
+    for raw in bad:
+        with pytest.raises(ConfigError, match=f"key '{key}' must lie in"):
+            parse_config(None, {key: raw}, env={})
+    for raw in good:
+        parse_config(None, {key: raw}, env={})
+
+
 def test_manifest_round_trip(tmp_path):
     path = write_config(tmp_path)
     cfg = parse_config(path, {"tau": "250.0", "grad_layers": "0,2", "batch_sizes": "5,full"}, env={})
@@ -168,6 +181,36 @@ def test_run_partial_failure_exit_code(tmp_path, monkeypatch):
     lines = (out / "summary.csv").read_text().strip().splitlines()
     assert lines[1].startswith("ocs,1,")  # one surviving ocs run aggregated
     assert lines[2].startswith("uniform,2,")
+
+
+def test_stream_failure_fails_only_that_seeds_runs(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    import coresel.cli as cli_mod
+
+    real = cli_mod.build_stream
+
+    def flaky(cfg, train, test, run_seed):
+        if run_seed == 1:
+            raise RuntimeError("stream for seed 1 failed")
+        return real(cfg, train, test, run_seed)
+
+    monkeypatch.setattr(cli_mod, "build_stream", flaky)
+    assert run_cli(["run", "--config", path], {}, monkeypatch) == 2
+    out = tmp_path / "runs"
+    for strategy in ("ocs", "uniform"):
+        assert (out / f"{strategy}-seed1" / "FAILED.txt").read_text() == "RuntimeError: stream for seed 1 failed\n"
+        assert not (out / f"{strategy}-seed0" / "FAILED.txt").exists()
+        assert (out / f"{strategy}-seed0" / "metrics.json").exists()
+    lines = (out / "summary.csv").read_text().strip().splitlines()
+    assert lines[1].startswith("ocs,1,") and lines[2].startswith("uniform,1,")
+
+
+def test_out_of_range_stream_key_exits_before_any_run(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "runs"
+    args = ["run", "--variant", "imbalanced", "--imbalance-reduced", "11", "--output-dir", str(out)]
+    assert run_cli(args, {}, monkeypatch) == 1
+    assert "key 'imbalance_reduced' must lie in 0..10, got 11" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diverging_sweep_fails_loudly(tmp_path, monkeypatch):

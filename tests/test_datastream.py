@@ -84,6 +84,14 @@ def test_load_idx_count_mismatch(tmp_path):
         load_idx(imgs, labs)
 
 
+def test_load_idx_rejects_images_that_are_not_28x28(tmp_path):
+    # Such a corpus would load and then fail every run: in rotation, or at the model's first layer.
+    for shape in ((2, 16, 16), (2, 28, 20)):
+        imgs, labs = write_idx_pair(tmp_path, np.zeros(shape), [0, 1])
+        with pytest.raises(FormatError, match=f"{imgs}: images are {shape[1]}x{shape[2]}, expected 28x28"):
+            load_idx(imgs, labs)
+
+
 @pytest.mark.skipif(not MNIST_DIR, reason="set MNIST_DIR to a directory holding the MNIST IDX files")
 def test_load_idx_official_train_files():
     ds = load_idx(
@@ -289,6 +297,22 @@ def test_permuted_stream_reproducible_and_distinct():
     b = build_permuted_stream(train, test, 3, 77)
     assert all(np.array_equal(x.train.x, y.train.x) for x, y in zip(a.tasks, b.tasks))
     assert not np.array_equal(a.tasks[0].train.x, a.tasks[1].train.x)
+
+
+def test_both_kinds_draw_the_same_rows():
+    # One protocol: the subsample, imbalance and noise draws depend on (seed, task, tag), not on the kind.
+    train = small_dataset(120, seed=17)
+    test = small_dataset(40, seed=18)
+    kwargs = dict(train_per_task=80, test_per_task=30, imbalance=((1, 2, 3), 0.5), noise_fraction=0.25)
+    rotated = build_rotated_stream(train, test, 3, 8, **kwargs)
+    permuted = build_permuted_stream(train, test, 3, 8, **kwargs)
+    for r, p in zip(rotated.tasks, permuted.tasks):
+        assert np.array_equal(r.train.source_index, p.train.source_index)
+        assert np.array_equal(r.test.source_index, p.test.source_index)
+        assert r.noisy_source == p.noisy_source and len(p.noisy_source) > 0
+        assert (r.spec.kind, p.spec.kind, p.spec.angle) == ("rotate", "permute", None)
+    details = [line.split()[2] for line in stream_manifest(permuted).splitlines()[1:]]
+    assert details == ["permute_seed=0", "permute_seed=1", "permute_seed=2"]
 
 
 def test_stream_manifest_lists_every_task():

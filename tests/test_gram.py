@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from coresel import trainer
+from coresel.datastream import Dataset
 from coresel.errors import DimensionError
 from coresel.model import GradSelector, ParamSet, backprop, init_params, mean_gradient
 from coresel.selection import SelectionConfig, select_topk
@@ -142,7 +143,8 @@ def test_commit_ranking_matches_materialised_pool_scores(pool, monkeypatch):
     x, y = draw_batch(rng, state.params, pool)
     ocs = REGISTRY["ocs"]
     want = oracle(state.params, x, y, selector, None, cfg.selection.tau).combined
-    assert np.array_equal(ocs.commit_ranking(state, cfg, x, y), np.argsort(-want, kind="stable"))
+    candidates = Dataset(x, y, np.arange(pool))
+    assert np.array_equal(ocs.commit_ranking(state, cfg, candidates), np.argsort(-want, kind="stable"))
 
     # Once a task is committed, the reference is the mean gradient of a replay sample.
     buf_x, buf_y = draw_batch(rng, state.params, 30)
@@ -157,7 +159,7 @@ def test_commit_ranking_matches_materialised_pool_scores(pool, monkeypatch):
         return replays[-1]
 
     monkeypatch.setattr(trainer, "examples_as_arrays", recording)
-    ranking = ocs.commit_ranking(state, cfg, x, y)
+    ranking = ocs.commit_ranking(state, cfg, candidates)
     assert len(replays) == 1
     want = oracle(state.params, x, y, selector, replays[0], cfg.selection.tau).combined
     assert np.array_equal(ranking, np.argsort(-want, kind="stable"))
@@ -173,7 +175,7 @@ def test_step_pick_matches_materialised_scores():
         state = new_run_state(cfg, num_tasks=1, input_dim=SIZES[0])
         state.params = certain_of_class_3(state.params)
         x, y = draw_batch(rng, state.params, 25)
-        batch = trainer.StreamBatch(0, x, y, np.arange(25))
+        batch = Dataset(x, y, np.arange(25))
         for replay in (None, draw_batch(rng, state.params, 10)):
             bp = backprop(state.params, *_with_replay(x, y, replay))
             picked, got = REGISTRY["ocs"].pick(state, cfg, batch, 10, bp)

@@ -33,9 +33,9 @@ def test_staging_accumulates_and_allows_duplicates():
     c = Coreset(capacity=50, seed=0)
     for it in range(7):
         stage_labeled(c, 0, np.arange(10) % 10, start_src=0)  # same sources every time
-    x, y, src = c.staged_pool(0)
-    assert x.shape == (70, 784)
-    assert list(src[:10]) == list(src[10:20])
+    pool = c.staged_pool(0)
+    assert pool.x.shape == (70, 784)
+    assert list(pool.source_index[:10]) == list(pool.source_index[10:20])
 
 
 def test_staged_examples_are_copies():
@@ -43,8 +43,7 @@ def test_staged_examples_are_copies():
     x = np.zeros((1, 784))
     c.stage_candidates(0, x, [3], [0])
     x[0, 0] = 99.0
-    pool_x, _, _ = c.staged_pool(0)
-    assert pool_x[0, 0] == 0.0
+    assert c.staged_pool(0).x[0, 0] == 0.0
 
 
 def test_empty_pool_rejected():
@@ -93,6 +92,19 @@ def test_capacity_bound_holds_over_many_commits():
         quota = 37 // (task + 1)
         for prior in range(task + 1):
             assert len(c.stored(prior)) <= quota
+
+
+def test_commits_cut_to_next_quota_and_read_back_in_commit_order():
+    c = Coreset(capacity=25, seed=6)
+    for k, task in enumerate((3, 0, 2)):  # out of task-id order
+        quota = c.next_quota
+        assert quota == 25 // (k + 1)
+        n = stage_labeled(c, task, np.arange(30) % 10, start_src=100 * task)
+        record = c.commit_task(task, np.arange(n))
+        assert record.quota == quota and record.tasks_seen == k + 1
+    assert c.committed_tasks == (3, 0, 2)
+    assert record.per_task_counts == (8, 8, 8)
+    assert [e.task_id for e in c.all_examples()] == [3] * 8 + [0] * 8 + [2] * 8
 
 
 def test_small_pool_stores_everything():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from coresel import model, trainer
-from coresel.datastream import build_rotated_stream, make_synthetic_corpus
-from coresel.errors import ContractError, DimensionError, IncompleteMatrixError
+from coresel.datastream import Dataset, build_rotated_stream, make_synthetic_corpus
+from coresel.errors import ContractError, DimensionError, EmptyInputError, IncompleteMatrixError
 from coresel.metrics import average_forgetting
 from coresel.model import (
     GradSelector,
@@ -18,7 +18,6 @@ from coresel.model import (
 from coresel.replay import Coreset, ReservoirState
 from coresel.selection import SelectionConfig
 from coresel.trainer import (
-    StreamBatch,
     Strategy,
     TrainConfig,
     _ocs_scores,
@@ -120,10 +119,10 @@ def first_replay_step(lam):
     rng = np.random.default_rng(0)
     cfg = tiny_config(lam=lam)
     state = new_run_state(cfg, num_tasks=2)
-    train_iteration(state, make_batch(rng, task_id=0), cfg)
-    commit_current_task(state, cfg, 0)
+    train_iteration(state, make_batch(rng), cfg)
+    commit_current_task(state, cfg)
     state.task_index, state.iteration_in_epoch = 1, 0
-    p0, batch = state.params, make_batch(rng, task_id=1)
+    p0, batch = state.params, make_batch(rng)
     info = train_iteration(state, batch, cfg)
     return p0, batch, info, (flatten_params(p0) - flatten_params(state.params)) / cfg.lr0
 
@@ -165,9 +164,8 @@ def test_replay_reference_restricts_to_selected_layers():
 # train_iteration semantics
 
 
-def make_batch(rng, task_id=0, n=20):
-    return StreamBatch(
-        task_id,
+def make_batch(rng, n=20):
+    return Dataset(
         rng.uniform(size=(n, 784)),
         rng.integers(0, 10, size=n).astype(np.int64),
         np.arange(n, dtype=np.int64),
@@ -211,7 +209,7 @@ def test_iteration_stages_selected_examples():
     cfg = tiny_config()
     state = new_run_state(cfg, num_tasks=1)
     info = train_iteration(state, batch, cfg)
-    _, _, src = state.buffer.staged_pool(0)
+    src = state.buffer.staged_pool(0).source_index
     assert sorted(src) == sorted(int(i) for i in info.selected)
 
 
@@ -269,8 +267,8 @@ class OddRowsLastFirst(Strategy):
     def pick(self, state, cfg, batch, kappa, bp):
         return np.arange(1, batch.x.shape[0], 2)[:kappa], None
 
-    def commit_ranking(self, state, cfg, pool_x, pool_y):
-        return np.arange(pool_x.shape[0])[::-1]
+    def commit_ranking(self, state, cfg, pool):
+        return np.arange(len(pool))[::-1]
 
 
 def test_trainer_follows_stub_strategy(monkeypatch):
@@ -282,11 +280,11 @@ def test_trainer_follows_stub_strategy(monkeypatch):
     info = train_iteration(state, batch, cfg)
     assert list(info.selected) == [1, 3, 5, 7, 9]
     assert_plain_sgd(p0, batch.x[1:10:2], batch.y[1:10:2], cfg.lr0, state.params)
-    pool_x, pool_y, src = state.buffer.staged_pool(0)
-    assert list(src) == [1, 3, 5, 7, 9]
-    assert np.array_equal(pool_x, batch.x[1:10:2]) and np.array_equal(pool_y, batch.y[1:10:2])
+    pool = state.buffer.staged_pool(0)
+    assert list(pool.source_index) == [1, 3, 5, 7, 9]
+    assert np.array_equal(pool.x, batch.x[1:10:2]) and np.array_equal(pool.y, batch.y[1:10:2])
     # Capacity 3, no class balancing: the three best-ranked, i.e. last-staged, rows.
-    record = commit_current_task(state, cfg, 0)
+    record = commit_current_task(state, cfg)
     assert record.stored_new == 3
     assert [e.source_index for e in state.buffer.stored(0)] == [5, 7, 9]
 
@@ -339,10 +337,10 @@ def test_one_backward_pass_per_iteration(monkeypatch):
             for task_id in (0, 1):
                 state.task_index, state.iteration_in_epoch = task_id, 0
                 calls.clear()
-                info = train_iteration(state, make_batch(rng, task_id=task_id), cfg)
+                info = train_iteration(state, make_batch(rng), cfg)
                 assert len(calls) == 1, (strategy, agem, task_id)
                 assert (info.buffer_batch_size > 0) == (task_id == 1)
-                commit_current_task(state, cfg, task_id)
+                commit_current_task(state, cfg)
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "reservoir", "kmeans_embedding"])
@@ -445,8 +443,8 @@ def test_run_metrics_rejects_an_unfinished_run():
 def test_commit_requires_staged_pool():
     cfg = tiny_config()
     state = new_run_state(cfg, num_tasks=1)
-    with pytest.raises(Exception):
-        commit_current_task(state, cfg, 0)
+    with pytest.raises(EmptyInputError, match="no staged candidates for task 0"):
+        commit_current_task(state, cfg)
 
 
 def test_config_validation():
