@@ -98,9 +98,12 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> int:
                 log(f"{strategy} seed {run_seed}: accuracy {summary['final_average_accuracy']:.4f}")
             except Exception as exc:  # a broken run must not sink the sweep
                 failures += 1
+                text = f"{type(exc).__name__}: {exc}"
+                if exc is stream_error:
+                    text = f"stream for seed {run_seed} failed to build: {text}"
                 os.makedirs(run_dir, exist_ok=True)
-                atomic_write_text(os.path.join(run_dir, "FAILED.txt"), f"{type(exc).__name__}: {exc}\n")
-                log(f"{strategy} seed {run_seed} FAILED: {exc}", file=sys.stderr)
+                atomic_write_text(os.path.join(run_dir, "FAILED.txt"), text + "\n")
+                log(f"{strategy} seed {run_seed} FAILED: {text}", file=sys.stderr)
     rows = []
     for strategy in cfg.strategies:
         runs = finished[strategy]

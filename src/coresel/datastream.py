@@ -173,17 +173,20 @@ def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
     # A fixed-order sum over the four corners: a row's pixels do not depend on the batch it is in.
     out = np.take(ds.x, idx[:, 0], axis=1)
     out *= w[:, 0]
+    corner = np.empty_like(out)
     for k in range(1, 4):
-        corner = np.take(ds.x, idx[:, k], axis=1)
+        # Indices lie in 0..783, so mode="clip" changes nothing but lets take() write into `corner` unbuffered.
+        np.take(ds.x, idx[:, k], axis=1, out=corner, mode="clip")
         corner *= w[:, k]
         out += corner
-    return Dataset(np.clip(out, 0.0, 1.0), ds.y, ds.source_index)
+    return Dataset(np.clip(out, 0.0, 1.0, out=out), ds.y, ds.source_index)
 
 
 def permute_pixels(ds: Dataset, seed) -> Dataset:
     """Apply one fixed random pixel permutation to every image."""
     perm = np.random.default_rng(seed).permutation(ds.x.shape[1])
-    return Dataset(ds.x[:, perm], ds.y, ds.source_index)
+    # take() keeps the rows C-ordered (x[:, perm] is Fortran-ordered), so row subsets stay cheap.
+    return Dataset(np.take(ds.x, perm, axis=1), ds.y, ds.source_index)
 
 
 # ---------------------------------------------------------------------------

@@ -261,14 +261,23 @@ def accuracy(params: ParamSet, x, y) -> float:
     active on any row: every row then gets the same logits.
     """
     x, y = _check_batch(params, x, y)
-    acts, _, logits = _forward_pass(params, x)
-    finite_rows = np.isfinite(logits).all(axis=1)
+    # _forward_pass's arithmetic, keeping one layer alive at a time: evaluations run on their own threads,
+    # and each thread's heap keeps its high-water mark.
+    a, dead = x, None
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w.T
+        z += b
+        if l < params.n_layers - 1:
+            np.maximum(z, 0.0, out=z)
+            if dead is None and not (z > 0.0).any():
+                dead = l
+        a = z
+    finite_rows = np.isfinite(a).all(axis=1)
     if not finite_rows.all():
         raise DivergenceError(f"{np.sum(~finite_rows)} of {x.shape[0]} evaluation rows have non-finite logits")
-    for l in range(1, params.n_layers):
-        if not (acts[l] > 0.0).any():
-            raise DivergenceError(f"hidden layer {l - 1} is inactive on all {x.shape[0]} evaluation rows: constant logits")
-    return float((np.argmax(logits, axis=1) == y).mean())
+    if dead is not None:
+        raise DivergenceError(f"hidden layer {dead} is inactive on all {x.shape[0]} evaluation rows: constant logits")
+    return float((np.argmax(a, axis=1) == y).mean())
 
 
 def save_checkpoint(params: ParamSet, path: str) -> None:

@@ -226,6 +226,10 @@ def examples_as_arrays(examples) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+# One row of pixels; "%.6g" formats each value exactly as format_sig does.
+_DUMP_ROW = ",".join(["%.6g"] * PIXELS)
+
+
 def dump_csv(examples) -> str:
     """Stored examples as CSV: task_id, class, example_index_in_source, then one column per pixel."""
     header = "task_id,class,example_index_in_source," + ",".join(f"px{i}" for i in range(PIXELS))
@@ -233,8 +237,7 @@ def dump_csv(examples) -> str:
     for e in examples:
         if e.x.shape != (PIXELS,):
             raise DimensionError(f"stored example has {e.x.shape} pixels, expected ({PIXELS},)")
-        pixels = ",".join(format_sig(v) for v in e.x)
-        lines.append(f"{e.task_id},{e.y},{e.source_index},{pixels}")
+        lines.append(f"{e.task_id},{e.y},{e.source_index},{_DUMP_ROW % tuple(e.x.tolist())}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,8 @@ backward pass, over its rows and the replay batch: the objective and the
 replay gradient are per-row weights on that pass's per-example gradients,
 and A-GEM reweights the rows through their Gram matrix. After each task the
 model is evaluated on every test set seen so far, filling one row of the
-accuracy matrix.
+accuracy matrix; those evaluations run on background threads while the next
+task trains.
 
 What differs between selection methods lives in one `Strategy` object per
 method, looked up by name in `REGISTRY`: the buffer kind, the per-step pick,
@@ -23,8 +24,10 @@ by (seed, purpose tag); so a run is a pure function of (stream, config).
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -60,6 +63,10 @@ _T_SELECT = 3
 _T_COMMIT_REF = 4
 _T_COMMIT_RANK = 5
 _T_RESERVOIR = 6
+
+# Evaluator threads per run. With one, a task's evaluations can outlast the next task's
+# training and put the evaluator back on the critical path.
+_EVAL_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -375,29 +382,69 @@ def commit_current_task(state: RunState, cfg: TrainConfig):
 # full runs
 
 
+def _position(state: RunState) -> str:
+    return f"task {state.task_index}, epoch {state.epoch}, iteration {state.iteration_in_epoch}, lr {state.lr:g}"
+
+
+def _train_task(state: RunState, task, cfg: TrainConfig) -> None:
+    """Every epoch of one task, then its commit; a DivergenceError names where the run stood."""
+    t = state.task_index
+    try:
+        for epoch in range(cfg.epochs):
+            state.epoch = epoch
+            state.iteration_in_epoch = 0
+            order = np.random.default_rng(_seed_seq(cfg.seed, t, epoch, _T_SHUFFLE)).permutation(len(task.train))
+            for start in range(0, len(order), cfg.stream_batch_size):
+                train_iteration(state, task.train.subset(order[start : start + cfg.stream_batch_size]), cfg)
+        commit_current_task(state, cfg)
+    except DivergenceError as exc:
+        raise DivergenceError(f"run diverged at {_position(state)}: {exc}") from exc
+
+
+def _fill_matrix(state: RunState, evaluations) -> None:
+    """Wait for the submitted evaluations in (t, i) order and fill the matrix; raise the first that failed."""
+    for t, (position, futures) in enumerate(evaluations):
+        for i, future in enumerate(futures):
+            try:
+                state.matrix.set(t, i, future.result())
+            except DivergenceError as exc:
+                raise DivergenceError(f"run diverged at {position}: {exc}") from exc
+
+
 def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None) -> RunState:
     """Train through every task, evaluate after each, and emit artifacts.
 
     Evaluation is the only place test sets are touched; iteration code only
-    ever sees train data.
+    ever sees train data. Task t's t + 1 evaluations run on the run's own
+    evaluator threads while task t + 1 trains: parameter sets are never
+    mutated, so each sees what an inline one would, and each runs in a copy
+    of the caller's context, so it follows the caller's `np.errstate`. The
+    matrix is filled before anything is returned or written, and a failed run
+    raises what the serial order train t, eval t, train t + 1 raises first.
     """
     state = new_run_state(cfg, len(stream))
-    for t, task in enumerate(stream.tasks):
-        state.task_index = t
-        state.lr = cfg.lr0 * cfg.lr_decay**t
+    evaluations = []  # per finished task t: (its position, futures of test sets 0..t)
+    pool = ThreadPoolExecutor(max_workers=_EVAL_THREADS, thread_name_prefix="coresel-eval")
+    try:
         try:
-            for epoch in range(cfg.epochs):
-                state.epoch = epoch
-                state.iteration_in_epoch = 0
-                order = np.random.default_rng(_seed_seq(cfg.seed, t, epoch, _T_SHUFFLE)).permutation(len(task.train))
-                for start in range(0, len(order), cfg.stream_batch_size):
-                    train_iteration(state, task.train.subset(order[start : start + cfg.stream_batch_size]), cfg)
-            commit_current_task(state, cfg)
-            for i in range(t + 1):
-                state.matrix.set(t, i, accuracy(state.params, stream.tasks[i].test.x, stream.tasks[i].test.y))
-        except DivergenceError as exc:
-            where = f"task {t}, epoch {state.epoch}, iteration {state.iteration_in_epoch}, lr {state.lr:g}"
-            raise DivergenceError(f"run diverged at {where}: {exc}") from exc
+            for t, task in enumerate(stream.tasks):
+                # A failed evaluation precedes every later task in the serial order: stop training.
+                if any(f.done() and f.exception() is not None for _, futures in evaluations for f in futures):
+                    break
+                state.task_index = t
+                state.lr = cfg.lr0 * cfg.lr_decay**t
+                _train_task(state, task, cfg)
+                futures = [
+                    pool.submit(contextvars.copy_context().run, accuracy, state.params, seen.test.x, seen.test.y)
+                    for seen in stream.tasks[: t + 1]
+                ]
+                evaluations.append((_position(state), futures))
+        except Exception:
+            _fill_matrix(state, evaluations)  # an earlier task's failed evaluation comes first
+            raise
+        _fill_matrix(state, evaluations)
+    finally:
+        pool.shutdown(cancel_futures=True)
     # Only a run that finished writes artifacts; a failed one leaves none behind.
     if out_dir is not None:
         _write_artifacts(state, stream, cfg, out_dir)

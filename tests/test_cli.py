@@ -191,14 +191,15 @@ def test_stream_failure_fails_only_that_seeds_runs(tmp_path, monkeypatch):
 
     def flaky(cfg, train, test, run_seed):
         if run_seed == 1:
-            raise RuntimeError("stream for seed 1 failed")
+            raise ValueError("cannot take a larger sample than population")
         return real(cfg, train, test, run_seed)
 
     monkeypatch.setattr(cli_mod, "build_stream", flaky)
     assert run_cli(["run", "--config", path], {}, monkeypatch) == 2
     out = tmp_path / "runs"
     for strategy in ("ocs", "uniform"):
-        assert (out / f"{strategy}-seed1" / "FAILED.txt").read_text() == "RuntimeError: stream for seed 1 failed\n"
+        text = (out / f"{strategy}-seed1" / "FAILED.txt").read_text()
+        assert text == "stream for seed 1 failed to build: ValueError: cannot take a larger sample than population\n"
         assert not (out / f"{strategy}-seed0" / "FAILED.txt").exists()
         assert (out / f"{strategy}-seed0" / "metrics.json").exists()
     lines = (out / "summary.csv").read_text().strip().splitlines()
@@ -259,21 +260,30 @@ def test_dead_relu_sweep_fails_loudly(tmp_path, monkeypatch):
 
 def test_rounded_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # The default 256-unit layers are wide enough for OpenBLAS to split its products over two threads,
-    # which changes checkpoints in the last bits; the rounded artifacts must not change.
+    # which changes checkpoints in the last bits; the rounded artifacts must not change. A rerun at two
+    # threads, where evaluations call into threaded OpenBLAS while training does, must repeat every bit.
     src = os.path.dirname(os.path.dirname(os.path.abspath(coresel.__file__)))
     outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+    for k, threads in enumerate(("1", "2", "2")):
+        cwd = tmp_path / f"run{k}"
+        cwd.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
         env.pop("CORESEL_OUTPUT_DIR", None)
-        cmd = [sys.executable, "-m", "coresel.cli", *TINY_SWEEP, "--output-dir", str(out)]
-        assert subprocess.run(cmd, env=env, capture_output=True, timeout=300).returncode == 0
+        # One relative output directory, so that every run_manifest.ini reads the same.
+        cmd = [sys.executable, "-m", "coresel.cli", *TINY_SWEEP, "--output-dir", "out"]
+        assert subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, timeout=300).returncode == 0
+        out = cwd / "out"
         assert f"OPENBLAS_NUM_THREADS = {threads}\n" in (out / "ocs-seed0" / "run_manifest.txt").read_text()
         outs.append(out)
     names = sorted(p.relative_to(outs[0]) for p in outs[0].glob("*/accuracy_matrix.csv"))
     assert len(names) == 8
     for name in [*names, "summary.csv"]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(outs[2]) for p in outs[2].rglob("*") if p.is_file())
+    assert sum(name.name == "model.ckpt" for name in files) == 8
+    for name in files:
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
 def test_run_builds_one_stream_per_seed(tmp_path, monkeypatch):

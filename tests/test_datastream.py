@@ -185,6 +185,8 @@ def test_permute_pixels_is_seeded_bijection():
     assert np.array_equal(a.x, b.x)
     assert not np.array_equal(a.x, c.x)
     assert np.array_equal(np.sort(a.x, axis=1), np.sort(ds.x, axis=1))
+    # C order, as on rotated streams: a row subset of a Fortran-ordered array is many times slower.
+    assert a.x.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +299,7 @@ def test_permuted_stream_reproducible_and_distinct():
     b = build_permuted_stream(train, test, 3, 77)
     assert all(np.array_equal(x.train.x, y.train.x) for x, y in zip(a.tasks, b.tasks))
     assert not np.array_equal(a.tasks[0].train.x, a.tasks[1].train.x)
+    assert all(task.train.x.flags.c_contiguous and task.test.x.flags.c_contiguous for task in a.tasks)
 
 
 def test_both_kinds_draw_the_same_rows():

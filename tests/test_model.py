@@ -282,6 +282,17 @@ def test_dead_hidden_layer_fails_evaluation():
         accuracy(dead, x, np.zeros(8, np.int64))
 
 
+def test_accuracy_matches_the_forward_pass():
+    # accuracy() runs its own layer-at-a-time loop; every row's argmax must be _forward_pass's.
+    rng = np.random.default_rng(43)
+    for sizes in ([784, 256, 256, 10], [5, 8, 6, 3], [4, 3]):
+        params = init_params(sizes, rng)
+        x = rng.uniform(size=(50, sizes[0]))
+        labels = np.argmax(_forward_pass(params, x)[2], axis=1)
+        assert accuracy(params, x, labels) == 1.0, sizes
+        assert accuracy(params, x, (labels + 1) % sizes[-1]) == 0.0, sizes
+
+
 def test_accuracy_counts_and_tie_break():
     # Zero weights: all logits 0, argmax tie resolves to class 0.
     params = ParamSet((np.zeros((3, 2)),), (np.zeros(3),))

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from coresel.errors import DimensionError, EmptyInputError
-from coresel.replay import Coreset, ReservoirState, StoredExample, dump_csv, examples_as_arrays, sample_items
+from coresel.replay import (
+    Coreset,
+    ReservoirState,
+    StoredExample,
+    dump_csv,
+    examples_as_arrays,
+    format_sig,
+    sample_items,
+)
 
 
 def stage_labeled(coreset, task_id, labels, start_src=0):
@@ -315,6 +323,18 @@ def test_dump_csv_layout():
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] in {"4", "5", "6"}
     assert first[3 + 1] == "0.5"  # px1 carries the 0.5 fill value
+
+
+def test_dump_csv_formats_each_pixel_like_format_sig():
+    rng = np.random.default_rng(3)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 1e-310, 1e16, 123456.5, 1 / 3]
+    rows = rng.standard_normal((3, 784)) * 10.0 ** rng.integers(-8, 8, size=(3, 784))
+    rows[0, : len(special)] = special
+    rows[1, -len(special) :] = special[::-1]
+    examples = [StoredExample(task_id=t, y=t + 1, source_index=10 * t, x=row) for t, row in enumerate(rows)]
+    body = dump_csv(examples).splitlines()[1:]
+    assert body == [f"{t},{t + 1},{10 * t}," + ",".join(format_sig(v) for v in row) for t, row in enumerate(rows)]
+    assert body[0].split(",")[3:6] == ["-0", "0", "nan"]
 
 
 # ---------------------------------------------------------------------------

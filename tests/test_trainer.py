@@ -1,12 +1,13 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from coresel import model, trainer
 from coresel.datastream import Dataset, build_rotated_stream, make_synthetic_corpus
-from coresel.errors import ContractError, DimensionError, EmptyInputError, IncompleteMatrixError
+from coresel.errors import ContractError, DimensionError, DivergenceError, EmptyInputError, IncompleteMatrixError
 from coresel.metrics import average_forgetting
 from coresel.model import (
     GradSelector,
@@ -261,6 +262,59 @@ def test_run_stream_is_deterministic():
     ]
 
 
+def test_matrix_holds_the_accuracy_of_each_tasks_snapshot(monkeypatch):
+    # Evaluations run while later tasks train; each must still see the parameters its task ended with.
+    real = trainer.commit_current_task
+    snapshots = []
+
+    def capturing(state, cfg):
+        record = real(state, cfg)
+        snapshots.append(state.params)
+        return record
+
+    monkeypatch.setattr(trainer, "commit_current_task", capturing)
+    stream = tiny_stream(num_tasks=3)
+    state = run_stream(stream, tiny_config())
+    assert len(snapshots) == 3 and snapshots[-1] is state.params
+    tests = [task.test for task in stream.tasks]
+    for t, params in enumerate(snapshots):
+        for i in range(t + 1):
+            assert state.matrix.values[t, i] == model.accuracy(params, tests[i].x, tests[i].y), (t, i)
+    # The final parameters would give other numbers, so the check above tells the snapshots apart.
+    assert any(state.matrix.values[t, i] != model.accuracy(state.params, tests[i].x, tests[i].y)
+               for t in range(2) for i in range(t + 1))
+
+
+def test_results_do_not_depend_on_the_evaluator_count(monkeypatch):
+    real = trainer.accuracy
+    seen = []  # (thread name, numpy error state) of each evaluation
+
+    def recording(params, x, y):
+        seen.append((threading.current_thread().name, np.geterr()))
+        return real(params, x, y)
+
+    monkeypatch.setattr(trainer, "accuracy", recording)
+    stream = tiny_stream(num_tasks=3)
+    cfg = tiny_config()
+    runs = []
+    for threads in (trainer._EVAL_THREADS, 1):
+        monkeypatch.setattr(trainer, "_EVAL_THREADS", threads)
+        seen.clear()
+        with np.errstate(over="ignore", divide="raise", invalid="ignore", under="warn"):
+            runs.append(run_stream(stream, cfg))
+            caller = np.geterr()
+        assert len(seen) == 6
+        names = {name for name, _ in seen}
+        assert threading.current_thread().name not in names and 1 <= len(names) <= threads
+        assert all(errstate == caller for _, errstate in seen)  # evaluations follow the caller's np.errstate
+    default, single = runs
+    assert np.array_equal(default.matrix.values, single.matrix.values, equal_nan=True)
+    assert np.array_equal(flatten_params(default.params), flatten_params(single.params))
+    assert [(e.task_id, e.source_index, e.x.tobytes()) for e in default.buffer_examples()] == [
+        (e.task_id, e.source_index, e.x.tobytes()) for e in single.buffer_examples()
+    ]
+
+
 class OddRowsLastFirst(Strategy):
     """Stub: trains on odd rows, commits the most recently staged rows first."""
 
@@ -431,6 +485,40 @@ def test_failed_run_raises_and_writes_no_artifacts(tmp_path, monkeypatch):
         run_stream(tiny_stream(num_tasks=2), tiny_config(), out_dir=str(tmp_path / "run"))
     assert not (tmp_path / "run" / "model.ckpt").exists()
     assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+def test_failed_evaluation_is_reported_before_a_later_training_failure(tmp_path, monkeypatch):
+    # Serial order: train 0, eval 0, train 1, eval 1 (fails), train 2 (fails). Task 1's evaluation is held
+    # back until task 2's training has failed, so the run must pick the earlier failure itself.
+    real_commit, real_accuracy, real_iteration = trainer.commit_current_task, trainer.accuracy, trainer.train_iteration
+    snapshots = []
+    train_failed = threading.Event()
+
+    def capturing(state, cfg):
+        record = real_commit(state, cfg)
+        snapshots.append(state.params)
+        return record
+
+    def evaluating(params, x, y):
+        if len(snapshots) > 1 and params is snapshots[1]:
+            train_failed.wait(timeout=30)
+            raise DivergenceError("evaluation failed")
+        return real_accuracy(params, x, y)
+
+    def training(state, batch, cfg):
+        if state.task_index == 2:
+            train_failed.set()
+            raise RuntimeError("step failed")
+        return real_iteration(state, batch, cfg)
+
+    monkeypatch.setattr(trainer, "commit_current_task", capturing)
+    monkeypatch.setattr(trainer, "accuracy", evaluating)
+    monkeypatch.setattr(trainer, "train_iteration", training)
+    with pytest.raises(DivergenceError) as info:
+        run_stream(tiny_stream(num_tasks=3), tiny_config(), out_dir=str(tmp_path / "run"))
+    assert str(info.value) == "run diverged at task 1, epoch 0, iteration 3, lr 0.04: evaluation failed"
+    assert train_failed.is_set()
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_metrics_rejects_an_unfinished_run():
