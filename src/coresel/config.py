@@ -1,7 +1,9 @@
 """Experiment configuration: strict key = value files plus flag overrides.
 
 The file format is line-oriented: ``[section]`` headers, ``key = value``
-pairs, blank lines, and comment lines starting with ``#`` or ``;``. Every
+pairs, blank lines, and comment lines starting with ``#`` or ``;``. A ``#``
+or ``;`` that follows whitespace starts a comment too, to the end of the
+line, so neither can follow a space inside a value. Every
 key is one field of ExperimentConfig, which also holds its section, converter
 and default; anything else is an error that names the key and line, so typos
 never silently fall back to defaults. The [train] defaults are TrainConfig's.
@@ -16,6 +18,7 @@ recorded manifest replayable.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 from .datastream import NUM_CLASSES
@@ -152,6 +155,10 @@ class ExperimentConfig:
 # Config key -> its ExperimentConfig field.
 _FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
 _SECTIONS = tuple(dict.fromkeys(f.metadata["section"] for f in _FIELDS.values()))
+_INLINE_COMMENT = re.compile(r"\s[#;]")
+_COUNTS = (  # keys that must be at least 1
+    "synthetic_train", "synthetic_test", "num_tasks", "train_per_task", "test_per_task", "num_seeds", "n_batches",
+)
 
 
 def known_keys() -> tuple[str, ...]:
@@ -178,7 +185,7 @@ def _parse_file(path: str, values: dict) -> None:
     section = None
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
+        stripped = _INLINE_COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
@@ -224,17 +231,23 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"key '{key}' is required when source = idx")
             if not os.path.exists(path):
                 raise ConfigError(f"key '{key}': file not found: {path}")
-    if cfg.num_seeds < 1:
-        raise ConfigError(f"key 'num_seeds' must be at least 1, got {cfg.num_seeds}")
+    for key, f in _FIELDS.items():  # a flag or the environment could set what a manifest cannot hold
+        if isinstance(getattr(cfg, f.name), str) and _INLINE_COMMENT.search(getattr(cfg, f.name)):
+            raise ConfigError(f"key '{key}': '#' or ';' after whitespace would start a comment in the manifest")
+    for key in _COUNTS:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"key '{key}' must be at least 1, got {getattr(cfg, key)}")
     if not 0 <= cfg.imbalance_reduced <= NUM_CLASSES:
         raise ConfigError(f"key 'imbalance_reduced' must lie in 0..{NUM_CLASSES}, got {cfg.imbalance_reduced}")
     if not 0.0 < cfg.imbalance_keep <= 1.0:
         raise ConfigError(f"key 'imbalance_keep' must lie in (0, 1], got {cfg.imbalance_keep}")
     if not 0.0 <= cfg.noise_fraction <= 1.0:
         raise ConfigError(f"key 'noise_fraction' must lie in [0, 1], got {cfg.noise_fraction}")
-    for strategy in cfg.strategies:
+    for n, strategy in enumerate(cfg.strategies):
         if strategy not in REGISTRY:
             raise ConfigError(f"key 'strategies': unknown strategy '{strategy}' (choose from {', '.join(REGISTRY)})")
+        if strategy in cfg.strategies[:n]:
+            raise ConfigError(f"key 'strategies' names '{strategy}' twice")
     try:
         cfg.train_config(cfg.strategies[0], cfg.seed0)
     except ValueError as exc:

@@ -10,6 +10,7 @@ extracted gradient; the restricted flattening concatenates those blocks in
 layer order, so a partial gradient is exactly a slice-and-concatenate of the
 full one.
 
+One forward loop serves `backprop`, `embeddings` and `accuracy`.
 `backprop` keeps one backward pass's layer inputs and deltas; its `gram` and
 `step` give the per-example gradients' inner products and a weighted-sum
 update without forming a per-example gradient row (the tests keep the
@@ -127,24 +128,22 @@ def _check_batch(params: ParamSet, x: np.ndarray, y=None) -> tuple[np.ndarray, n
     return x, y
 
 
-def _forward_pass(params: ParamSet, x: np.ndarray):
-    """Return (activations per layer input, pre-activations, logits)."""
-    acts = [x]
-    preacts = []
-    a = x
+def _layer_outputs(params: ParamSet, x: np.ndarray):
+    """The one forward loop: each layer's output in turn, ReLU applied in place on hidden layers."""
     last = params.n_layers - 1
+    a = x
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        preacts.append(z)
-        a = np.maximum(z, 0.0) if l < last else z
-        acts.append(a)
-    return acts, preacts, acts[-1]
+        a = a @ w.T
+        a += b
+        if l < last:
+            np.maximum(a, 0.0, out=a)
+        yield a
 
 
 def embeddings(params: ParamSet, x) -> np.ndarray:
     """Penultimate activations: the input to the final layer (post-ReLU)."""
     x, _ = _check_batch(params, x)
-    return _forward_pass(params, x)[0][-2]
+    return [x, *_layer_outputs(params, x)][-2]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -153,15 +152,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _backward_deltas(params: ParamSet, x: np.ndarray, y: np.ndarray):
-    """Activations plus per-layer deltas d ℓ_n / d z_l for every example n."""
-    acts, preacts, logits = _forward_pass(params, x)
-    probs = np.exp(_log_softmax(logits))
+    """Activations plus per-layer deltas d ℓ_n / d z_l for every example n (ReLU(z) > 0 exactly where z > 0)."""
+    acts = [x, *_layer_outputs(params, x)]
+    probs = np.exp(_log_softmax(acts[-1]))
     delta = probs
     delta[np.arange(x.shape[0]), y] -= 1.0
     deltas = [None] * params.n_layers
     deltas[-1] = delta
     for l in range(params.n_layers - 2, -1, -1):
-        deltas[l] = (deltas[l + 1] @ params.weights[l + 1]) * (preacts[l] > 0.0)
+        deltas[l] = (deltas[l + 1] @ params.weights[l + 1]) * (acts[l + 1] > 0.0)
     return acts, deltas
 
 
@@ -261,17 +260,12 @@ def accuracy(params: ParamSet, x, y) -> float:
     active on any row: every row then gets the same logits.
     """
     x, y = _check_batch(params, x, y)
-    # _forward_pass's arithmetic, keeping one layer alive at a time: evaluations run on their own threads,
-    # and each thread's heap keeps its high-water mark.
-    a, dead = x, None
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T
-        z += b
-        if l < params.n_layers - 1:
-            np.maximum(z, 0.0, out=z)
-            if dead is None and not (z > 0.0).any():
-                dead = l
-        a = z
+    # Evaluations run on their own threads, and each thread's heap keeps its high-water mark:
+    # hold one layer at a time.
+    dead = None
+    for l, a in enumerate(_layer_outputs(params, x)):
+        if dead is None and l < params.n_layers - 1 and not (a > 0.0).any():
+            dead = l
     finite_rows = np.isfinite(a).all(axis=1)
     if not finite_rows.all():
         raise DivergenceError(f"{np.sum(~finite_rows)} of {x.shape[0]} evaluation rows have non-finite logits")

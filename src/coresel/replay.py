@@ -1,12 +1,13 @@
 """Bounded replay storage across tasks: a per-task coreset and a reservoir.
 
-During a task, selected candidates pile up in an unbounded staging pool.
-At the task boundary the pool is committed: the per-task quota becomes
-floor(J / tasks_seen), earlier tasks are uniformly down-sampled to the new
-quota, and the staged pool is reduced to the quota following a caller-supplied
-preference order (best candidate first) — with per-class balancing for the
-gradient-scored strategy. The caller owns scoring; this module owns bounds,
-balance, dedup, and deterministic sampling.
+During a task, selected candidates pile up in an unbounded staging pool of
+array chunks (`Dataset`s). At the task boundary the pool is committed: the
+per-task quota becomes floor(J / tasks_seen), earlier tasks are uniformly
+down-sampled to the new quota, and the staged pool is reduced to the quota
+following a caller-supplied preference order (best candidate first) — with
+per-class balancing for the gradient-scored strategy. The caller owns scoring; this module owns bounds,
+balance, dedup, and deterministic sampling. Only a row that a commit keeps
+becomes a `StoredExample`, with its own copy of the pixels.
 
 The reservoir baseline runs Algorithm R (Vitter 1985) on one per-run generator in
 stream order, so what it keeps does not depend on how the rows are batched.
@@ -71,29 +72,24 @@ class Coreset:
         self.num_classes = NUM_CLASSES  # the classes a balanced commit spreads its quota over
         self._seed = int(seed)
         self._stored: dict[int, list[StoredExample]] = {}  # filled only by commit_task, so keys are in commit order
-        self._staged: dict[int, list[StoredExample]] = {}
+        self._staged: dict[int, list[Dataset]] = {}  # per task, its staged chunks in staging order
 
     # -- staging ------------------------------------------------------------
 
     def stage_candidates(self, task_id: int, x, y, source_index) -> None:
-        """Append selected examples to the task's staging pool (dedup happens at commit)."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
-        source_index = np.asarray(source_index)
-        if x.ndim != 2 or y.shape != (x.shape[0],) or source_index.shape != y.shape:
-            raise DimensionError(
-                f"inconsistent candidate shapes x={x.shape} y={y.shape} src={source_index.shape}"
-            )
-        pool = self._staged.setdefault(int(task_id), [])
-        for row, label, src in zip(x, y, source_index):
-            pool.append(StoredExample(int(task_id), row.copy(), int(label), int(src)))
+        """Append copies of selected examples to the task's staging pool (dedup happens at commit)."""
+        chunk = Dataset(np.array(x, dtype=np.float64), np.array(y, dtype=np.int64), np.array(source_index, np.int64))
+        self._staged.setdefault(int(task_id), []).append(chunk)
 
     def staged_pool(self, task_id: int) -> Dataset:
-        """The staging pool in staging order."""
-        pool = self._staged.get(int(task_id), [])
-        if not pool:
+        """The staging pool in staging order, concatenated once and kept as the task's one chunk."""
+        chunks = self._staged.get(int(task_id), [])
+        if not chunks:
             raise EmptyInputError(f"no staged candidates for task {task_id}")
-        return Dataset(*examples_as_arrays(pool), np.array([e.source_index for e in pool], dtype=np.int64))
+        if len(chunks) > 1:
+            x, y, src = (np.concatenate([getattr(c, f) for c in chunks]) for f in ("x", "y", "source_index"))
+            chunks[:] = [Dataset(x, y, src)]
+        return chunks[0]
 
     # -- committing ---------------------------------------------------------
 
@@ -106,9 +102,7 @@ class Coreset:
         task_id = int(task_id)
         if task_id in self._stored:
             raise ValueError(f"task {task_id} was already committed")
-        pool = self._staged.get(task_id, [])
-        if not pool:
-            raise EmptyInputError(f"no staged candidates for task {task_id}")
+        pool = self.staged_pool(task_id)
         ranking = np.asarray(ranking, dtype=np.int64)
         if sorted(int(i) for i in ranking) != list(range(len(pool))):
             raise DimensionError("ranking must be a permutation of the staging pool positions")
@@ -126,7 +120,9 @@ class Coreset:
                 self._stored[old_task] = [kept[int(i)] for i in positions]
 
         chosen = self._take_quota(pool, ranking.tolist(), quota, class_balanced)
-        self._stored[task_id] = [pool[int(i)] for i in chosen]
+        self._stored[task_id] = [
+            StoredExample(task_id, pool.x[i].copy(), int(pool.y[i]), int(pool.source_index[i])) for i in chosen
+        ]
         del self._staged[task_id]
 
         record = CommitRecord(
@@ -144,7 +140,7 @@ class Coreset:
             )
         return record
 
-    def _take_quota(self, pool, ranking: list[int], quota: int, class_balanced: bool) -> list[int]:
+    def _take_quota(self, pool: Dataset, ranking: list[int], quota: int, class_balanced: bool) -> list[int]:
         """The best-ranked copy of each source, `quota` at most, taken tier by tier in ranking order.
 
         With r better-ranked kept rows of its class and base = quota // classes, a row's tier is
@@ -152,15 +148,15 @@ class Coreset:
         share, the remainder goes at most one per class, and a class-poor pool still fills the quota.
         """
         base = quota // self.num_classes
+        labels, source_index = pool.y.tolist(), pool.source_index.tolist()
         sources: set[int] = set()
         per_class: Counter[int] = Counter()
         tiers: tuple[list[int], ...] = ([], [], [])
         for i in ranking:
-            e = pool[i]
-            if e.source_index not in sources:
-                sources.add(e.source_index)
-                r = per_class[e.y]
-                per_class[e.y] = r + 1
+            if source_index[i] not in sources:
+                sources.add(source_index[i])
+                r = per_class[labels[i]]
+                per_class[labels[i]] = r + 1
                 tiers[(r >= base) + (r > base) if class_balanced else 0].append(i)
         return sorted((tiers[0] + tiers[1] + tiers[2])[:quota])
 

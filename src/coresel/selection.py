@@ -2,12 +2,12 @@
 
 Three per-candidate criteria, each a cosine against the candidate's gradient:
 similarity to the minibatch mean gradient, (negative) average similarity to
-every other candidate, and similarity to a replay-buffer reference gradient.
-`score_gram` computes all three from the gradients' Gram matrix and their dots
-with the reference. The selection rule ranks rows by S + V, plus tau * A once
-a buffer exists, and keeps the top kappa. The baseline per-step picks,
-uniform and k-means on embeddings, live here too; the reservoir is replay
-storage (`replay.ReservoirState`).
+every other candidate, and similarity to a replay batch's mean gradient.
+`score_gram` computes all three from one Gram matrix over the candidates'
+and the replay rows' gradients. The selection rule ranks rows by S + V, plus
+tau * A once a buffer exists, and keeps the top kappa. The baseline per-step
+picks, uniform and k-means on embeddings, live here too; the reservoir is
+replay storage (`replay.ReservoirState`).
 """
 
 from __future__ import annotations
@@ -67,43 +67,45 @@ class ScoreBreakdown:
     combined: np.ndarray = field(compare=False)
 
 
-def score_gram(gram, ref_dots, ref_norm, tau: float) -> ScoreBreakdown:
+def score_gram(gram, b: int, tau: float) -> ScoreBreakdown:
     """Similarity, diversity, affinity and S + V (+ tau * A) from gradient inner products alone.
 
-    gram[n, m] = g_n . g_m over the B candidates; ref_dots[n] = g_n . r and
-    ref_norm = |r| for the replay reference r, or both None before a buffer
-    exists. The batch mean has g_n . mean = (G 1)_n / B and |mean| = sqrt(1^T G 1) / B.
-    S_n = cos(g_n, mean); V_n = -mean over m != n of cos(g_n, g_m), clamped
-    into [-1, 0] (0 when B = 1); A_n = cos(g_n, r).
+    gram[n, k] = g_n . g_k over b candidates, then m >= 0 replay rows with mean gradient r
+    (no reference when m = 0). With K = gram[:b, :b], g_n . mean = (K 1)_n / b and
+    |mean| = sqrt(1^T K 1) / b; g_n . r = (gram[:b, b:] 1)_n / m and |r| = sqrt(1^T gram[b:, b:] 1) / m.
+    S_n = cos(g_n, mean); V_n = -mean over k != n of cos(g_n, g_k), clamped
+    into [-1, 0] (0 when b = 1); A_n = cos(g_n, r).
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise DimensionError(f"expected a square Gram matrix, got shape {gram.shape}")
-    b = gram.shape[0]
-    if b == 0:
+    if b < 1:
         raise EmptyInputError("empty gradient batch")
-    sq_norms = np.diag(gram)
+    m = gram.shape[0] - b
+    if m < 0:
+        raise DimensionError(f"{b} candidates in a Gram matrix of {gram.shape[0]} rows")
+    cand = gram[:b, :b]
+    sq_norms = np.diag(cand)
     bad = np.flatnonzero(~np.isfinite(sq_norms))
     if bad.size:
         raise DivergenceError(f"gradient row {bad[0]} is non-finite: its squared norm is {sq_norms[bad[0]]}")
     norms = np.sqrt(np.maximum(sq_norms, 0.0))
-    row_sums = gram.sum(axis=1)
+    row_sums = cand.sum(axis=1)
     mean_norm = np.sqrt(max(float(row_sums.sum()), 0.0)) / b
     s = _in_range("similarity", _cosine(row_sums / b, norms, mean_norm), -1.0, 1.0)
     if b == 1:
         v = np.zeros(1)  # no peers to differ from
     else:
-        pair = _cosine(gram, norms[:, None], norms[None, :])
+        pair = _cosine(cand, norms[:, None], norms[None, :])
         v = np.clip(-(pair.sum(axis=1) - np.diag(pair)) / (b - 1), -1.0, 0.0)
     v = _in_range("diversity", v, -1.0, 0.0)
-    if ref_dots is None:
+    if m == 0:
         return ScoreBreakdown(s, v, None, s + v)
-    ref_dots = np.asarray(ref_dots, dtype=np.float64)
-    if ref_dots.shape != (b,):
-        raise DimensionError(f"{ref_dots.shape} reference dots for {b} candidates")
+    ref_dots = gram[:b, b:].sum(axis=1) / m
+    ref_norm = float(np.sqrt(max(float(gram[b:, b:].sum()), 0.0)) / m)
     if not (np.isfinite(ref_dots).all() and np.isfinite(ref_norm)):
         raise DivergenceError(f"the replay reference is non-finite: norm {ref_norm}")
-    a = _in_range("affinity", _cosine(ref_dots, norms, float(ref_norm)), -1.0, 1.0)
+    a = _in_range("affinity", _cosine(ref_dots, norms, ref_norm), -1.0, 1.0)
     return ScoreBreakdown(s, v, a, s + v + tau * a)
 
 

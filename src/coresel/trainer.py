@@ -47,7 +47,6 @@ from .replay import (
     write_dump,
 )
 from .selection import (
-    ScoreBreakdown,
     SelectionConfig,
     kmeans_embedding_select,
     score_gram,
@@ -104,6 +103,11 @@ class TrainConfig:
             raise ValueError(f"buffer_batch_size must be >= 1, got {self.buffer_batch_size}")
         if self.buffer_capacity < 0:
             raise ValueError(f"buffer_capacity must be nonnegative, got {self.buffer_capacity}")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        layers = () if self.grad_selector is None else self.grad_selector.layers
+        if layers and (layers[0] < 0 or layers[-1] > len(self.hidden)):
+            raise ValueError(f"grad layers {layers} outside the network's layers 0..{len(self.hidden)}")
 
 
 @dataclass(frozen=True)
@@ -200,18 +204,6 @@ def _with_replay(x, y, replay):
     return np.concatenate([x, replay[0]]), np.concatenate([y, replay[1]])
 
 
-def _ocs_scores(gram: np.ndarray, b: int, tau: float) -> ScoreBreakdown:
-    """OCS scores of the first b rows of a Gram matrix against the mean gradient of the rows after them.
-
-    With m replay rows, g_n . r = (K[:b, b:] 1)_n / m and |r| = sqrt(1^T K[b:, b:] 1) / m.
-    """
-    m = gram.shape[0] - b
-    if m == 0:
-        return score_gram(gram, None, None, tau)
-    ref_norm = np.sqrt(max(float(gram[b:, b:].sum()), 0.0)) / m
-    return score_gram(gram[:b, :b], gram[:b, b:].sum(axis=1) / m, ref_norm, tau)
-
-
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -255,13 +247,13 @@ class Ocs(Strategy):
     scores_gradients = True
 
     def pick(self, state, cfg, batch, kappa, bp):
-        breakdown = _ocs_scores(bp.gram(cfg.grad_selector), len(batch), cfg.selection.tau)
+        breakdown = score_gram(bp.gram(cfg.grad_selector), len(batch), cfg.selection.tau)
         return select_topk(breakdown.combined, kappa), breakdown
 
     def commit_ranking(self, state, cfg, pool):
         replay = _replay_batch(state, cfg, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF))
         gram = backprop(state.params, *_with_replay(pool.x, pool.y, replay)).gram(cfg.grad_selector)
-        scores = _ocs_scores(gram, len(pool), cfg.selection.tau).combined
+        scores = score_gram(gram, len(pool), cfg.selection.tau).combined
         return np.argsort(-scores, kind="stable").astype(np.int64)
 
 

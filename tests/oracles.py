@@ -26,11 +26,15 @@ def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None 
 
 
 def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:
-    """`score_gram` over materialised gradient rows M: the Gram matrix is M M^T, the reference dots M r."""
+    """`score_gram` over materialised gradient rows M, with the reference r stacked as one more row.
+
+    The Gram matrix of [M; r] holds M M^T, the dots M r and |r|^2; `score_gram` reads r as a one-row replay batch.
+    """
     rows = np.asarray(grads, dtype=np.float64)
-    if ref_mean_grad is None:
-        return score_gram(rows @ rows.T, None, None, tau)
-    ref = np.asarray(ref_mean_grad, dtype=np.float64)
-    if rows.ndim != 2 or ref.shape != (rows.shape[1],):
-        raise DimensionError(f"reference shape {ref.shape} does not match gradient rows {rows.shape}")
-    return score_gram(rows @ rows.T, rows @ ref, float(np.linalg.norm(ref)), tau)
+    b = rows.shape[0]
+    if ref_mean_grad is not None:
+        ref = np.asarray(ref_mean_grad, dtype=np.float64)
+        if rows.ndim != 2 or ref.shape != (rows.shape[1],):
+            raise DimensionError(f"reference shape {ref.shape} does not match gradient rows {rows.shape}")
+        rows = np.vstack([rows, ref])
+    return score_gram(rows @ rows.T, b, tau)

@@ -104,6 +104,10 @@ def test_cross_field_validation(tmp_path):
         parse_config(None, {"num_seeds": "0"}, env={})
     with pytest.raises(ConfigError, match="strategies"):
         parse_config(None, {"strategies": "ocs,herding"}, env={})
+    with pytest.raises(ConfigError, match="key 'strategies' names 'uniform' twice"):
+        parse_config(None, {"strategies": "uniform,ocs,uniform"}, env={})
+    with pytest.raises(ConfigError, match="key 'output_dir': '#' or ';' after whitespace"):
+        parse_config(None, {"output_dir": "runs #1"}, env={})  # the manifest would replay it as 'runs'
     with pytest.raises(ConfigError, match="train_images"):
         parse_config(None, {"source": "idx"}, env={})
 
@@ -112,18 +116,44 @@ def test_cross_field_validation(tmp_path):
     ("imbalance_reduced", ("-1", "11"), ("0", "10")),
     ("imbalance_keep", ("0.0", "1.5", "nan"), ("1e-3", "1.0")),
     ("noise_fraction", ("-0.1", "1.01", "nan"), ("0.0", "1.0")),
+    ("num_tasks", ("0", "-1"), ("1",)),
+    ("train_per_task", ("0",), ("1",)),
+    ("test_per_task", ("0",), ("1",)),
+    ("synthetic_train", ("0",), ("1",)),
+    ("synthetic_test", ("0",), ("1",)),
+    ("n_batches", ("0", "-2"), ("1",)),
 ])
 def test_stream_keys_out_of_range_are_config_errors(key, bad, good):
+    rule = "must lie in" if key in ("imbalance_reduced", "imbalance_keep", "noise_fraction") else "must be at least 1"
     for raw in bad:
-        with pytest.raises(ConfigError, match=f"key '{key}' must lie in"):
+        with pytest.raises(ConfigError, match=f"key '{key}' {rule}"):
             parse_config(None, {key: raw}, env={})
     for raw in good:
         parse_config(None, {key: raw}, env={})
 
 
+def test_inline_comments_follow_whitespace(tmp_path):
+    path = tmp_path / "comments.ini"
+    path.write_text("[train]   # the trainer\nkappa = 5 ; kept per step\ntau = 2.0\t# tab first\n"
+                    "  ; indented comment line\n[experiment]\noutput_dir = runs;1#2\n")
+    cfg = parse_config(str(path), env={})
+    assert (cfg.kappa, cfg.tau, cfg.output_dir) == (5, 2.0, "runs;1#2")
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = parse_config(str(path), env={})
+    assert (cfg.source, cfg.kind, cfg.variant, cfg.stream_batch_size, cfg.agem) == (
+        "synthetic", "rotated", "imbalanced", 100, False)
+    assert cfg.strategies == ("ocs", "uniform", "reservoir", "kmeans_embedding")
+
+
 def test_manifest_round_trip(tmp_path):
     path = write_config(tmp_path)
-    cfg = parse_config(path, {"tau": "250.0", "grad_layers": "0,2", "batch_sizes": "5,full"}, env={})
+    cfg = parse_config(path, {"tau": "250.0", "grad_layers": "0,1", "batch_sizes": "5,full"}, env={})
     manifest = tmp_path / "manifest.ini"
     manifest.write_text(render_manifest(cfg))
     assert parse_config(str(manifest), env={}) == cfg
@@ -212,6 +242,18 @@ def test_out_of_range_stream_key_exits_before_any_run(tmp_path, monkeypatch, cap
     assert run_cli(args, {}, monkeypatch) == 1
     assert "key 'imbalance_reduced' must lie in 0..10, got 11" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--grad-layers", "5"], "grad layers (5,) outside the network's layers 0..1"),
+    (["--grad-layers=-1,1"], "grad layers (-1, 1) outside the network's layers 0..1"),
+    (["--hidden", "16,0"], "hidden widths must be >= 1, got (16, 0)"),
+])
+def test_bad_network_shape_exits_before_any_run(tmp_path, monkeypatch, capsys, flags, message):
+    path = write_config(tmp_path)  # hidden = 16: layers 0 and 1
+    assert run_cli(["run", "--config", path] + flags, {}, monkeypatch) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_diverging_sweep_fails_loudly(tmp_path, monkeypatch):

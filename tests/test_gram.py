@@ -2,7 +2,7 @@
 
 Production OCS scoring never forms gradient rows: one `model.backprop` pass
 over the candidates followed by the replay rows gives their Gram matrix, and
-`trainer._ocs_scores` scores from its blocks through `selection.score_gram`.
+`selection.score_gram` scores the candidates from its blocks.
 The oracle is `score_batch(per_example_gradients(...))` from `oracles.py`,
 which materialises every row, against the replay batch's `mean_gradient`.
 Scores may differ in the last bits because the sums run in another order;
@@ -16,8 +16,8 @@ from coresel import trainer
 from coresel.datastream import Dataset
 from coresel.errors import DimensionError
 from coresel.model import GradSelector, ParamSet, backprop, init_params, mean_gradient
-from coresel.selection import SelectionConfig, select_topk
-from coresel.trainer import REGISTRY, TrainConfig, _ocs_scores, _with_replay, new_run_state
+from coresel.selection import SelectionConfig, score_gram, select_topk
+from coresel.trainer import REGISTRY, TrainConfig, _with_replay, new_run_state
 from oracles import per_example_gradients, score_batch
 
 SIZES = [40, 24, 16, 10]  # three layers, so every selector subset below is proper
@@ -76,7 +76,7 @@ def assert_scores_match(got, want):
 
 def gram_scores(params, x, y, selector, replay, tau):
     gram = backprop(params, *_with_replay(x, y, replay)).gram(selector)
-    return _ocs_scores(gram, x.shape[0], tau)
+    return score_gram(gram, x.shape[0], tau)
 
 
 def test_gram_and_reference_dots_equal_the_materialised_products():

@@ -17,7 +17,7 @@ from coresel.model import (
     save_checkpoint,
     unflatten_params,
 )
-from coresel.model import _forward_pass
+from coresel.model import _layer_outputs
 from oracles import per_example_gradients
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def rel_close(analytic, reference, rel=1e-4, floor=1e-8):
 
 def logits(params, x):
     """The output layer of the forward pass that `accuracy` and `backprop` run."""
-    return _forward_pass(params, np.asarray(x, dtype=np.float64))[2]
+    return list(_layer_outputs(params, np.asarray(x, dtype=np.float64)))[-1]
 
 
 def test_forward_zero_params_gives_zero_logits():
@@ -283,12 +283,12 @@ def test_dead_hidden_layer_fails_evaluation():
 
 
 def test_accuracy_matches_the_forward_pass():
-    # accuracy() runs its own layer-at-a-time loop; every row's argmax must be _forward_pass's.
+    # accuracy() keeps only the last of _layer_outputs' layers; every row's argmax must be the full pass's.
     rng = np.random.default_rng(43)
     for sizes in ([784, 256, 256, 10], [5, 8, 6, 3], [4, 3]):
         params = init_params(sizes, rng)
         x = rng.uniform(size=(50, sizes[0]))
-        labels = np.argmax(_forward_pass(params, x)[2], axis=1)
+        labels = np.argmax(logits(params, x), axis=1)
         assert accuracy(params, x, labels) == 1.0, sizes
         assert accuracy(params, x, (labels + 1) % sizes[-1]) == 0.0, sizes
 

@@ -146,11 +146,13 @@ def test_empty_batch_rejected():
     with pytest.raises(EmptyInputError):
         similarity(np.empty((0, 3)))
     with pytest.raises(EmptyInputError):
-        score_gram(np.empty((0, 0)), None, None, 1.0)
+        score_gram(np.empty((0, 0)), 0, 1.0)
+    with pytest.raises(EmptyInputError):
+        score_gram(np.eye(2), 0, 1.0)
     with pytest.raises(DimensionError):
-        score_gram(np.ones((2, 3)), None, None, 1.0)
+        score_gram(np.ones((2, 3)), 2, 1.0)
     with pytest.raises(DimensionError):
-        score_gram(np.eye(2), np.ones(3), 1.0, 1.0)
+        score_gram(np.eye(2), 3, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ from coresel.model import (
     mean_gradient,
 )
 from coresel.replay import Coreset, ReservoirState
-from coresel.selection import SelectionConfig
+from coresel.selection import SelectionConfig, score_gram
 from coresel.trainer import (
     Strategy,
     TrainConfig,
-    _ocs_scores,
     agem_project,
     commit_current_task,
     new_run_state,
@@ -156,7 +155,7 @@ def test_replay_reference_restricts_to_selected_layers():
         selector = None if layers is None else GradSelector(layers)
         ref = mean_gradient(params, rx, ry, selector)
         rows = per_example_gradients(params, x, y, selector)
-        got = _ocs_scores(bp.gram(selector), 6, 1.0)
+        got = score_gram(bp.gram(selector), 6, 1.0)
         want = score_batch(rows, ref, 1.0)
         assert np.abs(got.affinity - want.affinity).max() <= 1e-12
 
@@ -548,3 +547,9 @@ def test_config_validation():
         tiny_config(lam=-0.1)
     with pytest.raises(ValueError):
         tiny_config(epochs=0)
+    with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+        tiny_config(hidden=(16, 0))
+    with pytest.raises(ValueError, match=r"grad layers \(3,\) outside the network's layers 0..2"):
+        tiny_config(hidden=(16, 16), grad_selector=GradSelector((3,)))
+    tiny_config(hidden=(16, 16), grad_selector=GradSelector((0, 2)))
+    tiny_config(hidden=(), grad_selector=GradSelector((0,)))  # no hidden layer: layer 0 is the output
