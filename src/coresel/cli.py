@@ -3,8 +3,8 @@
 `coresel run` executes every (strategy, seed) pair into its own run directory
 and aggregates final accuracy and forgetting into summary.csv. A failed run is
 recorded (FAILED.txt in its directory) without stopping the sweep; the exit
-code is 0 when everything succeeded, 1 for configuration errors, 2 when some
-runs failed.
+code is 0 when everything succeeded, 1 for configuration errors and corpora
+that fail to load, 2 when some runs failed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .datastream import (
     make_synthetic_corpus,
     permute_pixels,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .ioutil import atomic_write_text
 from .metrics import grad_approx_diagnostic
 from .model import init_params
@@ -73,10 +73,22 @@ def _mean_std(values) -> tuple[float, float]:
     return float(np.mean(arr)), std
 
 
+def _load_or_report(cfg: ExperimentConfig, log) -> tuple[Dataset, Dataset] | None:
+    """The corpora, or None after one `corpus error:` line when a file is missing or malformed."""
+    try:
+        return load_corpora(cfg)
+    except (FormatError, OSError) as exc:
+        log(f"corpus error: {exc}", file=sys.stderr)
+        return None
+
+
 def run_experiment(cfg: ExperimentConfig, log=print) -> int:
+    corpora = _load_or_report(cfg, log)
+    if corpora is None:
+        return 1
+    train, test = corpora
     os.makedirs(cfg.output_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.output_dir, "run_manifest.ini"), render_manifest(cfg))
-    train, test = load_corpora(cfg)
     finished = {strategy: [] for strategy in cfg.strategies}  # (final accuracy, forgetting) per run
     failures = 0
     # Seeds outside, strategies inside: one stream per seed serves every strategy.
@@ -122,7 +134,10 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> int:
 
 
 def run_diagnose(cfg: ExperimentConfig, log=print) -> int:
-    train, _ = load_corpora(cfg)
+    corpora = _load_or_report(cfg, log)
+    if corpora is None:
+        return 1
+    train, _ = corpora
     sizes = tuple(train.x.shape[0] if s == FULL_DATASET else s for s in cfg.batch_sizes)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed]))
     params = init_params([train.x.shape[1], *cfg.hidden, NUM_CLASSES], rng)

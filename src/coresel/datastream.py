@@ -7,13 +7,15 @@ per-task loop builds both stream kinds: every task subsamples the corpus,
 applies its kind's transform (rotation or pixel permutation), then optional
 class imbalance and label-preserving noise, with every random draw derived
 from (master_seed, task index, purpose tag), so rebuilding a stream
-reproduces it bit-for-bit.
+reproduces it bit-for-bit. The row draws read only labels, so a task
+transforms just the clean rows it keeps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -103,27 +105,36 @@ def _read_exact(fh, n: int, path: str, what: str) -> bytes:
     return data
 
 
+def _read_payload(fh, n: int, path: str, what: str) -> bytes:
+    """The rest of the file, checked against the `n` bytes its header declares before anything is read."""
+    start = fh.tell()
+    present = os.fstat(fh.fileno()).st_size - start
+    if present != n:
+        raise FormatError(f"{path}: {what} at offset {start}: the header declares {n} bytes, {present} are present")
+    return _read_exact(fh, n, path, what)
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Read big-endian IDX image/label files into a Dataset (pixels scaled by 1/255)."""
+    """Read big-endian IDX image/label files into a Dataset (pixels scaled by 1/255).
+
+    Header fields are unsigned 32-bit integers, as the IDX format defines them.
+    """
     with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, images_path, "image header"))
+        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "image header"))
         if magic != 0x00000803:
             raise FormatError(f"{images_path}: bad image magic 0x{magic:08x} at offset 0")
         if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
             raise FormatError(f"{images_path}: images are {rows}x{cols}, expected {IMAGE_SIDE}x{IMAGE_SIDE}")
-        pixels = _read_exact(fh, count * rows * cols, images_path, "image data")
-        if fh.read(1):
-            raise FormatError(f"{images_path}: trailing bytes after image data at offset {16 + count * rows * cols}")
+        pixels = _read_payload(fh, count * rows * cols, images_path, "image data")
     with open(labels_path, "rb") as fh:
-        magic, label_count = struct.unpack(">ii", _read_exact(fh, 8, labels_path, "label header"))
+        magic, label_count = struct.unpack(">II", _read_exact(fh, 8, labels_path, "label header"))
         if magic != 0x00000801:
             raise FormatError(f"{labels_path}: bad label magic 0x{magic:08x} at offset 0")
-        labels = _read_exact(fh, label_count, labels_path, "label data")
-        if fh.read(1):
-            raise FormatError(f"{labels_path}: trailing bytes after label data at offset {8 + label_count}")
+        labels = _read_payload(fh, label_count, labels_path, "label data")
     if label_count != count:
         raise FormatError(f"{labels_path}: {label_count} labels for {count} images (counts must match)")
-    x = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
+    x = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
+    x /= 255.0  # in place: one float64 copy of the images, not two
     y = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
     return Dataset(x, y, np.arange(count, dtype=np.int64))
 
@@ -190,55 +201,57 @@ def permute_pixels(ds: Dataset, seed) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Label/population transforms
+# Row draws: which corpus rows a task keeps, decided from labels before any pixel is touched
 
 
-def apply_imbalance(ds: Dataset, reduced_classes, keep_fraction: float, seed) -> Dataset:
-    """Keep floor(keep_fraction * count) uniformly chosen examples of each reduced class.
+def apply_imbalance(labels, reduced_classes, keep_fraction: float, seed) -> np.ndarray:
+    """Positions into `labels` that survive: floor(keep_fraction * count) uniformly chosen rows of each reduced class.
 
-    Other classes are untouched; the surviving order is reshuffled
+    Rows of other classes all survive; the surviving order is reshuffled
     deterministically from `seed`.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
+    labels = np.asarray(labels)
     reduced = sorted(set(int(c) for c in reduced_classes))
     rng = np.random.default_rng(seed)
-    keep = np.ones(len(ds), dtype=bool)
+    keep = np.ones(labels.size, dtype=bool)
     for c in reduced:
-        positions = np.flatnonzero(ds.y == c)
+        positions = np.flatnonzero(labels == c)
         quota = int(math.floor(keep_fraction * positions.size))
         keep[positions] = False
         if quota > 0:
             keep[rng.choice(positions, size=quota, replace=False)] = True
-    survivors = np.flatnonzero(keep)
-    return ds.subset(rng.permutation(survivors))
+    return rng.permutation(np.flatnonzero(keep))
 
 
-def apply_noise(ds: Dataset, fraction: float, seed) -> tuple[Dataset, np.ndarray]:
-    """Replace ALL pixels of floor(fraction * n) uniformly chosen examples with N(0,1).
+def apply_noise(n: int, width: int, fraction: float, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Pick floor(fraction * n) of n rows uniformly and draw N(0,1) pixels to replace ALL of theirs.
 
-    Labels are retained and untouched rows stay bit-identical. Returns the new
-    dataset and the sorted row positions that were replaced.
+    Returns the sorted positions and their (count, width) replacement rows;
+    labels are retained and the other rows stay untouched.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    count = int(math.floor(fraction * len(ds)))
-    positions = np.sort(rng.choice(len(ds), size=count, replace=False))
-    x = ds.x.copy()
-    x[positions] = rng.standard_normal((count, ds.x.shape[1]))
-    return Dataset(x, ds.y, ds.source_index), positions
+    count = int(math.floor(fraction * n))
+    positions = np.sort(rng.choice(n, size=count, replace=False))
+    return positions, rng.standard_normal((count, width))
 
 
 # ---------------------------------------------------------------------------
 # Stream builders
 
 
-def _subsample(ds: Dataset, size, seed) -> Dataset:
-    if size is None or size >= len(ds):
-        return ds
-    rng = np.random.default_rng(seed)
-    return ds.subset(rng.choice(len(ds), size=int(size), replace=False))
+def _subsample(n: int, size, seed) -> np.ndarray:
+    if size is None or size >= n:
+        return np.arange(n)
+    return np.random.default_rng(seed).choice(n, size=int(size), replace=False)
+
+
+def _gather(ds: Dataset, rows: np.ndarray) -> Dataset:
+    """`ds.subset(rows)`, except that every row in order is `ds` itself: a whole-corpus task copies no pixels."""
+    return ds if np.array_equal(rows, np.arange(len(ds))) else ds.subset(rows)
 
 
 def draw_reduced_classes(master_seed: int, num_reduced: int = 8) -> tuple[int, ...]:
@@ -262,26 +275,40 @@ def _build_stream(
 
     The transform is a rotation by a uniform angle from [0, 180] for kind
     "rotate" and a fixed pixel permutation for "permute". Test sets stay
-    balanced and clean so accuracies measure true generalization.
+    balanced and clean so accuracies measure true generalization. A task's
+    train rows (subsample, imbalance survivors, noise positions) are drawn
+    from labels first, and only the clean rows it keeps are transformed: the
+    transforms act on each row alone, so this equals transforming the whole
+    subsample and then dropping and replacing rows.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
     tasks = []
+    width = train.x.shape[1]
     for t in range(num_tasks):
+        seed = functools.partial(_task_seed, master_seed, t)  # tag -> this task's SeedSequence
         if kind == "rotate":
-            angle = float(np.random.default_rng(_task_seed(master_seed, t, _TAG_ANGLE)).uniform(0.0, 180.0))
+            angle = float(np.random.default_rng(seed(_TAG_ANGLE)).uniform(0.0, 180.0))
             transform = functools.partial(rotate_dataset, angle=angle)
         else:
-            angle, transform = None, functools.partial(permute_pixels, seed=_task_seed(master_seed, t, _TAG_PERMUTE))
-        task_train = transform(_subsample(train, train_per_task, _task_seed(master_seed, t, _TAG_TRAIN_SUBSET)))
-        task_test = transform(_subsample(test, test_per_task, _task_seed(master_seed, t, _TAG_TEST_SUBSET)))
-        noisy: frozenset = frozenset()
+            angle, transform = None, functools.partial(permute_pixels, seed=seed(_TAG_PERMUTE))
+        rows = _subsample(len(train), train_per_task, seed(_TAG_TRAIN_SUBSET))
         if imbalance is not None:
-            task_train = apply_imbalance(task_train, *imbalance, _task_seed(master_seed, t, _TAG_IMBALANCE))
+            rows = rows[apply_imbalance(train.y[rows], *imbalance, seed(_TAG_IMBALANCE))]
+        noisy = np.zeros(rows.size, dtype=bool)
         if noise_fraction > 0.0:
-            task_train, positions = apply_noise(task_train, noise_fraction, _task_seed(master_seed, t, _TAG_NOISE))
-            noisy = frozenset(int(s) for s in task_train.source_index[positions])
-        tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy))
+            positions, noise = apply_noise(rows.size, width, noise_fraction, seed(_TAG_NOISE))
+            noisy[positions] = True
+        task_train = transform(_gather(train, rows[~noisy]))
+        if noisy.any():
+            x = np.empty((rows.size, width))
+            x[noisy] = noise
+            x[~noisy] = task_train.x
+            task_train = Dataset(x, train.y[rows], train.source_index[rows])
+        noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy]])
+        # Built after the train side, so that it is not alive while the train rows' gather and transform peak.
+        task_test = transform(_gather(test, _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET))))
+        tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy_source))
     return TaskStream(tuple(tasks), int(master_seed))
 
 
@@ -363,6 +390,28 @@ def _class_canvas(digit: int) -> np.ndarray:
 # The synthetic corpus's per-pixel Gaussian noise sigma and largest glyph/canvas shift in pixels.
 _NOISE_SIGMA = 0.04
 _MAX_SHIFT = 1
+# Rows per block when corpus rows gather their class patterns and add them into the noise.
+_CORPUS_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=1)
+def _pattern_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Canvas and glyph rows indexed by (digit, dr + _MAX_SHIFT, dc + _MAX_SHIFT).
+
+    Each is a row of PIXELS values: the class canvas rolled by the shift
+    (dr, dc), and the glyph drawn at that shift on a zero background.
+    """
+    span = 2 * _MAX_SHIFT + 1
+    canvases = np.empty((NUM_CLASSES, span, span, IMAGE_SIDE, IMAGE_SIDE))
+    glyphs = np.zeros_like(canvases)
+    for d in range(NUM_CLASSES):
+        canvas, glyph = _class_canvas(d), _glyph_template(d)
+        for dr in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
+            for dc in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
+                canvases[d, dr + _MAX_SHIFT, dc + _MAX_SHIFT] = np.roll(canvas, (dr, dc), axis=(0, 1))
+                glyphs[d, dr + _MAX_SHIFT, dc + _MAX_SHIFT, 2 + dr : 26 + dr, 2 + dc : 26 + dc] = glyph
+    canvases.flags.writeable = glyphs.flags.writeable = False  # one copy serves every corpus of the process
+    return canvases.reshape(*canvases.shape[:3], PIXELS), glyphs.reshape(*glyphs.shape[:3], PIXELS)
 
 
 def make_synthetic_corpus(n: int, seed) -> Dataset:
@@ -375,19 +424,24 @@ def make_synthetic_corpus(n: int, seed) -> Dataset:
     same-class images still vary in position, contrast, and pixel noise.
     """
     rng = np.random.default_rng(seed)
-    glyphs = np.stack([_glyph_template(d) for d in range(NUM_CLASSES)])
-    canvases = np.stack([_class_canvas(d) for d in range(NUM_CLASSES)])
     labels = rng.integers(0, NUM_CLASSES, size=n)
     shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
     amplitude = rng.uniform(0.4, 0.5, size=n)
-    intensity = rng.uniform(0.7, 1.0, size=n)
-    noise = rng.normal(0.0, _NOISE_SIGMA, size=(n, IMAGE_SIDE, IMAGE_SIDE))
-    x = np.zeros((n, IMAGE_SIDE, IMAGE_SIDE))
-    for i in range(n):
-        dr, dc = int(shifts[i, 0]), int(shifts[i, 1])
-        img = 0.5 + amplitude[i] * np.roll(canvases[labels[i]], (dr, dc), axis=(0, 1))
-        r, c = 2 + dr, 2 + dc
-        img[r : r + 24, c : c + 24] += intensity[i] * 0.5 * glyphs[labels[i]]
-        x[i] = img
-    x = np.clip(x + noise, 0.0, 1.0).reshape(n, PIXELS)
+    glyph_scale = rng.uniform(0.7, 1.0, size=n) * 0.5
+    x = rng.normal(0.0, _NOISE_SIGMA, size=(n, PIXELS))
+    canvases, glyphs = _pattern_tables()
+    shift_r, shift_c = (shifts + _MAX_SHIFT).T
+    for start in range(0, n, _CORPUS_BLOCK):
+        block = slice(start, start + _CORPUS_BLOCK)
+        key = (labels[block], shift_r[block], shift_c[block])
+        # A per-image build's order, which fixes every byte: (0.5 + amplitude * canvas) + glyph_scale * glyph, then
+        # + noise; adding a glyph row's zeros off the glyph changes nothing.
+        img = canvases[key]
+        img *= amplitude[block, None]
+        img += 0.5
+        glyph = glyphs[key]
+        glyph *= glyph_scale[block, None]
+        img += glyph
+        x[block] += img
+    np.clip(x, 0.0, 1.0, out=x)
     return Dataset(x, labels.astype(np.int64), np.arange(n, dtype=np.int64))

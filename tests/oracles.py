@@ -3,12 +3,23 @@
 `per_example_gradients` materialises one flattened gradient row per example,
 and `score_batch` scores candidates from such rows. The package never builds
 these rows: it works from `model.Backprop.gram` and `selection.score_gram`.
+
+`synthetic_corpus` builds the synthetic corpus one row at a time, and
+`build_stream` transforms every subsampled row of a task before imbalance
+drops rows and noise overwrites them. The package builds both from whole-array
+passes and transforms only the rows a task keeps; its outputs must equal
+these byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
+from coresel import datastream
+from coresel.datastream import Dataset, Task, TaskSpec, TaskStream, permute_pixels, rotate_dataset
 from coresel.errors import DimensionError
 from coresel.model import GradSelector, ParamSet, backprop
 from coresel.selection import ScoreBreakdown, score_gram
@@ -38,3 +49,76 @@ def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:
             raise DimensionError(f"reference shape {ref.shape} does not match gradient rows {rows.shape}")
         rows = np.vstack([rows, ref])
     return score_gram(rows @ rows.T, b, tau)
+
+
+def synthetic_corpus(n: int, seed) -> Dataset:
+    """`datastream.make_synthetic_corpus`, one image at a time from the same draws."""
+    rng = np.random.default_rng(seed)
+    side = datastream.IMAGE_SIDE
+    glyphs = np.stack([datastream._glyph_template(d) for d in range(datastream.NUM_CLASSES)])
+    canvases = np.stack([datastream._class_canvas(d) for d in range(datastream.NUM_CLASSES)])
+    labels = rng.integers(0, datastream.NUM_CLASSES, size=n)
+    shifts = rng.integers(-datastream._MAX_SHIFT, datastream._MAX_SHIFT + 1, size=(n, 2))
+    amplitude = rng.uniform(0.4, 0.5, size=n)
+    intensity = rng.uniform(0.7, 1.0, size=n)
+    noise = rng.normal(0.0, datastream._NOISE_SIGMA, size=(n, side, side))
+    x = np.zeros((n, side, side))
+    for i in range(n):
+        dr, dc = int(shifts[i, 0]), int(shifts[i, 1])
+        img = 0.5 + amplitude[i] * np.roll(canvases[labels[i]], (dr, dc), axis=(0, 1))
+        r, c = 2 + dr, 2 + dc
+        img[r : r + 24, c : c + 24] += intensity[i] * 0.5 * glyphs[labels[i]]
+        x[i] = img
+    x = np.clip(x + noise, 0.0, 1.0).reshape(n, side * side)
+    return Dataset(x, labels.astype(np.int64), np.arange(n, dtype=np.int64))
+
+
+def _subsample(ds: Dataset, size, seed) -> Dataset:
+    if size is None or size >= len(ds):
+        return ds
+    return ds.subset(np.random.default_rng(seed).choice(len(ds), size=int(size), replace=False))
+
+
+def _imbalance(ds: Dataset, reduced_classes, keep_fraction: float, seed) -> Dataset:
+    rng = np.random.default_rng(seed)
+    keep = np.ones(len(ds), dtype=bool)
+    for c in sorted(set(int(c) for c in reduced_classes)):
+        positions = np.flatnonzero(ds.y == c)
+        quota = int(math.floor(keep_fraction * positions.size))
+        keep[positions] = False
+        if quota > 0:
+            keep[rng.choice(positions, size=quota, replace=False)] = True
+    return ds.subset(rng.permutation(np.flatnonzero(keep)))
+
+
+def _noise(ds: Dataset, fraction: float, seed) -> tuple[Dataset, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    count = int(math.floor(fraction * len(ds)))
+    positions = np.sort(rng.choice(len(ds), size=count, replace=False))
+    x = ds.x.copy()
+    x[positions] = rng.standard_normal((count, ds.x.shape[1]))
+    return Dataset(x, ds.y, ds.source_index), positions
+
+
+def build_stream(kind, train, test, num_tasks, master_seed, *, train_per_task=None, test_per_task=None,
+                 imbalance=None, noise_fraction=0.0) -> TaskStream:
+    """`datastream._build_stream`: transform each task's whole subsample, then drop rows and overwrite noisy ones."""
+    seed = datastream._task_seed
+    tasks = []
+    for t in range(num_tasks):
+        if kind == "rotate":
+            angle = float(np.random.default_rng(seed(master_seed, t, datastream._TAG_ANGLE)).uniform(0.0, 180.0))
+            transform = functools.partial(rotate_dataset, angle=angle)
+        else:
+            angle = None
+            transform = functools.partial(permute_pixels, seed=seed(master_seed, t, datastream._TAG_PERMUTE))
+        task_train = transform(_subsample(train, train_per_task, seed(master_seed, t, datastream._TAG_TRAIN_SUBSET)))
+        task_test = transform(_subsample(test, test_per_task, seed(master_seed, t, datastream._TAG_TEST_SUBSET)))
+        noisy = frozenset()
+        if imbalance is not None:
+            task_train = _imbalance(task_train, *imbalance, seed(master_seed, t, datastream._TAG_IMBALANCE))
+        if noise_fraction > 0.0:
+            task_train, positions = _noise(task_train, noise_fraction, seed(master_seed, t, datastream._TAG_NOISE))
+            noisy = frozenset(int(s) for s in task_train.source_index[positions])
+        tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy))
+    return TaskStream(tuple(tasks), int(master_seed))

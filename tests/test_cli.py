@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 
@@ -254,6 +255,29 @@ def test_bad_network_shape_exits_before_any_run(tmp_path, monkeypatch, capsys, f
     assert run_cli(["run", "--config", path] + flags, {}, monkeypatch) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_corpus_that_fails_to_load_exits_before_any_run(tmp_path, monkeypatch, capsys, command):
+    labels = tmp_path / "labels-idx1-ubyte"
+    labels.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+    bad_magic = tmp_path / "images-idx3-ubyte"
+    bad_magic.write_bytes(struct.pack(">IIII", 0x804, 2, 28, 28) + bytes(2 * 784))
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    out = tmp_path / "runs"
+    cases = (  # a missing file is caught with the config; a directory gives an OSError from open()
+        (tmp_path / "missing-idx3-ubyte", "config error: key 'train_images': file not found"),
+        (directory, "corpus error: [Errno 21] Is a directory"),
+        (bad_magic, f"corpus error: {bad_magic}: bad image magic 0x00000804 at offset 0"),
+    )
+    for images, message in cases:
+        paths = ["--train-images", str(images), "--train-labels", str(labels),
+                 "--test-images", str(images), "--test-labels", str(labels)]
+        assert run_cli([command, "--source", "idx", *paths, "--output-dir", str(out)], {}, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and str(images) in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_diverging_sweep_fails_loudly(tmp_path, monkeypatch):

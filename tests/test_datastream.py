@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
+from coresel import datastream
 from coresel.datastream import (
     Dataset,
     apply_imbalance,
@@ -31,6 +33,19 @@ def write_idx_pair(tmp_path, images, labels, image_magic=0x00000803, label_magic
     return str(img_path), str(lab_path)
 
 
+def imbalanced(ds, reduced_classes, keep_fraction, seed):
+    """`ds` cut to the survivors `apply_imbalance` draws from its labels."""
+    return ds.subset(apply_imbalance(ds.y, reduced_classes, keep_fraction, seed))
+
+
+def noised(ds, fraction, seed):
+    """`ds` with the rows `apply_noise` picks replaced by its noise rows, and the picked positions."""
+    positions, rows = apply_noise(len(ds), ds.x.shape[1], fraction, seed)
+    x = ds.x.copy()
+    x[positions] = rows
+    return Dataset(x, ds.y, ds.source_index), positions
+
+
 def small_dataset(n=60, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(
@@ -51,7 +66,7 @@ def test_load_idx_round_trip(tmp_path):
     ds = load_idx(*write_idx_pair(tmp_path, images, labels))
     assert len(ds) == 7
     assert np.array_equal(ds.y, labels)
-    assert np.allclose(ds.x, images.reshape(7, 784) / 255.0)
+    assert np.array_equal(ds.x, images.reshape(7, 784) / 255.0)
     assert np.array_equal(ds.source_index, np.arange(7))
 
 
@@ -92,6 +107,21 @@ def test_load_idx_rejects_images_that_are_not_28x28(tmp_path):
             load_idx(imgs, labs)
 
 
+@pytest.mark.parametrize("side, fields, payload, declared, present", [
+    ("image", (0x803, 0x80000002, 28, 28), bytes(2 * 784), 0x80000002 * 784, 1568),  # negative as a signed count
+    ("image", (0x803, 2**31 - 1, 28, 28), b"", (2**31 - 1) * 784, 0),  # read() would be asked for 1.7 TB
+    ("label", (0x801, 0xFFFFFFFF), bytes([0, 1]), 0xFFFFFFFF, 2),  # -1 as a signed count
+], ids=["image-count-high-bit", "image-count-2^31-1", "label-count-minus-one"])
+def test_load_idx_checks_declared_sizes_before_reading(tmp_path, side, fields, payload, declared, present):
+    imgs, labs = write_idx_pair(tmp_path, np.zeros((2, 28, 28)), [0, 1])
+    bad = tmp_path / "bad-header"
+    bad.write_bytes(struct.pack(f">{len(fields)}I", *fields) + payload)
+    offset = 4 * len(fields)
+    want = f"{bad}: {side} data at offset {offset}: the header declares {declared} bytes, {present} are present"
+    with pytest.raises(FormatError, match=want):
+        load_idx(str(bad), labs) if side == "image" else load_idx(imgs, str(bad))
+
+
 @pytest.mark.skipif(not MNIST_DIR, reason="set MNIST_DIR to a directory holding the MNIST IDX files")
 def test_load_idx_official_train_files():
     ds = load_idx(
@@ -109,7 +139,7 @@ def test_imbalance_counts_on_official_files():
         os.path.join(MNIST_DIR, "train-labels-idx1-ubyte"),
     )
     reduced = tuple(c for c in range(10) if c not in (0, 5))
-    out = apply_imbalance(ds, reduced, 0.10, 7)
+    out = imbalanced(ds, reduced, 0.10, 7)
     for c in range(10):
         base = int((ds.y == c).sum())
         kept = int((out.y == c).sum())
@@ -195,7 +225,7 @@ def test_permute_pixels_is_seeded_bijection():
 
 def test_imbalance_identity_when_keeping_everything():
     ds = small_dataset(80)
-    out = apply_imbalance(ds, range(10), 1.0, 5)
+    out = imbalanced(ds, range(10), 1.0, 5)
     order = np.argsort(out.source_index)
     assert np.array_equal(out.x[order], ds.x)
     assert np.array_equal(out.y[order], ds.y)
@@ -205,7 +235,7 @@ def test_imbalance_floor_counts_and_untouched_classes():
     y = np.repeat(np.arange(10), 10)  # 10 per class
     ds = Dataset(np.random.default_rng(0).uniform(size=(100, 784)), y.astype(np.int64), np.arange(100, dtype=np.int64))
     reduced = (1, 2, 3)
-    out = apply_imbalance(ds, reduced, 0.5, 11)
+    out = imbalanced(ds, reduced, 0.5, 11)
     for c in range(10):
         assert int((out.y == c).sum()) == (5 if c in reduced else 10)
     # Survivors keep their exact pixels and labels.
@@ -216,8 +246,8 @@ def test_imbalance_floor_counts_and_untouched_classes():
 
 def test_imbalance_deterministic():
     ds = small_dataset(100, seed=8)
-    a = apply_imbalance(ds, (0, 1), 0.3, 42)
-    b = apply_imbalance(ds, (0, 1), 0.3, 42)
+    a = imbalanced(ds, (0, 1), 0.3, 42)
+    b = imbalanced(ds, (0, 1), 0.3, 42)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.source_index, b.source_index)
 
 
@@ -227,14 +257,14 @@ def test_imbalance_deterministic():
 
 def test_noise_zero_fraction_is_identity():
     ds = small_dataset(30)
-    out, positions = apply_noise(ds, 0.0, 1)
+    out, positions = noised(ds, 0.0, 1)
     assert positions.size == 0
     assert np.array_equal(out.x, ds.x)
 
 
 def test_noise_exact_count_and_label_preservation():
     ds = small_dataset(100, seed=3)
-    out, positions = apply_noise(ds, 0.6, 2)
+    out, positions = noised(ds, 0.6, 2)
     assert positions.shape == (60,)
     assert np.array_equal(out.y, ds.y)
     untouched = np.setdiff1d(np.arange(100), positions)
@@ -244,7 +274,7 @@ def test_noise_exact_count_and_label_preservation():
 
 def test_noise_full_replacement_is_standard_normal():
     ds = small_dataset(50, seed=4)
-    out, positions = apply_noise(ds, 1.0, 3)
+    out, positions = noised(ds, 1.0, 3)
     assert positions.shape == (50,)
     # Per-image mean and variance within 4 sigma of N(0,1) moments (784 draws).
     mean_bound = 4.0 / np.sqrt(784)
@@ -343,3 +373,48 @@ def test_synthetic_corpus_shape_range_and_determinism():
     assert set(np.unique(a.y)) == set(range(10))
     c = make_synthetic_corpus(500, 43)
     assert not np.array_equal(a.x, c.x)
+
+
+# ---------------------------------------------------------------------------
+# whole-array builds against the per-row and transform-then-drop oracles
+
+
+def assert_same_dataset(got, want):
+    for a, b in ((got.x, want.x), (got.y, want.y), (got.source_index, want.source_index)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BLOCK = datastream._CORPUS_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 4000])
+def test_synthetic_corpus_equals_per_row_oracle(n):
+    assert_same_dataset(make_synthetic_corpus(n, 1000 + n), oracles.synthetic_corpus(n, 1000 + n))
+
+
+STREAM_CASES = {
+    "balanced": dict(train_per_task=150),
+    "imbalanced": dict(train_per_task=150, imbalance=((0, 2, 3, 5, 6, 7, 8, 9), 0.1)),
+    "noisy": dict(train_per_task=150, noise_fraction=0.2),
+    "imbalanced-noisy": dict(train_per_task=150, imbalance=((1, 4, 7), 0.3), noise_fraction=0.5),
+    "all-noise": dict(train_per_task=150, noise_fraction=1.0),
+    "keep-all": dict(train_per_task=150, imbalance=((1, 2, 3), 1.0), noise_fraction=0.1),
+    "whole-corpus": dict(train_per_task=None, test_per_task=None, imbalance=((0, 9), 0.5), noise_fraction=0.25),
+}
+
+
+@pytest.mark.parametrize("kind", ["rotate", "permute"])
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_stream_equals_transform_then_drop_oracle(kind, case):
+    train = make_synthetic_corpus(240, 31)
+    test = make_synthetic_corpus(60, 32)
+    kwargs = dict(test_per_task=40) | STREAM_CASES[case]
+    builder = build_rotated_stream if kind == "rotate" else build_permuted_stream
+    got = builder(train, test, 3, 17, **kwargs)
+    want = oracles.build_stream(kind, train, test, 3, 17, **kwargs)
+    assert got.master_seed == want.master_seed and len(got) == len(want) == 3
+    for g, w in zip(got.tasks, want.tasks):
+        assert g.spec == w.spec and g.noisy_source == w.noisy_source
+        assert_same_dataset(g.train, w.train)
+        assert_same_dataset(g.test, w.test)
+        assert g.train.x.flags.c_contiguous
