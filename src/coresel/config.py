@@ -33,14 +33,6 @@ _ENV_OUTPUT_DIR = "CORESEL_OUTPUT_DIR"
 FULL_DATASET = 0
 
 
-def _to_int(raw: str):
-    return int(raw, 10)
-
-
-def _to_float(raw: str):
-    return float(raw)
-
-
 def _to_bool(raw: str):
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -62,7 +54,7 @@ def _split_list(raw: str):
 
 
 def _to_int_tuple(raw: str):
-    return tuple(_to_int(p) for p in _split_list(raw))
+    return tuple(int(p) for p in _split_list(raw))
 
 
 def _to_str_tuple(raw: str):
@@ -83,7 +75,7 @@ def _to_batch_sizes(raw: str):
         if part.lower() == "full":
             out.append(FULL_DATASET)
         else:
-            value = _to_int(part)
+            value = int(part)
             if value < 1:
                 raise ValueError(part)
             out.append(value)
@@ -108,36 +100,36 @@ class ExperimentConfig:
     train_labels: str = _key("data", _to_str, "a file path", "")
     test_images: str = _key("data", _to_str, "a file path", "")
     test_labels: str = _key("data", _to_str, "a file path", "")
-    synthetic_train: int = _key("data", _to_int, "an integer", 2000)
-    synthetic_test: int = _key("data", _to_int, "an integer", 1000)
+    synthetic_train: int = _key("data", int, "an integer", 2000)
+    synthetic_test: int = _key("data", int, "an integer", 1000)
     kind: str = _key("stream", _to_str, "one of rotated, permuted", "rotated", ("rotated", "permuted"))
     variant: str = _key("stream", _to_str, "one of balanced, imbalanced, noisy", "balanced", ("balanced", "imbalanced", "noisy"))
-    num_tasks: int = _key("stream", _to_int, "an integer", 5)
-    train_per_task: int = _key("stream", _to_int, "an integer", 1000)
-    test_per_task: int = _key("stream", _to_int, "an integer", 500)
-    noise_fraction: float = _key("stream", _to_float, "a number", 0.6)
-    imbalance_keep: float = _key("stream", _to_float, "a number", 0.1)
-    imbalance_reduced: int = _key("stream", _to_int, "an integer", 8)
-    master_seed: int = _key("stream", _to_int, "an integer", 0)
-    stream_batch_size: int = _key("train", _to_int, "an integer", _TRAIN.stream_batch_size)
-    buffer_batch_size: int = _key("train", _to_int, "an integer", _TRAIN.buffer_batch_size)
-    buffer_capacity: int = _key("train", _to_int, "an integer", _TRAIN.buffer_capacity)
-    lr0: float = _key("train", _to_float, "a number", _TRAIN.lr0)
-    lr_decay: float = _key("train", _to_float, "a number", _TRAIN.lr_decay)
-    epochs: int = _key("train", _to_int, "an integer", _TRAIN.epochs)
-    lam: float = _key("train", _to_float, "a number", _TRAIN.lam, key="lambda")
-    kappa: int = _key("train", _to_int, "an integer", _TRAIN.selection.kappa)
-    tau: float = _key("train", _to_float, "a number", _TRAIN.selection.tau)
+    num_tasks: int = _key("stream", int, "an integer", 5)
+    train_per_task: int = _key("stream", int, "an integer", 1000)
+    test_per_task: int = _key("stream", int, "an integer", 500)
+    noise_fraction: float = _key("stream", float, "a number", 0.6)
+    imbalance_keep: float = _key("stream", float, "a number", 0.1)
+    imbalance_reduced: int = _key("stream", int, "an integer", 8)
+    master_seed: int = _key("stream", int, "an integer", 0)
+    stream_batch_size: int = _key("train", int, "an integer", _TRAIN.stream_batch_size)
+    buffer_batch_size: int = _key("train", int, "an integer", _TRAIN.buffer_batch_size)
+    buffer_capacity: int = _key("train", int, "an integer", _TRAIN.buffer_capacity)
+    lr0: float = _key("train", float, "a number", _TRAIN.lr0)
+    lr_decay: float = _key("train", float, "a number", _TRAIN.lr_decay)
+    epochs: int = _key("train", int, "an integer", _TRAIN.epochs)
+    lam: float = _key("train", float, "a number", _TRAIN.lam, key="lambda")
+    kappa: int = _key("train", int, "an integer", _TRAIN.selection.kappa)
+    tau: float = _key("train", float, "a number", _TRAIN.selection.tau)
     agem: bool = _key("train", _to_bool, "a boolean", _TRAIN.agem)
     hidden: tuple = _key("train", _to_int_tuple, "comma-separated integers", _TRAIN.hidden)
     grad_layers: tuple | None = _key("train", _to_layers, "'all' or comma-separated integers", None)  # None: every layer
     log_scores: bool = _key("train", _to_bool, "a boolean", _TRAIN.log_scores)
     strategies: tuple = _key("experiment", _to_str_tuple, "comma-separated strategy names", (_TRAIN.selection.strategy,))
-    num_seeds: int = _key("experiment", _to_int, "an integer", 1)
-    seed0: int = _key("experiment", _to_int, "an integer", 0)
+    num_seeds: int = _key("experiment", int, "an integer", 1)
+    seed0: int = _key("experiment", int, "an integer", 0)
     output_dir: str = _key("experiment", _to_str, "a directory path", "runs")
     batch_sizes: tuple = _key("diagnose", _to_batch_sizes, "comma-separated sizes or 'full'", (10, 50, 100, 500))
-    n_batches: int = _key("diagnose", _to_int, "an integer", 20)
+    n_batches: int = _key("diagnose", int, "an integer", 20)
     cross: bool = _key("diagnose", _to_bool, "a boolean", True)
 
     def train_config(self, strategy: str, seed: int) -> TrainConfig:

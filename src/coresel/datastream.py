@@ -249,11 +249,6 @@ def _subsample(n: int, size, seed) -> np.ndarray:
     return np.random.default_rng(seed).choice(n, size=int(size), replace=False)
 
 
-def _gather(ds: Dataset, rows: np.ndarray) -> Dataset:
-    """`ds.subset(rows)`, except that every row in order is `ds` itself: a whole-corpus task copies no pixels."""
-    return ds if np.array_equal(rows, np.arange(len(ds))) else ds.subset(rows)
-
-
 def draw_reduced_classes(master_seed: int, num_reduced: int = 8) -> tuple[int, ...]:
     rng = np.random.default_rng(_task_seed(master_seed, 0, _TAG_REDUCED_CLASSES))
     return tuple(sorted(int(c) for c in rng.choice(NUM_CLASSES, size=num_reduced, replace=False)))
@@ -299,7 +294,7 @@ def _build_stream(
         if noise_fraction > 0.0:
             positions, noise = apply_noise(rows.size, width, noise_fraction, seed(_TAG_NOISE))
             noisy[positions] = True
-        task_train = transform(_gather(train, rows[~noisy]))
+        task_train = transform(train.subset(rows[~noisy]))
         if noisy.any():
             x = np.empty((rows.size, width))
             x[noisy] = noise
@@ -307,7 +302,7 @@ def _build_stream(
             task_train = Dataset(x, train.y[rows], train.source_index[rows])
         noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy]])
         # Built after the train side, so that it is not alive while the train rows' gather and transform peak.
-        task_test = transform(_gather(test, _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET))))
+        task_test = transform(test.subset(_subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET))))
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy_source))
     return TaskStream(tuple(tasks), int(master_seed))
 

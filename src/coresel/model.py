@@ -5,10 +5,9 @@ identity on the output; the loss is softmax cross-entropy. Parameters flatten
 in one canonical order used everywhere (gradients, sgd steps, checkpoints):
 layer-0 weights row-major, layer-0 bias, layer-1 weights, layer-1 bias, ...
 
-A GradSelector names the layers whose (weight, bias) blocks appear in an
-extracted gradient; the restricted flattening concatenates those blocks in
-layer order, so a partial gradient is exactly a slice-and-concatenate of the
-full one.
+A GradSelector names the layers whose (weight, bias) blocks `Backprop.gram`
+sums over: its inner products are those of the gradients restricted to those
+layers.
 
 One forward loop serves `backprop`, `embeddings` and `accuracy`.
 `backprop` keeps one backward pass's layer inputs and deltas; its `gram` and
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, EmptyInputError, FormatError
+from .errors import DimensionError, DivergenceError, EmptyInputError
 from .ioutil import atomic_write_bytes
 
 __all__ = [
@@ -36,9 +35,7 @@ __all__ = [
     "mean_gradient",
     "accuracy",
     "flatten_params",
-    "unflatten_params",
     "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -164,11 +161,6 @@ def _backward_deltas(params: ParamSet, x: np.ndarray, y: np.ndarray):
     return acts, deltas
 
 
-def _chosen(params: ParamSet, selector: GradSelector | None) -> tuple[int, ...]:
-    """`selector`'s layers, or every layer when it is None."""
-    return tuple(range(params.n_layers)) if selector is None else selector.resolve(params.n_layers)
-
-
 @dataclass(frozen=True)
 class Backprop:
     """One forward/backward pass over a batch: each layer's inputs and deltas, per example.
@@ -185,9 +177,9 @@ class Backprop:
 
     def gram(self, selector: GradSelector | None = None) -> np.ndarray:
         """G[n, m] = <g_n, g_m> = sum_l (a_n . a_m + 1)(d_n . d_m) over `selector`'s layers."""
-        b = self.deltas[0].shape[0]
+        b, n_layers = self.deltas[0].shape[0], self.params.n_layers
         gram = np.zeros((b, b))
-        for l in _chosen(self.params, selector):
+        for l in range(n_layers) if selector is None else selector.resolve(n_layers):
             a, d = self.acts[l], self.deltas[l]
             gram += (a @ a.T + 1.0) * (d @ d.T)
         return gram
@@ -220,12 +212,12 @@ def backprop(params: ParamSet, x, y) -> Backprop:
     return Backprop(params, tuple(acts[:-1]), tuple(deltas))
 
 
-def mean_gradient(params: ParamSet, x, y, selector: GradSelector | None = None) -> np.ndarray:
-    """Gradient of the mean batch loss over `selector`'s layers, flattened."""
+def mean_gradient(params: ParamSet, x, y) -> np.ndarray:
+    """Gradient of the mean batch loss, flattened."""
     bp = backprop(params, x, y)
     b = bp.deltas[0].shape[0]
     blocks = []
-    for l in _chosen(params, selector):
+    for l in range(params.n_layers):
         blocks += [(bp.deltas[l].T @ bp.acts[l]).ravel() / b, bp.deltas[l].mean(axis=0)]
     return np.concatenate(blocks)
 
@@ -236,21 +228,6 @@ def flatten_params(params: ParamSet) -> np.ndarray:
         parts.append(w.ravel())
         parts.append(b)
     return np.concatenate(parts)
-
-
-def unflatten_params(flat, layer_sizes) -> ParamSet:
-    flat = np.asarray(flat, dtype=np.float64)
-    sizes = [int(s) for s in layer_sizes]
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in).copy())
-        offset += fan_out * fan_in
-        biases.append(flat[offset : offset + fan_out].copy())
-        offset += fan_out
-    if offset != flat.shape[0]:
-        raise DimensionError(f"flat vector has {flat.shape[0]} entries, layout needs {offset}")
-    return ParamSet(tuple(weights), tuple(biases))
 
 
 def accuracy(params: ParamSet, x, y) -> float:
@@ -280,21 +257,3 @@ def save_checkpoint(params: ParamSet, path: str) -> None:
     payload = flatten_params(params).astype("<f8").tobytes()
     atomic_write_bytes(path, header.encode("ascii") + payload)
 
-
-def load_checkpoint(path: str) -> ParamSet:
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        payload = fh.read()
-    try:
-        sizes = [int(tok) for tok in header.decode("ascii").split()]
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise FormatError(f"{path}: unreadable checkpoint header") from exc
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise FormatError(f"{path}: checkpoint header must list layer dims, got {header!r}")
-    expected = sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
-    flat = np.frombuffer(payload, dtype="<f8")
-    if flat.shape[0] != expected:
-        raise FormatError(
-            f"{path}: checkpoint holds {flat.shape[0]} floats, dims {sizes} need {expected}"
-        )
-    return unflatten_params(flat.astype(np.float64), sizes)

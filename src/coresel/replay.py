@@ -167,10 +167,6 @@ class Coreset:
         return sum(len(v) for v in self._stored.values())
 
     @property
-    def committed_tasks(self) -> tuple[int, ...]:
-        return tuple(self._stored)
-
-    @property
     def next_quota(self) -> int:
         """Per-task quota after the next commit: floor(capacity / (committed tasks + 1))."""
         return self.capacity // (len(self._stored) + 1)

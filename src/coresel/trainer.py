@@ -113,8 +113,6 @@ class TrainConfig:
 @dataclass(frozen=True)
 class IterationInfo:
     selected: np.ndarray
-    buffer_batch_size: int
-    agem_fired: bool
 
 
 @dataclass
@@ -334,11 +332,9 @@ def train_iteration(state: RunState, batch: Dataset, cfg: TrainConfig) -> Iterat
     # Objective: mean(selected loss) + lam * mean(replay loss), as weights on bp's rows.
     replay_mean = np.full(m, 1.0 / max(m, 1))
     coef = np.concatenate([lead, cfg.lam * replay_mean])
-    agem_fired = False
     if m and cfg.agem:
         projected = agem_project(coef, np.concatenate([np.zeros(lead.size), replay_mean]), bp.gram())
-        agem_fired = projected is not coef
-        state.agem_projections += agem_fired
+        state.agem_projections += projected is not coef
         coef = projected
     state.params = bp.step(coef, state.lr)
 
@@ -355,7 +351,7 @@ def train_iteration(state: RunState, batch: Dataset, cfg: TrainConfig) -> Iterat
 
     state.iteration_in_epoch += 1
     state.global_iteration += 1
-    return IterationInfo(selected=selected, buffer_batch_size=m, agem_fired=agem_fired)
+    return IterationInfo(selected=selected)
 
 
 # ---------------------------------------------------------------------------

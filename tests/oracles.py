@@ -3,6 +3,8 @@
 `per_example_gradients` materialises one flattened gradient row per example,
 and `score_batch` scores candidates from such rows. The package never builds
 these rows: it works from `model.Backprop.gram` and `selection.score_gram`.
+`unflatten_params` turns a flat parameter vector back into a network, for
+finite differences.
 
 `synthetic_corpus` builds the synthetic corpus one row at a time, and
 `build_stream` transforms every subsampled row of a task before imbalance
@@ -34,6 +36,22 @@ def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None 
     for l in layers:
         blocks += [np.einsum("bo,bi->boi", bp.deltas[l], bp.acts[l]).reshape(b, -1), bp.deltas[l]]
     return np.concatenate(blocks, axis=1)
+
+
+def unflatten_params(flat, layer_sizes) -> ParamSet:
+    """The inverse of `model.flatten_params` for a network of `layer_sizes`."""
+    flat = np.asarray(flat, dtype=np.float64)
+    sizes = [int(s) for s in layer_sizes]
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in).copy())
+        offset += fan_out * fan_in
+        biases.append(flat[offset : offset + fan_out].copy())
+        offset += fan_out
+    if offset != flat.shape[0]:
+        raise DimensionError(f"flat vector has {flat.shape[0]} entries, layout needs {offset}")
+    return ParamSet(tuple(weights), tuple(biases))
 
 
 def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:

@@ -4,7 +4,7 @@ Production OCS scoring never forms gradient rows: one `model.backprop` pass
 over the candidates followed by the replay rows gives their Gram matrix, and
 `selection.score_gram` scores the candidates from its blocks.
 The oracle is `score_batch(per_example_gradients(...))` from `oracles.py`,
-which materialises every row, against the replay batch's `mean_gradient`.
+which materialises every row, against the mean of the replay rows' gradients.
 Scores may differ in the last bits because the sums run in another order;
 the ranking may not.
 """
@@ -15,7 +15,7 @@ import pytest
 from coresel import trainer
 from coresel.datastream import Dataset
 from coresel.errors import DimensionError
-from coresel.model import GradSelector, ParamSet, backprop, init_params, mean_gradient
+from coresel.model import GradSelector, ParamSet, backprop, init_params
 from coresel.selection import SelectionConfig, score_gram, select_topk
 from coresel.trainer import REGISTRY, TrainConfig, _with_replay, new_run_state
 from oracles import per_example_gradients, score_batch
@@ -60,7 +60,7 @@ def draw_batch(rng, params, b):
 
 
 def oracle(params, x, y, selector, replay, tau):
-    ref = None if replay is None else mean_gradient(params, *replay, selector)
+    ref = None if replay is None else per_example_gradients(params, *replay, selector).mean(axis=0)
     return score_batch(per_example_gradients(params, x, y, selector), ref, tau)
 
 
