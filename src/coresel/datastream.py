@@ -274,7 +274,8 @@ def _build_stream(
     train rows (subsample, imbalance survivors, noise positions) are drawn
     from labels first, and only the clean rows it keeps are transformed: the
     transforms act on each row alone, so this equals transforming the whole
-    subsample and then dropping and replacing rows.
+    subsample and then dropping and replacing rows. A task left with no train
+    rows is an EmptyInputError: no strategy could train on it.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
@@ -287,9 +288,11 @@ def _build_stream(
             transform = functools.partial(rotate_dataset, angle=angle)
         else:
             angle, transform = None, functools.partial(permute_pixels, seed=seed(_TAG_PERMUTE))
-        rows = _subsample(len(train), train_per_task, seed(_TAG_TRAIN_SUBSET))
+        rows = drawn = _subsample(len(train), train_per_task, seed(_TAG_TRAIN_SUBSET))
         if imbalance is not None:
             rows = rows[apply_imbalance(train.y[rows], *imbalance, seed(_TAG_IMBALANCE))]
+        if rows.size == 0:
+            raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn, 0 after class imbalance")
         noisy = np.zeros(rows.size, dtype=bool)
         if noise_fraction > 0.0:
             positions, noise = apply_noise(rows.size, width, noise_fraction, seed(_TAG_NOISE))

@@ -109,8 +109,22 @@ def score_gram(gram, b: int, tau: float) -> ScoreBreakdown:
     return ScoreBreakdown(s, v, a, s + v + tau * a)
 
 
+def rank(scores) -> np.ndarray:
+    """Indices best score first; tied scores keep index order.
+
+    A score within 1e-12 * max|score| of the one ranked above it counts as
+    tied with it, so rounding in the sums behind a score never orders rows
+    that are equal in exact arithmetic.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    drops = np.diff(scores[order], prepend=scores[order[:1]])  # <= 0: each score minus the one above it
+    tie_group = np.cumsum(drops < -1e-12 * np.abs(scores).max(initial=0.0))
+    return order[np.lexsort((order, tie_group))].astype(np.int64)
+
+
 def select_topk(scores, kappa: int) -> np.ndarray:
-    """Indices of the kappa largest scores, ties to the lower index, ascending."""
+    """Indices of the kappa best scores in `rank` order, ascending."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise DimensionError(f"scores must be a vector, got shape {scores.shape}")
@@ -120,8 +134,7 @@ def select_topk(scores, kappa: int) -> np.ndarray:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if kappa >= scores.shape[0]:
         return np.arange(scores.shape[0], dtype=np.int64)
-    order = np.argsort(-scores, kind="stable")  # stable: equal scores keep index order
-    return np.sort(order[:kappa]).astype(np.int64)
+    return np.sort(rank(scores)[:kappa])
 
 
 # ---------------------------------------------------------------------------

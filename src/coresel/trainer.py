@@ -2,15 +2,15 @@
 
 Each iteration takes one candidate batch, a `Dataset` slice of the current
 task's shuffled train set: pick a subset, form the objective gradient
-(selected-batch mean loss plus lambda times a replay-batch mean loss),
-optionally project it away from conflicting with the replay gradient, step,
-and store examples for the end-of-task buffer commit. A step runs one
-backward pass, over its rows and the replay batch: the objective and the
-replay gradient are per-row weights on that pass's per-example gradients,
-and A-GEM reweights the rows through their Gram matrix. After each task the
-model is evaluated on every test set seen so far, filling one row of the
-accuracy matrix; those evaluations run on background threads while the next
-task trains.
+(selected-batch mean loss plus lambda times a replay-batch mean loss; with
+A-GEM, the selected-batch loss alone, projected away from conflicting with
+the replay gradient), step, and store examples for the end-of-task buffer
+commit. A step runs one backward pass, over its rows and the replay batch:
+the objective and the replay gradient are per-row weights on that pass's
+per-example gradients, and A-GEM reweights the rows through their Gram
+matrix. After each task the model is evaluated on every test set seen so
+far, filling one row of the accuracy matrix; those evaluations run on
+background threads while the next task trains.
 
 What differs between selection methods lives in one `Strategy` object per
 method, looked up by name in `REGISTRY`: the buffer kind, the per-step pick,
@@ -49,6 +49,7 @@ from .replay import (
 from .selection import (
     SelectionConfig,
     kmeans_embedding_select,
+    rank,
     score_gram,
     select_topk,
     uniform_select,
@@ -252,7 +253,7 @@ class Ocs(Strategy):
         replay = _replay_batch(state, cfg, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF))
         gram = backprop(state.params, *_with_replay(pool.x, pool.y, replay)).gram(cfg.grad_selector)
         scores = score_gram(gram, len(pool), cfg.selection.tau).combined
-        return np.argsort(-scores, kind="stable").astype(np.int64)
+        return rank(scores)
 
 
 class Uniform(Strategy):
@@ -329,9 +330,10 @@ def train_iteration(state: RunState, batch: Dataset, cfg: TrainConfig) -> Iterat
         bp = backprop(state.params, *_with_replay(batch.x[selected], batch.y[selected], replay))
         lead = np.full(len(selected), 1.0 / len(selected))
 
-    # Objective: mean(selected loss) + lam * mean(replay loss), as weights on bp's rows.
+    # Objective: mean(selected loss) + lam * mean(replay loss), as weights on bp's rows. A-GEM trains on the
+    # selected rows alone and keeps the replay rows only as the projection reference.
     replay_mean = np.full(m, 1.0 / max(m, 1))
-    coef = np.concatenate([lead, cfg.lam * replay_mean])
+    coef = np.concatenate([lead, (0.0 if cfg.agem else cfg.lam) * replay_mean])
     if m and cfg.agem:
         projected = agem_project(coef, np.concatenate([np.zeros(lead.size), replay_mean]), bp.gram())
         state.agem_projections += projected is not coef

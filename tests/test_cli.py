@@ -237,6 +237,19 @@ def test_stream_failure_fails_only_that_seeds_runs(tmp_path, monkeypatch):
     assert lines[1].startswith("ocs,1,") and lines[2].startswith("uniform,1,")
 
 
+def test_task_without_training_rows_fails_the_stream(tmp_path, monkeypatch):
+    # Every class reduced to 5% of about 6 rows a task keeps none: no strategy may train, reservoir included.
+    out = tmp_path / "runs"
+    flags = ["--variant", "imbalanced", "--imbalance-reduced", "10", "--imbalance-keep", "0.05"]
+    assert run_cli([*TINY_SWEEP, *flags, "--num-seeds", "1", "--output-dir", str(out)], {}, monkeypatch) == 2
+    want = (
+        "stream for seed 0 failed to build: EmptyInputError: "
+        "task 0 has no training rows: 60 drawn, 0 after class imbalance\n"
+    )
+    for strategy in ("ocs", "uniform", "reservoir", "kmeans_embedding"):
+        assert (out / f"{strategy}-seed0" / "FAILED.txt").read_text() == want
+
+
 def test_out_of_range_stream_key_exits_before_any_run(tmp_path, monkeypatch, capsys):
     out = tmp_path / "runs"
     args = ["run", "--variant", "imbalanced", "--imbalance-reduced", "11", "--output-dir", str(out)]
@@ -326,28 +339,33 @@ def test_dead_relu_sweep_fails_loudly(tmp_path, monkeypatch):
 
 def test_rounded_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # The default 256-unit layers are wide enough for OpenBLAS to split its products over two threads,
-    # which changes checkpoints in the last bits; the rounded artifacts must not change. A rerun at two
-    # threads, where evaluations call into threaded OpenBLAS while training does, must repeat every bit.
+    # which changes checkpoints in the last bits; the rounded artifacts must not change, nor the buffer
+    # OCS keeps when it scores only layers 1 and 2 (rows that share those gradients tie exactly). A rerun
+    # at two threads, where evaluations call into threaded OpenBLAS while training does, must repeat
+    # every bit.
     src = os.path.dirname(os.path.dirname(os.path.abspath(coresel.__file__)))
+    runs = {"out": [], "ocs-layers-1-2": ["--strategies", "ocs", "--grad-layers", "1,2"]}
     outs = []
     for k, threads in enumerate(("1", "2", "2")):
         cwd = tmp_path / f"run{k}"
         cwd.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
         env.pop("CORESEL_OUTPUT_DIR", None)
-        # One relative output directory, so that every run_manifest.ini reads the same.
-        cmd = [sys.executable, "-m", "coresel.cli", *TINY_SWEEP, "--output-dir", "out"]
-        assert subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, timeout=300).returncode == 0
-        out = cwd / "out"
-        assert f"OPENBLAS_NUM_THREADS = {threads}\n" in (out / "ocs-seed0" / "run_manifest.txt").read_text()
-        outs.append(out)
-    names = sorted(p.relative_to(outs[0]) for p in outs[0].glob("*/accuracy_matrix.csv"))
+        for out, flags in runs.items():
+            # One relative output directory, so that every run_manifest.ini reads the same.
+            cmd = [sys.executable, "-m", "coresel.cli", *TINY_SWEEP, *flags, "--output-dir", out]
+            assert subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, timeout=300).returncode == 0
+        assert f"OPENBLAS_NUM_THREADS = {threads}\n" in (cwd / "out" / "ocs-seed0" / "run_manifest.txt").read_text()
+        outs.append(cwd)
+    names = sorted(p.relative_to(outs[0]) for p in outs[0].glob("out/*/accuracy_matrix.csv"))
     assert len(names) == 8
-    for name in [*names, "summary.csv"]:
+    dumps = sorted(p.relative_to(outs[0]) for p in outs[0].glob("ocs-layers-1-2/*/coreset_dump.csv"))
+    assert len(dumps) == 2
+    for name in [*names, "out/summary.csv", *dumps]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(outs[2]) for p in outs[2].rglob("*") if p.is_file())
-    assert sum(name.name == "model.ckpt" for name in files) == 8
+    assert sum(name.name == "model.ckpt" for name in files) == 10
     for name in files:
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 

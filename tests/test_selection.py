@@ -8,6 +8,7 @@ from coresel.errors import ContractError, DimensionError, EmptyInputError
 from coresel.selection import (
     SelectionConfig,
     kmeans_embedding_select,
+    rank,
     score_gram,
     select_topk,
     uniform_select,
@@ -167,6 +168,16 @@ def test_topk_worked_examples():
         select_topk([], 1)
     with pytest.raises(ValueError):
         select_topk([1.0], 0)
+
+
+def test_rounding_never_orders_equal_scores():
+    # Scores within 1e-12 * max|score| of the one ranked above them are tied: index order decides.
+    scores = [0.5, 0.25, np.nextafter(0.5, 1.0)]
+    assert list(select_topk(scores, 1)) == [0]
+    assert list(rank(scores)) == [0, 2, 1]
+    assert list(rank([np.nextafter(2.0, 0.0), 2.0, 1.0])) == [0, 1, 2]
+    assert list(rank([1.0 - 2e-13, 1.0 - 1e-13, 1.0, 0.9])) == [0, 1, 2, 3]  # ties chain down the ranking
+    assert list(rank([0.0, 1e-3, 0.0, -1.0])) == [1, 0, 2, 3]
 
 
 def test_topk_matches_sort_oracle():

@@ -348,8 +348,21 @@ def test_strategies_differ_without_injection():
     assert not np.array_equal(flatten_params(a.params), flatten_params(b.params))
 
 
+def test_agem_ignores_lambda():
+    # A-GEM trains on the picked rows alone: the replay rows are only the projection reference.
+    stream = tiny_stream(num_tasks=3)
+    uniform = SelectionConfig(kappa=5, tau=1000.0, strategy="uniform")
+    a, b = (run_stream(stream, tiny_config(lam=lam, agem=True, selection=uniform)) for lam in (1.0, 0.0))
+    assert np.array_equal(flatten_params(a.params), flatten_params(b.params))
+    assert np.array_equal(a.matrix.values, b.matrix.values, equal_nan=True)
+    assert a.agem_projections == b.agem_projections > 0
+    assert [(e.task_id, e.source_index) for e in a.buffer_examples()] == [
+        (e.task_id, e.source_index) for e in b.buffer_examples()
+    ]
+
+
 def test_agem_projections_counted(monkeypatch):
-    # At lambda = 0 the objective holds no replay term, so a uniform pick can conflict with the replay
+    # A-GEM's objective holds no replay term, so a uniform pick can conflict with the replay
     # gradient (OCS's affinity term picks rows that agree with it).
     steps, replays = [], []
     real_iteration, real_arrays = trainer.train_iteration, trainer.examples_as_arrays
