@@ -256,4 +256,3 @@ def save_checkpoint(params: ParamSet, path: str) -> None:
     header = " ".join(str(d) for d in params.layer_sizes) + "\n"
     payload = flatten_params(params).astype("<f8").tobytes()
     atomic_write_bytes(path, header.encode("ascii") + payload)
-

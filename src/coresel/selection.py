@@ -113,12 +113,13 @@ def rank(scores) -> np.ndarray:
     """Indices best score first; tied scores keep index order.
 
     A score within 1e-12 * max|score| of the one ranked above it counts as
-    tied with it, so rounding in the sums behind a score never orders rows
-    that are equal in exact arithmetic.
+    tied with it: rows whose scores are equal in exact arithmetic but differ
+    in their last bits keep index order.
     """
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    drops = np.diff(scores[order], prepend=scores[order[:1]])  # <= 0: each score minus the one above it
+    ranked = scores[order]
+    drops = np.diff(ranked, prepend=ranked[:1])  # each score minus the one ranked above it
     tie_group = np.cumsum(drops < -1e-12 * np.abs(scores).max(initial=0.0))
     return order[np.lexsort((order, tie_group))].astype(np.int64)
 
