@@ -83,7 +83,8 @@ def main(argv=None) -> int:
     code = cli_main(flags)
     summary = os.path.join(args.output_dir, "summary.csv")
     if os.path.exists(summary):
-        print("\n" + open(summary).read())
+        with open(summary, encoding="utf-8") as fh:
+            print("\n" + fh.read())
     return code
 
 

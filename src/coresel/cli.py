@@ -3,8 +3,9 @@
 `coresel run` executes every (strategy, seed) pair into its own run directory
 and aggregates final accuracy and forgetting into summary.csv. A failed run is
 recorded (FAILED.txt in its directory) without stopping the sweep; the exit
-code is 0 when everything succeeded, 1 for configuration errors and corpora
-that fail to load, 2 when some runs failed.
+code is 0 when everything succeeded, 1 for configuration errors, corpora
+that fail to load and output paths that cannot be written, 2 when some runs
+failed.
 """
 
 from __future__ import annotations
@@ -82,13 +83,22 @@ def _load_or_report(cfg: ExperimentConfig, log) -> tuple[Dataset, Dataset] | Non
         return None
 
 
+def _output_error(path: str, exc: OSError, log) -> int:
+    """Exit code 1 after one `output error:` line that names the path as the user gave it."""
+    log(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
 def run_experiment(cfg: ExperimentConfig, log=print) -> int:
     corpora = _load_or_report(cfg, log)
     if corpora is None:
         return 1
     train, test = corpora
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    atomic_write_text(os.path.join(cfg.output_dir, "run_manifest.ini"), render_manifest(cfg))
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        atomic_write_text(os.path.join(cfg.output_dir, "run_manifest.ini"), render_manifest(cfg))
+    except OSError as exc:
+        return _output_error(cfg.output_dir, exc, log)
     finished = {strategy: [] for strategy in cfg.strategies}  # (final accuracy, forgetting) per run
     failures = 0
     # Seeds outside, strategies inside: one stream per seed serves every strategy.
@@ -150,9 +160,12 @@ def run_diagnose(cfg: ExperimentConfig, log=print) -> int:
         cross_l2 = format_sig(row.cross_l2) if row.cross_l2 is not None else ""
         cross_cos = format_sig(row.cross_cosine) if row.cross_cosine is not None else ""
         lines.append(f"{row.batch_size},{format_sig(row.mean_l2)},{format_sig(row.mean_cosine)},{cross_l2},{cross_cos}")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "diagnostic_table.csv")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        atomic_write_text(path, "\n".join(lines) + "\n")
+    except OSError as exc:
+        return _output_error(cfg.output_dir, exc, log)
     log(f"diagnostic table written to {path}")
     return 0
 
@@ -176,7 +189,10 @@ def dump_coreset(run_dir: str, out: str | None, log=print) -> int:
             # interpreter's shutdown flush as well.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        atomic_write_text(out, text)
+        try:
+            atomic_write_text(out, text)
+        except OSError as exc:
+            return _output_error(out, exc, log)
         log(f"coreset dump written to {out}")
     return 0
 

@@ -8,7 +8,7 @@ key is one field of ExperimentConfig, which also holds its section, converter
 and default; anything else is an error that names the key and line, so typos
 never silently fall back to defaults. The [train] defaults are TrainConfig's.
 Flags override file values, which override defaults; the environment may
-override only the output directory (CORESEL_OUTPUT_DIR).
+override only the output directory (CORESEL_OUTPUT_DIR, read like a flag).
 
 An ExperimentConfig renders back to the same format via `render_manifest`,
 and parsing that text reproduces the config exactly — which is what makes a
@@ -205,7 +205,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None, env=Non
     if path is not None:
         _parse_file(path, values)
     if env.get(_ENV_OUTPUT_DIR):
-        values["output_dir"] = env[_ENV_OUTPUT_DIR]
+        values["output_dir"] = _convert("output_dir", env[_ENV_OUTPUT_DIR], f"({_ENV_OUTPUT_DIR})")
     for key, raw in (overrides or {}).items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown key '{key}' (flag)")
@@ -224,8 +224,15 @@ def _validate(cfg: ExperimentConfig) -> None:
             if not os.path.exists(path):
                 raise ConfigError(f"key '{key}': file not found: {path}")
     for key, f in _FIELDS.items():  # a flag or the environment could set what a manifest cannot hold
-        if isinstance(getattr(cfg, f.name), str) and _INLINE_COMMENT.search(getattr(cfg, f.name)):
+        value = getattr(cfg, f.name)
+        if not isinstance(value, str):
+            continue
+        if _INLINE_COMMENT.search(f" {value}"):  # the manifest writes 'key = value'
             raise ConfigError(f"key '{key}': '#' or ';' after whitespace would start a comment in the manifest")
+        if "\n" in value or "\r" in value:
+            raise ConfigError(f"key '{key}': a line break would split its line in the manifest")
+    if not cfg.output_dir:
+        raise ConfigError("key 'output_dir' must name a directory, got an empty value")
     for key in _COUNTS:
         if getattr(cfg, key) < 1:
             raise ConfigError(f"key '{key}' must be at least 1, got {getattr(cfg, key)}")

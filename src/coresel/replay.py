@@ -4,9 +4,11 @@ During a task, selected candidates pile up in an unbounded staging pool of
 array chunks (`Dataset`s). At the task boundary the pool is committed: the
 per-task quota becomes floor(J / tasks_seen), earlier tasks are uniformly
 down-sampled to the new quota, and the staged pool is reduced to the quota
-following a caller-supplied preference order (best candidate first) — with
-per-class balancing for the gradient-scored strategy. The caller owns scoring; this module owns bounds,
-balance, dedup, and deterministic sampling. Only a row that a commit keeps
+following a caller-supplied preference order (best candidate first). A commit
+keeps each source's best-ranked copy, then cuts the ranking with
+`selection.take_ranked`, per class for the gradient-scored strategy. The
+caller owns scoring and `selection` owns the cut; this module owns bounds,
+dedup, and deterministic sampling. Only a row that a commit keeps
 becomes a `StoredExample`, with its own copy of the pixels.
 
 The reservoir baseline runs Algorithm R (Vitter 1985) on one per-run generator in
@@ -15,7 +17,6 @@ stream order, so what it keeps does not depend on how the rows are batched.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .datastream import NUM_CLASSES, PIXELS, Dataset
 from .errors import ContractError, DimensionError, EmptyInputError
 from .ioutil import atomic_write_text
+from .selection import take_ranked
 
 _TAG_DOWNSAMPLE = 1
 
@@ -69,7 +71,7 @@ class Coreset:
         if capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {capacity}")
         self.capacity = int(capacity)
-        self.num_classes = NUM_CLASSES  # the classes a balanced commit spreads its quota over
+        self.num_classes = NUM_CLASSES  # the classes take_ranked spreads a balanced quota over
         self._seed = int(seed)
         self._stored: dict[int, list[StoredExample]] = {}  # filled only by commit_task, so keys are in commit order
         self._staged: dict[int, list[Dataset]] = {}  # per task, its staged chunks in staging order
@@ -119,7 +121,8 @@ class Coreset:
                 positions = np.sort(rng.choice(len(kept), size=quota, replace=False))
                 self._stored[old_task] = [kept[int(i)] for i in positions]
 
-        chosen = self._take_quota(pool, ranking.tolist(), quota, class_balanced)
+        _, first = np.unique(pool.source_index[ranking], return_index=True)  # each source's best-ranked copy
+        chosen = take_ranked(ranking[np.sort(first)], quota, pool.y if class_balanced else None)
         self._stored[task_id] = [
             StoredExample(task_id, pool.x[i].copy(), int(pool.y[i]), int(pool.source_index[i])) for i in chosen
         ]
@@ -139,26 +142,6 @@ class Coreset:
                 f"(per-task counts {record.per_task_counts})"
             )
         return record
-
-    def _take_quota(self, pool: Dataset, ranking: list[int], quota: int, class_balanced: bool) -> list[int]:
-        """The best-ranked copy of each source, `quota` at most, taken tier by tier in ranking order.
-
-        With r better-ranked kept rows of its class and base = quota // classes, a row's tier is
-        0 when r < base, 1 when r == base, else 2 (always 0 unbalanced): each class gets its base
-        share, the remainder goes at most one per class, and a class-poor pool still fills the quota.
-        """
-        base = quota // self.num_classes
-        labels, source_index = pool.y.tolist(), pool.source_index.tolist()
-        sources: set[int] = set()
-        per_class: Counter[int] = Counter()
-        tiers: tuple[list[int], ...] = ([], [], [])
-        for i in ranking:
-            if source_index[i] not in sources:
-                sources.add(source_index[i])
-                r = per_class[labels[i]]
-                per_class[labels[i]] = r + 1
-                tiers[(r >= base) + (r > base) if class_balanced else 0].append(i)
-        return sorted((tiers[0] + tiers[1] + tiers[2])[:quota])
 
     # -- reading ------------------------------------------------------------
 

@@ -5,9 +5,11 @@ similarity to the minibatch mean gradient, (negative) average similarity to
 every other candidate, and similarity to a replay batch's mean gradient.
 `score_gram` computes all three from one Gram matrix over the candidates'
 and the replay rows' gradients. The selection rule ranks rows by S + V, plus
-tau * A once a buffer exists, and keeps the top kappa. The baseline per-step
-picks, uniform and k-means on embeddings, live here too; the reservoir is
-replay storage (`replay.ReservoirState`).
+tau * A once a buffer exists (`rank`), and keeps the top kappa. `take_ranked`
+is the one top-k cut of a ranking: the OCS pick calls it, and so does every
+coreset commit (`replay.Coreset.commit_task`), with labels for its per-class
+tiers. The baseline per-step picks, uniform and k-means on embeddings, live
+here too; the reservoir is replay storage (`replay.ReservoirState`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datastream import NUM_CLASSES
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 
 
@@ -124,18 +127,25 @@ def rank(scores) -> np.ndarray:
     return order[np.lexsort((order, tie_group))].astype(np.int64)
 
 
-def select_topk(scores, kappa: int) -> np.ndarray:
-    """Indices of the kappa best scores in `rank` order, ascending."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise DimensionError(f"scores must be a vector, got shape {scores.shape}")
-    if scores.shape[0] == 0:
-        raise EmptyInputError("empty score vector")
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    if kappa >= scores.shape[0]:
-        return np.arange(scores.shape[0], dtype=np.int64)
-    return np.sort(rank(scores)[:kappa])
+def take_ranked(ranking, k: int, labels=None) -> np.ndarray:
+    """The first k positions of `ranking` (best first), ascending.
+
+    With `labels`, positions are taken tier by tier, each tier in ranking order. With r
+    better-ranked positions of its class and base = k // NUM_CLASSES, a position's tier is
+    0 when r < base, 1 when r == base, else 2: each class gets its base share, the
+    remainder goes at most one per class, and a class-poor ranking still fills k.
+    """
+    ranking = np.asarray(ranking, dtype=np.int64)
+    if labels is not None:
+        base = k // NUM_CLASSES
+        seen: dict[int, int] = {}
+        tiers = []
+        for label in np.asarray(labels)[ranking].tolist():
+            r = seen.get(label, 0)
+            seen[label] = r + 1
+            tiers.append(min(max(r - base + 1, 0), 2))
+        ranking = ranking[np.argsort(tiers, kind="stable")]
+    return np.sort(ranking[:k])
 
 
 # ---------------------------------------------------------------------------

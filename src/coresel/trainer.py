@@ -51,7 +51,7 @@ from .selection import (
     kmeans_embedding_select,
     rank,
     score_gram,
-    select_topk,
+    take_ranked,
     uniform_select,
 )
 
@@ -247,7 +247,7 @@ class Ocs(Strategy):
 
     def pick(self, state, cfg, batch, kappa, bp):
         breakdown = score_gram(bp.gram(cfg.grad_selector), len(batch), cfg.selection.tau)
-        return select_topk(breakdown.combined, kappa), breakdown
+        return take_ranked(rank(breakdown.combined), kappa), breakdown
 
     def commit_ranking(self, state, cfg, pool):
         replay = _replay_batch(state, cfg, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF))

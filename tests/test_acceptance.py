@@ -27,7 +27,7 @@ from coresel.metrics import (
     grad_approx_diagnostic,
 )
 from coresel.model import flatten_params, init_params
-from coresel.selection import select_topk
+from coresel.selection import rank, take_ranked
 from coresel.trainer import agem_project, run_metrics, run_stream
 from oracles import per_example_gradients, score_batch
 
@@ -126,7 +126,7 @@ def test_criterion_02_selection_matches_exhaustive_enumeration():
         grads = rng.normal(size=(b, p))
         ref = rng.normal(size=p) if trial % 5 else None
         scores = score_batch(grads, ref, tau).combined
-        chosen = select_topk(scores, kappa)
+        chosen = take_ranked(rank(scores), kappa)
         best = max(itertools.combinations(range(b), kappa), key=lambda s: scores[list(s)].sum())
         if set(chosen) != set(best):
             report(2, False, f"trial {trial}: chose {list(chosen)}, optimum {list(best)}")
@@ -157,7 +157,7 @@ def test_criterion_03_score_ranges_and_rescale_invariance():
         kappa = int(rng.integers(1, b + 1))
         alpha = float(rng.lognormal(0.0, 2.0))
         scaled = score_batch(alpha * grads, ref, tau)
-        if list(select_topk(br.combined, kappa)) != list(select_topk(scaled.combined, kappa)):
+        if list(take_ranked(rank(br.combined), kappa)) != list(take_ranked(rank(scaled.combined), kappa)):
             report(3, False, f"trial {trial}: selection changed under rescale by {alpha:.3g}")
     report(3, True, "10^4 batches: S∈[−1,1], V∈[−1,0], A∈[−1,1]; selection invariant to positive rescaling")
 

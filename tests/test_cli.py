@@ -72,6 +72,12 @@ def test_env_overrides_file_but_not_flags(tmp_path):
     env = {"CORESEL_OUTPUT_DIR": "/tmp/env-runs"}
     assert parse_config(path, env=env).output_dir == "/tmp/env-runs"
     assert parse_config(path, {"output_dir": "flag-runs"}, env=env).output_dir == "flag-runs"
+    # The environment's value is read like a flag's, so the manifest replays it.
+    cfg = parse_config(path, env={"CORESEL_OUTPUT_DIR": " env-runs "})
+    assert cfg.output_dir == "env-runs"
+    manifest = tmp_path / "manifest.ini"
+    manifest.write_text(render_manifest(cfg))
+    assert parse_config(str(manifest), env={}) == cfg
 
 
 def test_unknown_key_names_key_and_line(tmp_path):
@@ -109,6 +115,17 @@ def test_cross_field_validation(tmp_path):
         parse_config(None, {"strategies": "uniform,ocs,uniform"}, env={})
     with pytest.raises(ConfigError, match="key 'output_dir': '#' or ';' after whitespace"):
         parse_config(None, {"output_dir": "runs #1"}, env={})  # the manifest would replay it as 'runs'
+    with pytest.raises(ConfigError, match="key 'output_dir': '#' or ';' after whitespace"):
+        parse_config(None, {"output_dir": "#1"}, env={})  # 'output_dir = #1' replays as ''
+    for broken in ("a\nb", "a\rb"):  # the manifest line would split in two
+        with pytest.raises(ConfigError, match="key 'output_dir': a line break"):
+            parse_config(None, {"output_dir": broken}, env={})
+        with pytest.raises(ConfigError, match="key 'output_dir': a line break"):
+            parse_config(None, env={"CORESEL_OUTPUT_DIR": broken})
+    with pytest.raises(ConfigError, match="key 'output_dir' must name a directory"):
+        parse_config(None, {"output_dir": " "}, env={})
+    with pytest.raises(ConfigError, match="key 'output_dir' must name a directory"):
+        parse_config(None, env={"CORESEL_OUTPUT_DIR": " "})
     with pytest.raises(ConfigError, match="train_images"):
         parse_config(None, {"source": "idx"}, env={})
 
@@ -142,7 +159,8 @@ def test_inline_comments_follow_whitespace(tmp_path):
 
 
 def test_readme_example_config_parses(tmp_path):
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.ini"
     path.write_text(block)
@@ -293,6 +311,19 @@ def test_corpus_that_fails_to_load_exits_before_any_run(tmp_path, monkeypatch, c
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_output_dir_that_is_a_file_exits_before_any_run(tmp_path, monkeypatch, capsys, command):
+    path = write_config(tmp_path)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("kept\n")
+    flags = ["--batch-sizes", "10", "--n-batches", "2", "--cross", "false"] if command == "diagnose" else []
+    assert run_cli([command, "--config", path, "--output-dir", str(blocker), *flags], {}, monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"output error: {blocker}: File exists\n"
+    assert captured.out == ""  # no run logged a result
+    assert blocker.read_text() == "kept\n"
+
+
 def test_diverging_sweep_fails_loudly(tmp_path, monkeypatch):
     path = write_config(tmp_path)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -432,6 +463,10 @@ def test_dump_coreset_roundtrip(tmp_path, monkeypatch, capsys):
     assert main(["dump-coreset", run_dir, "--out", str(target)]) == 0
     assert target.read_text() == stdout
     assert main(["dump-coreset", str(tmp_path / "missing")]) == 1
+    capsys.readouterr()
+    unwritable = tmp_path / "nodir" / "x.csv"  # the error names this path, not the temp file beside it
+    assert main(["dump-coreset", run_dir, "--out", str(unwritable)]) == 1
+    assert capsys.readouterr().err == f"output error: {unwritable}: No such file or directory\n"
 
 
 def test_imbalanced_and_noisy_streams_from_config(tmp_path):

@@ -81,7 +81,8 @@ def test_load_idx_bad_magic(tmp_path):
 
 def test_load_idx_truncation_names_offset(tmp_path):
     imgs, labs = write_idx_pair(tmp_path, np.zeros((3, 28, 28)), [0, 1, 2])
-    blob = open(imgs, "rb").read()
+    with open(imgs, "rb") as fh:
+        blob = fh.read()
     short = tmp_path / "short"
     short.write_bytes(blob[:-100])
     with pytest.raises(FormatError, match="offset 16"):

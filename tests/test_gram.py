@@ -16,7 +16,7 @@ from coresel import trainer
 from coresel.datastream import Dataset
 from coresel.errors import DimensionError
 from coresel.model import GradSelector, ParamSet, backprop, init_params
-from coresel.selection import SelectionConfig, score_gram, select_topk
+from coresel.selection import SelectionConfig, rank, score_gram, take_ranked
 from coresel.trainer import REGISTRY, TrainConfig, _with_replay, new_run_state
 from oracles import per_example_gradients, score_batch
 
@@ -181,4 +181,4 @@ def test_step_pick_matches_materialised_scores():
             picked, got = REGISTRY["ocs"].pick(state, cfg, batch, 10, bp)
             want = oracle(state.params, x, y, selector, replay, cfg.selection.tau)
             assert_scores_match(got, want)
-            assert np.array_equal(picked, select_topk(want.combined, 10))
+            assert np.array_equal(picked, take_ranked(rank(want.combined), 10))

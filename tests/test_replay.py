@@ -11,6 +11,7 @@ from coresel.replay import (
     format_sig,
     sample_items,
 )
+from coresel.selection import take_ranked
 
 
 def stage_labeled(coreset, task_id, labels, start_src=0):
@@ -201,7 +202,8 @@ def test_commit_rejects_bad_ranking_and_recommit():
 
 # The commit's quota fill as it was written before it became one pass: a dedup
 # pass, then three passes over the ranking (per-class base share, the
-# remainder capped at base + 1, then uncapped).
+# remainder capped at base + 1, then uncapped). Both commit_task and
+# selection.take_ranked, the one cut it calls, are checked against it.
 def oracle_dedup(pool, ranking):
     seen, out = set(), []
     for i in ranking:
@@ -251,6 +253,24 @@ def test_one_pass_quota_matches_three_pass_oracle():
         assert record.stored_new == len(want)
         cases += quota > 0 and len(want) < min(quota, n)
     assert cases > 0  # some pools ran short of distinct sources
+
+
+def test_take_ranked_matches_three_pass_oracle():
+    rng = np.random.default_rng(2025)
+    edges = set()
+    for trial in range(3000):
+        n = int(rng.integers(0, 60))
+        classes = rng.choice(10, size=int(rng.integers(1, 11)), replace=False)
+        labels = rng.choice(classes, size=n)
+        ranking = rng.permutation(n)
+        k = int(rng.choice([0, int(rng.integers(1, 10)), int(rng.integers(10, 60)), n, n + 3]))
+        balanced = bool(trial % 2)
+        pool = [StoredExample(0, None, int(label), i) for i, label in enumerate(labels)]
+        want = oracle_take_quota(pool, ranking.tolist(), k, balanced)
+        got = take_ranked(ranking, k, labels if balanced else None)
+        assert got.dtype == np.int64 and got.tolist() == want, (trial, k, balanced)
+        edges.add((k == 0, k >= n, balanced))
+    assert {(True, False, False), (True, False, True), (False, True, False), (False, True, True)} <= edges
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from coresel.selection import (
     kmeans_embedding_select,
     rank,
     score_gram,
-    select_topk,
+    take_ranked,
     uniform_select,
 )
 from oracles import score_batch
@@ -157,23 +157,19 @@ def test_empty_batch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# select_topk
+# take_ranked: the top-k cut of a ranking
 
 
 def test_topk_worked_examples():
-    assert list(select_topk([3.0, 1.0, 2.0], 2)) == [0, 2]
-    assert list(select_topk([5.0, 5.0, 5.0], 2)) == [0, 1]
-    assert list(select_topk([1.0, 2.0, 3.0], 5)) == [0, 1, 2]
-    with pytest.raises(EmptyInputError):
-        select_topk([], 1)
-    with pytest.raises(ValueError):
-        select_topk([1.0], 0)
+    assert list(take_ranked(rank([3.0, 1.0, 2.0]), 2)) == [0, 2]
+    assert list(take_ranked(rank([5.0, 5.0, 5.0]), 2)) == [0, 1]
+    assert list(take_ranked(rank([1.0, 2.0, 3.0]), 5)) == [0, 1, 2]
 
 
 def test_rounding_never_orders_equal_scores():
     # Scores within 1e-12 * max|score| of the one ranked above them are tied: index order decides.
     scores = [0.5, 0.25, np.nextafter(0.5, 1.0)]
-    assert list(select_topk(scores, 1)) == [0]
+    assert list(take_ranked(rank(scores), 1)) == [0]
     assert list(rank(scores)) == [0, 2, 1]
     assert list(rank([np.nextafter(2.0, 0.0), 2.0, 1.0])) == [0, 1, 2]
     assert list(rank([1.0 - 2e-13, 1.0 - 1e-13, 1.0, 0.9])) == [0, 1, 2, 3]  # ties chain down the ranking
@@ -186,7 +182,7 @@ def test_topk_matches_sort_oracle():
         n = int(rng.integers(1, 12))
         scores = np.round(rng.normal(size=n), 1)  # coarse values force ties
         kappa = int(rng.integers(1, n + 2))
-        got = list(select_topk(scores, kappa))
+        got = list(take_ranked(rank(scores), kappa))
         assert got == oracle_topk(list(scores), kappa)
         assert len(set(got)) == len(got) == min(kappa, n)
 
@@ -197,7 +193,7 @@ def test_topk_matches_sort_oracle():
 
 def ocs_topk(rows, ref, cfg):
     """Top-kappa of the combined OCS score, as the trainer selects."""
-    return select_topk(score_batch(rows, ref, cfg.tau).combined, cfg.kappa)
+    return take_ranked(rank(score_batch(rows, ref, cfg.tau).combined), cfg.kappa)
 
 
 def test_ocs_select_no_buffer_is_topk_of_s_plus_v():
@@ -205,7 +201,7 @@ def test_ocs_select_no_buffer_is_topk_of_s_plus_v():
     cfg = SelectionConfig(kappa=3, tau=1000.0)
     for _ in range(50):
         rows = rng.normal(size=(8, 5))
-        want = select_topk(oracle_similarity(rows) + oracle_diversity(rows), 3)
+        want = take_ranked(rank(oracle_similarity(rows) + oracle_diversity(rows)), 3)
         assert np.array_equal(ocs_topk(rows, None, cfg), want)
 
 

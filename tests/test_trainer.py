@@ -210,6 +210,8 @@ def test_iteration_stages_selected_examples():
     info = train_iteration(state, batch, cfg)
     src = state.buffer.staged_pool(0).source_index
     assert sorted(src) == sorted(int(i) for i in info.selected)
+    with pytest.raises(EmptyInputError, match="empty candidate batch"):
+        train_iteration(state, batch.subset(np.arange(0)), cfg)
 
 
 def test_reservoir_strategy_fills_reservoir_not_coreset():
