@@ -14,11 +14,12 @@ checkpoint bits.
 Two checkouts are at parity where their outputs compare equal:
 
     PYTHONPATH=/path/to/old/src python3 scripts/parity_sweep.py out_old
-    PYTHONPATH=src python3 scripts/parity_sweep.py out_new
-    diff -rq out_old out_new
+    PYTHONPATH=src python3 scripts/parity_sweep.py out_new --against out_old
 
-The `output_dir` line of each `run_manifest.ini` names its own directory and
-always differs.
+With `--against OLD_DIR`, the sweep ends by listing every file of OUT_DIR
+that differs from its namesake in OLD_DIR, or that only one of the two holds,
+and exits 1 if there is any. The comparison ignores only the `output_dir`
+line of each `run_manifest.ini`, which names its own directory.
 """
 
 import argparse
@@ -46,10 +47,32 @@ def configurations():
         yield f"{kind}-{variant}", ["--kind", kind, "--variant", variant]
 
 
+def _comparable(path: str) -> bytes:
+    """The file's bytes, less the `output_dir` line if it is a run_manifest.ini."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "run_manifest.ini":
+        data = b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(b"output_dir ="))
+    return data
+
+
+def differing_files(old_dir: str, new_dir: str) -> list[str]:
+    """Sorted relative paths of the files that differ between the two trees or that only one of them holds."""
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names}
+
+    old, new = files(old_dir), files(new_dir)
+    return sorted(rel for rel in old | new if rel not in old or rel not in new
+                  or _comparable(os.path.join(old_dir, rel)) != _comparable(os.path.join(new_dir, rel)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory to write one subdirectory per configuration into")
+    parser.add_argument("--against", metavar="OLD_DIR", help="an earlier sweep's output to compare this one with")
     args = parser.parse_args(argv)
+    if args.against is not None and not os.path.isdir(args.against):
+        parser.error(f"--against: {args.against} is not a directory")
     if "numpy" in sys.modules:
         raise SystemExit("numpy is already loaded, so its BLAS thread count can no longer be pinned")
     # OpenBLAS reads these once, when numpy loads.
@@ -62,10 +85,13 @@ def main(argv=None) -> int:
         print(f"{name} -> {out}", flush=True)
         if cli_main(TINY_SWEEP + flags + ["--output-dir", out]) != 0:
             failed.append(name)
+    differing = [] if args.against is None else differing_files(args.against, args.out_dir)
+    for rel in differing:
+        print(f"differs from {args.against}: {rel}")
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 2
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

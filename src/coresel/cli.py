@@ -11,6 +11,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -74,8 +75,26 @@ def _mean_std(values) -> tuple[float, float]:
     return float(np.mean(arr)), std
 
 
+def _blocked_output(path: str) -> OSError | None:
+    """The error os.makedirs(path) would raise because a file stands in the way, found without creating anything."""
+    ancestor = path  # not normalised: "a-file/../x" must fail here as it does in makedirs
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not ancestor or os.path.isdir(ancestor):  # "" is the working directory
+        return None
+    code = errno.EEXIST if ancestor == path else errno.ENOTDIR
+    return OSError(code, os.strerror(code))
+
+
 def _load_or_report(cfg: ExperimentConfig, log) -> tuple[Dataset, Dataset] | None:
-    """The corpora, or None after one `corpus error:` line when a file is missing or malformed."""
+    """The corpora, or None after one `corpus error:` line when a file is missing or malformed.
+
+    A file where the output directory must go gets an `output error:` line first, so no corpus is built in vain.
+    """
+    blocked = _blocked_output(cfg.output_dir)
+    if blocked is not None:
+        _output_error(cfg.output_dir, blocked, log)
+        return None
     try:
         return load_corpora(cfg)
     except (FormatError, OSError) as exc:

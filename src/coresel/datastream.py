@@ -9,6 +9,11 @@ class imbalance and label-preserving noise, with every random draw derived
 from (master_seed, task index, purpose tag), so rebuilding a stream
 reproduces it bit-for-bit. The row draws read only labels, so a task
 transforms just the clean rows it keeps.
+
+Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
+synthetic corpus draws, patterns and clips a block at a time, and a transform
+gathers a block of corpus rows into a reused buffer and writes it, transformed,
+at the rows' final positions, so no whole-task temporary is made.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .errors import DimensionError, EmptyInputError, FormatError
 IMAGE_SIDE = 28
 PIXELS = IMAGE_SIDE * IMAGE_SIDE
 NUM_CLASSES = 10
+# Rows per block of every pixel pass: a pass's block arrays (about 400 KB each) stay in cache between its steps.
+_BLOCK_ROWS = 64
 
 # Purpose tags for per-task seed derivation.
 _TAG_ANGLE = 0
@@ -144,7 +151,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def _rotation_sampler(angle: float, side: int = IMAGE_SIDE):
-    """Bilinear inverse-map gather plan: 4 neighbor indices + weights per output pixel.
+    """Bilinear inverse-map gather plan: per neighbor corner (4 rows), an index and a weight per output pixel.
 
     Rotation is about the integer pixel (side//2, side//2), so that pixel is a
     fixed point for every angle and 180 degrees maps the interior exactly onto
@@ -163,41 +170,88 @@ def _rotation_sampler(angle: float, side: int = IMAGE_SIDE):
     c0 = np.floor(src_c).astype(np.int64)
     fr = src_r - r0
     fc = src_c - c0
-    indices = np.zeros((side * side, 4), dtype=np.int64)
-    weights = np.zeros((side * side, 4), dtype=np.float64)
+    # Corner-major, so that each corner's indices and weights are contiguous rows for take() and the multiply.
+    indices = np.zeros((4, side * side), dtype=np.int64)
+    weights = np.zeros((4, side * side), dtype=np.float64)
     corners = ((r0, c0, (1 - fr) * (1 - fc)), (r0, c0 + 1, (1 - fr) * fc),
                (r0 + 1, c0, fr * (1 - fc)), (r0 + 1, c0 + 1, fr * fc))
     for k, (rr, cc, w) in enumerate(corners):
         valid = (rr >= 0) & (rr < side) & (cc >= 0) & (cc < side)
-        indices[:, k] = np.where(valid, rr * side + cc, 0)
-        weights[:, k] = np.where(valid, w, 0.0)
+        indices[k] = np.where(valid, rr * side + cc, 0)
+        weights[k] = np.where(valid, w, 0.0)
     return indices, weights
+
+
+def _rotator(angle: float, width: int):
+    """The rotation kernel for `_transform_rows`: 28x28 images in [0,1] about the center pixel, bilinear, zero fill."""
+    if width != PIXELS:
+        raise DimensionError(f"rotation needs {PIXELS}-pixel rows, got {width}")
+    if not 0.0 <= angle <= 180.0:
+        raise ValueError(f"rotation angle must lie in [0, 180], got {angle}")
+    idx, w = _rotation_sampler(angle)
+    corner = np.empty((_BLOCK_ROWS, PIXELS))
+
+    def rotate(block: np.ndarray, out: np.ndarray) -> None:
+        # A fixed-order sum over the four corners: a row's pixels do not depend on the block it is in.
+        # Indices lie in 0..783, so mode="clip" changes nothing but lets take() write into `out` unbuffered.
+        np.take(block, idx[0], axis=1, out=out, mode="clip")
+        out *= w[0]
+        part = corner[: len(block)]
+        for k in range(1, 4):
+            np.take(block, idx[k], axis=1, out=part, mode="clip")
+            part *= w[k]
+            out += part
+        np.clip(out, 0.0, 1.0, out=out)
+
+    return rotate
+
+
+def _permuter(seed, width: int):
+    """The permutation kernel for `_transform_rows`: one fixed random pixel permutation drawn from `seed`."""
+    perm = np.random.default_rng(seed).permutation(width)
+    return lambda block, out: np.take(block, perm, axis=1, out=out, mode="clip")
+
+
+def _blocks(n: int):
+    """Slices that cover range(n) in blocks of _BLOCK_ROWS rows."""
+    return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
+
+
+def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray, at=None) -> None:
+    """Write the rows `rows` of `src`, transformed, into dest's first rows, or into the rows `at` of dest.
+
+    One block at a time: the block's source rows are gathered into a reused
+    buffer, and `kernel(block, out)` writes the transformed block into `out`,
+    a view of dest or, for scattered rows `at`, a reused buffer copied into place.
+    """
+    gather = np.empty((min(rows.size, _BLOCK_ROWS), src.shape[1]))
+    staged = None if at is None else np.empty_like(gather)
+    for blk in _blocks(rows.size):
+        # The rows are drawn positions of src, so mode="clip" changes nothing but lets take() fill `gather` unbuffered.
+        block = np.take(src, rows[blk], axis=0, out=gather[: blk.stop - blk.start], mode="clip")
+        if at is None:
+            kernel(block, dest[blk])
+        else:
+            out = staged[: len(block)]
+            kernel(block, out)
+            dest[at[blk]] = out
+
+
+def _transformed(kernel, ds: Dataset, rows: np.ndarray) -> Dataset:
+    """ds.subset(rows) under the kernel, built with no untransformed copy of the rows."""
+    x = np.empty((rows.size, ds.x.shape[1]))
+    _transform_rows(kernel, ds.x, rows, x)
+    return Dataset(x, ds.y[rows], ds.source_index[rows])
 
 
 def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
     """Rotate every 28x28 image in [0,1] about its center pixel, bilinear, zero fill."""
-    if ds.x.shape[1] != PIXELS:
-        raise DimensionError(f"rotation needs {PIXELS}-pixel rows, got {ds.x.shape[1]}")
-    if not 0.0 <= angle <= 180.0:
-        raise ValueError(f"rotation angle must lie in [0, 180], got {angle}")
-    idx, w = _rotation_sampler(angle)
-    # A fixed-order sum over the four corners: a row's pixels do not depend on the batch it is in.
-    out = np.take(ds.x, idx[:, 0], axis=1)
-    out *= w[:, 0]
-    corner = np.empty_like(out)
-    for k in range(1, 4):
-        # Indices lie in 0..783, so mode="clip" changes nothing but lets take() write into `corner` unbuffered.
-        np.take(ds.x, idx[:, k], axis=1, out=corner, mode="clip")
-        corner *= w[:, k]
-        out += corner
-    return Dataset(np.clip(out, 0.0, 1.0, out=out), ds.y, ds.source_index)
+    return _transformed(_rotator(angle, ds.x.shape[1]), ds, np.arange(len(ds)))
 
 
 def permute_pixels(ds: Dataset, seed) -> Dataset:
     """Apply one fixed random pixel permutation to every image."""
-    perm = np.random.default_rng(seed).permutation(ds.x.shape[1])
-    # take() keeps the rows C-ordered (x[:, perm] is Fortran-ordered), so row subsets stay cheap.
-    return Dataset(np.take(ds.x, perm, axis=1), ds.y, ds.source_index)
+    return _transformed(_permuter(seed, ds.x.shape[1]), ds, np.arange(len(ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +339,27 @@ def _build_stream(
         seed = functools.partial(_task_seed, master_seed, t)  # tag -> this task's SeedSequence
         if kind == "rotate":
             angle = float(np.random.default_rng(seed(_TAG_ANGLE)).uniform(0.0, 180.0))
-            transform = functools.partial(rotate_dataset, angle=angle)
+            kernel = _rotator(angle, width)
         else:
-            angle, transform = None, functools.partial(permute_pixels, seed=seed(_TAG_PERMUTE))
+            angle, kernel = None, _permuter(seed(_TAG_PERMUTE), width)
         rows = drawn = _subsample(len(train), train_per_task, seed(_TAG_TRAIN_SUBSET))
         if imbalance is not None:
             rows = rows[apply_imbalance(train.y[rows], *imbalance, seed(_TAG_IMBALANCE))]
         if rows.size == 0:
             raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn, 0 after class imbalance")
+        x = np.empty((rows.size, width))
         noisy = np.zeros(rows.size, dtype=bool)
         if noise_fraction > 0.0:
             positions, noise = apply_noise(rows.size, width, noise_fraction, seed(_TAG_NOISE))
             noisy[positions] = True
-        task_train = transform(train.subset(rows[~noisy]))
-        if noisy.any():
-            x = np.empty((rows.size, width))
-            x[noisy] = noise
-            x[~noisy] = task_train.x
-            task_train = Dataset(x, train.y[rows], train.source_index[rows])
+            x[positions] = noise
+            del noise  # not alive while the next task draws its own
+        clean = np.flatnonzero(~noisy)
+        # Clean rows are written at their final positions: block by block into x, or scattered between noise rows.
+        _transform_rows(kernel, train.x, rows[clean], x, at=clean if clean.size < rows.size else None)
+        task_train = Dataset(x, train.y[rows], train.source_index[rows])
         noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy]])
-        # Built after the train side, so that it is not alive while the train rows' gather and transform peak.
-        task_test = transform(test.subset(_subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET))))
+        task_test = _transformed(kernel, test, _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET)))
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy_source))
     return TaskStream(tuple(tasks), int(master_seed))
 
@@ -388,8 +442,6 @@ def _class_canvas(digit: int) -> np.ndarray:
 # The synthetic corpus's per-pixel Gaussian noise sigma and largest glyph/canvas shift in pixels.
 _NOISE_SIGMA = 0.04
 _MAX_SHIFT = 1
-# Rows per block when corpus rows gather their class patterns and add them into the noise.
-_CORPUS_BLOCK = 256
 
 
 @functools.lru_cache(maxsize=1)
@@ -426,20 +478,20 @@ def make_synthetic_corpus(n: int, seed) -> Dataset:
     shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
     amplitude = rng.uniform(0.4, 0.5, size=n)
     glyph_scale = rng.uniform(0.7, 1.0, size=n) * 0.5
-    x = rng.normal(0.0, _NOISE_SIGMA, size=(n, PIXELS))
     canvases, glyphs = _pattern_tables()
     shift_r, shift_c = (shifts + _MAX_SHIFT).T
-    for start in range(0, n, _CORPUS_BLOCK):
-        block = slice(start, start + _CORPUS_BLOCK)
+    x = np.empty((n, PIXELS))
+    for block in _blocks(n):
         key = (labels[block], shift_r[block], shift_c[block])
         # A per-image build's order, which fixes every byte: (0.5 + amplitude * canvas) + glyph_scale * glyph, then
-        # + noise; adding a glyph row's zeros off the glyph changes nothing.
+        # + noise; adding a glyph row's zeros off the glyph changes nothing. The blocks' noise draws follow one
+        # another from the same generator, so together they equal one whole-corpus draw.
         img = canvases[key]
         img *= amplitude[block, None]
         img += 0.5
         glyph = glyphs[key]
         glyph *= glyph_scale[block, None]
         img += glyph
-        x[block] += img
-    np.clip(x, 0.0, 1.0, out=x)
+        img += rng.normal(0.0, _NOISE_SIGMA, size=img.shape)
+        np.clip(img, 0.0, 1.0, out=x[block])
     return Dataset(x, labels.astype(np.int64), np.arange(n, dtype=np.int64))

@@ -71,10 +71,14 @@ class Coreset:
         if capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {capacity}")
         self.capacity = int(capacity)
-        self.num_classes = NUM_CLASSES  # the classes take_ranked spreads a balanced quota over
         self._seed = int(seed)
         self._stored: dict[int, list[StoredExample]] = {}  # filled only by commit_task, so keys are in commit order
         self._staged: dict[int, list[Dataset]] = {}  # per task, its staged chunks in staging order
+
+    @property
+    def num_classes(self) -> int:
+        """The classes take_ranked spreads a balanced quota over: fixed, so it cannot be set."""
+        return NUM_CLASSES
 
     # -- staging ------------------------------------------------------------
 

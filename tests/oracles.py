@@ -6,11 +6,13 @@ these rows: it works from `model.Backprop.gram` and `selection.score_gram`.
 `unflatten_params` turns a flat parameter vector back into a network, for
 finite differences.
 
-`synthetic_corpus` builds the synthetic corpus one row at a time, and
-`build_stream` transforms every subsampled row of a task before imbalance
-drops rows and noise overwrites them. The package builds both from whole-array
-passes and transforms only the rows a task keeps; its outputs must equal
-these byte for byte.
+`synthetic_corpus` builds the synthetic corpus one row at a time.
+`rotate_dataset` and `permute_pixels` transform a whole array in one pass:
+the rotation's four corner gathers summed in fixed order and then clipped,
+and one column gather. `build_stream` applies them to every subsampled row of
+a task before imbalance drops rows and noise overwrites them. The package
+builds all of these in row blocks and transforms only the rows a task keeps;
+its outputs must equal these byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from coresel import datastream
-from coresel.datastream import Dataset, Task, TaskSpec, TaskStream, permute_pixels, rotate_dataset
+from coresel.datastream import Dataset, Task, TaskSpec, TaskStream
 from coresel.errors import DimensionError
 from coresel.model import GradSelector, ParamSet, backprop
 from coresel.selection import ScoreBreakdown, score_gram
@@ -89,6 +91,21 @@ def synthetic_corpus(n: int, seed) -> Dataset:
         x[i] = img
     x = np.clip(x + noise, 0.0, 1.0).reshape(n, side * side)
     return Dataset(x, labels.astype(np.int64), np.arange(n, dtype=np.int64))
+
+
+def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
+    """`datastream.rotate_dataset` in one whole-array pass over the same sampling plan."""
+    idx, w = datastream._rotation_sampler(angle)
+    out = np.take(ds.x, idx[0], axis=1) * w[0]
+    for k in range(1, 4):
+        out += np.take(ds.x, idx[k], axis=1) * w[k]
+    return Dataset(np.clip(out, 0.0, 1.0), ds.y, ds.source_index)
+
+
+def permute_pixels(ds: Dataset, seed) -> Dataset:
+    """`datastream.permute_pixels` as one column gather."""
+    perm = np.random.default_rng(seed).permutation(ds.x.shape[1])
+    return Dataset(np.take(ds.x, perm, axis=1), ds.y, ds.source_index)
 
 
 def _subsample(ds: Dataset, size, seed) -> Dataset:

@@ -317,11 +317,13 @@ def test_output_dir_that_is_a_file_exits_before_any_run(tmp_path, monkeypatch, c
     blocker = tmp_path / "a-file"
     blocker.write_text("kept\n")
     flags = ["--batch-sizes", "10", "--n-batches", "2", "--cross", "false"] if command == "diagnose" else []
-    assert run_cli([command, "--config", path, "--output-dir", str(blocker), *flags], {}, monkeypatch) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"output error: {blocker}: File exists\n"
-    assert captured.out == ""  # no run logged a result
-    assert blocker.read_text() == "kept\n"
+    monkeypatch.setattr("coresel.cli.load_corpora", lambda cfg: pytest.fail("corpora built before the output check"))
+    for out, reason in ((blocker, "File exists"), (blocker / "runs", "Not a directory")):
+        assert run_cli([command, "--config", path, "--output-dir", str(out), *flags], {}, monkeypatch) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"output error: {out}: {reason}\n"
+        assert captured.out == ""  # no run logged a result
+        assert blocker.read_text() == "kept\n"
 
 
 def test_diverging_sweep_fails_loudly(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,7 +378,7 @@ def test_synthetic_corpus_shape_range_and_determinism():
 
 
 # ---------------------------------------------------------------------------
-# whole-array builds against the per-row and transform-then-drop oracles
+# row-block builds against the per-row, whole-array and transform-then-drop oracles
 
 
 def assert_same_dataset(got, want):
@@ -385,12 +386,42 @@ def assert_same_dataset(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-BLOCK = datastream._CORPUS_BLOCK
+def assert_same_stream(got, want):
+    assert got.master_seed == want.master_seed and len(got) == len(want)
+    for g, w in zip(got.tasks, want.tasks):
+        assert g.spec == w.spec and g.noisy_source == w.noisy_source
+        assert_same_dataset(g.train, w.train)
+        assert_same_dataset(g.test, w.test)
+        assert g.train.x.flags.c_contiguous
 
 
-@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 4000])
+BLOCK = datastream._BLOCK_ROWS
+BLOCK_EDGES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES + [4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 4000])
 def test_synthetic_corpus_equals_per_row_oracle(n):
     assert_same_dataset(make_synthetic_corpus(n, 1000 + n), oracles.synthetic_corpus(n, 1000 + n))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_transforms_equal_whole_array_oracles(n):
+    ds = make_synthetic_corpus(n, 2000 + n)
+    assert_same_dataset(rotate_dataset(ds, 33.0), oracles.rotate_dataset(ds, 33.0))
+    assert_same_dataset(permute_pixels(ds, n), oracles.permute_pixels(ds, n))
+
+
+@pytest.mark.parametrize("kind", ["rotate", "permute"])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_stream_equals_oracle_at_block_edges(kind, n):
+    # n clean train rows per task, once written straight into place and once scattered between n noise rows.
+    train = make_synthetic_corpus(2 * BLOCK_EDGES[-1] + 10, 33)
+    test = make_synthetic_corpus(BLOCK_EDGES[-1] + 10, 34)
+    builder = build_rotated_stream if kind == "rotate" else build_permuted_stream
+    for kwargs in (dict(train_per_task=n), dict(train_per_task=2 * n, noise_fraction=0.5)):
+        kwargs["test_per_task"] = n
+        want = oracles.build_stream(kind, train, test, 2, 19, **kwargs)
+        assert_same_stream(builder(train, test, 2, 19, **kwargs), want)
 
 
 STREAM_CASES = {
@@ -412,10 +443,44 @@ def test_stream_equals_transform_then_drop_oracle(kind, case):
     kwargs = dict(test_per_task=40) | STREAM_CASES[case]
     builder = build_rotated_stream if kind == "rotate" else build_permuted_stream
     got = builder(train, test, 3, 17, **kwargs)
-    want = oracles.build_stream(kind, train, test, 3, 17, **kwargs)
-    assert got.master_seed == want.master_seed and len(got) == len(want) == 3
-    for g, w in zip(got.tasks, want.tasks):
-        assert g.spec == w.spec and g.noisy_source == w.noisy_source
-        assert_same_dataset(g.train, w.train)
-        assert_same_dataset(g.test, w.test)
-        assert g.train.x.flags.c_contiguous
+    assert len(got) == 3
+    assert_same_stream(got, oracles.build_stream(kind, train, test, 3, 17, **kwargs))
+
+
+# ---------------------------------------------------------------------------
+# memory: a build holds its output, the noise rows it copies in, and a few blocks
+
+
+ROW_BYTES = datastream.PIXELS * 8
+SLACK = 4 * BLOCK * ROW_BYTES  # the reused block buffers, with room for the index arrays and task records
+
+
+def traced_peak(build):
+    """What build() returns, and the most bytes it had allocated at once, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dataset_bytes(*datasets):
+    return sum(a.nbytes for ds in datasets for a in (ds.x, ds.y, ds.source_index))
+
+
+def stream_bytes(stream):
+    return dataset_bytes(*(ds for task in stream.tasks for ds in (task.train, task.test)))
+
+
+def test_builds_allocate_their_output_and_a_few_blocks():
+    train = make_synthetic_corpus(1800, 41)  # also fills the cached pattern tables before anything is traced
+    test = make_synthetic_corpus(600, 42)
+    kwargs = dict(train_per_task=900, test_per_task=300)
+    permuted, peak = traced_peak(lambda: build_permuted_stream(train, test, 3, 7, **kwargs))
+    assert peak <= stream_bytes(permuted) + SLACK
+    rotated, peak = traced_peak(lambda: build_rotated_stream(train, test, 3, 7, noise_fraction=0.3, **kwargs))
+    noise_bytes = max(len(t.noisy_source) for t in rotated.tasks) * ROW_BYTES
+    assert noise_bytes > 0
+    assert peak <= stream_bytes(rotated) + noise_bytes + SLACK
+    corpus, peak = traced_peak(lambda: make_synthetic_corpus(1000, 43))
+    assert peak <= dataset_bytes(corpus) + SLACK

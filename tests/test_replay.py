@@ -189,6 +189,11 @@ def test_commit_is_deterministic():
     assert build() == build()
 
 
+def test_num_classes_is_read_only():
+    with pytest.raises(AttributeError):
+        Coreset(capacity=10, seed=0).num_classes = 5  # take_ranked splits by NUM_CLASSES, whatever this says
+
+
 def test_commit_rejects_bad_ranking_and_recommit():
     c = Coreset(capacity=10, seed=11)
     n = stage_labeled(c, 0, [0, 1, 2])
