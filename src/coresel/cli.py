@@ -33,10 +33,8 @@ from .errors import ConfigError, FormatError
 from .ioutil import atomic_write_text
 from .metrics import grad_approx_diagnostic
 from .model import init_params
-from .replay import format_sig
+from .replay import DUMP_HEADER, format_sig
 from .trainer import run_metrics, run_stream
-
-_DUMP_HEADER_PREFIX = "task_id,class,example_index_in_source,px0"
 
 
 def load_corpora(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -86,30 +84,30 @@ def _blocked_output(path: str) -> OSError | None:
     return OSError(code, os.strerror(code))
 
 
-def _load_or_report(cfg: ExperimentConfig, log) -> tuple[Dataset, Dataset] | None:
+def _load_or_report(cfg: ExperimentConfig) -> tuple[Dataset, Dataset] | None:
     """The corpora, or None after one `corpus error:` line when a file is missing or malformed.
 
     A file where the output directory must go gets an `output error:` line first, so no corpus is built in vain.
     """
     blocked = _blocked_output(cfg.output_dir)
     if blocked is not None:
-        _output_error(cfg.output_dir, blocked, log)
+        _output_error(cfg.output_dir, blocked)
         return None
     try:
         return load_corpora(cfg)
     except (FormatError, OSError) as exc:
-        log(f"corpus error: {exc}", file=sys.stderr)
+        print(f"corpus error: {exc}", file=sys.stderr)
         return None
 
 
-def _output_error(path: str, exc: OSError, log) -> int:
+def _output_error(path: str, exc: OSError) -> int:
     """Exit code 1 after one `output error:` line that names the path as the user gave it."""
-    log(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
+    print(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
     return 1
 
 
-def run_experiment(cfg: ExperimentConfig, log=print) -> int:
-    corpora = _load_or_report(cfg, log)
+def run_experiment(cfg: ExperimentConfig) -> int:
+    corpora = _load_or_report(cfg)
     if corpora is None:
         return 1
     train, test = corpora
@@ -117,7 +115,7 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> int:
         os.makedirs(cfg.output_dir, exist_ok=True)
         atomic_write_text(os.path.join(cfg.output_dir, "run_manifest.ini"), render_manifest(cfg))
     except OSError as exc:
-        return _output_error(cfg.output_dir, exc, log)
+        return _output_error(cfg.output_dir, exc)
     finished = {strategy: [] for strategy in cfg.strategies}  # (final accuracy, forgetting) per run
     failures = 0
     # Seeds outside, strategies inside: one stream per seed serves every strategy.
@@ -136,7 +134,7 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> int:
                 state = run_stream(stream, cfg.train_config(strategy, run_seed), out_dir=run_dir)
                 summary = run_metrics(state)
                 finished[strategy].append((summary["final_average_accuracy"], summary["average_forgetting"]))
-                log(f"{strategy} seed {run_seed}: accuracy {summary['final_average_accuracy']:.4f}")
+                print(f"{strategy} seed {run_seed}: accuracy {summary['final_average_accuracy']:.4f}")
             except Exception as exc:  # a broken run must not sink the sweep
                 failures += 1
                 text = f"{type(exc).__name__}: {exc}"
@@ -144,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> int:
                     text = f"stream for seed {run_seed} failed to build: {text}"
                 os.makedirs(run_dir, exist_ok=True)
                 atomic_write_text(os.path.join(run_dir, "FAILED.txt"), text + "\n")
-                log(f"{strategy} seed {run_seed} FAILED: {text}", file=sys.stderr)
+                print(f"{strategy} seed {run_seed} FAILED: {text}", file=sys.stderr)
     rows = []
     for strategy in cfg.strategies:
         runs = finished[strategy]
@@ -158,12 +156,12 @@ def run_experiment(cfg: ExperimentConfig, log=print) -> int:
     lines = ["strategy,runs,accuracy_mean,accuracy_std,forgetting_mean,forgetting_std"]
     lines.extend(",".join(row) for row in rows)
     atomic_write_text(os.path.join(cfg.output_dir, "summary.csv"), "\n".join(lines) + "\n")
-    log(f"summary written to {os.path.join(cfg.output_dir, 'summary.csv')}")
+    print(f"summary written to {os.path.join(cfg.output_dir, 'summary.csv')}")
     return 0 if failures == 0 else 2
 
 
-def run_diagnose(cfg: ExperimentConfig, log=print) -> int:
-    corpora = _load_or_report(cfg, log)
+def run_diagnose(cfg: ExperimentConfig) -> int:
+    corpora = _load_or_report(cfg)
     if corpora is None:
         return 1
     train, _ = corpora
@@ -184,20 +182,20 @@ def run_diagnose(cfg: ExperimentConfig, log=print) -> int:
         os.makedirs(cfg.output_dir, exist_ok=True)
         atomic_write_text(path, "\n".join(lines) + "\n")
     except OSError as exc:
-        return _output_error(cfg.output_dir, exc, log)
-    log(f"diagnostic table written to {path}")
+        return _output_error(cfg.output_dir, exc)
+    print(f"diagnostic table written to {path}")
     return 0
 
 
-def dump_coreset(run_dir: str, out: str | None, log=print) -> int:
+def dump_coreset(run_dir: str, out: str | None) -> int:
     path = os.path.join(run_dir, "coreset_dump.csv")
     if not os.path.exists(path):
-        log(f"no coreset dump found at {path}", file=sys.stderr)
+        print(f"no coreset dump found at {path}", file=sys.stderr)
         return 1
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if not text.startswith(_DUMP_HEADER_PREFIX):
-        log(f"{path} does not look like a coreset dump", file=sys.stderr)
+    if text.split("\n", 1)[0] != DUMP_HEADER:
+        print(f"{path} does not look like a coreset dump", file=sys.stderr)
         return 1
     if out is None:
         try:
@@ -211,8 +209,8 @@ def dump_coreset(run_dir: str, out: str | None, log=print) -> int:
         try:
             atomic_write_text(out, text)
         except OSError as exc:
-            return _output_error(out, exc, log)
-        log(f"coreset dump written to {out}")
+            return _output_error(out, exc)
+        print(f"coreset dump written to {out}")
     return 0
 
 

@@ -11,7 +11,8 @@ reproduces it bit-for-bit. The row draws read only labels, so a task
 transforms just the clean rows it keeps.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
-synthetic corpus draws, patterns and clips a block at a time, and a transform
+synthetic corpus draws, patterns and clips a block at a time, a noisy task
+draws its noise a block at a time straight into its rows, and a transform
 gathers a block of corpus rows into a reused buffer and writes it, transformed,
 at the rows' final positions, so no whole-task temporary is made.
 """
@@ -244,11 +245,6 @@ def _transformed(kernel, ds: Dataset, rows: np.ndarray) -> Dataset:
     return Dataset(x, ds.y[rows], ds.source_index[rows])
 
 
-def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
-    """Rotate every 28x28 image in [0,1] about its center pixel, bilinear, zero fill."""
-    return _transformed(_rotator(angle, ds.x.shape[1]), ds, np.arange(len(ds)))
-
-
 def permute_pixels(ds: Dataset, seed) -> Dataset:
     """Apply one fixed random pixel permutation to every image."""
     return _transformed(_permuter(seed, ds.x.shape[1]), ds, np.arange(len(ds)))
@@ -279,18 +275,21 @@ def apply_imbalance(labels, reduced_classes, keep_fraction: float, seed) -> np.n
     return rng.permutation(np.flatnonzero(keep))
 
 
-def apply_noise(n: int, width: int, fraction: float, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Pick floor(fraction * n) of n rows uniformly and draw N(0,1) pixels to replace ALL of theirs.
+def apply_noise(x: np.ndarray, fraction: float, seed) -> np.ndarray:
+    """Pick floor(fraction * n) of x's n rows uniformly and overwrite ALL of their pixels with N(0,1) draws.
 
-    Returns the sorted positions and their (count, width) replacement rows;
-    labels are retained and the other rows stay untouched.
+    Returns the sorted positions; the other rows stay untouched. The draws fill
+    one reused block buffer in turn, so together they equal one (count, width) draw.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    count = int(math.floor(fraction * n))
-    positions = np.sort(rng.choice(n, size=count, replace=False))
-    return positions, rng.standard_normal((count, width))
+    count = int(math.floor(fraction * len(x)))
+    positions = np.sort(rng.choice(len(x), size=count, replace=False))
+    draw = np.empty((min(count, _BLOCK_ROWS), x.shape[1]))
+    for blk in _blocks(count):
+        x[positions[blk]] = rng.standard_normal(out=draw[: blk.stop - blk.start])
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +348,7 @@ def _build_stream(
             raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn, 0 after class imbalance")
         x = np.empty((rows.size, width))
         noisy = np.zeros(rows.size, dtype=bool)
-        if noise_fraction > 0.0:
-            positions, noise = apply_noise(rows.size, width, noise_fraction, seed(_TAG_NOISE))
-            noisy[positions] = True
-            x[positions] = noise
-            del noise  # not alive while the next task draws its own
+        noisy[apply_noise(x, noise_fraction, seed(_TAG_NOISE))] = True
         clean = np.flatnonzero(~noisy)
         # Clean rows are written at their final positions: block by block into x, or scattered between noise rows.
         _transform_rows(kernel, train.x, rows[clean], x, at=clean if clean.size < rows.size else None)

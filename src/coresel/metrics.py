@@ -16,14 +16,6 @@ from .errors import DimensionError, IncompleteMatrixError
 from .model import ParamSet, mean_gradient
 from .selection import cosines_to_vector
 
-__all__ = [
-    "AccuracyMatrix",
-    "average_accuracy",
-    "average_forgetting",
-    "DiagnosticRow",
-    "grad_approx_diagnostic",
-]
-
 
 class AccuracyMatrix:
     """T x T grid holding a_{t,i} for i <= t; unset entries are NaN."""

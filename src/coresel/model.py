@@ -25,19 +25,6 @@ import numpy as np
 from .errors import DimensionError, DivergenceError, EmptyInputError
 from .ioutil import atomic_write_bytes
 
-__all__ = [
-    "ParamSet",
-    "GradSelector",
-    "init_params",
-    "embeddings",
-    "Backprop",
-    "backprop",
-    "mean_gradient",
-    "accuracy",
-    "flatten_params",
-    "save_checkpoint",
-]
-
 
 @dataclass(frozen=True)
 class ParamSet:

@@ -205,14 +205,16 @@ def examples_as_arrays(examples) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+# The first line of every coreset dump; `coresel dump-coreset` rejects a file whose first line differs.
+DUMP_HEADER = "task_id,class,example_index_in_source," + ",".join(f"px{i}" for i in range(PIXELS))
+
 # One row of pixels; "%.6g" formats each value exactly as format_sig does.
 _DUMP_ROW = ",".join(["%.6g"] * PIXELS)
 
 
 def dump_csv(examples) -> str:
     """Stored examples as CSV: task_id, class, example_index_in_source, then one column per pixel."""
-    header = "task_id,class,example_index_in_source," + ",".join(f"px{i}" for i in range(PIXELS))
-    lines = [header]
+    lines = [DUMP_HEADER]
     for e in examples:
         if e.x.shape != (PIXELS,):
             raise DimensionError(f"stored example has {e.x.shape} pixels, expected ({PIXELS},)")

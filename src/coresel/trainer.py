@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datastream import NUM_CLASSES, PIXELS, Dataset, TaskStream, stream_manifest
+from .datastream import NUM_CLASSES, Dataset, TaskStream, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .ioutil import atomic_write_text
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
@@ -143,7 +143,7 @@ def _step_seed(state: RunState, cfg: TrainConfig, tag: int) -> np.random.SeedSeq
     return _seed_seq(cfg.seed, state.task_index, state.epoch, state.iteration_in_epoch, tag)
 
 
-def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int = PIXELS) -> RunState:
+def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int) -> RunState:
     sizes = [input_dim, *cfg.hidden, NUM_CLASSES]
     params = init_params(sizes, np.random.default_rng(_seed_seq(cfg.seed, _T_INIT)))
     strategy = REGISTRY[cfg.selection.strategy]
@@ -160,21 +160,22 @@ def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int = PIXELS) -> 
 # gradient plumbing
 
 
-def agem_project(g, g_ref, gram=None) -> np.ndarray:
+def agem_project(g, g_ref, gram) -> np.ndarray:
     """Remove g's conflicting component along g_ref when their inner product is negative.
 
-    The inner product is u . v, or u^T gram v when g and g_ref are coefficients
-    over gradient rows M with gram = M M^T; the projected gradient is then M^T out.
+    g and g_ref are coefficients over gradient rows M, and gram = M M^T: the
+    inner product of coefficients u, v is u^T gram v, and the projected
+    gradient is M^T out.
     """
     g = np.asarray(g, dtype=np.float64)
     g_ref = np.asarray(g_ref, dtype=np.float64)
     if g.shape != g_ref.shape or g.ndim != 1:
         raise DimensionError(f"gradient shapes differ: {g.shape} vs {g_ref.shape}")
-    if gram is not None and gram.shape != (g.size, g.size):
+    if gram.shape != (g.size, g.size):
         raise DimensionError(f"Gram matrix {gram.shape} for {g.size} coefficients")
 
     def inner(u, v):
-        return float(u @ v if gram is None else u @ gram @ v)
+        return float(u @ gram @ v)
 
     dot = inner(g, g_ref)
     if dot >= 0.0:
@@ -412,7 +413,7 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
     matrix is filled before anything is returned or written, and a failed run
     raises what the serial order train t, eval t, train t + 1 raises first.
     """
-    state = new_run_state(cfg, len(stream))
+    state = new_run_state(cfg, len(stream), stream.tasks[0].train.x.shape[1])
     evaluations = []  # per finished task t: (its position, futures of test sets 0..t)
     pool = ThreadPoolExecutor(max_workers=_EVAL_THREADS, thread_name_prefix="coresel-eval")
     try:
@@ -475,7 +476,7 @@ def _manifest_text(cfg: TrainConfig, stream: TaskStream) -> str:
         if f.name == "selection":
             lines.append(f"strategy = {value.strategy}")
             lines.append(f"kappa = {value.kappa}")
-            lines.append(f"tau = {value.tau:g}")
+            lines.append(f"tau = {value.tau}")
         elif f.name == "grad_selector":
             lines.append(f"grad_layers = {'all' if value is None else ','.join(str(l) for l in value.layers)}")
         elif f.name == "hidden":

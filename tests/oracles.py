@@ -4,7 +4,9 @@
 and `score_batch` scores candidates from such rows. The package never builds
 these rows: it works from `model.Backprop.gram` and `selection.score_gram`.
 `unflatten_params` turns a flat parameter vector back into a network, for
-finite differences.
+finite differences. `agem_project` is A-GEM's projection on such flat
+gradients; the package projects coefficients over the rows through their
+Gram matrix.
 
 `synthetic_corpus` builds the synthetic corpus one row at a time.
 `rotate_dataset` and `permute_pixels` transform a whole array in one pass:
@@ -56,6 +58,12 @@ def unflatten_params(flat, layer_sizes) -> ParamSet:
     return ParamSet(tuple(weights), tuple(biases))
 
 
+def agem_project(g, g_ref) -> np.ndarray:
+    """A-GEM on flat gradients: g - (g . g_ref / g_ref . g_ref) g_ref when g . g_ref < 0, else g."""
+    dot = float(g @ g_ref)
+    return g if dot >= 0.0 else g - (dot / float(g_ref @ g_ref)) * g_ref
+
+
 def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:
     """`score_gram` over materialised gradient rows M, with the reference r stacked as one more row.
 
@@ -94,7 +102,7 @@ def synthetic_corpus(n: int, seed) -> Dataset:
 
 
 def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
-    """`datastream.rotate_dataset` in one whole-array pass over the same sampling plan."""
+    """The streams' rotation (`datastream._rotator`) in one whole-array pass over the same sampling plan."""
     idx, w = datastream._rotation_sampler(angle)
     out = np.take(ds.x, idx[0], axis=1) * w[0]
     for k in range(1, 4):

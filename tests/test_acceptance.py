@@ -11,6 +11,8 @@ with this repository); they check the behavioral orderings, which is what
 they assert, not absolute MNIST accuracy levels.
 """
 
+import contextlib
+import io
 import itertools
 import time
 
@@ -167,7 +169,7 @@ def test_criterion_03_score_ranges_and_rescale_invariance():
 
 
 def test_criterion_04_projection_contract():
-    out = agem_project(np.array([1.0, -1.0]), np.array([0.0, 1.0]))
+    out = agem_project(np.array([1.0, -1.0]), np.array([0.0, 1.0]), np.eye(2))  # u^T I v = u . v
     if not np.array_equal(out, np.array([1.0, 0.0])):
         report(4, False, f"worked example gave {out}")
     rng = np.random.default_rng(20260818)
@@ -175,7 +177,7 @@ def test_criterion_04_projection_contract():
         n = int(rng.integers(1, 50))
         g = rng.normal(size=n) * float(rng.lognormal(0, 2))
         ref = rng.normal(size=n)
-        projected = agem_project(g, ref)
+        projected = agem_project(g, ref, np.eye(n))
         if float(projected @ ref) < -1e-10:
             report(4, False, f"trial {trial}: residual dot {float(projected @ ref):.3e}")
         if float(g @ ref) >= 0 and projected is not g:
@@ -355,7 +357,8 @@ def test_criterion_09_bit_identical_summaries(tmp_path):
     for name in ("first", "second"):
         out = tmp_path / name
         cfg = parse_config(None, dict(overrides, output_dir=str(out)), env={})
-        code = run_experiment(cfg, log=lambda *a, **k: None)
+        with contextlib.redirect_stdout(io.StringIO()):  # the run's progress lines; the CRITERION line still prints
+            code = run_experiment(cfg)
         if code != 0:
             report(9, False, f"run_experiment exited {code}")
         texts.append((out / "summary.csv").read_bytes())

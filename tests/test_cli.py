@@ -465,7 +465,12 @@ def test_dump_coreset_roundtrip(tmp_path, monkeypatch, capsys):
     assert main(["dump-coreset", run_dir, "--out", str(target)]) == 0
     assert target.read_text() == stdout
     assert main(["dump-coreset", str(tmp_path / "missing")]) == 1
+    short = tmp_path / "short"  # a dump whose header stops at the first pixel column
+    short.mkdir()
+    (short / "coreset_dump.csv").write_text("task_id,class,example_index_in_source,px0\n0,1,2,0.5\n")
     capsys.readouterr()
+    assert main(["dump-coreset", str(short)]) == 1
+    assert capsys.readouterr().err == f"{short / 'coreset_dump.csv'} does not look like a coreset dump\n"
     unwritable = tmp_path / "nodir" / "x.csv"  # the error names this path, not the temp file beside it
     assert main(["dump-coreset", run_dir, "--out", str(unwritable)]) == 1
     assert capsys.readouterr().err == f"output error: {unwritable}: No such file or directory\n"

@@ -16,7 +16,6 @@ from coresel.datastream import (
     load_idx,
     make_synthetic_corpus,
     permute_pixels,
-    rotate_dataset,
     stream_manifest,
 )
 from coresel.errors import DimensionError, FormatError
@@ -40,11 +39,15 @@ def imbalanced(ds, reduced_classes, keep_fraction, seed):
 
 
 def noised(ds, fraction, seed):
-    """`ds` with the rows `apply_noise` picks replaced by its noise rows, and the picked positions."""
-    positions, rows = apply_noise(len(ds), ds.x.shape[1], fraction, seed)
+    """`ds` with the rows `apply_noise` picks overwritten by its noise, and the picked positions."""
     x = ds.x.copy()
-    x[positions] = rows
+    positions = apply_noise(x, fraction, seed)
     return Dataset(x, ds.y, ds.source_index), positions
+
+
+def rotated(ds, angle):
+    """`ds` under the rotation kernel that streams use."""
+    return datastream._transformed(datastream._rotator(angle, ds.x.shape[1]), ds, np.arange(len(ds)))
 
 
 def small_dataset(n=60, seed=0):
@@ -154,9 +157,9 @@ def test_imbalance_counts_on_official_files():
 
 
 def rotate_image(pixels, angle):
-    """One image through `rotate_dataset`, as a 1-row Dataset."""
+    """One image through the rotation kernel, as a 1-row Dataset."""
     one = Dataset(np.asarray(pixels, dtype=np.float64).reshape(1, -1), np.zeros(1, np.int64), np.zeros(1, np.int64))
-    return rotate_dataset(one, angle).x[0].reshape(pixels.shape)
+    return rotated(one, angle).x[0].reshape(pixels.shape)
 
 
 def test_rotate_identity_angle():
@@ -198,7 +201,7 @@ def test_rotate_validation():
 
 def test_rotate_dataset_matches_per_image():
     ds = small_dataset(5)
-    out = rotate_dataset(ds, 33.0)
+    out = rotated(ds, 33.0)
     for i in range(5):
         assert np.array_equal(out.x[i], rotate_image(ds.x[i].reshape(28, 28), 33.0).ravel())
     assert np.array_equal(out.y, ds.y)
@@ -407,7 +410,7 @@ def test_synthetic_corpus_equals_per_row_oracle(n):
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_transforms_equal_whole_array_oracles(n):
     ds = make_synthetic_corpus(n, 2000 + n)
-    assert_same_dataset(rotate_dataset(ds, 33.0), oracles.rotate_dataset(ds, 33.0))
+    assert_same_dataset(rotated(ds, 33.0), oracles.rotate_dataset(ds, 33.0))
     assert_same_dataset(permute_pixels(ds, n), oracles.permute_pixels(ds, n))
 
 
@@ -448,7 +451,7 @@ def test_stream_equals_transform_then_drop_oracle(kind, case):
 
 
 # ---------------------------------------------------------------------------
-# memory: a build holds its output, the noise rows it copies in, and a few blocks
+# memory: a build holds its output and a few blocks
 
 
 ROW_BYTES = datastream.PIXELS * 8
@@ -478,9 +481,8 @@ def test_builds_allocate_their_output_and_a_few_blocks():
     kwargs = dict(train_per_task=900, test_per_task=300)
     permuted, peak = traced_peak(lambda: build_permuted_stream(train, test, 3, 7, **kwargs))
     assert peak <= stream_bytes(permuted) + SLACK
-    rotated, peak = traced_peak(lambda: build_rotated_stream(train, test, 3, 7, noise_fraction=0.3, **kwargs))
-    noise_bytes = max(len(t.noisy_source) for t in rotated.tasks) * ROW_BYTES
-    assert noise_bytes > 0
-    assert peak <= stream_bytes(rotated) + noise_bytes + SLACK
+    noisy, peak = traced_peak(lambda: build_rotated_stream(train, test, 3, 7, noise_fraction=0.6, **kwargs))
+    assert all(len(t.noisy_source) == 540 for t in noisy.tasks)
+    assert peak <= stream_bytes(noisy) + SLACK
     corpus, peak = traced_peak(lambda: make_synthetic_corpus(1000, 43))
     assert peak <= dataset_bytes(corpus) + SLACK

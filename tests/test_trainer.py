@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coresel import model, trainer
-from coresel.datastream import Dataset, build_rotated_stream, make_synthetic_corpus
+from coresel.datastream import PIXELS, Dataset, build_permuted_stream, build_rotated_stream, make_synthetic_corpus
 from coresel.errors import ContractError, DimensionError, DivergenceError, EmptyInputError, IncompleteMatrixError
 from coresel.metrics import average_forgetting
 from coresel.model import (
@@ -26,6 +26,7 @@ from coresel.trainer import (
     run_stream,
     train_iteration,
 )
+import oracles
 from oracles import per_example_gradients, score_batch
 
 
@@ -59,15 +60,15 @@ def tiny_config(**overrides):
 
 
 def test_agem_worked_example():
-    out = agem_project(np.array([1.0, -1.0]), np.array([0.0, 1.0]))
+    out = agem_project(np.array([1.0, -1.0]), np.array([0.0, 1.0]), np.eye(2))  # u^T I v = u . v
     assert np.array_equal(out, np.array([1.0, 0.0]))
 
 
 def test_agem_passthrough_and_full_conflict():
     g = np.array([2.0, 3.0])
     ref = np.array([1.0, 0.5])
-    assert agem_project(g, ref) is g  # dot > 0: unchanged
-    out = agem_project(np.array([0.0, -2.0]), np.array([0.0, 1.0]))
+    assert agem_project(g, ref, np.eye(2)) is g  # dot > 0: unchanged
+    out = agem_project(np.array([0.0, -2.0]), np.array([0.0, 1.0]), np.eye(2))
     assert np.allclose(out, 0.0, atol=1e-15)
 
 
@@ -77,7 +78,7 @@ def test_agem_contract_on_random_pairs():
         n = int(rng.integers(1, 30))
         g = rng.normal(size=n)
         ref = rng.normal(size=n)
-        out = agem_project(g, ref)
+        out = agem_project(g, ref, np.eye(n))
         assert float(out @ ref) >= -1e-10
         if float(g @ ref) >= 0:
             assert out is g
@@ -85,20 +86,21 @@ def test_agem_contract_on_random_pairs():
 
 def test_agem_non_finite_reference_raises():
     with pytest.raises(ContractError, match="still conflicts"):
-        agem_project(np.array([-1.0, 1.0]), np.array([np.inf, 1.0]))
+        with np.errstate(invalid="ignore"):  # inf * 0 off the identity's diagonal is NaN
+            agem_project(np.array([-1.0, 1.0]), np.array([np.inf, 1.0]), np.eye(2))
 
 
 def test_agem_on_coefficients_matches_materialised_vectors():
     # Coefficients u, v over gradient rows M project through M M^T exactly as g = M^T u, g_ref = M^T v do.
     rng = np.random.default_rng(20240818)
-    params = new_run_state(tiny_config(), num_tasks=1).params
+    params = new_run_state(tiny_config(), num_tasks=1, input_dim=PIXELS).params
     x, y = rng.uniform(size=(9, 784)), rng.integers(0, 10, size=9)
     rows = per_example_gradients(params, x, y)
     gram = backprop(params, x, y).gram()
     fired = 0
     for _ in range(200):
         u, v = rng.normal(size=9), np.where(rng.uniform(size=9) < 0.5, 0.0, rng.uniform(size=9))
-        want = agem_project(rows.T @ u, rows.T @ v)
+        want = oracles.agem_project(rows.T @ u, rows.T @ v)
         got = agem_project(u, v, gram)
         assert (got is u) == (float((rows.T @ u) @ (rows.T @ v)) >= 0.0)
         fired += got is not u
@@ -117,7 +119,7 @@ def first_replay_step(lam):
     """(params before, batch, info, update / lr) of the first step that draws a replay batch."""
     rng = np.random.default_rng(0)
     cfg = tiny_config(lam=lam)
-    state = new_run_state(cfg, num_tasks=2)
+    state = new_run_state(cfg, num_tasks=2, input_dim=PIXELS)
     train_iteration(state, make_batch(rng), cfg)
     commit_current_task(state, cfg)
     state.task_index, state.iteration_in_epoch = 1, 0
@@ -146,7 +148,7 @@ def test_replay_reference_restricts_to_selected_layers():
     # OCS takes its replay reference from the Gram blocks of one pass over candidates + replay rows:
     # over a selector's layers it is the replay batch's mean gradient restricted to those layers.
     rng = np.random.default_rng(4)
-    params = new_run_state(tiny_config(), num_tasks=1).params
+    params = new_run_state(tiny_config(), num_tasks=1, input_dim=PIXELS).params
     x, y = rng.uniform(size=(6, 784)), rng.integers(0, 10, size=6)
     rx, ry = rng.uniform(size=(4, 784)), rng.integers(0, 10, size=4)
     bp = backprop(params, np.concatenate([x, rx]), np.concatenate([y, ry]))
@@ -176,7 +178,7 @@ def test_empty_buffer_lambda_is_inert():
     results = []
     for lam in (0.0, 5.0):
         cfg = tiny_config(lam=lam)
-        state = new_run_state(cfg, num_tasks=1)
+        state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
         train_iteration(state, batch, cfg)
         results.append(flatten_params(state.params))
     assert np.array_equal(results[0], results[1])
@@ -196,7 +198,7 @@ def assert_plain_sgd(p0, x, y, lr, got):
 def test_saturated_selection_is_plain_sgd():
     batch = make_batch(np.random.default_rng(6))
     cfg = tiny_config(selection=SelectionConfig(kappa=20, tau=0.0, strategy="ocs"))
-    state = new_run_state(cfg, num_tasks=1)
+    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
     p0 = state.params
     info = train_iteration(state, batch, cfg)
     assert list(info.selected) == list(range(20))
@@ -206,7 +208,7 @@ def test_saturated_selection_is_plain_sgd():
 def test_iteration_stages_selected_examples():
     batch = make_batch(np.random.default_rng(7))
     cfg = tiny_config()
-    state = new_run_state(cfg, num_tasks=1)
+    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
     info = train_iteration(state, batch, cfg)
     src = state.buffer.staged_pool(0).source_index
     assert sorted(src) == sorted(int(i) for i in info.selected)
@@ -217,7 +219,7 @@ def test_iteration_stages_selected_examples():
 def test_reservoir_strategy_fills_reservoir_not_coreset():
     batch = make_batch(np.random.default_rng(8))
     cfg = tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy="reservoir"))
-    state = new_run_state(cfg, num_tasks=1)
+    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
     train_iteration(state, batch, cfg)
     assert isinstance(state.buffer, ReservoirState)
     assert len(state.buffer.items) == 20
@@ -328,7 +330,7 @@ class OddRowsLastFirst(Strategy):
 def test_trainer_follows_stub_strategy(monkeypatch):
     monkeypatch.setitem(trainer.REGISTRY, "uniform", OddRowsLastFirst())
     cfg = tiny_config(buffer_capacity=3, selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform"))
-    state = new_run_state(cfg, num_tasks=1)
+    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
     batch = make_batch(np.random.default_rng(9))
     p0 = state.params
     info = train_iteration(state, batch, cfg)
@@ -401,7 +403,7 @@ def test_one_backward_pass_per_iteration(monkeypatch):
     for strategy in trainer.REGISTRY:
         for agem in (False, True):
             cfg = tiny_config(agem=agem, selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy))
-            state = new_run_state(cfg, num_tasks=2)
+            state = new_run_state(cfg, num_tasks=2, input_dim=PIXELS)
             for task_id in (0, 1):
                 state.task_index, state.iteration_in_epoch = task_id, 0
                 calls.clear()
@@ -456,7 +458,7 @@ def test_buffer_smaller_than_task_count(strategy, capacity):
 
 def test_run_stream_artifacts(tmp_path):
     stream = tiny_stream(num_tasks=2)
-    cfg = tiny_config(log_scores=True)
+    cfg = tiny_config(log_scores=True, selection=SelectionConfig(kappa=5, tau=0.1234567, strategy="ocs"))
     state = run_stream(stream, cfg, out_dir=str(tmp_path))
     for name in ("accuracy_matrix.csv", "metrics.json", "coreset_dump.csv", "run_manifest.txt", "model.ckpt", "scores.csv"):
         assert os.path.exists(tmp_path / name), name
@@ -476,6 +478,7 @@ def test_run_stream_artifacts(tmp_path):
 
     manifest = (tmp_path / "run_manifest.txt").read_text()
     assert "strategy = ocs" in manifest and "kappa = 5" in manifest and "[stream]" in manifest
+    assert "\ntau = 0.1234567\n" in manifest  # every digit of the float, as the other fields are written
 
     scores = (tmp_path / "scores.csv").read_text().splitlines()
     assert scores[0] == "iteration,index,similarity,diversity,affinity,selected"
@@ -483,6 +486,20 @@ def test_run_stream_artifacts(tmp_path):
 
     dump_lines = (tmp_path / "coreset_dump.csv").read_text().strip().splitlines()
     assert len(dump_lines) == 1 + state.buffer.total_stored
+
+
+@pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
+def test_run_stream_takes_its_input_width_from_the_stream(strategy):
+    # Rows need not be 784 pixels wide for training; only the coreset dump format is fixed at 784 columns.
+    rng = np.random.default_rng(12)
+
+    def corpus(n):
+        return Dataset(rng.uniform(size=(n, 12)), rng.integers(0, 10, size=n), np.arange(n))
+
+    stream = build_permuted_stream(corpus(200), corpus(60), 2, 5, train_per_task=60, test_per_task=30)
+    state = run_stream(stream, tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy)))
+    assert state.params.weights[0].shape == (16, 12)
+    assert not np.isnan(state.matrix.values[1]).any()
 
 
 def test_failed_run_raises_and_writes_no_artifacts(tmp_path, monkeypatch):
@@ -537,7 +554,7 @@ def test_failed_evaluation_is_reported_before_a_later_training_failure(tmp_path,
 
 
 def test_run_metrics_rejects_an_unfinished_run():
-    state = new_run_state(tiny_config(), num_tasks=2)
+    state = new_run_state(tiny_config(), num_tasks=2, input_dim=PIXELS)
     state.matrix.set(0, 0, 0.5)
     with pytest.raises(IncompleteMatrixError):
         trainer.run_metrics(state)
@@ -545,7 +562,7 @@ def test_run_metrics_rejects_an_unfinished_run():
 
 def test_commit_requires_staged_pool():
     cfg = tiny_config()
-    state = new_run_state(cfg, num_tasks=1)
+    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
     with pytest.raises(EmptyInputError, match="no staged candidates for task 0"):
         commit_current_task(state, cfg)
 
