@@ -10,9 +10,16 @@ from (master_seed, task index, purpose tag), so rebuilding a stream
 reproduces it bit-for-bit. The row draws read only labels, so a task
 transforms just the clean rows it keeps.
 
+A permuted task's train set is a TaskView: the corpus pixels, the task's
+corpus rows, its permutation and its noise rows, from which each batch is
+gathered on demand. A permutation is one column gather, so a task need not
+hold its own copy of the pixels. Rotated train sets (a bilinear rotation
+costs about five times a permutation per row) and every test set (read at
+every evaluation) are built eagerly as Datasets.
+
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
-synthetic corpus draws, patterns and clips a block at a time, a noisy task
-draws its noise a block at a time straight into its rows, and a transform
+synthetic corpus draws, patterns and clips a block at a time, a noisy rotated
+task draws its noise a block at a time straight into its rows, and a transform
 gathers a block of corpus rows into a reused buffer and writes it, transformed,
 at the rows' final positions, so no whole-task temporary is made.
 """
@@ -47,11 +54,12 @@ _TAG_REDUCED_CLASSES = 6
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable-by-convention bundle of examples.
+    """Immutable-by-convention bundle of examples: a corpus, a rotated task's train set, a test set or a batch.
 
     source_index traces every row back to its position in the base corpus the
     stream was built from; transforms preserve it so stored coreset entries
-    stay identifiable.
+    stay identifiable. A permuted task's train set is a TaskView, which has
+    the same len, width, y, source_index, x and subset.
     """
 
     x: np.ndarray  # (n, 784) float64
@@ -67,9 +75,59 @@ class Dataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
+    @property
+    def width(self) -> int:
+        """Pixels per row."""
+        return self.x.shape[1]
+
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(self.x[indices], self.y[indices], self.source_index[indices])
+
+
+class TaskView:
+    """A task's train set as a view of the corpus: its rows are transformed from the corpus when asked for.
+
+    It holds the corpus pixels, the task's corpus rows, the task's transform
+    kernel and, for a noisy task, only its noise rows. `subset(indices)`
+    returns the Dataset that an eager build would hold at those rows, and `x`
+    builds the whole set anew on every read. Making a view marks the corpus
+    pixels read-only, so that a later write to the corpus raises instead of
+    changing every task built from it.
+    """
+
+    def __init__(self, corpus: Dataset, rows: np.ndarray, kernel, noisy_at: np.ndarray, noise: np.ndarray):
+        corpus.x.flags.writeable = False
+        self._pixels = corpus.x
+        self._rows = rows
+        self._kernel = kernel
+        self._noise = noise  # (noisy_at.size, width): the noise row of each position in noisy_at, in order
+        self._noise_slot = np.full(rows.size, -1, dtype=np.int64)  # per task row, its noise row, or -1 if clean
+        self._noise_slot[noisy_at] = np.arange(noisy_at.size)
+        self.y = corpus.y[rows]
+        self.source_index = corpus.source_index[rows]
+
+    def __len__(self) -> int:
+        return self._rows.size
+
+    @property
+    def width(self) -> int:
+        """Pixels per row."""
+        return self._pixels.shape[1]
+
+    @property
+    def x(self) -> np.ndarray:
+        """Every row's pixels, built anew on each read."""
+        return self.subset(np.arange(len(self))).x
+
+    def subset(self, indices) -> Dataset:
+        indices = np.asarray(indices, dtype=np.int64)
+        slot = self._noise_slot[indices]
+        noisy = np.flatnonzero(slot >= 0)
+        x = np.empty((indices.size, self.width))
+        x[noisy] = self._noise[slot[noisy]]
+        _transform_rows(self._kernel, self._pixels, self._rows[indices], x, skip=noisy)
+        return Dataset(x, self.y[indices], self.source_index[indices])
 
 
 @dataclass(frozen=True)
@@ -82,8 +140,10 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class Task:
+    """One task: its train set (a TaskView for a permuted task, else a Dataset) and its eagerly built test set."""
+
     spec: TaskSpec
-    train: Dataset
+    train: Dataset | TaskView
     test: Dataset
     noisy_source: frozenset  # source indices whose pixels were replaced by noise
 
@@ -151,13 +211,14 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 # Per-image transforms
 
 
-def _rotation_sampler(angle: float, side: int = IMAGE_SIDE):
+def _rotation_sampler(angle: float):
     """Bilinear inverse-map gather plan: per neighbor corner (4 rows), an index and a weight per output pixel.
 
     Rotation is about the integer pixel (side//2, side//2), so that pixel is a
     fixed point for every angle and 180 degrees maps the interior exactly onto
     the pixel lattice.
     """
+    side = IMAGE_SIDE
     center = side // 2
     r, c = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     dr = (r - center).ravel()
@@ -218,13 +279,19 @@ def _blocks(n: int):
     return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
-def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray, at=None) -> None:
-    """Write the rows `rows` of `src`, transformed, into dest's first rows, or into the rows `at` of dest.
+def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray, skip=None) -> None:
+    """Write row rows[i] of `src`, transformed, into row i of dest, for every i but the positions `skip`.
 
     One block at a time: the block's source rows are gathered into a reused
     buffer, and `kernel(block, out)` writes the transformed block into `out`,
-    a view of dest or, for scattered rows `at`, a reused buffer copied into place.
+    a view of dest or, when rows are skipped, a reused buffer copied into place.
     """
+    at = None
+    if skip is not None and skip.size:
+        keep = np.ones(rows.size, dtype=bool)
+        keep[skip] = False
+        at = np.flatnonzero(keep)
+        rows = rows[at]
     gather = np.empty((min(rows.size, _BLOCK_ROWS), src.shape[1]))
     staged = None if at is None else np.empty_like(gather)
     for blk in _blocks(rows.size):
@@ -275,19 +342,24 @@ def apply_imbalance(labels, reduced_classes, keep_fraction: float, seed) -> np.n
     return rng.permutation(np.flatnonzero(keep))
 
 
+def _noise_draws(n: int, fraction: float, seed):
+    """floor(fraction * n) of n positions, sorted, drawn from `seed`; and the generator that then draws their pixels."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
+    rng = np.random.default_rng(seed)
+    count = int(math.floor(fraction * n))
+    return np.sort(rng.choice(n, size=count, replace=False)), rng
+
+
 def apply_noise(x: np.ndarray, fraction: float, seed) -> np.ndarray:
     """Pick floor(fraction * n) of x's n rows uniformly and overwrite ALL of their pixels with N(0,1) draws.
 
     Returns the sorted positions; the other rows stay untouched. The draws fill
     one reused block buffer in turn, so together they equal one (count, width) draw.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
-    count = int(math.floor(fraction * len(x)))
-    positions = np.sort(rng.choice(len(x), size=count, replace=False))
-    draw = np.empty((min(count, _BLOCK_ROWS), x.shape[1]))
-    for blk in _blocks(count):
+    positions, rng = _noise_draws(len(x), fraction, seed)
+    draw = np.empty((min(positions.size, _BLOCK_ROWS), x.shape[1]))
+    for blk in _blocks(positions.size):
         x[positions[blk]] = rng.standard_normal(out=draw[: blk.stop - blk.start])
     return positions
 
@@ -327,7 +399,8 @@ def _build_stream(
     train rows (subsample, imbalance survivors, noise positions) are drawn
     from labels first, and only the clean rows it keeps are transformed: the
     transforms act on each row alone, so this equals transforming the whole
-    subsample and then dropping and replacing rows. A task left with no train
+    subsample and then dropping and replacing rows. A permuted task's train
+    set is a TaskView that does this per batch. A task left with no train
     rows is an EmptyInputError: no strategy could train on it.
     """
     if num_tasks < 1:
@@ -346,14 +419,16 @@ def _build_stream(
             rows = rows[apply_imbalance(train.y[rows], *imbalance, seed(_TAG_IMBALANCE))]
         if rows.size == 0:
             raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn, 0 after class imbalance")
-        x = np.empty((rows.size, width))
-        noisy = np.zeros(rows.size, dtype=bool)
-        noisy[apply_noise(x, noise_fraction, seed(_TAG_NOISE))] = True
-        clean = np.flatnonzero(~noisy)
-        # Clean rows are written at their final positions: block by block into x, or scattered between noise rows.
-        _transform_rows(kernel, train.x, rows[clean], x, at=clean if clean.size < rows.size else None)
-        task_train = Dataset(x, train.y[rows], train.source_index[rows])
-        noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy]])
+        if kind == "permute":
+            noisy_at, rng = _noise_draws(rows.size, noise_fraction, seed(_TAG_NOISE))
+            task_train = TaskView(train, rows, kernel, noisy_at, rng.standard_normal((noisy_at.size, width)))
+        else:
+            # Noise rows first, then the clean rows at their final positions, block by block or scattered between.
+            x = np.empty((rows.size, width))
+            noisy_at = apply_noise(x, noise_fraction, seed(_TAG_NOISE))
+            _transform_rows(kernel, train.x, rows, x, skip=noisy_at)
+            task_train = Dataset(x, train.y[rows], train.source_index[rows])
+        noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy_at]])
         task_test = _transformed(kernel, test, _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET)))
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy_source))
     return TaskStream(tuple(tasks), int(master_seed))

@@ -25,6 +25,7 @@ by (seed, purpose tag); so a run is a pure function of (stream, config).
 from __future__ import annotations
 
 import contextvars
+import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -413,7 +414,7 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
     matrix is filled before anything is returned or written, and a failed run
     raises what the serial order train t, eval t, train t + 1 raises first.
     """
-    state = new_run_state(cfg, len(stream), stream.tasks[0].train.x.shape[1])
+    state = new_run_state(cfg, len(stream), stream.tasks[0].train.width)
     evaluations = []  # per finished task t: (its position, futures of test sets 0..t)
     pool = ThreadPoolExecutor(max_workers=_EVAL_THREADS, thread_name_prefix="coresel-eval")
     try:
@@ -494,16 +495,33 @@ def _manifest_text(cfg: TrainConfig, stream: TaskStream) -> str:
 
 
 def _write_artifacts(state: RunState, stream: TaskStream, cfg: TrainConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(out_dir, "accuracy_matrix.csv"), _matrix_csv(state.matrix))
-    atomic_write_text(
-        os.path.join(out_dir, "metrics.json"), json.dumps(run_metrics(state), indent=2, sort_keys=True) + "\n"
-    )
-    write_dump(state.buffer_examples(), os.path.join(out_dir, "coreset_dump.csv"))
-    atomic_write_text(os.path.join(out_dir, "run_manifest.txt"), _manifest_text(cfg, stream))
-    save_checkpoint(state.params, os.path.join(out_dir, "model.ckpt"))
+    """Write a finished run's artifacts, all of them or none.
+
+    Every text is rendered before the first write, and the coreset dump, which
+    rejects a row it cannot hold before writing, goes first. If a write fails,
+    the files this call has already written are removed.
+    """
+    texts = {
+        "accuracy_matrix.csv": _matrix_csv(state.matrix),
+        "metrics.json": json.dumps(run_metrics(state), indent=2, sort_keys=True) + "\n",
+        "run_manifest.txt": _manifest_text(cfg, stream),
+    }
     if cfg.log_scores:
         rows = ["iteration,index,similarity,diversity,affinity,selected"]
         for it, n, s, v, a, sel in state.score_rows:
             rows.append(f"{it},{n},{format_sig(s)},{format_sig(v)},{format_sig(a)},{sel}")
-        atomic_write_text(os.path.join(out_dir, "scores.csv"), "\n".join(rows) + "\n")
+        texts["scores.csv"] = "\n".join(rows) + "\n"
+    writers = [("coreset_dump.csv", lambda path: write_dump(state.buffer_examples(), path))]
+    writers += [(name, functools.partial(atomic_write_text, text=text)) for name, text in texts.items()]
+    writers.append(("model.ckpt", functools.partial(save_checkpoint, state.params)))
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    try:
+        for name, write in writers:
+            path = os.path.join(out_dir, name)
+            write(path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.unlink(path)
+        raise

@@ -9,6 +9,7 @@ import oracles
 from coresel import datastream
 from coresel.datastream import (
     Dataset,
+    TaskView,
     apply_imbalance,
     apply_noise,
     build_permuted_stream,
@@ -337,6 +338,18 @@ def test_permuted_stream_reproducible_and_distinct():
     assert all(task.train.x.flags.c_contiguous and task.test.x.flags.c_contiguous for task in a.tasks)
 
 
+def test_a_view_makes_its_corpus_read_only():
+    # A later write to the corpus would change every permuted task built from it: it raises instead.
+    train = small_dataset(40, seed=19)
+    test = small_dataset(12, seed=20)
+    stream = build_permuted_stream(train, test, 2, 3, train_per_task=20)
+    before = stream.tasks[0].train.x
+    with pytest.raises(ValueError, match="read-only"):
+        train.x[stream.tasks[0].train.source_index[0]] = 0.0
+    assert np.array_equal(stream.tasks[0].train.x, before)
+    assert test.x.flags.writeable  # test sets are built eagerly
+
+
 def test_both_kinds_draw_the_same_rows():
     # One protocol: the subsample, imbalance and noise draws depend on (seed, task, tag), not on the kind.
     train = small_dataset(120, seed=17)
@@ -391,11 +404,17 @@ def assert_same_dataset(got, want):
 
 def assert_same_stream(got, want):
     assert got.master_seed == want.master_seed and len(got) == len(want)
-    for g, w in zip(got.tasks, want.tasks):
+    for t, (g, w) in enumerate(zip(got.tasks, want.tasks)):
         assert g.spec == w.spec and g.noisy_source == w.noisy_source
+        assert isinstance(g.train, TaskView) == (g.spec.kind == "permute")
         assert_same_dataset(g.train, w.train)
         assert_same_dataset(g.test, w.test)
         assert g.train.x.flags.c_contiguous
+        # Batches as the trainer takes them: a shuffled order cut into runs that straddle a block edge.
+        order = np.random.default_rng(t).permutation(len(g.train))
+        for start in range(0, len(order), BLOCK + 3):
+            batch = order[start : start + BLOCK + 3]
+            assert_same_dataset(g.train.subset(batch), w.train.subset(batch))
 
 
 BLOCK = datastream._BLOCK_ROWS
@@ -414,17 +433,25 @@ def test_transforms_equal_whole_array_oracles(n):
     assert_same_dataset(permute_pixels(ds, n), oracles.permute_pixels(ds, n))
 
 
+def narrow(ds, width):
+    """`ds` cut to its first `width` pixels: permuted streams take rows of any width."""
+    return Dataset(np.ascontiguousarray(ds.x[:, :width]), ds.y, ds.source_index)
+
+
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_stream_equals_oracle_at_block_edges(kind, n):
-    # n clean train rows per task, once written straight into place and once scattered between n noise rows.
-    train = make_synthetic_corpus(2 * BLOCK_EDGES[-1] + 10, 33)
-    test = make_synthetic_corpus(BLOCK_EDGES[-1] + 10, 34)
+    # n clean train rows per task: written straight into place, scattered between n noise rows, and (about n)
+    # left by a class imbalance with noise. Permuted streams also run on 12-pixel rows.
     builder = build_rotated_stream if kind == "rotate" else build_permuted_stream
-    for kwargs in (dict(train_per_task=n), dict(train_per_task=2 * n, noise_fraction=0.5)):
-        kwargs["test_per_task"] = n
-        want = oracles.build_stream(kind, train, test, 2, 19, **kwargs)
-        assert_same_stream(builder(train, test, 2, 19, **kwargs), want)
+    for width in (datastream.PIXELS, 12) if kind == "permute" else (datastream.PIXELS,):
+        train = narrow(make_synthetic_corpus(2 * BLOCK_EDGES[-1] + 10, 33), width)
+        test = narrow(make_synthetic_corpus(BLOCK_EDGES[-1] + 10, 34), width)
+        for kwargs in (dict(train_per_task=n), dict(train_per_task=2 * n, noise_fraction=0.5),
+                       dict(train_per_task=2 * n + 5, imbalance=((0, 1, 2, 3, 4), 0.5), noise_fraction=0.25)):
+            kwargs["test_per_task"] = n
+            want = oracles.build_stream(kind, train, test, 2, 19, **kwargs)
+            assert_same_stream(builder(train, test, 2, 19, **kwargs), want)
 
 
 STREAM_CASES = {
@@ -468,7 +495,13 @@ def traced_peak(build):
 
 
 def dataset_bytes(*datasets):
-    return sum(a.nbytes for ds in datasets for a in (ds.x, ds.y, ds.source_index))
+    """The bytes the datasets hold; a view's pixels, gathered on demand, are not counted."""
+    def arrays(ds):
+        if isinstance(ds, TaskView):
+            return ds.y, ds.source_index, ds._rows, ds._noise_slot, ds._noise
+        return ds.x, ds.y, ds.source_index
+
+    return sum(a.nbytes for ds in datasets for a in arrays(ds))
 
 
 def stream_bytes(stream):
@@ -479,8 +512,12 @@ def test_builds_allocate_their_output_and_a_few_blocks():
     train = make_synthetic_corpus(1800, 41)  # also fills the cached pattern tables before anything is traced
     test = make_synthetic_corpus(600, 42)
     kwargs = dict(train_per_task=900, test_per_task=300)
-    permuted, peak = traced_peak(lambda: build_permuted_stream(train, test, 3, 7, **kwargs))
-    assert peak <= stream_bytes(permuted) + SLACK
+    # Permuted builds hold their test sets, index arrays and noise rows, and no train pixels.
+    for noise_fraction in (0.0, 0.6):
+        permuted, peak = traced_peak(lambda: build_permuted_stream(train, test, 3, 7, noise_fraction=noise_fraction,
+                                                                   **kwargs))
+        assert all(isinstance(t.train, TaskView) for t in permuted.tasks)
+        assert peak <= stream_bytes(permuted) + SLACK
     noisy, peak = traced_peak(lambda: build_rotated_stream(train, test, 3, 7, noise_fraction=0.6, **kwargs))
     assert all(len(t.noisy_source) == 540 for t in noisy.tasks)
     assert peak <= stream_bytes(noisy) + SLACK

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from coresel import model, trainer
-from coresel.datastream import PIXELS, Dataset, build_permuted_stream, build_rotated_stream, make_synthetic_corpus
+from coresel.datastream import (
+    PIXELS,
+    Dataset,
+    TaskView,
+    build_permuted_stream,
+    build_rotated_stream,
+    make_synthetic_corpus,
+)
 from coresel.errors import ContractError, DimensionError, DivergenceError, EmptyInputError, IncompleteMatrixError
 from coresel.metrics import average_forgetting
 from coresel.model import (
@@ -500,6 +507,50 @@ def test_run_stream_takes_its_input_width_from_the_stream(strategy):
     state = run_stream(stream, tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy)))
     assert state.params.weights[0].shape == (16, 12)
     assert not np.isnan(state.matrix.values[1]).any()
+
+
+def test_an_artifact_that_cannot_be_rendered_leaves_no_artifacts(tmp_path):
+    # 12-pixel rows train, but the coreset dump holds 784 columns: the run fails before its first file is written.
+    rng = np.random.default_rng(13)
+
+    def corpus(n):
+        return Dataset(rng.uniform(size=(n, 12)), rng.integers(0, 10, size=n), np.arange(n))
+
+    stream = build_permuted_stream(corpus(200), corpus(60), 2, 5, train_per_task=60, test_per_task=30)
+    out = tmp_path / "run"
+    with pytest.raises(DimensionError, match=r"stored example has \(12,\) pixels"):
+        run_stream(stream, tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform")),
+                   out_dir=str(out))
+    assert os.listdir(out) == []
+
+
+def test_a_failed_write_removes_the_artifacts_already_written(tmp_path, monkeypatch):
+    def full_disk(params, path):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        run_stream(tiny_stream(num_tasks=2), tiny_config(log_scores=True), out_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_stream_never_materialises_a_permuted_train_set(monkeypatch):
+    stream = build_permuted_stream(make_synthetic_corpus(300, 3), make_synthetic_corpus(100, 4), 3, 9,
+                                   train_per_task=100, noise_fraction=0.2)
+    assert all(isinstance(task.train, TaskView) for task in stream.tasks)
+    sizes = []
+    real_subset = TaskView.subset
+
+    def subset(view, indices):
+        sizes.append(len(indices))
+        return real_subset(view, indices)
+
+    monkeypatch.setattr(TaskView, "x", property(lambda view: pytest.fail("a whole train set was built")))
+    monkeypatch.setattr(TaskView, "subset", subset)
+    cfg = tiny_config(stream_batch_size=30, epochs=2)
+    state = run_stream(stream, cfg)
+    assert not np.isnan(state.matrix.values[2]).any()
+    assert sizes == [30, 30, 30, 10] * 6  # the trainer's batches and nothing more
 
 
 def test_failed_run_raises_and_writes_no_artifacts(tmp_path, monkeypatch):
