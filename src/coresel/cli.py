@@ -34,7 +34,7 @@ from .ioutil import atomic_write_text
 from .metrics import grad_approx_diagnostic
 from .model import init_params
 from .replay import DUMP_HEADER, format_sig
-from .trainer import run_metrics, run_stream
+from .trainer import TrainConfig, run_metrics, run_stream
 
 
 def load_corpora(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -107,6 +107,8 @@ def _output_error(path: str, exc: OSError) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
+    if cfg.agem and cfg.lam != TrainConfig.lam:  # A-GEM's objective has no replay term for lambda to weigh
+        print("note: lambda has no effect with agem = true", file=sys.stderr)
     corpora = _load_or_report(cfg)
     if corpora is None:
         return 1

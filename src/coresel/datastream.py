@@ -1,27 +1,26 @@
 """MNIST-format ingestion and deterministic task-stream synthesis.
 
 A Dataset is a bundle of flattened 28x28 images (rows of 784 floats), labels,
-and each example's index in the originating corpus; rows travel as Datasets
-from the corpus through a task to the trainer's batches and staging pool. One
-per-task loop builds both stream kinds: every task subsamples the corpus,
-applies its kind's transform (rotation or pixel permutation), then optional
-class imbalance and label-preserving noise, with every random draw derived
-from (master_seed, task index, purpose tag), so rebuilding a stream
-reproduces it bit-for-bit. The row draws read only labels, so a task
+and each example's index in the originating corpus: a corpus, a test set, a
+step's picked rows and the staging pool are Datasets. One per-task loop
+builds both stream kinds: every task subsamples the corpus, applies its
+kind's transform (rotation or pixel permutation), then optional class
+imbalance and label-preserving noise, with every random draw derived from
+(master_seed, task index, purpose tag), so rebuilding a stream reproduces it
+bit-for-bit. The row draws read only labels, so a task
 transforms just the clean rows it keeps.
 
-A permuted task's train set is a TaskView: the corpus pixels, the task's
-corpus rows, its permutation and its noise rows, from which each batch is
-gathered on demand. A permutation is one column gather, so a task need not
-hold its own copy of the pixels. Rotated train sets (a bilinear rotation
-costs about five times a permutation per row) and every test set (read at
-every evaluation) are built eagerly as Datasets.
+Every task's train set is a TaskView: the corpus pixels, the task's corpus
+rows, its transform and its noise rows. A training step takes a Batch of it,
+which builds a row's pixels on the first read that needs them and keeps them,
+so a step transforms only the rows it uses, each once, and no task holds its
+own copy of the pixels. Test sets, read at every evaluation, are built
+eagerly as Datasets.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
-synthetic corpus draws, patterns and clips a block at a time, a noisy rotated
-task draws its noise a block at a time straight into its rows, and a transform
-gathers a block of corpus rows into a reused buffer and writes it, transformed,
-at the rows' final positions, so no whole-task temporary is made.
+synthetic corpus draws, patterns and clips a block at a time, and a
+transform gathers a block of corpus rows into a reused buffer and writes it,
+transformed, at the rows' final positions, so no whole-task temporary is made.
 """
 
 from __future__ import annotations
@@ -54,12 +53,13 @@ _TAG_REDUCED_CLASSES = 6
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable-by-convention bundle of examples: a corpus, a rotated task's train set, a test set or a batch.
+    """Immutable-by-convention bundle of examples: a corpus, a test set or a step's picked rows.
 
     source_index traces every row back to its position in the base corpus the
     stream was built from; transforms preserve it so stored coreset entries
-    stay identifiable. A permuted task's train set is a TaskView, which has
-    the same len, width, y, source_index, x and subset.
+    stay identifiable. A task's train set is a TaskView and a step's
+    candidates are a Batch, which read like a Dataset: len, y, source_index,
+    x and subset.
     """
 
     x: np.ndarray  # (n, 784) float64
@@ -89,11 +89,12 @@ class TaskView:
     """A task's train set as a view of the corpus: its rows are transformed from the corpus when asked for.
 
     It holds the corpus pixels, the task's corpus rows, the task's transform
-    kernel and, for a noisy task, only its noise rows. `subset(indices)`
-    returns the Dataset that an eager build would hold at those rows, and `x`
-    builds the whole set anew on every read. Making a view marks the corpus
-    pixels read-only, so that a later write to the corpus raises instead of
-    changing every task built from it.
+    kernel (rotation or permutation) and, for a noisy task, only its noise
+    rows. `subset(indices)` returns a Batch of those rows, whose pixels are
+    the rows an eager build would hold, and `x` builds the whole set anew on
+    every read. Making a view marks the corpus pixels read-only, so that a
+    later write to the corpus raises instead of changing every task built
+    from it.
     """
 
     def __init__(self, corpus: Dataset, rows: np.ndarray, kernel, noisy_at: np.ndarray, noise: np.ndarray):
@@ -118,16 +119,56 @@ class TaskView:
     @property
     def x(self) -> np.ndarray:
         """Every row's pixels, built anew on each read."""
-        return self.subset(np.arange(len(self))).x
+        return self._pixels_of(np.arange(len(self)))
+
+    def subset(self, indices) -> Batch:
+        return Batch(self, np.asarray(indices, dtype=np.int64))
+
+    def _pixels_of(self, positions: np.ndarray) -> np.ndarray:
+        """The pixels of the task rows at `positions`, in that order: noise rows copied, clean rows transformed."""
+        slot = self._noise_slot[positions]
+        noisy = np.flatnonzero(slot >= 0)
+        x = np.empty((positions.size, self.width))
+        x[noisy] = self._noise[slot[noisy]]
+        _transform_rows(self._kernel, self._pixels, self._rows[positions], x, skip=noisy)
+        return x
+
+
+class Batch:
+    """A step's candidate rows of a TaskView: a row's pixels are built on the first read that needs them and kept.
+
+    `subset(indices)` builds just those rows and returns them as a Dataset, and `x` builds every row.
+    """
+
+    def __init__(self, view: TaskView, positions: np.ndarray):
+        self._view = view
+        self._positions = positions
+        self._x = np.empty((positions.size, view.width))  # a row holds its pixels once _built is set
+        self._built = np.zeros(positions.size, dtype=bool)
+        self.y = view.y[positions]
+        self.source_index = view.source_index[positions]
+
+    def __len__(self) -> int:
+        return self._positions.size
+
+    @property
+    def x(self) -> np.ndarray:
+        """Every row's pixels, built on the first read."""
+        self._build(np.arange(len(self)))
+        return self._x
 
     def subset(self, indices) -> Dataset:
         indices = np.asarray(indices, dtype=np.int64)
-        slot = self._noise_slot[indices]
-        noisy = np.flatnonzero(slot >= 0)
-        x = np.empty((indices.size, self.width))
-        x[noisy] = self._noise[slot[noisy]]
-        _transform_rows(self._kernel, self._pixels, self._rows[indices], x, skip=noisy)
-        return Dataset(x, self.y[indices], self.source_index[indices])
+        self._build(indices)
+        return Dataset(self._x[indices], self.y[indices], self.source_index[indices])
+
+    def _build(self, indices: np.ndarray) -> None:
+        todo = np.unique(indices[~self._built[indices]])
+        if todo.size == len(self):  # every row at once: no copy into place
+            self._x = self._view._pixels_of(self._positions)
+        elif todo.size:
+            self._x[todo] = self._view._pixels_of(self._positions[todo])
+        self._built[todo] = True
 
 
 @dataclass(frozen=True)
@@ -140,10 +181,10 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class Task:
-    """One task: its train set (a TaskView for a permuted task, else a Dataset) and its eagerly built test set."""
+    """One task: its train set, a view of the corpus, and its eagerly built test set."""
 
     spec: TaskSpec
-    train: Dataset | TaskView
+    train: TaskView
     test: Dataset
     noisy_source: frozenset  # source indices whose pixels were replaced by noise
 
@@ -251,14 +292,13 @@ def _rotator(angle: float, width: int):
     if not 0.0 <= angle <= 180.0:
         raise ValueError(f"rotation angle must lie in [0, 180], got {angle}")
     idx, w = _rotation_sampler(angle)
-    corner = np.empty((_BLOCK_ROWS, PIXELS))
 
     def rotate(block: np.ndarray, out: np.ndarray) -> None:
         # A fixed-order sum over the four corners: a row's pixels do not depend on the block it is in.
         # Indices lie in 0..783, so mode="clip" changes nothing but lets take() write into `out` unbuffered.
         np.take(block, idx[0], axis=1, out=out, mode="clip")
         out *= w[0]
-        part = corner[: len(block)]
+        part = np.empty_like(out)  # made per block: a task's view keeps its kernel for the whole run
         for k in range(1, 4):
             np.take(block, idx[k], axis=1, out=part, mode="clip")
             part *= w[k]
@@ -342,26 +382,13 @@ def apply_imbalance(labels, reduced_classes, keep_fraction: float, seed) -> np.n
     return rng.permutation(np.flatnonzero(keep))
 
 
-def _noise_draws(n: int, fraction: float, seed):
-    """floor(fraction * n) of n positions, sorted, drawn from `seed`; and the generator that then draws their pixels."""
+def _noise_rows(n: int, fraction: float, seed, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """floor(fraction * n) of n rows, uniformly chosen and sorted, and the N(0,1) pixels that replace ALL of theirs."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
     count = int(math.floor(fraction * n))
-    return np.sort(rng.choice(n, size=count, replace=False)), rng
-
-
-def apply_noise(x: np.ndarray, fraction: float, seed) -> np.ndarray:
-    """Pick floor(fraction * n) of x's n rows uniformly and overwrite ALL of their pixels with N(0,1) draws.
-
-    Returns the sorted positions; the other rows stay untouched. The draws fill
-    one reused block buffer in turn, so together they equal one (count, width) draw.
-    """
-    positions, rng = _noise_draws(len(x), fraction, seed)
-    draw = np.empty((min(positions.size, _BLOCK_ROWS), x.shape[1]))
-    for blk in _blocks(positions.size):
-        x[positions[blk]] = rng.standard_normal(out=draw[: blk.stop - blk.start])
-    return positions
+    return np.sort(rng.choice(n, size=count, replace=False)), rng.standard_normal((count, width))
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +426,9 @@ def _build_stream(
     train rows (subsample, imbalance survivors, noise positions) are drawn
     from labels first, and only the clean rows it keeps are transformed: the
     transforms act on each row alone, so this equals transforming the whole
-    subsample and then dropping and replacing rows. A permuted task's train
-    set is a TaskView that does this per batch. A task left with no train
-    rows is an EmptyInputError: no strategy could train on it.
+    subsample and then dropping and replacing rows. A task's train set is a
+    TaskView that does this per batch. A task left with no train rows is an
+    EmptyInputError: no strategy could train on it.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
@@ -419,15 +446,8 @@ def _build_stream(
             rows = rows[apply_imbalance(train.y[rows], *imbalance, seed(_TAG_IMBALANCE))]
         if rows.size == 0:
             raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn, 0 after class imbalance")
-        if kind == "permute":
-            noisy_at, rng = _noise_draws(rows.size, noise_fraction, seed(_TAG_NOISE))
-            task_train = TaskView(train, rows, kernel, noisy_at, rng.standard_normal((noisy_at.size, width)))
-        else:
-            # Noise rows first, then the clean rows at their final positions, block by block or scattered between.
-            x = np.empty((rows.size, width))
-            noisy_at = apply_noise(x, noise_fraction, seed(_TAG_NOISE))
-            _transform_rows(kernel, train.x, rows, x, skip=noisy_at)
-            task_train = Dataset(x, train.y[rows], train.source_index[rows])
+        noisy_at, noise = _noise_rows(rows.size, noise_fraction, seed(_TAG_NOISE), width)
+        task_train = TaskView(train, rows, kernel, noisy_at, noise)
         noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy_at]])
         task_test = _transformed(kernel, test, _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET)))
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy_source))

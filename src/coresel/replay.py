@@ -177,22 +177,23 @@ class ReservoirState:
         self.seen = 0
         self._rng = np.random.default_rng(seed)
 
-    def offer(self, task_id: int, x, y, source_index) -> None:
-        """Offer rows in stream order; only the rows that enter are copied.
+    def offer(self, task_id: int, rows) -> None:
+        """Offer `rows` (a Dataset or a Batch) in stream order; only the rows that enter are read and copied.
 
         Stream row i (1-based) takes the next free slot while the reservoir fills;
         past the fill it draws j in [0, i) and replaces slot j if j < capacity.
         """
-        n = len(y)
+        n = len(rows)
         fill = min(self.capacity - len(self.items), n)
         slots = np.concatenate([
             np.arange(len(self.items), len(self.items) + fill),
             self._rng.integers(0, np.arange(self.seen + fill + 1, self.seen + n + 1)),
         ])
         self.seen += n
-        for row in np.flatnonzero(slots < self.capacity):
-            slot = int(slots[row])
-            item = StoredExample(int(task_id), np.array(x[row], dtype=np.float64), int(y[row]), int(source_index[row]))
+        enter = np.flatnonzero(slots < self.capacity)
+        entering = rows.subset(enter)
+        for i, slot in enumerate(slots[enter].tolist()):
+            item = StoredExample(int(task_id), entering.x[i].copy(), int(entering.y[i]), int(entering.source_index[i]))
             self.items[slot : slot + 1] = [item]  # slot == len(items) appends
 
     def all_examples(self) -> list[StoredExample]:

@@ -1,16 +1,17 @@
 """The training loop over a task stream.
 
-Each iteration takes one candidate batch, a `Dataset` slice of the current
-task's shuffled train set: pick a subset, form the objective gradient
-(selected-batch mean loss plus lambda times a replay-batch mean loss; with
-A-GEM, the selected-batch loss alone, projected away from conflicting with
-the replay gradient), step, and store examples for the end-of-task buffer
-commit. A step runs one backward pass, over its rows and the replay batch:
-the objective and the replay gradient are per-row weights on that pass's
-per-example gradients, and A-GEM reweights the rows through their Gram
-matrix. After each task the model is evaluated on every test set seen so
-far, filling one row of the accuracy matrix; those evaluations run on
-background threads while the next task trains.
+Each iteration takes one candidate batch, a `datastream.Batch` of the
+current task's shuffled train set, which builds a row's pixels when first
+read: pick a subset, form the objective gradient (selected-batch mean loss
+plus lambda times a replay-batch mean loss; with A-GEM, the selected-batch
+loss alone, projected away from conflicting with the replay gradient), step,
+and store examples for the end-of-task buffer commit. A step runs one
+backward pass, over its rows and the replay batch: the objective and the
+replay gradient are per-row weights on that pass's per-example gradients,
+and A-GEM reweights the rows through their Gram matrix. After each task the
+model is evaluated on every test set seen so far, filling one row of the
+accuracy matrix; those evaluations run on background threads while the next
+task trains.
 
 What differs between selection methods lives in one `Strategy` object per
 method, looked up by name in `REGISTRY`: the buffer kind, the per-step pick,
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datastream import NUM_CLASSES, Dataset, TaskStream, stream_manifest
+from .datastream import NUM_CLASSES, Batch, Dataset, TaskStream, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .ioutil import atomic_write_text
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
@@ -223,12 +224,12 @@ class Strategy:
     def new_buffer(self, cfg: TrainConfig):
         return Coreset(cfg.buffer_capacity, cfg.seed)
 
-    def pick(self, state: RunState, cfg: TrainConfig, batch: Dataset, kappa: int, bp):
+    def pick(self, state: RunState, cfg: TrainConfig, batch: Batch | Dataset, kappa: int, bp):
         """(indices to train on, ScoreBreakdown or None); bp is None, or with `scores_gradients`
         the `Backprop` over the candidates followed by the replay rows."""
         raise NotImplementedError
 
-    def store(self, state: RunState, cfg: TrainConfig, batch: Dataset, selected: np.ndarray) -> None:
+    def store(self, state: RunState, cfg: TrainConfig, batch: Batch | Dataset, selected: np.ndarray) -> None:
         picked = batch.subset(selected)
         state.buffer.stage_candidates(state.task_index, picked.x, picked.y, picked.source_index)
 
@@ -276,7 +277,7 @@ class Reservoir(Uniform):
         return ReservoirState(cfg.buffer_capacity, _seed_seq(cfg.seed, _T_RESERVOIR))
 
     def store(self, state, cfg, batch, selected):
-        state.buffer.offer(state.task_index, batch.x, batch.y, batch.source_index)
+        state.buffer.offer(state.task_index, batch)
 
     def commit(self, state, cfg):
         return None
@@ -313,8 +314,8 @@ REGISTRY: dict[str, Strategy] = {
 # one iteration
 
 
-def train_iteration(state: RunState, batch: Dataset, cfg: TrainConfig) -> IterationInfo:
-    """One selective update from a candidate batch; mutates state in place."""
+def train_iteration(state: RunState, batch: Batch | Dataset, cfg: TrainConfig) -> IterationInfo:
+    """One selective update from a candidate batch; mutates state, and reads only the rows its pick and store use."""
     if len(batch) == 0:
         raise EmptyInputError("empty candidate batch")
     kappa = min(cfg.selection.kappa, len(batch))
@@ -329,7 +330,8 @@ def train_iteration(state: RunState, batch: Dataset, cfg: TrainConfig) -> Iterat
         lead = np.isin(np.arange(len(batch)), selected) / len(selected)
     else:
         selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, None)
-        bp = backprop(state.params, *_with_replay(batch.x[selected], batch.y[selected], replay))
+        picked = batch.subset(selected)
+        bp = backprop(state.params, *_with_replay(picked.x, picked.y, replay))
         lead = np.full(len(selected), 1.0 / len(selected))
 
     # Objective: mean(selected loss) + lam * mean(replay loss), as weights on bp's rows. A-GEM trains on the

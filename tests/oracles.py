@@ -11,10 +11,12 @@ Gram matrix.
 `synthetic_corpus` builds the synthetic corpus one row at a time.
 `rotate_dataset` and `permute_pixels` transform a whole array in one pass:
 the rotation's four corner gathers summed in fixed order and then clipped,
-and one column gather. `build_stream` applies them to every subsampled row of
-a task before imbalance drops rows and noise overwrites them. The package
-builds all of these in row blocks and transforms only the rows a task keeps;
-its outputs must equal these byte for byte.
+and one column gather. `noised` overwrites a share of the rows with N(0,1)
+pixels. `build_stream` applies the transform to every subsampled row of a
+task before imbalance drops rows and noise overwrites them, and holds each
+train set as an eager Dataset. The package builds in row blocks, transforms
+only the rows a task keeps, and builds a train row only when a batch reads
+it; its outputs must equal these byte for byte.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def _imbalance(ds: Dataset, reduced_classes, keep_fraction: float, seed) -> Data
     return ds.subset(rng.permutation(np.flatnonzero(keep)))
 
 
-def _noise(ds: Dataset, fraction: float, seed) -> tuple[Dataset, np.ndarray]:
+def noised(ds: Dataset, fraction: float, seed) -> tuple[Dataset, np.ndarray]:
+    """`ds` with floor(fraction * n) uniformly chosen rows overwritten by N(0,1) pixels, and their sorted positions."""
     rng = np.random.default_rng(seed)
     count = int(math.floor(fraction * len(ds)))
     positions = np.sort(rng.choice(len(ds), size=count, replace=False))
@@ -161,7 +164,7 @@ def build_stream(kind, train, test, num_tasks, master_seed, *, train_per_task=No
         if imbalance is not None:
             task_train = _imbalance(task_train, *imbalance, seed(master_seed, t, datastream._TAG_IMBALANCE))
         if noise_fraction > 0.0:
-            task_train, positions = _noise(task_train, noise_fraction, seed(master_seed, t, datastream._TAG_NOISE))
+            task_train, positions = noised(task_train, noise_fraction, seed(master_seed, t, datastream._TAG_NOISE))
             noisy = frozenset(int(s) for s in task_train.source_index[positions])
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy))
     return TaskStream(tuple(tasks), int(master_seed))

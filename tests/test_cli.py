@@ -419,6 +419,20 @@ def test_run_builds_one_stream_per_seed(tmp_path, monkeypatch):
     assert built == [0, 1]  # two seeds, each stream shared by ocs and uniform
 
 
+@pytest.mark.parametrize("flags, noted", [
+    (["--agem", "true", "--lambda", "0.5"], True),
+    (["--agem", "true", "--lambda", "0"], True),
+    (["--agem", "true"], False),  # the default lambda
+    (["--agem", "true", "--lambda", "1.0"], False),
+    (["--lambda", "0.5"], False),  # without A-GEM, lambda weighs the replay loss
+])
+def test_run_notes_a_lambda_that_agem_ignores(tmp_path, monkeypatch, capsys, flags, noted):
+    path = write_config(tmp_path)
+    assert run_cli(["run", "--config", path, "--num-seeds", "2", *flags], {}, monkeypatch) == 0
+    notes = capsys.readouterr().err.splitlines().count("note: lambda has no effect with agem = true")
+    assert notes == int(noted)  # once per sweep, not once per run
+
+
 def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[train]\nkapa = 1\n")

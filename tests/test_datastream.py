@@ -11,7 +11,6 @@ from coresel.datastream import (
     Dataset,
     TaskView,
     apply_imbalance,
-    apply_noise,
     build_permuted_stream,
     build_rotated_stream,
     load_idx,
@@ -37,13 +36,6 @@ def write_idx_pair(tmp_path, images, labels, image_magic=0x00000803, label_magic
 def imbalanced(ds, reduced_classes, keep_fraction, seed):
     """`ds` cut to the survivors `apply_imbalance` draws from its labels."""
     return ds.subset(apply_imbalance(ds.y, reduced_classes, keep_fraction, seed))
-
-
-def noised(ds, fraction, seed):
-    """`ds` with the rows `apply_noise` picks overwritten by its noise, and the picked positions."""
-    x = ds.x.copy()
-    positions = apply_noise(x, fraction, seed)
-    return Dataset(x, ds.y, ds.source_index), positions
 
 
 def rotated(ds, angle):
@@ -263,14 +255,14 @@ def test_imbalance_deterministic():
 
 def test_noise_zero_fraction_is_identity():
     ds = small_dataset(30)
-    out, positions = noised(ds, 0.0, 1)
+    out, positions = oracles.noised(ds, 0.0, 1)
     assert positions.size == 0
     assert np.array_equal(out.x, ds.x)
 
 
 def test_noise_exact_count_and_label_preservation():
     ds = small_dataset(100, seed=3)
-    out, positions = noised(ds, 0.6, 2)
+    out, positions = oracles.noised(ds, 0.6, 2)
     assert positions.shape == (60,)
     assert np.array_equal(out.y, ds.y)
     untouched = np.setdiff1d(np.arange(100), positions)
@@ -280,7 +272,7 @@ def test_noise_exact_count_and_label_preservation():
 
 def test_noise_full_replacement_is_standard_normal():
     ds = small_dataset(50, seed=4)
-    out, positions = noised(ds, 1.0, 3)
+    out, positions = oracles.noised(ds, 1.0, 3)
     assert positions.shape == (50,)
     # Per-image mean and variance within 4 sigma of N(0,1) moments (784 draws).
     mean_bound = 4.0 / np.sqrt(784)
@@ -406,15 +398,18 @@ def assert_same_stream(got, want):
     assert got.master_seed == want.master_seed and len(got) == len(want)
     for t, (g, w) in enumerate(zip(got.tasks, want.tasks)):
         assert g.spec == w.spec and g.noisy_source == w.noisy_source
-        assert isinstance(g.train, TaskView) == (g.spec.kind == "permute")
+        assert isinstance(g.train, TaskView)
         assert_same_dataset(g.train, w.train)
         assert_same_dataset(g.test, w.test)
         assert g.train.x.flags.c_contiguous
-        # Batches as the trainer takes them: a shuffled order cut into runs that straddle a block edge.
+        # Batches as the trainer takes them: a shuffled order cut into runs that straddle a block edge. Each
+        # builds every third row first, in reverse order, as a pick does, and then the rest as a whole-batch read.
         order = np.random.default_rng(t).permutation(len(g.train))
         for start in range(0, len(order), BLOCK + 3):
-            batch = order[start : start + BLOCK + 3]
-            assert_same_dataset(g.train.subset(batch), w.train.subset(batch))
+            batch, want_batch = (ds.subset(order[start : start + BLOCK + 3]) for ds in (g.train, w.train))
+            picks = np.arange(0, len(batch), 3)[::-1]
+            assert_same_dataset(batch.subset(picks), want_batch.subset(picks))
+            assert_same_dataset(batch, want_batch)
 
 
 BLOCK = datastream._BLOCK_ROWS
@@ -495,7 +490,7 @@ def traced_peak(build):
 
 
 def dataset_bytes(*datasets):
-    """The bytes the datasets hold; a view's pixels, gathered on demand, are not counted."""
+    """The bytes the datasets hold; a view's pixels, built on demand, are not counted."""
     def arrays(ds):
         if isinstance(ds, TaskView):
             return ds.y, ds.source_index, ds._rows, ds._noise_slot, ds._noise
@@ -512,14 +507,12 @@ def test_builds_allocate_their_output_and_a_few_blocks():
     train = make_synthetic_corpus(1800, 41)  # also fills the cached pattern tables before anything is traced
     test = make_synthetic_corpus(600, 42)
     kwargs = dict(train_per_task=900, test_per_task=300)
-    # Permuted builds hold their test sets, index arrays and noise rows, and no train pixels.
-    for noise_fraction in (0.0, 0.6):
-        permuted, peak = traced_peak(lambda: build_permuted_stream(train, test, 3, 7, noise_fraction=noise_fraction,
-                                                                   **kwargs))
-        assert all(isinstance(t.train, TaskView) for t in permuted.tasks)
-        assert peak <= stream_bytes(permuted) + SLACK
-    noisy, peak = traced_peak(lambda: build_rotated_stream(train, test, 3, 7, noise_fraction=0.6, **kwargs))
-    assert all(len(t.noisy_source) == 540 for t in noisy.tasks)
-    assert peak <= stream_bytes(noisy) + SLACK
+    # Builds hold their test sets, index arrays and noise rows, and no train pixels.
+    for builder, noise_fraction in ((build_permuted_stream, 0.0), (build_permuted_stream, 0.6),
+                                    (build_rotated_stream, 0.6)):
+        stream, peak = traced_peak(lambda: builder(train, test, 3, 7, noise_fraction=noise_fraction, **kwargs))
+        assert all(isinstance(t.train, TaskView) for t in stream.tasks)
+        assert all(len(t.noisy_source) == int(900 * noise_fraction) for t in stream.tasks)
+        assert peak <= stream_bytes(stream) + SLACK
     corpus, peak = traced_peak(lambda: make_synthetic_corpus(1000, 43))
     assert peak <= dataset_bytes(corpus) + SLACK

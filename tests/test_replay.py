@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coresel.datastream import Dataset
 from coresel.errors import DimensionError, EmptyInputError
 from coresel.replay import (
     Coreset,
@@ -369,7 +370,7 @@ def offer_stream(state, n, batch_size, start=0):
     """Offer stream rows start..start+n-1 in batches; row r has label r % 10 and source index r."""
     for lo in range(start, start + n, batch_size):
         src = np.arange(lo, min(lo + batch_size, start + n))
-        state.offer(0, src[:, None].astype(np.float64), src % 10, src)
+        state.offer(0, Dataset(src[:, None].astype(np.float64), src % 10, src))
 
 
 def test_reservoir_short_stream_keeps_everything():
@@ -430,10 +431,26 @@ def test_reservoir_inclusion_frequency():
         assert np.abs(counts / trials - p).max() < 4 * sigma, batch_size
 
 
+def test_reservoir_reads_only_the_rows_that_enter():
+    # Offered one at a time, a row enters exactly when it is held right after its offer.
+    class Source(Dataset):
+        def subset(self, indices):
+            asked.append(np.asarray(indices).tolist())
+            return super().subset(indices)
+
+    state = ReservoirState(capacity=3, seed=5)
+    for r in range(40):
+        asked = []
+        state.offer(0, Source(np.full((1, 2), float(r)), np.array([r % 10]), np.array([r])))
+        held = any(e.source_index == r for e in state.items)
+        assert asked == [[0] if held else []]
+    assert state.seen == 40 and len(state.items) == 3
+
+
 def test_reservoir_copies_the_rows_it_keeps():
     state = ReservoirState(capacity=2, seed=4)
     x = np.zeros((3, 784))
-    state.offer(1, x, [3, 4, 5], [10, 11, 12])
+    state.offer(1, Dataset(x, np.array([3, 4, 5]), np.array([10, 11, 12])))
     x[:] = 9.0
     assert all(e.x.max() == 0.0 and e.task_id == 1 for e in state.items)
     assert state.all_examples() == state.items and state.all_examples() is not state.items

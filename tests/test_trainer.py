@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import threading
@@ -534,9 +535,21 @@ def test_a_failed_write_removes_the_artifacts_already_written(tmp_path, monkeypa
     assert os.listdir(tmp_path) == []
 
 
-def test_run_stream_never_materialises_a_permuted_train_set(monkeypatch):
-    stream = build_permuted_stream(make_synthetic_corpus(300, 3), make_synthetic_corpus(100, 4), 3, 9,
-                                   train_per_task=100, noise_fraction=0.2)
+def noisy_stream(kind, build=None):
+    """Three noisy tasks of 100 rows; `build` defaults to the package's builder of `kind`."""
+    build = build or {"rotate": build_rotated_stream, "permute": build_permuted_stream}[kind]
+    return build(make_synthetic_corpus(300, 3), make_synthetic_corpus(100, 4), 3, 9, train_per_task=100,
+                 test_per_task=40, noise_fraction=0.2)
+
+
+def strategy_config(strategy, **overrides):
+    return tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy), **overrides)
+
+
+@pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
+@pytest.mark.parametrize("kind", ["rotate", "permute"])
+def test_run_stream_never_materialises_a_train_set(monkeypatch, kind, strategy):
+    stream = noisy_stream(kind)
     assert all(isinstance(task.train, TaskView) for task in stream.tasks)
     sizes = []
     real_subset = TaskView.subset
@@ -547,10 +560,66 @@ def test_run_stream_never_materialises_a_permuted_train_set(monkeypatch):
 
     monkeypatch.setattr(TaskView, "x", property(lambda view: pytest.fail("a whole train set was built")))
     monkeypatch.setattr(TaskView, "subset", subset)
-    cfg = tiny_config(stream_batch_size=30, epochs=2)
-    state = run_stream(stream, cfg)
+    state = run_stream(stream, strategy_config(strategy, stream_batch_size=30, epochs=2))
     assert not np.isnan(state.matrix.values[2]).any()
     assert sizes == [30, 30, 30, 10] * 6  # the trainer's batches and nothing more
+
+
+@pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
+def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy):
+    # A uniform pick reads its kappa rows; OCS and k-means read every candidate; the reservoir reads its
+    # picked rows and the rows that enter it. Rows are named by source index, unique within a task.
+    built, entered, steps = [], [], []
+    real_pixels, real_offer, real_iteration = TaskView._pixels_of, ReservoirState.offer, trainer.train_iteration
+
+    def pixels_of(view, positions):
+        built.extend(view.source_index[positions].tolist())
+        return real_pixels(view, positions)
+
+    def offer(reservoir, task_id, rows):
+        real_rows_subset = rows.subset
+        rows.subset = lambda indices: entered.extend(np.asarray(indices).tolist()) or real_rows_subset(indices)
+        real_offer(reservoir, task_id, rows)
+
+    def iteration(state, batch, cfg):
+        built.clear()
+        entered.clear()
+        info = real_iteration(state, batch, cfg)
+        read = np.union1d(info.selected, np.array(entered, dtype=int))
+        if strategy in ("ocs", "kmeans_embedding"):
+            read = np.arange(len(batch))
+        steps.append((len(batch), built[:], batch.source_index[read].tolist()))
+        x, count = batch.x, len(built)  # read after the step, as the benchmark's OCS probe does:
+        assert batch.x is x and len(built) == count  # a re-read builds nothing
+        return info
+
+    monkeypatch.setattr(TaskView, "_pixels_of", pixels_of)
+    monkeypatch.setattr(ReservoirState, "offer", offer)
+    monkeypatch.setattr(trainer, "train_iteration", iteration)
+    kappa = 5
+    run_stream(noisy_stream("rotate"), strategy_config(strategy, stream_batch_size=30, epochs=2))
+    assert len(steps) == 24
+    for _, rows, read in steps:
+        assert sorted(rows) == sorted(read)  # each row it reads, once
+    if strategy == "uniform":
+        assert all(len(rows) == kappa for _, rows, _ in steps)
+    if strategy == "reservoir":
+        assert any(len(rows) > kappa for _, rows, _ in steps)  # rows entered beyond the picks
+        assert any(len(rows) < n for n, rows, _ in steps)  # past the fill, most candidates are never built
+
+
+@pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
+def test_a_run_over_views_writes_the_eager_streams_artifacts(tmp_path, strategy):
+    cfg = strategy_config(strategy, stream_batch_size=30, epochs=2, log_scores=True)
+    for name in ("views", "eager"):
+        stream = noisy_stream("rotate", build=None if name == "views" else functools.partial(oracles.build_stream,
+                                                                                             "rotate"))
+        assert all(isinstance(task.train, TaskView) == (name == "views") for task in stream.tasks)
+        run_stream(stream, cfg, out_dir=str(tmp_path / name))
+    names = sorted(os.listdir(tmp_path / "eager"))
+    assert sorted(os.listdir(tmp_path / "views")) == names and "coreset_dump.csv" in names
+    for name in names:
+        assert (tmp_path / "views" / name).read_bytes() == (tmp_path / "eager" / name).read_bytes(), name
 
 
 def test_failed_run_raises_and_writes_no_artifacts(tmp_path, monkeypatch):
