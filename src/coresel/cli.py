@@ -73,51 +73,42 @@ def _mean_std(values) -> tuple[float, float]:
     return float(np.mean(arr)), std
 
 
-def _blocked_output(path: str) -> OSError | None:
-    """The error os.makedirs(path) would raise because a file stands in the way, found without creating anything."""
-    ancestor = path  # not normalised: "a-file/../x" must fail here as it does in makedirs
+class _Refused(Exception):
+    """A refusal: `main` prints its one line on stderr and returns exit code 1."""
+
+
+def _output_refused(path: str, exc: OSError) -> _Refused:
+    """The `output error:` refusal, naming the path as the user gave it."""
+    return _Refused(f"output error: {path}: {exc.strerror or exc}")
+
+
+def _load(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The corpora, or one `corpus error:` refusal when a file is missing or malformed.
+
+    A file where the output directory must go is refused first with the error
+    os.makedirs would raise, found without creating anything, so no corpus is built in vain.
+    """
+    ancestor = cfg.output_dir  # not normalised: "a-file/../x" must fail here as it does in makedirs
     while ancestor and not os.path.exists(ancestor):
         ancestor = os.path.dirname(ancestor)
-    if not ancestor or os.path.isdir(ancestor):  # "" is the working directory
-        return None
-    code = errno.EEXIST if ancestor == path else errno.ENOTDIR
-    return OSError(code, os.strerror(code))
-
-
-def _load_or_report(cfg: ExperimentConfig) -> tuple[Dataset, Dataset] | None:
-    """The corpora, or None after one `corpus error:` line when a file is missing or malformed.
-
-    A file where the output directory must go gets an `output error:` line first, so no corpus is built in vain.
-    """
-    blocked = _blocked_output(cfg.output_dir)
-    if blocked is not None:
-        _output_error(cfg.output_dir, blocked)
-        return None
+    if ancestor and not os.path.isdir(ancestor):  # "" is the working directory
+        code = errno.EEXIST if ancestor == cfg.output_dir else errno.ENOTDIR
+        raise _output_refused(cfg.output_dir, OSError(code, os.strerror(code)))
     try:
         return load_corpora(cfg)
     except (FormatError, OSError) as exc:
-        print(f"corpus error: {exc}", file=sys.stderr)
-        return None
-
-
-def _output_error(path: str, exc: OSError) -> int:
-    """Exit code 1 after one `output error:` line that names the path as the user gave it."""
-    print(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 1
+        raise _Refused(f"corpus error: {exc}") from None
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.agem and cfg.lam != TrainConfig.lam:  # A-GEM's objective has no replay term for lambda to weigh
         print("note: lambda has no effect with agem = true", file=sys.stderr)
-    corpora = _load_or_report(cfg)
-    if corpora is None:
-        return 1
-    train, test = corpora
+    train, test = _load(cfg)
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
         atomic_write_text(os.path.join(cfg.output_dir, "run_manifest.ini"), render_manifest(cfg))
     except OSError as exc:
-        return _output_error(cfg.output_dir, exc)
+        raise _output_refused(cfg.output_dir, exc) from None
     finished = {strategy: [] for strategy in cfg.strategies}  # (final accuracy, forgetting) per run
     failures = 0
     # Seeds outside, strategies inside: one stream per seed serves every strategy.
@@ -163,10 +154,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 def run_diagnose(cfg: ExperimentConfig) -> int:
-    corpora = _load_or_report(cfg)
-    if corpora is None:
-        return 1
-    train, _ = corpora
+    train, _ = _load(cfg)
     sizes = tuple(train.x.shape[0] if s == FULL_DATASET else s for s in cfg.batch_sizes)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed]))
     params = init_params([train.x.shape[1], *cfg.hidden, NUM_CLASSES], rng)
@@ -184,7 +172,7 @@ def run_diagnose(cfg: ExperimentConfig) -> int:
         os.makedirs(cfg.output_dir, exist_ok=True)
         atomic_write_text(path, "\n".join(lines) + "\n")
     except OSError as exc:
-        return _output_error(cfg.output_dir, exc)
+        raise _output_refused(cfg.output_dir, exc) from None
     print(f"diagnostic table written to {path}")
     return 0
 
@@ -192,13 +180,14 @@ def run_diagnose(cfg: ExperimentConfig) -> int:
 def dump_coreset(run_dir: str, out: str | None) -> int:
     path = os.path.join(run_dir, "coreset_dump.csv")
     if not os.path.exists(path):
-        print(f"no coreset dump found at {path}", file=sys.stderr)
-        return 1
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        raise _Refused(f"no coreset dump found at {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Refused(f"cannot read coreset dump {path}: {exc}") from None
     if text.split("\n", 1)[0] != DUMP_HEADER:
-        print(f"{path} does not look like a coreset dump", file=sys.stderr)
-        return 1
+        raise _Refused(f"{path} does not look like a coreset dump")
     if out is None:
         try:
             sys.stdout.write(text)
@@ -211,7 +200,7 @@ def dump_coreset(run_dir: str, out: str | None) -> int:
         try:
             atomic_write_text(out, text)
         except OSError as exc:
-            return _output_error(out, exc)
+            raise _output_refused(out, exc) from None
         print(f"coreset dump written to {out}")
     return 0
 
@@ -219,16 +208,7 @@ def dump_coreset(run_dir: str, out: str | None) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file (key = value with [section] headers)")
     for key in known_keys():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=f"k_{key}", metavar="VALUE", help=argparse.SUPPRESS)
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key in known_keys():
-        raw = getattr(args, f"k_{key}", None)
-        if raw is not None:
-            overrides[key] = raw
-    return overrides
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="VALUE", help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,17 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit code 0 or 2 from a command, or 1 after its one refusal line on stderr."""
     args = build_parser().parse_args(argv)
-    if args.command == "dump-coreset":
-        return dump_coreset(args.run_dir, args.out)
     try:
-        cfg = parse_config(args.config, _collect_overrides(args))
+        if args.command == "dump-coreset":
+            return dump_coreset(args.run_dir, args.out)
+        overrides = {key: getattr(args, key) for key in known_keys() if getattr(args, key) is not None}
+        cfg = parse_config(args.config, overrides)
+        return run_diagnose(cfg) if args.command == "diagnose" else run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    if args.command == "diagnose":
-        return run_diagnose(cfg)
-    return run_experiment(cfg)
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -172,7 +172,7 @@ def _parse_file(path: str, values: dict) -> None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     section = None
     seen: set[str] = set()

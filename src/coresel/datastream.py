@@ -242,9 +242,12 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         labels = _read_payload(fh, label_count, labels_path, "label data")
     if label_count != count:
         raise FormatError(f"{labels_path}: {label_count} labels for {count} images (counts must match)")
+    y = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
+    bad = np.flatnonzero(y >= NUM_CLASSES)
+    if bad.size:
+        raise FormatError(f"{labels_path}: label {y[bad[0]]} at offset {8 + bad[0]} lies outside 0..{NUM_CLASSES - 1}")
     x = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
     x /= 255.0  # in place: one float64 copy of the images, not two
-    y = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
     return Dataset(x, y, np.arange(count, dtype=np.int64))
 
 
@@ -428,7 +431,8 @@ def _build_stream(
     transforms act on each row alone, so this equals transforming the whole
     subsample and then dropping and replacing rows. A task's train set is a
     TaskView that does this per batch. A task left with no train rows is an
-    EmptyInputError: no strategy could train on it.
+    EmptyInputError: no strategy could train on it; so is one with no test rows,
+    which no evaluation could score.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
@@ -449,7 +453,10 @@ def _build_stream(
         noisy_at, noise = _noise_rows(rows.size, noise_fraction, seed(_TAG_NOISE), width)
         task_train = TaskView(train, rows, kernel, noisy_at, noise)
         noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy_at]])
-        task_test = _transformed(kernel, test, _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET)))
+        test_rows = _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET))
+        if test_rows.size == 0:
+            raise EmptyInputError(f"task {t} has no test rows: {len(test)} in the test corpus")
+        task_test = _transformed(kernel, test, test_rows)
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy_source))
     return TaskStream(tuple(tasks), int(master_seed))
 

@@ -296,19 +296,48 @@ def test_corpus_that_fails_to_load_exits_before_any_run(tmp_path, monkeypatch, c
     bad_magic.write_bytes(struct.pack(">IIII", 0x804, 2, 28, 28) + bytes(2 * 784))
     directory = tmp_path / "a-directory"
     directory.mkdir()
+    images_ok = tmp_path / "ok-idx3-ubyte"
+    images_ok.write_bytes(struct.pack(">IIII", 0x803, 3, 28, 28) + bytes(3 * 784))
+    label_12 = tmp_path / "label-12-idx1-ubyte"  # the first label that is not a class is the second, at byte 9
+    label_12.write_bytes(struct.pack(">II", 0x801, 3) + bytes([0, 12, 10]))
     out = tmp_path / "runs"
     cases = (  # a missing file is caught with the config; a directory gives an OSError from open()
-        (tmp_path / "missing-idx3-ubyte", "config error: key 'train_images': file not found"),
-        (directory, "corpus error: [Errno 21] Is a directory"),
-        (bad_magic, f"corpus error: {bad_magic}: bad image magic 0x00000804 at offset 0"),
+        (tmp_path / "missing-idx3-ubyte", labels, "config error: key 'train_images': file not found"),
+        (directory, labels, "corpus error: [Errno 21] Is a directory"),
+        (bad_magic, labels, f"corpus error: {bad_magic}: bad image magic 0x00000804 at offset 0"),
+        (images_ok, label_12, f"corpus error: {label_12}: label 12 at offset 9 lies outside 0..9\n"),
     )
-    for images, message in cases:
-        paths = ["--train-images", str(images), "--train-labels", str(labels),
-                 "--test-images", str(images), "--test-labels", str(labels)]
+    for images, labels_path, message in cases:
+        paths = ["--train-images", str(images), "--train-labels", str(labels_path),
+                 "--test-images", str(images), "--test-labels", str(labels_path)]
         assert run_cli([command, "--source", "idx", *paths, "--output-dir", str(out)], {}, monkeypatch) == 1
         err = capsys.readouterr().err
-        assert err.startswith(message) and str(images) in err and err.count("\n") == 1
+        named = images if labels_path == labels else labels_path  # the file at fault
+        assert err.startswith(message) and str(named) in err and err.count("\n") == 1
         assert not out.exists()
+
+
+def test_empty_test_corpus_fails_each_stream(tmp_path, monkeypatch):
+    train = tmp_path / "train"
+    train.mkdir()
+    images, labels = train / "images-idx3-ubyte", train / "labels-idx1-ubyte"
+    images.write_bytes(struct.pack(">IIII", 0x803, 40, 28, 28) + bytes(40 * 784))
+    labels.write_bytes(struct.pack(">II", 0x801, 40) + bytes(k % 10 for k in range(40)))
+    test = tmp_path / "test"  # an IDX pair of 0 images loads, but no task could be evaluated
+    test.mkdir()
+    (test / "images-idx3-ubyte").write_bytes(struct.pack(">IIII", 0x803, 0, 28, 28))
+    (test / "labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, 0))
+    out = tmp_path / "runs"
+    args = ["run", "--source", "idx", "--train-images", str(images), "--train-labels", str(labels),
+            "--test-images", str(test / "images-idx3-ubyte"), "--test-labels", str(test / "labels-idx1-ubyte"),
+            "--num-tasks", "2", "--train-per-task", "20", "--stream-batch-size", "10", "--kappa", "5",
+            "--strategies", "ocs,uniform", "--num-seeds", "2", "--output-dir", str(out)]
+    assert run_cli(args, {}, monkeypatch) == 2
+    for strategy in ("ocs", "uniform"):
+        for seed in (0, 1):
+            assert (out / f"{strategy}-seed{seed}" / "FAILED.txt").read_text() == (
+                f"stream for seed {seed} failed to build: EmptyInputError: task 0 has no test rows: 0 in the test corpus\n"
+            )
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose"])
@@ -438,6 +467,12 @@ def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
     bad.write_text("[train]\nkapa = 1\n")
     assert run_cli(["run", "--config", str(bad)], {}, monkeypatch) == 1
     assert "kapa" in capsys.readouterr().err
+    utf16 = tmp_path / "utf16.ini"  # a byte-order mark and text that are not UTF-8
+    utf16.write_bytes(b"\xff\xfe[\x00t\x00r\x00a\x00i\x00n\x00]\x00")
+    assert run_cli(["run", "--config", str(utf16)], {}, monkeypatch) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {utf16}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
 
 def test_diagnose_writes_table(tmp_path, monkeypatch):
@@ -485,6 +520,16 @@ def test_dump_coreset_roundtrip(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["dump-coreset", str(short)]) == 1
     assert capsys.readouterr().err == f"{short / 'coreset_dump.csv'} does not look like a coreset dump\n"
+    garbled = tmp_path / "garbled"  # a dump whose bytes are not UTF-8
+    garbled.mkdir()
+    (garbled / "coreset_dump.csv").write_bytes(b"task_id,class\xff\n")
+    nested = tmp_path / "nested"  # a directory where the dump should be
+    (nested / "coreset_dump.csv").mkdir(parents=True)
+    for unreadable, reason in ((garbled, "'utf-8' codec can't decode byte 0xff"), (nested, "[Errno 21] Is a directory")):
+        assert main(["dump-coreset", str(unreadable)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read coreset dump {unreadable / 'coreset_dump.csv'}: {reason}")
+        assert err.count("\n") == 1
     unwritable = tmp_path / "nodir" / "x.csv"  # the error names this path, not the temp file beside it
     assert main(["dump-coreset", run_dir, "--out", str(unwritable)]) == 1
     assert capsys.readouterr().err == f"output error: {unwritable}: No such file or directory\n"

@@ -18,7 +18,7 @@ from coresel.datastream import (
     permute_pixels,
     stream_manifest,
 )
-from coresel.errors import DimensionError, FormatError
+from coresel.errors import DimensionError, EmptyInputError, FormatError
 
 MNIST_DIR = os.environ.get("MNIST_DIR", "")
 
@@ -356,6 +356,14 @@ def test_both_kinds_draw_the_same_rows():
         assert (r.spec.kind, p.spec.kind, p.spec.angle) == ("rotate", "permute", None)
     details = [line.split()[2] for line in stream_manifest(permuted).splitlines()[1:]]
     assert details == ["permute_seed=0", "permute_seed=1", "permute_seed=2"]
+
+
+@pytest.mark.parametrize("build", [build_rotated_stream, build_permuted_stream])
+def test_a_task_without_test_rows_fails_the_stream(build):
+    # No evaluation could score the task; a run would train through it first and fail on an empty batch.
+    empty = Dataset(np.zeros((0, 784)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    with pytest.raises(EmptyInputError, match="^task 0 has no test rows: 0 in the test corpus$"):
+        build(small_dataset(), empty, 2, 0, train_per_task=20, test_per_task=10)
 
 
 def test_stream_manifest_lists_every_task():
