@@ -234,6 +234,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
             raise FormatError(f"{images_path}: bad image magic 0x{magic:08x} at offset 0")
         if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
             raise FormatError(f"{images_path}: images are {rows}x{cols}, expected {IMAGE_SIDE}x{IMAGE_SIDE}")
+        if count == 0:  # a corpus no task could train or be evaluated on
+            raise FormatError(f"{images_path}: no images")
         pixels = _read_payload(fh, count * rows * cols, images_path, "image data")
     with open(labels_path, "rb") as fh:
         magic, label_count = struct.unpack(">II", _read_exact(fh, 8, labels_path, "label header"))
@@ -448,8 +450,9 @@ def _build_stream(
         rows = drawn = _subsample(len(train), train_per_task, seed(_TAG_TRAIN_SUBSET))
         if imbalance is not None:
             rows = rows[apply_imbalance(train.y[rows], *imbalance, seed(_TAG_IMBALANCE))]
-        if rows.size == 0:
-            raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn, 0 after class imbalance")
+        if rows.size == 0:  # a drawn row is lost only to class imbalance
+            lost = ", 0 after class imbalance" if drawn.size else f" of {len(train)}"
+            raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn{lost}")
         noisy_at, noise = _noise_rows(rows.size, noise_fraction, seed(_TAG_NOISE), width)
         task_train = TaskView(train, rows, kernel, noisy_at, noise)
         noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy_at]])

@@ -23,7 +23,6 @@ import numpy as np
 
 from .datastream import NUM_CLASSES, PIXELS, Dataset
 from .errors import ContractError, DimensionError, EmptyInputError
-from .ioutil import atomic_write_text
 from .selection import take_ranked
 
 _TAG_DOWNSAMPLE = 1
@@ -221,7 +220,3 @@ def dump_csv(examples) -> str:
             raise DimensionError(f"stored example has {e.x.shape} pixels, expected ({PIXELS},)")
         lines.append(f"{e.task_id},{e.y},{e.source_index},{_DUMP_ROW % tuple(e.x.tolist())}")
     return "\n".join(lines) + "\n"
-
-
-def write_dump(examples, path: str) -> None:
-    atomic_write_text(path, dump_csv(examples))

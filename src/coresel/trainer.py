@@ -43,10 +43,10 @@ from .replay import (
     Coreset,
     ReservoirState,
     StoredExample,
+    dump_csv,
     examples_as_arrays,
     format_sig,
     sample_items,
-    write_dump,
 )
 from .selection import (
     SelectionConfig,
@@ -130,7 +130,7 @@ class RunState:
     iteration_in_epoch: int = 0
     global_iteration: int = 0
     agem_projections: int = 0
-    score_rows: list = field(default_factory=list)
+    score_records: list = field(default_factory=list)  # with log_scores: (iteration, ScoreBreakdown, selected)
     commit_records: list = field(default_factory=list)
 
     def buffer_examples(self) -> list[StoredExample]:
@@ -347,13 +347,7 @@ def train_iteration(state: RunState, batch: Batch | Dataset, cfg: TrainConfig) -
     state.strategy.store(state, cfg, batch, selected)
 
     if cfg.log_scores and breakdown is not None:
-        chosen = set(int(i) for i in selected)
-        for n in range(len(batch)):
-            affinity = breakdown.affinity[n] if breakdown.affinity is not None else float("nan")
-            state.score_rows.append(
-                (state.global_iteration, n, breakdown.similarity[n], breakdown.diversity[n],
-                 affinity, int(n in chosen))
-            )
+        state.score_records.append((state.global_iteration, breakdown, selected))
 
     state.iteration_in_epoch += 1
     state.global_iteration += 1
@@ -496,27 +490,40 @@ def _manifest_text(cfg: TrainConfig, stream: TaskStream) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_artifacts(state: RunState, stream: TaskStream, cfg: TrainConfig, out_dir: str) -> None:
-    """Write a finished run's artifacts, all of them or none.
+RUN_FILES = ("coreset_dump.csv", "accuracy_matrix.csv", "metrics.json", "run_manifest.txt", "scores.csv",
+             "model.ckpt", "FAILED.txt")  # a finished run's artifacts, or a failed run's FAILED.txt
 
-    Every text is rendered before the first write, and the coreset dump, which
-    rejects a row it cannot hold before writing, goes first. If a write fails,
-    the files this call has already written are removed.
+
+def clear_run_dir(out_dir: str) -> None:
+    """Make out_dir if needed, and remove the files an earlier run wrote there: those in RUN_FILES, no other."""
+    os.makedirs(out_dir, exist_ok=True)
+    for path in filter(os.path.lexists, [os.path.join(out_dir, name) for name in RUN_FILES]):
+        os.unlink(path)
+
+
+def _write_artifacts(state: RunState, stream: TaskStream, cfg: TrainConfig, out_dir: str) -> None:
+    """Write a finished run's artifacts, all of them or none, in place of an earlier run's files.
+
+    Every text is rendered before the run directory is made, so one that
+    cannot be rendered leaves no directory; the checkpoint is serialised as it
+    is written. If a write fails, the files this call has written are removed.
     """
     texts = {
+        "coreset_dump.csv": dump_csv(state.buffer_examples()),
         "accuracy_matrix.csv": _matrix_csv(state.matrix),
         "metrics.json": json.dumps(run_metrics(state), indent=2, sort_keys=True) + "\n",
         "run_manifest.txt": _manifest_text(cfg, stream),
     }
     if cfg.log_scores:
         rows = ["iteration,index,similarity,diversity,affinity,selected"]
-        for it, n, s, v, a, sel in state.score_rows:
-            rows.append(f"{it},{n},{format_sig(s)},{format_sig(v)},{format_sig(a)},{sel}")
+        for it, b, selected in state.score_records:
+            affinity = np.full(b.similarity.size, np.nan) if b.affinity is None else b.affinity
+            for n, (s, v, a) in enumerate(zip(b.similarity, b.diversity, affinity)):
+                rows.append(f"{it},{n},{format_sig(s)},{format_sig(v)},{format_sig(a)},{int(n in selected)}")
         texts["scores.csv"] = "\n".join(rows) + "\n"
-    writers = [("coreset_dump.csv", lambda path: write_dump(state.buffer_examples(), path))]
-    writers += [(name, functools.partial(atomic_write_text, text=text)) for name, text in texts.items()]
+    writers = [(name, functools.partial(atomic_write_text, text=text)) for name, text in texts.items()]
     writers.append(("model.ckpt", functools.partial(save_checkpoint, state.params)))
-    os.makedirs(out_dir, exist_ok=True)
+    clear_run_dir(out_dir)
     written = []
     try:
         for name, write in writers:

@@ -11,6 +11,7 @@ import coresel
 from coresel.cli import build_stream, load_corpora, main
 from coresel.config import parse_config, render_manifest
 from coresel.errors import ConfigError
+from coresel import trainer
 from coresel.trainer import TrainConfig
 
 MINIMAL = """\
@@ -212,24 +213,62 @@ def test_run_experiment_artifacts_and_determinism(tmp_path, monkeypatch):
     assert (out / "summary.csv").read_text() == summary
 
 
-def test_run_partial_failure_exit_code(tmp_path, monkeypatch):
-    path = write_config(tmp_path)
+def fail_one_run(monkeypatch, strategy, seed):
     import coresel.cli as cli_mod
 
     real = cli_mod.run_stream
 
     def flaky(stream, cfg, out_dir=None):
-        if (cfg.selection.strategy, cfg.seed) == ("ocs", 1):
+        if (cfg.selection.strategy, cfg.seed) == (strategy, seed):
             raise RuntimeError("synthetic failure")
         return real(stream, cfg, out_dir)
 
     monkeypatch.setattr(cli_mod, "run_stream", flaky)
+
+
+def test_run_partial_failure_exit_code(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    fail_one_run(monkeypatch, "ocs", 1)
     assert run_cli(["run", "--config", path], {}, monkeypatch) == 2
     out = tmp_path / "runs"
     assert "synthetic failure" in (out / "ocs-seed1" / "FAILED.txt").read_text()
     lines = (out / "summary.csv").read_text().strip().splitlines()
     assert lines[1].startswith("ocs,1,")  # one surviving ocs run aggregated
     assert lines[2].startswith("uniform,2,")
+
+
+def test_a_successful_rerun_removes_an_earlier_failure(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    run_dir = tmp_path / "runs" / "ocs-seed0"
+    with monkeypatch.context() as m:
+        fail_one_run(m, "ocs", 0)
+        assert run_cli(["run", "--config", path, "--num-seeds", "1"], {}, m) == 2
+    (run_dir / "notes.txt").write_text("kept\n")  # not a file a run writes
+    assert run_cli(["run", "--config", path, "--num-seeds", "1"], {}, monkeypatch) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+        {"notes.txt", *trainer.RUN_FILES} - {"FAILED.txt", "scores.csv"})
+
+
+def test_a_failed_rerun_leaves_only_its_failure(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path)
+    run_dir = tmp_path / "runs" / "ocs-seed0"
+    assert run_cli(["run", "--config", path, "--num-seeds", "1", "--log-scores", "true"], {}, monkeypatch) == 0
+    (run_dir / "notes.txt").write_text("kept\n")
+    fail_one_run(monkeypatch, "ocs", 0)
+    assert run_cli(["run", "--config", path, "--num-seeds", "1"], {}, monkeypatch) == 2
+    assert sorted(p.name for p in run_dir.iterdir()) == ["FAILED.txt", "notes.txt"]
+    capsys.readouterr()
+    assert main(["dump-coreset", str(run_dir)]) == 1  # no stale dump is served
+    assert capsys.readouterr().err == f"no coreset dump found at {run_dir / 'coreset_dump.csv'}\n"
+
+
+def test_a_rerun_without_log_scores_removes_the_earlier_scores(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    run_dir = tmp_path / "runs" / "ocs-seed0"
+    assert run_cli(["run", "--config", path, "--num-seeds", "1", "--log-scores", "true"], {}, monkeypatch) == 0
+    assert (run_dir / "scores.csv").exists()
+    assert run_cli(["run", "--config", path, "--num-seeds", "1"], {}, monkeypatch) == 0
+    assert not (run_dir / "scores.csv").exists() and (run_dir / "model.ckpt").exists()
 
 
 def test_stream_failure_fails_only_that_seeds_runs(tmp_path, monkeypatch):
@@ -300,30 +339,35 @@ def test_corpus_that_fails_to_load_exits_before_any_run(tmp_path, monkeypatch, c
     images_ok.write_bytes(struct.pack(">IIII", 0x803, 3, 28, 28) + bytes(3 * 784))
     label_12 = tmp_path / "label-12-idx1-ubyte"  # the first label that is not a class is the second, at byte 9
     label_12.write_bytes(struct.pack(">II", 0x801, 3) + bytes([0, 12, 10]))
+    no_images = tmp_path / "empty-idx3-ubyte"  # a well-formed pair of 0 images
+    no_images.write_bytes(struct.pack(">IIII", 0x803, 0, 28, 28))
+    no_labels = tmp_path / "empty-idx1-ubyte"
+    no_labels.write_bytes(struct.pack(">II", 0x801, 0))
     out = tmp_path / "runs"
     cases = (  # a missing file is caught with the config; a directory gives an OSError from open()
         (tmp_path / "missing-idx3-ubyte", labels, "config error: key 'train_images': file not found"),
         (directory, labels, "corpus error: [Errno 21] Is a directory"),
         (bad_magic, labels, f"corpus error: {bad_magic}: bad image magic 0x00000804 at offset 0"),
         (images_ok, label_12, f"corpus error: {label_12}: label 12 at offset 9 lies outside 0..9\n"),
+        (no_images, no_labels, f"corpus error: {no_images}: no images\n"),
     )
     for images, labels_path, message in cases:
         paths = ["--train-images", str(images), "--train-labels", str(labels_path),
                  "--test-images", str(images), "--test-labels", str(labels_path)]
         assert run_cli([command, "--source", "idx", *paths, "--output-dir", str(out)], {}, monkeypatch) == 1
         err = capsys.readouterr().err
-        named = images if labels_path == labels else labels_path  # the file at fault
+        named = labels_path if labels_path == label_12 else images  # the file at fault
         assert err.startswith(message) and str(named) in err and err.count("\n") == 1
         assert not out.exists()
 
 
-def test_empty_test_corpus_fails_each_stream(tmp_path, monkeypatch):
+def test_empty_test_corpus_is_refused_at_load(tmp_path, monkeypatch, capsys):
     train = tmp_path / "train"
     train.mkdir()
     images, labels = train / "images-idx3-ubyte", train / "labels-idx1-ubyte"
     images.write_bytes(struct.pack(">IIII", 0x803, 40, 28, 28) + bytes(40 * 784))
     labels.write_bytes(struct.pack(">II", 0x801, 40) + bytes(k % 10 for k in range(40)))
-    test = tmp_path / "test"  # an IDX pair of 0 images loads, but no task could be evaluated
+    test = tmp_path / "test"  # an IDX pair of 0 images is well formed, but no task could be evaluated
     test.mkdir()
     (test / "images-idx3-ubyte").write_bytes(struct.pack(">IIII", 0x803, 0, 28, 28))
     (test / "labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, 0))
@@ -332,12 +376,9 @@ def test_empty_test_corpus_fails_each_stream(tmp_path, monkeypatch):
             "--test-images", str(test / "images-idx3-ubyte"), "--test-labels", str(test / "labels-idx1-ubyte"),
             "--num-tasks", "2", "--train-per-task", "20", "--stream-batch-size", "10", "--kappa", "5",
             "--strategies", "ocs,uniform", "--num-seeds", "2", "--output-dir", str(out)]
-    assert run_cli(args, {}, monkeypatch) == 2
-    for strategy in ("ocs", "uniform"):
-        for seed in (0, 1):
-            assert (out / f"{strategy}-seed{seed}" / "FAILED.txt").read_text() == (
-                f"stream for seed {seed} failed to build: EmptyInputError: task 0 has no test rows: 0 in the test corpus\n"
-            )
+    assert run_cli(args, {}, monkeypatch) == 1
+    assert capsys.readouterr().err == f"corpus error: {test / 'images-idx3-ubyte'}: no images\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose"])

@@ -366,6 +366,14 @@ def test_a_task_without_test_rows_fails_the_stream(build):
         build(small_dataset(), empty, 2, 0, train_per_task=20, test_per_task=10)
 
 
+@pytest.mark.parametrize("imbalance", [None, ((1, 2), 0.5)])
+def test_a_task_without_train_rows_names_its_cause(imbalance):
+    # An empty train corpus draws no rows; class imbalance is not what lost them, set or not.
+    empty = Dataset(np.zeros((0, 784)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    with pytest.raises(EmptyInputError, match="^task 0 has no training rows: 0 drawn of 0$"):
+        build_rotated_stream(empty, small_dataset(), 2, 0, train_per_task=20, test_per_task=10, imbalance=imbalance)
+
+
 def test_stream_manifest_lists_every_task():
     train = small_dataset(30, seed=15)
     test = small_dataset(10, seed=16)

@@ -464,7 +464,16 @@ def test_buffer_smaller_than_task_count(strategy, capacity):
 # artifacts
 
 
-def test_run_stream_artifacts(tmp_path):
+def test_run_stream_artifacts(tmp_path, monkeypatch):
+    steps = []  # (candidates, selected, task) of every training step
+    real = trainer.train_iteration
+
+    def recording(state, batch, cfg):
+        info = real(state, batch, cfg)
+        steps.append((len(batch), info.selected, state.task_index))
+        return info
+
+    monkeypatch.setattr(trainer, "train_iteration", recording)
     stream = tiny_stream(num_tasks=2)
     cfg = tiny_config(log_scores=True, selection=SelectionConfig(kappa=5, tau=0.1234567, strategy="ocs"))
     state = run_stream(stream, cfg, out_dir=str(tmp_path))
@@ -490,7 +499,12 @@ def test_run_stream_artifacts(tmp_path):
 
     scores = (tmp_path / "scores.csv").read_text().splitlines()
     assert scores[0] == "iteration,index,similarity,diversity,affinity,selected"
-    assert len(scores) > 1
+    rows = [line.split(",") for line in scores[1:]]  # one per candidate per step, in step order
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(i, n) for i, (b, _, _) in enumerate(steps) for n in range(b)]
+    assert [int(r[5]) for r in rows] == [int(n in selected) for b, selected, _ in steps for n in range(b)]
+    # No replay gradient before the first commit, at the end of task 0: affinity is nan there and only there.
+    assert [r[4] == "nan" for r in rows] == [task == 0 for b, _, task in steps for _ in range(b)]
+    assert all(-1 <= float(r[2]) <= 1 and -1 <= float(r[3]) <= 0 for r in rows)
 
     dump_lines = (tmp_path / "coreset_dump.csv").read_text().strip().splitlines()
     assert len(dump_lines) == 1 + state.buffer.total_stored
@@ -511,7 +525,7 @@ def test_run_stream_takes_its_input_width_from_the_stream(strategy):
 
 
 def test_an_artifact_that_cannot_be_rendered_leaves_no_artifacts(tmp_path):
-    # 12-pixel rows train, but the coreset dump holds 784 columns: the run fails before its first file is written.
+    # 12-pixel rows train, but the coreset dump holds 784 columns: the run fails before its directory is made.
     rng = np.random.default_rng(13)
 
     def corpus(n):
@@ -522,7 +536,7 @@ def test_an_artifact_that_cannot_be_rendered_leaves_no_artifacts(tmp_path):
     with pytest.raises(DimensionError, match=r"stored example has \(12,\) pixels"):
         run_stream(stream, tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform")),
                    out_dir=str(out))
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_a_failed_write_removes_the_artifacts_already_written(tmp_path, monkeypatch):
