@@ -3,13 +3,13 @@
 
 Runs `coresel run` on three 60-row synthetic tasks (batch 20, kappa 5, buffer
 20, replay batch 5) for ocs, uniform, reservoir and kmeans_embedding x 2 seeds
-with per-candidate score logs. On the rotated balanced stream it runs once for
-each combination of --lambda {1.0, 0.0}, --agem {false, true} and --grad-layers
-{all, 1,2}; the other five --kind {rotated, permuted} x --variant {balanced,
-imbalanced, noisy} streams run once each at the default objective. Each
-configuration writes its own subdirectory of OUT_DIR (13 subdirectories, 650
-files). BLAS is pinned to one thread, because the thread count changes
-checkpoint bits.
+with per-candidate score logs, which only the OCS runs write. On the rotated
+balanced stream it runs once for each combination of --lambda {1.0, 0.0},
+--agem {false, true} and --grad-layers {all, 1,2}; the other five --kind
+{rotated, permuted} x --variant {balanced, imbalanced, noisy} streams run once
+each at the default objective. Each configuration writes its own subdirectory
+of OUT_DIR (13 subdirectories, 572 files). BLAS is pinned to one thread,
+because the thread count changes checkpoint bits.
 
 Two checkouts are at parity where their outputs compare equal:
 

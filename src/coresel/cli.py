@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ from .ioutil import atomic_write_text
 from .metrics import grad_approx_diagnostic
 from .model import init_params
 from .replay import DUMP_HEADER, format_sig
-from .trainer import TrainConfig, clear_run_dir, run_metrics, run_stream
+from .trainer import REGISTRY, TrainConfig, clear_run_dir, run_metrics, run_stream
 
 
 def load_corpora(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -100,6 +101,20 @@ def _load(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise _Refused(f"corpus error: {exc}") from None
 
 
+_RUN_DIR = re.compile(r"(.+)-seed(0|[1-9][0-9]*)")  # <strategy>-seed<N>, as run_experiment names a run directory
+
+
+def _remove_dropped_runs(cfg: ExperimentConfig) -> None:
+    """Remove the RUN_FILES of each run directory this sweep does not write, then the directory if empty."""
+    written = {f"{strategy}-seed{cfg.seed0 + k}" for strategy in cfg.strategies for k in range(cfg.num_seeds)}
+    for entry in os.scandir(cfg.output_dir):
+        match = _RUN_DIR.fullmatch(entry.name)
+        if match and match[1] in REGISTRY and entry.name not in written and entry.is_dir(follow_symlinks=False):
+            clear_run_dir(entry.path)
+            if not os.listdir(entry.path):
+                os.rmdir(entry.path)
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.agem and cfg.lam != TrainConfig.lam:  # A-GEM's objective has no replay term for lambda to weigh
         print("note: lambda has no effect with agem = true", file=sys.stderr)
@@ -107,6 +122,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
         atomic_write_text(os.path.join(cfg.output_dir, "run_manifest.ini"), render_manifest(cfg))
+        _remove_dropped_runs(cfg)
     except OSError as exc:
         raise _output_refused(cfg.output_dir, exc) from None
     finished = {strategy: [] for strategy in cfg.strategies}  # (final accuracy, forgetting) per run

@@ -148,9 +148,9 @@ class ExperimentConfig:
 _FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
 _SECTIONS = tuple(dict.fromkeys(f.metadata["section"] for f in _FIELDS.values()))
 _INLINE_COMMENT = re.compile(r"\s[#;]")
-_COUNTS = (  # keys that must be at least 1
-    "synthetic_train", "synthetic_test", "num_tasks", "train_per_task", "test_per_task", "num_seeds", "n_batches",
-)
+# The least value of each integer key that has one: seeds count from 0, sizes from 1.
+_LEAST = {key: 0 for key in ("master_seed", "seed0")} | {key: 1 for key in (
+    "synthetic_train", "synthetic_test", "num_tasks", "train_per_task", "test_per_task", "num_seeds", "n_batches")}
 
 
 def known_keys() -> tuple[str, ...]:
@@ -233,9 +233,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"key '{key}': a line break would split its line in the manifest")
     if not cfg.output_dir:
         raise ConfigError("key 'output_dir' must name a directory, got an empty value")
-    for key in _COUNTS:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"key '{key}' must be at least 1, got {getattr(cfg, key)}")
+    for key, least in _LEAST.items():
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"key '{key}' must be at least {least}, got {getattr(cfg, key)}")
     if not 0 <= cfg.imbalance_reduced <= NUM_CLASSES:
         raise ConfigError(f"key 'imbalance_reduced' must lie in 0..{NUM_CLASSES}, got {cfg.imbalance_reduced}")
     if not 0.0 < cfg.imbalance_keep <= 1.0:

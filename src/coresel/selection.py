@@ -31,8 +31,8 @@ class SelectionConfig:
     def __post_init__(self):
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        if not 0 <= self.tau < np.inf:
+            raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
 
 
 def _cosine(dots, norms, other_norms) -> np.ndarray:

@@ -13,10 +13,10 @@ model is evaluated on every test set seen so far, filling one row of the
 accuracy matrix; those evaluations run on background threads while the next
 task trains.
 
-What differs between selection methods lives in one `Strategy` object per
-method, looked up by name in `REGISTRY`: the buffer kind, the per-step pick,
-what gets stored, and the commit order. `RunState.task_index` is the one
-record of the current task: staging, commits and every seed read it.
+What differs between selection methods lives in one `Strategy` record per
+method, looked up by name in `REGISTRY`: a per-step pick and a commit order;
+a record with no commit order keeps a reservoir. `RunState.task_index` is
+the one record of the current task: staging, commits and every seed read it.
 
 Every random draw derives from (seed, task, epoch, iteration, purpose tag),
 except the reservoir's, which come in stream order from one generator seeded
@@ -31,6 +31,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -94,14 +95,14 @@ class TrainConfig:
             raise ValueError(
                 f"kappa {self.selection.kappa} exceeds stream_batch_size {self.stream_batch_size}"
             )
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if not 0 < self.lr0 < np.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
         if self.buffer_batch_size < 1:
             raise ValueError(f"buffer_batch_size must be >= 1, got {self.buffer_batch_size}")
         if self.buffer_capacity < 0:
@@ -149,10 +150,14 @@ def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int) -> RunState:
     sizes = [input_dim, *cfg.hidden, NUM_CLASSES]
     params = init_params(sizes, np.random.default_rng(_seed_seq(cfg.seed, _T_INIT)))
     strategy = REGISTRY[cfg.selection.strategy]
+    if strategy.commit_order is None:
+        buffer = ReservoirState(cfg.buffer_capacity, _seed_seq(cfg.seed, _T_RESERVOIR))
+    else:
+        buffer = Coreset(cfg.buffer_capacity, cfg.seed)
     return RunState(
         params=params,
         strategy=strategy,
-        buffer=strategy.new_buffer(cfg),
+        buffer=buffer,
         matrix=AccuracyMatrix(num_tasks),
         lr=cfg.lr0,
     )
@@ -210,103 +215,67 @@ def _with_replay(x, y, replay):
 # strategies
 
 
+@dataclass(frozen=True)
 class Strategy:
-    """One selection method: its buffer, its per-step pick, what it stores, its commit order.
+    """One selection method: its per-step pick, and its coreset's commit order or None for a reservoir.
 
-    The default buffer is a Coreset that stages the picked rows during a task
-    and, at the task boundary, keeps the pool's best rows along
-    `commit_ranking` (per class when `class_balanced`).
+    `pick(state, cfg, batch, kappa, bp)` gives (indices to train on, ScoreBreakdown or None); bp is None,
+    or with `scores_gradients` the `Backprop` over the candidates followed by the replay rows. A Coreset
+    stages the picked rows during a task and, at its end, keeps the pool's best along `commit_order(state,
+    cfg, pool)`, staging-pool positions best first (per class when `class_balanced`). A reservoir is
+    offered every candidate and commits nothing.
     """
 
-    class_balanced = False
-    scores_gradients = False  # pick reads the backward pass over the candidates and the replay batch
-
-    def new_buffer(self, cfg: TrainConfig):
-        return Coreset(cfg.buffer_capacity, cfg.seed)
-
-    def pick(self, state: RunState, cfg: TrainConfig, batch: Batch | Dataset, kappa: int, bp):
-        """(indices to train on, ScoreBreakdown or None); bp is None, or with `scores_gradients`
-        the `Backprop` over the candidates followed by the replay rows."""
-        raise NotImplementedError
-
-    def store(self, state: RunState, cfg: TrainConfig, batch: Batch | Dataset, selected: np.ndarray) -> None:
-        picked = batch.subset(selected)
-        state.buffer.stage_candidates(state.task_index, picked.x, picked.y, picked.source_index)
-
-    def commit_ranking(self, state: RunState, cfg: TrainConfig, pool: Dataset) -> np.ndarray:
-        """Staging-pool positions, best first."""
-        raise NotImplementedError
-
-    def commit(self, state: RunState, cfg: TrainConfig):
-        ranking = self.commit_ranking(state, cfg, state.buffer.staged_pool(state.task_index))
-        return state.buffer.commit_task(state.task_index, ranking, class_balanced=self.class_balanced)
+    pick: Callable
+    scores_gradients: bool = False
+    commit_order: Callable | None = None
+    class_balanced: bool = False
 
 
-class Ocs(Strategy):
+def _ocs_pick(state, cfg, batch, kappa, bp):
     """Top-kappa by gradient similarity + diversity + tau * affinity to the replay gradient."""
-
-    class_balanced = True
-    scores_gradients = True
-
-    def pick(self, state, cfg, batch, kappa, bp):
-        breakdown = score_gram(bp.gram(cfg.grad_selector), len(batch), cfg.selection.tau)
-        return take_ranked(rank(breakdown.combined), kappa), breakdown
-
-    def commit_ranking(self, state, cfg, pool):
-        replay = _replay_batch(state, cfg, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF))
-        gram = backprop(state.params, *_with_replay(pool.x, pool.y, replay)).gram(cfg.grad_selector)
-        scores = score_gram(gram, len(pool), cfg.selection.tau).combined
-        return rank(scores)
+    breakdown = score_gram(bp.gram(cfg.grad_selector), len(batch), cfg.selection.tau)
+    return take_ranked(rank(breakdown.combined), kappa), breakdown
 
 
-class Uniform(Strategy):
-    """Uniform pick per step, uniform order at commit."""
-
-    def pick(self, state, cfg, batch, kappa, bp):
-        return uniform_select(len(batch), kappa, _step_seed(state, cfg, _T_SELECT)), None
-
-    def commit_ranking(self, state, cfg, pool):
-        rng = np.random.default_rng(_seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK))
-        return rng.permutation(len(pool)).astype(np.int64)
+def _ocs_order(state, cfg, pool):
+    replay = _replay_batch(state, cfg, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF))
+    gram = backprop(state.params, *_with_replay(pool.x, pool.y, replay)).gram(cfg.grad_selector)
+    return rank(score_gram(gram, len(pool), cfg.selection.tau).combined)
 
 
-class Reservoir(Uniform):
-    """Uniform pick per step; every candidate is offered to a classical reservoir, never committed."""
-
-    def new_buffer(self, cfg):
-        return ReservoirState(cfg.buffer_capacity, _seed_seq(cfg.seed, _T_RESERVOIR))
-
-    def store(self, state, cfg, batch, selected):
-        state.buffer.offer(state.task_index, batch)
-
-    def commit(self, state, cfg):
-        return None
+def _uniform_pick(state, cfg, batch, kappa, bp):
+    return uniform_select(len(batch), kappa, _step_seed(state, cfg, _T_SELECT)), None
 
 
-class KMeansEmbedding(Strategy):
+def _uniform_order(state, cfg, pool):
+    rng = np.random.default_rng(_seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK))
+    return rng.permutation(len(pool)).astype(np.int64)
+
+
+def _kmeans_pick(state, cfg, batch, kappa, bp):
     """One representative per k-means cluster of penultimate-layer embeddings."""
-
-    def pick(self, state, cfg, batch, kappa, bp):
-        emb = embeddings(state.params, batch.x)
-        return kmeans_embedding_select(emb, kappa, _step_seed(state, cfg, _T_SELECT)), None
-
-    def commit_ranking(self, state, cfg, pool):
-        n, quota = len(pool), state.buffer.next_quota
-        if quota < 1:
-            return np.arange(n, dtype=np.int64)
-        reps = kmeans_embedding_select(
-            embeddings(state.params, pool.x), min(quota, n), _seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK)
-        )
-        rest = np.setdiff1d(np.arange(n, dtype=np.int64), reps)
-        return np.concatenate([reps, rest])
+    emb = embeddings(state.params, batch.x)
+    return kmeans_embedding_select(emb, kappa, _step_seed(state, cfg, _T_SELECT)), None
 
 
-# The one list of strategy names (SelectionConfig.strategy), each with the object that implements it.
+def _kmeans_order(state, cfg, pool):
+    n, quota = len(pool), state.buffer.next_quota
+    if quota < 1:
+        return np.arange(n, dtype=np.int64)
+    reps = kmeans_embedding_select(
+        embeddings(state.params, pool.x), min(quota, n), _seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK)
+    )
+    rest = np.setdiff1d(np.arange(n, dtype=np.int64), reps)
+    return np.concatenate([reps, rest])
+
+
+# The one list of strategy names (SelectionConfig.strategy), each with the record that implements it.
 REGISTRY: dict[str, Strategy] = {
-    "ocs": Ocs(),
-    "uniform": Uniform(),
-    "reservoir": Reservoir(),
-    "kmeans_embedding": KMeansEmbedding(),
+    "ocs": Strategy(_ocs_pick, scores_gradients=True, commit_order=_ocs_order, class_balanced=True),
+    "uniform": Strategy(_uniform_pick, commit_order=_uniform_order),
+    "reservoir": Strategy(_uniform_pick),
+    "kmeans_embedding": Strategy(_kmeans_pick, commit_order=_kmeans_order),
 }
 
 
@@ -344,7 +313,12 @@ def train_iteration(state: RunState, batch: Batch | Dataset, cfg: TrainConfig) -
         coef = projected
     state.params = bp.step(coef, state.lr)
 
-    state.strategy.store(state, cfg, batch, selected)
+    # Store: stage the picked rows for the commit, or offer every candidate to the reservoir.
+    if state.strategy.commit_order is None:
+        state.buffer.offer(state.task_index, batch)
+    else:
+        picked = batch.subset(selected)
+        state.buffer.stage_candidates(state.task_index, picked.x, picked.y, picked.source_index)
 
     if cfg.log_scores and breakdown is not None:
         state.score_records.append((state.global_iteration, breakdown, selected))
@@ -360,9 +334,11 @@ def train_iteration(state: RunState, batch: Batch | Dataset, cfg: TrainConfig) -
 
 def commit_current_task(state: RunState, cfg: TrainConfig):
     """Reduce the current task's staged pool into the bounded buffer (no-op for the reservoir)."""
-    record = state.strategy.commit(state, cfg)
-    if record is not None:
-        state.commit_records.append(record)
+    if state.strategy.commit_order is None:
+        return None
+    ranking = state.strategy.commit_order(state, cfg, state.buffer.staged_pool(state.task_index))
+    record = state.buffer.commit_task(state.task_index, ranking, class_balanced=state.strategy.class_balanced)
+    state.commit_records.append(record)
     return record
 
 
@@ -514,7 +490,7 @@ def _write_artifacts(state: RunState, stream: TaskStream, cfg: TrainConfig, out_
         "metrics.json": json.dumps(run_metrics(state), indent=2, sort_keys=True) + "\n",
         "run_manifest.txt": _manifest_text(cfg, stream),
     }
-    if cfg.log_scores:
+    if cfg.log_scores and state.strategy.scores_gradients:
         rows = ["iteration,index,similarity,diversity,affinity,selected"]
         for it, b, selected in state.score_records:
             affinity = np.full(b.similarity.size, np.nan) if b.affinity is None else b.affinity

@@ -129,6 +129,14 @@ def test_cross_field_validation(tmp_path):
         parse_config(None, env={"CORESEL_OUTPUT_DIR": " "})
     with pytest.raises(ConfigError, match="train_images"):
         parse_config(None, {"source": "idx"}, env={})
+    for key, raw, rule in [("tau", "nan", "must be nonnegative and finite"), ("lr0", "inf", "must be positive and finite"),
+                           ("lambda", "nan", "must be nonnegative and finite")]:
+        with pytest.raises(ConfigError, match=f"{key} {rule}, got {raw}"):
+            parse_config(None, {key: raw}, env={})
+    for key in ("master_seed", "seed0"):
+        with pytest.raises(ConfigError, match=f"key '{key}' must be at least 0, got -1"):
+            parse_config(None, {key: "-1"}, env={})
+        parse_config(None, {key: "0"}, env={})
 
 
 @pytest.mark.parametrize("key, bad, good", [
@@ -269,6 +277,39 @@ def test_a_rerun_without_log_scores_removes_the_earlier_scores(tmp_path, monkeyp
     assert (run_dir / "scores.csv").exists()
     assert run_cli(["run", "--config", path, "--num-seeds", "1"], {}, monkeypatch) == 0
     assert not (run_dir / "scores.csv").exists() and (run_dir / "model.ckpt").exists()
+
+
+def test_only_ocs_runs_write_scores(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    args = ["run", "--config", path, "--strategies", "ocs,uniform,reservoir,kmeans_embedding", "--log-scores", "true"]
+    assert run_cli(args, {}, monkeypatch) == 0
+    out = tmp_path / "runs"
+    assert len(list(out.glob("*-seed*/model.ckpt"))) == 8
+    assert sorted(p.parent.name for p in out.glob("*/scores.csv")) == ["ocs-seed0", "ocs-seed1"]
+
+
+def test_a_rerun_removes_the_run_directories_it_no_longer_names(tmp_path, monkeypatch):
+    path = write_config(tmp_path)  # ocs and uniform, seeds 0 and 1
+    out = tmp_path / "runs"
+    assert run_cli(["run", "--config", path], {}, monkeypatch) == 0
+    for name in ("herding-seed0", "uniform-seed01", "uniform-seed"):  # not the directory of a run
+        (out / name).mkdir()
+        (out / name / "metrics.json").write_text("{}\n")
+    assert run_cli(["run", "--config", path, "--strategies", "ocs", "--num-seeds", "1"], {}, monkeypatch) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "herding-seed0", "ocs-seed0", "run_manifest.ini", "summary.csv", "uniform-seed", "uniform-seed01"]
+    assert all((out / name / "metrics.json").read_text() == "{}\n" for name in ("herding-seed0", "uniform-seed01"))
+
+
+def test_a_dropped_run_directory_keeps_the_files_no_run_writes(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    out = tmp_path / "runs"
+    assert run_cli(["run", "--config", path, "--num-seeds", "1", "--log-scores", "true"], {}, monkeypatch) == 0
+    (out / "uniform-seed0" / "notes.txt").write_text("kept\n")
+    (out / "uniform-seed0" / "plots").mkdir()
+    assert run_cli(["run", "--config", path, "--strategies", "ocs", "--num-seeds", "1"], {}, monkeypatch) == 0
+    assert sorted(p.name for p in (out / "uniform-seed0").iterdir()) == ["notes.txt", "plots"]
+    assert (out / "uniform-seed0" / "notes.txt").read_text() == "kept\n"
 
 
 def test_stream_failure_fails_only_that_seeds_runs(tmp_path, monkeypatch):
@@ -514,6 +555,21 @@ def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read config file {utf16}: 'utf-8' codec can't decode byte 0xff")
     assert err.count("\n") == 1
+    import coresel.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "load_corpora", lambda cfg: pytest.fail("a corpus was built"))
+    out = tmp_path / "runs"
+    for flag, raw, message in [
+        ("--tau", "nan", "tau must be nonnegative and finite, got nan"),
+        ("--lr0", "nan", "lr0 must be positive and finite, got nan"),
+        ("--lr0", "inf", "lr0 must be positive and finite, got inf"),
+        ("--lambda", "nan", "lambda must be nonnegative and finite, got nan"),
+        ("--master-seed", "-1", "key 'master_seed' must be at least 0, got -1"),
+        ("--seed0", "-1", "key 'seed0' must be at least 0, got -1"),
+    ]:
+        assert run_cli(["run", flag, raw, "--output-dir", str(out)], {}, monkeypatch) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_diagnose_writes_table(tmp_path, monkeypatch):

@@ -144,7 +144,7 @@ def test_commit_ranking_matches_materialised_pool_scores(pool, monkeypatch):
     ocs = REGISTRY["ocs"]
     want = oracle(state.params, x, y, selector, None, cfg.selection.tau).combined
     candidates = Dataset(x, y, np.arange(pool))
-    assert np.array_equal(ocs.commit_ranking(state, cfg, candidates), np.argsort(-want, kind="stable"))
+    assert np.array_equal(ocs.commit_order(state, cfg, candidates), np.argsort(-want, kind="stable"))
 
     # Once a task is committed, the reference is the mean gradient of a replay sample.
     buf_x, buf_y = draw_batch(rng, state.params, 30)
@@ -159,7 +159,7 @@ def test_commit_ranking_matches_materialised_pool_scores(pool, monkeypatch):
         return replays[-1]
 
     monkeypatch.setattr(trainer, "examples_as_arrays", recording)
-    ranking = ocs.commit_ranking(state, cfg, candidates)
+    ranking = ocs.commit_order(state, cfg, candidates)
     assert len(replays) == 1
     want = oracle(state.params, x, y, selector, replays[0], cfg.selection.tau).combined
     assert np.array_equal(ranking, np.argsort(-want, kind="stable"))

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import pathlib
 import threading
 
 import numpy as np
@@ -36,6 +37,8 @@ from coresel.trainer import (
 )
 import oracles
 from oracles import per_example_gradients, score_batch
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def tiny_stream(num_tasks=3, seed=101, train_per_task=60, test_per_task=30, **kwargs):
@@ -325,18 +328,15 @@ def test_results_do_not_depend_on_the_evaluator_count(monkeypatch):
     ]
 
 
-class OddRowsLastFirst(Strategy):
-    """Stub: trains on odd rows, commits the most recently staged rows first."""
-
-    def pick(self, state, cfg, batch, kappa, bp):
-        return np.arange(1, batch.x.shape[0], 2)[:kappa], None
-
-    def commit_ranking(self, state, cfg, pool):
-        return np.arange(len(pool))[::-1]
+# Stub: trains on odd rows, commits the most recently staged rows first.
+OddRowsLastFirst = Strategy(
+    pick=lambda state, cfg, batch, kappa, bp: (np.arange(1, batch.x.shape[0], 2)[:kappa], None),
+    commit_order=lambda state, cfg, pool: np.arange(len(pool))[::-1],
+)
 
 
 def test_trainer_follows_stub_strategy(monkeypatch):
-    monkeypatch.setitem(trainer.REGISTRY, "uniform", OddRowsLastFirst())
+    monkeypatch.setitem(trainer.REGISTRY, "uniform", OddRowsLastFirst)
     cfg = tiny_config(buffer_capacity=3, selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform"))
     state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
     batch = make_batch(np.random.default_rng(9))
@@ -351,6 +351,34 @@ def test_trainer_follows_stub_strategy(monkeypatch):
     record = commit_current_task(state, cfg)
     assert record.stored_new == 3
     assert [e.source_index for e in state.buffer.stored(0)] == [5, 7, 9]
+
+
+def test_a_pick_pairs_with_another_strategys_commit_order(monkeypatch):
+    # Uniform's pick with OCS's class-balanced commit order: the picks are uniform's, the commits balanced.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    paired = Strategy(pick=trainer.REGISTRY["uniform"].pick, commit_order=trainer.REGISTRY["ocs"].commit_order,
+                      class_balanced=True)
+    monkeypatch.setitem(trainer.REGISTRY, "uniform_pick_ocs_commit", paired)
+    stream, selected = tiny_stream(num_tasks=3), {}
+    real = trainer.train_iteration
+
+    def recording(state, batch, cfg):
+        info = real(state, batch, cfg)
+        selected.setdefault(cfg.selection.strategy, []).append(info.selected)
+        return info
+
+    monkeypatch.setattr(trainer, "train_iteration", recording)
+    run_stream(stream, tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform")))
+    probe = checks.OcsProbe()
+    wrappers = probe.wrappers()
+    for leaf in ("stage_candidates", "commit_task"):
+        monkeypatch.setattr(Coreset, leaf, wrappers[f"coresel.replay:Coreset.{leaf}"](getattr(Coreset, leaf)))
+    run_stream(stream, tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform_pick_ocs_commit")))
+    uniform, pair = selected["uniform"], selected["uniform_pick_ocs_commit"]
+    assert len(pair) == len(uniform) == 9 and all(np.array_equal(a, b) for a, b in zip(pair, uniform))
+    assert len(probe.commits) == 3 and checks.check_commits(probe) == []
 
 
 def test_strategies_differ_without_injection():
@@ -712,6 +740,13 @@ def test_config_validation():
         tiny_config(lr_decay=0.0)
     with pytest.raises(ValueError):
         tiny_config(lam=-0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lr0 must be positive and finite"):
+            tiny_config(lr0=bad)
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            tiny_config(lam=bad)
+        with pytest.raises(ValueError, match="tau must be nonnegative and finite"):
+            SelectionConfig(kappa=5, tau=bad)
     with pytest.raises(ValueError):
         tiny_config(epochs=0)
     with pytest.raises(ValueError, match="hidden widths must be >= 1"):
