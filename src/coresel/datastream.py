@@ -1,21 +1,21 @@
 """MNIST-format ingestion and deterministic task-stream synthesis.
 
 A Dataset is a bundle of flattened 28x28 images (rows of 784 floats), labels,
-and each example's index in the originating corpus: a corpus, a test set, a
-step's picked rows and the staging pool are Datasets. One per-task loop
-builds both stream kinds: every task subsamples the corpus, applies its
+and each example's index in the originating corpus: a corpus, a step's picked
+rows and the staging pool are Datasets. One per-task loop builds both stream
+kinds: every task subsamples the corpus, applies its
 kind's transform (rotation or pixel permutation), then optional class
 imbalance and label-preserving noise, with every random draw derived from
 (master_seed, task index, purpose tag), so rebuilding a stream reproduces it
 bit-for-bit. The row draws read only labels, so a task
 transforms just the clean rows it keeps.
 
-Every task's train set is a TaskView: the corpus pixels, the task's corpus
-rows, its transform and its noise rows. A training step takes a Batch of it,
-which builds a row's pixels on the first read that needs them and keeps them,
-so a step transforms only the rows it uses, each once, and no task holds its
-own copy of the pixels. Test sets, read at every evaluation, are built
-eagerly as Datasets.
+Every task's train and test set is a TaskView: the corpus pixels, the
+task's corpus rows, its transform and, for a noisy train set, its noise rows.
+A training step takes a Batch of the train set, which builds a row's pixels
+on the first read that needs them and keeps them, so a step transforms only
+the rows it uses, each once. An evaluation reads the whole test set's `x`,
+built for that read alone. No task holds its own copy of the pixels.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
 synthetic corpus draws, patterns and clips a block at a time, and a
@@ -53,11 +53,11 @@ _TAG_REDUCED_CLASSES = 6
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable-by-convention bundle of examples: a corpus, a test set or a step's picked rows.
+    """Immutable-by-convention bundle of examples: a corpus or a step's picked rows.
 
     source_index traces every row back to its position in the base corpus the
     stream was built from; transforms preserve it so stored coreset entries
-    stay identifiable. A task's train set is a TaskView and a step's
+    stay identifiable. A task's train and test sets are TaskViews and a step's
     candidates are a Batch, which read like a Dataset: len, y, source_index,
     x and subset.
     """
@@ -86,13 +86,13 @@ class Dataset:
 
 
 class TaskView:
-    """A task's train set as a view of the corpus: its rows are transformed from the corpus when asked for.
+    """A task's train or test set as a view of its corpus: its rows are transformed from the corpus when asked for.
 
     It holds the corpus pixels, the task's corpus rows, the task's transform
-    kernel (rotation or permutation) and, for a noisy task, only its noise
-    rows. `subset(indices)` returns a Batch of those rows, whose pixels are
-    the rows an eager build would hold, and `x` builds the whole set anew on
-    every read. Making a view marks the corpus pixels read-only, so that a
+    kernel (rotation or permutation) and, for a noisy train set, only its
+    noise rows. `subset(indices)` returns a Batch of those rows, whose pixels
+    are the rows an eager build would hold, and `x` builds the whole set anew
+    on every read. Making a view marks the corpus pixels read-only, so that a
     later write to the corpus raises instead of changing every task built
     from it.
     """
@@ -181,11 +181,11 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class Task:
-    """One task: its train set, a view of the corpus, and its eagerly built test set."""
+    """One task: its train and test sets, each a view of its corpus."""
 
     spec: TaskSpec
     train: TaskView
-    test: Dataset
+    test: TaskView
     noisy_source: frozenset  # source indices whose pixels were replaced by noise
 
 
@@ -350,16 +350,11 @@ def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray,
             dest[at[blk]] = out
 
 
-def _transformed(kernel, ds: Dataset, rows: np.ndarray) -> Dataset:
-    """ds.subset(rows) under the kernel, built with no untransformed copy of the rows."""
-    x = np.empty((rows.size, ds.x.shape[1]))
-    _transform_rows(kernel, ds.x, rows, x)
-    return Dataset(x, ds.y[rows], ds.source_index[rows])
-
-
 def permute_pixels(ds: Dataset, seed) -> Dataset:
     """Apply one fixed random pixel permutation to every image."""
-    return _transformed(_permuter(seed, ds.x.shape[1]), ds, np.arange(len(ds)))
+    x = np.empty((len(ds), ds.width))
+    _transform_rows(_permuter(seed, ds.width), ds.x, np.arange(len(ds)), x)
+    return Dataset(x, ds.y, ds.source_index)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +427,10 @@ def _build_stream(
     from labels first, and only the clean rows it keeps are transformed: the
     transforms act on each row alone, so this equals transforming the whole
     subsample and then dropping and replacing rows. A task's train set is a
-    TaskView that does this per batch. A task left with no train rows is an
-    EmptyInputError: no strategy could train on it; so is one with no test rows,
-    which no evaluation could score.
+    TaskView that does this per batch; its test set is a TaskView of the test
+    corpus's drawn rows, with no noise rows, so a stream holds no pixels. A
+    task left with no train rows is an EmptyInputError: no strategy could
+    train on it; so is one with no test rows, which no evaluation could score.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
@@ -459,7 +455,7 @@ def _build_stream(
         test_rows = _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET))
         if test_rows.size == 0:
             raise EmptyInputError(f"task {t} has no test rows: {len(test)} in the test corpus")
-        task_test = _transformed(kernel, test, test_rows)
+        task_test = TaskView(test, test_rows, kernel, np.empty(0, dtype=np.int64), np.empty((0, width)))
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy_source))
     return TaskStream(tuple(tasks), int(master_seed))
 

@@ -18,6 +18,7 @@ materialised rows as their oracle, in tests/oracles.py).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +126,9 @@ def _layer_outputs(params: ParamSet, x: np.ndarray):
 
 
 def embeddings(params: ParamSet, x) -> np.ndarray:
-    """Penultimate activations: the input to the final layer (post-ReLU)."""
+    """Penultimate activations: the input to the final layer (post-ReLU); the final layer is not computed."""
     x, _ = _check_batch(params, x)
-    return [x, *_layer_outputs(params, x)][-2]
+    return [x, *itertools.islice(_layer_outputs(params, x), params.n_layers - 1)][-1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -375,6 +375,11 @@ def _fill_matrix(state: RunState, evaluations) -> None:
                 raise DivergenceError(f"run diverged at {position}: {exc}") from exc
 
 
+def _evaluate(params: ParamSet, test) -> float:
+    """Accuracy on a test set, a view whose pixels are built here and dropped on return."""
+    return accuracy(params, test.x, test.y)
+
+
 def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None) -> RunState:
     """Train through every task, evaluate after each, and emit artifacts.
 
@@ -382,9 +387,12 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
     ever sees train data. Task t's t + 1 evaluations run on the run's own
     evaluator threads while task t + 1 trains: parameter sets are never
     mutated, so each sees what an inline one would, and each runs in a copy
-    of the caller's context, so it follows the caller's `np.errstate`. The
-    matrix is filled before anything is returned or written, and a failed run
-    raises what the serial order train t, eval t, train t + 1 raises first.
+    of the caller's context, so it follows the caller's `np.errstate`. Each
+    evaluation builds its test set's pixels from the view on its own thread
+    and drops them when it returns, so no more test sets are built at once
+    than there are evaluator threads. The matrix is filled before anything is
+    returned or written, and a failed run raises what the serial order train
+    t, eval t, train t + 1 raises first.
     """
     state = new_run_state(cfg, len(stream), stream.tasks[0].train.width)
     evaluations = []  # per finished task t: (its position, futures of test sets 0..t)
@@ -399,7 +407,7 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
                 state.lr = cfg.lr0 * cfg.lr_decay**t
                 _train_task(state, task, cfg)
                 futures = [
-                    pool.submit(contextvars.copy_context().run, accuracy, state.params, seen.test.x, seen.test.y)
+                    pool.submit(contextvars.copy_context().run, _evaluate, state.params, seen.test)
                     for seen in stream.tasks[: t + 1]
                 ]
                 evaluations.append((_position(state), futures))

@@ -40,7 +40,9 @@ def imbalanced(ds, reduced_classes, keep_fraction, seed):
 
 def rotated(ds, angle):
     """`ds` under the rotation kernel that streams use."""
-    return datastream._transformed(datastream._rotator(angle, ds.x.shape[1]), ds, np.arange(len(ds)))
+    x = np.empty(ds.x.shape)
+    datastream._transform_rows(datastream._rotator(angle, ds.width), ds.x, np.arange(len(ds)), x)
+    return Dataset(x, ds.y, ds.source_index)
 
 
 def small_dataset(n=60, seed=0):
@@ -331,15 +333,15 @@ def test_permuted_stream_reproducible_and_distinct():
 
 
 def test_a_view_makes_its_corpus_read_only():
-    # A later write to the corpus would change every permuted task built from it: it raises instead.
+    # A later write to a corpus would change every task's train or test set built from it: it raises instead.
     train = small_dataset(40, seed=19)
     test = small_dataset(12, seed=20)
     stream = build_permuted_stream(train, test, 2, 3, train_per_task=20)
-    before = stream.tasks[0].train.x
-    with pytest.raises(ValueError, match="read-only"):
-        train.x[stream.tasks[0].train.source_index[0]] = 0.0
-    assert np.array_equal(stream.tasks[0].train.x, before)
-    assert test.x.flags.writeable  # test sets are built eagerly
+    for corpus, view in ((train, stream.tasks[0].train), (test, stream.tasks[0].test)):
+        before = view.x
+        with pytest.raises(ValueError, match="read-only"):
+            corpus.x[view.source_index[0]] = 0.0
+        assert np.array_equal(view.x, before)
 
 
 def test_both_kinds_draw_the_same_rows():
@@ -414,7 +416,7 @@ def assert_same_stream(got, want):
     assert got.master_seed == want.master_seed and len(got) == len(want)
     for t, (g, w) in enumerate(zip(got.tasks, want.tasks)):
         assert g.spec == w.spec and g.noisy_source == w.noisy_source
-        assert isinstance(g.train, TaskView)
+        assert isinstance(g.train, TaskView) and isinstance(g.test, TaskView)
         assert_same_dataset(g.train, w.train)
         assert_same_dataset(g.test, w.test)
         assert g.train.x.flags.c_contiguous
@@ -523,7 +525,7 @@ def test_builds_allocate_their_output_and_a_few_blocks():
     train = make_synthetic_corpus(1800, 41)  # also fills the cached pattern tables before anything is traced
     test = make_synthetic_corpus(600, 42)
     kwargs = dict(train_per_task=900, test_per_task=300)
-    # Builds hold their test sets, index arrays and noise rows, and no train pixels.
+    # Builds hold their index arrays and noise rows, and no train or test pixels.
     for builder, noise_fraction in ((build_permuted_stream, 0.0), (build_permuted_stream, 0.6),
                                     (build_rotated_stream, 0.6)):
         stream, peak = traced_peak(lambda: builder(train, test, 3, 7, noise_fraction=noise_fraction, **kwargs))
@@ -532,3 +534,13 @@ def test_builds_allocate_their_output_and_a_few_blocks():
         assert peak <= stream_bytes(stream) + SLACK
     corpus, peak = traced_peak(lambda: make_synthetic_corpus(1000, 43))
     assert peak <= dataset_bytes(corpus) + SLACK
+
+
+def test_a_long_stream_holds_no_test_pixels():
+    # 20 tasks of 500 test rows: eager float64 test sets would take 20 * 500 * 784 * 8 B = 62.7 MB.
+    train = make_synthetic_corpus(200, 44)
+    test = make_synthetic_corpus(600, 45)
+    stream, peak = traced_peak(lambda: build_permuted_stream(train, test, 20, 8, train_per_task=100,
+                                                             test_per_task=500))
+    assert all(isinstance(t.test, TaskView) and len(t.test) == 500 for t in stream.tasks)
+    assert peak <= stream_bytes(stream) + SLACK

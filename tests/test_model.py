@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coresel import model
 from coresel.errors import DimensionError, DivergenceError, EmptyInputError
 from coresel.model import (
     GradSelector,
@@ -311,6 +312,24 @@ def test_embeddings_are_final_layer_input():
     # Feeding the embeddings through the last layer reproduces the logits.
     z = emb @ params.weights[-1].T + params.biases[-1]
     assert np.allclose(z, logits(params, x), atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [[5, 3], [5, 8, 3], [5, 8, 6, 3]])
+def test_embeddings_stop_before_the_final_layer(monkeypatch, sizes):
+    rng = np.random.default_rng(22)
+    params = init_params(sizes, rng)
+    x = rng.normal(size=(4, 5))
+    every = [x, *_layer_outputs(params, x)]
+    yielded = []
+
+    def counting(params, x):
+        for a in _layer_outputs(params, x):
+            yielded.append(a.shape[1])
+            yield a
+
+    monkeypatch.setattr(model, "_layer_outputs", counting)
+    assert embeddings(params, x).tobytes() == every[-2].tobytes()
+    assert yielded == sizes[1:-1]  # the hidden layers, and not the output layer
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -588,19 +589,30 @@ def strategy_config(strategy, **overrides):
     return tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy), **overrides)
 
 
+def is_train_view(stream, view):
+    return any(view is task.train for task in stream.tasks)
+
+
 @pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
 def test_run_stream_never_materialises_a_train_set(monkeypatch, kind, strategy):
+    # Only the train views are watched: the evaluator threads build the test views meanwhile.
     stream = noisy_stream(kind)
     assert all(isinstance(task.train, TaskView) for task in stream.tasks)
     sizes = []
-    real_subset = TaskView.subset
+    real_subset, real_x = TaskView.subset, TaskView.x
 
     def subset(view, indices):
-        sizes.append(len(indices))
+        if is_train_view(stream, view):
+            sizes.append(len(indices))
         return real_subset(view, indices)
 
-    monkeypatch.setattr(TaskView, "x", property(lambda view: pytest.fail("a whole train set was built")))
+    def whole(view):
+        if is_train_view(stream, view):
+            pytest.fail("a whole train set was built")
+        return real_x.fget(view)
+
+    monkeypatch.setattr(TaskView, "x", property(whole))
     monkeypatch.setattr(TaskView, "subset", subset)
     state = run_stream(stream, strategy_config(strategy, stream_batch_size=30, epochs=2))
     assert not np.isnan(state.matrix.values[2]).any()
@@ -610,12 +622,15 @@ def test_run_stream_never_materialises_a_train_set(monkeypatch, kind, strategy):
 @pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
 def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy):
     # A uniform pick reads its kappa rows; OCS and k-means read every candidate; the reservoir reads its
-    # picked rows and the rows that enter it. Rows are named by source index, unique within a task.
+    # picked rows and the rows that enter it. Rows are named by source index, unique within a task. Only the
+    # train views are watched: the evaluator threads build the test views meanwhile.
+    stream = noisy_stream("rotate")
     built, entered, steps = [], [], []
     real_pixels, real_offer, real_iteration = TaskView._pixels_of, ReservoirState.offer, trainer.train_iteration
 
     def pixels_of(view, positions):
-        built.extend(view.source_index[positions].tolist())
+        if is_train_view(stream, view):
+            built.extend(view.source_index[positions].tolist())
         return real_pixels(view, positions)
 
     def offer(reservoir, task_id, rows):
@@ -639,7 +654,7 @@ def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy
     monkeypatch.setattr(ReservoirState, "offer", offer)
     monkeypatch.setattr(trainer, "train_iteration", iteration)
     kappa = 5
-    run_stream(noisy_stream("rotate"), strategy_config(strategy, stream_batch_size=30, epochs=2))
+    run_stream(stream, strategy_config(strategy, stream_batch_size=30, epochs=2))
     assert len(steps) == 24
     for _, rows, read in steps:
         assert sorted(rows) == sorted(read)  # each row it reads, once
@@ -648,6 +663,47 @@ def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy
     if strategy == "reservoir":
         assert any(len(rows) > kappa for _, rows, _ in steps)  # rows entered beyond the picks
         assert any(len(rows) < n for n, rows, _ in steps)  # past the fill, most candidates are never built
+
+
+@pytest.mark.parametrize("kind", ["rotate", "permute"])
+def test_each_evaluation_builds_its_test_set_on_an_evaluator_thread(monkeypatch, kind):
+    # A test set is a view: each matrix cell builds its pixels on an evaluator thread and drops them on return.
+    stream = noisy_stream(kind)
+    eager = noisy_stream(kind, build=functools.partial(oracles.build_stream, kind))
+    builds, live, most_live = [], set(), [0]
+    lock = threading.Lock()
+    real_pixels, real_commit = TaskView._pixels_of, trainer.commit_current_task
+    snapshots = []
+
+    def dropped(key):
+        with lock:
+            live.discard(key)
+
+    def pixels_of(view, positions):
+        x = real_pixels(view, positions)
+        if any(view is task.test for task in stream.tasks):
+            with lock:
+                builds.append((threading.current_thread() is threading.main_thread(), len(positions)))
+                live.add(id(x))
+                most_live[0] = max(most_live[0], len(live))
+            weakref.finalize(x, dropped, id(x))
+        return x
+
+    def capturing(state, cfg):
+        record = real_commit(state, cfg)
+        snapshots.append(state.params)
+        return record
+
+    monkeypatch.setattr(TaskView, "_pixels_of", pixels_of)
+    monkeypatch.setattr(trainer, "commit_current_task", capturing)
+    state = run_stream(stream, strategy_config("uniform"))
+    assert builds == [(False, 40)] * (1 + 2 + 3)  # one whole test set per matrix cell, none on the main thread
+    assert 1 <= most_live[0] <= trainer._EVAL_THREADS and not live
+    want = np.full((3, 3), np.nan)
+    for t, params in enumerate(snapshots):
+        for i, task in enumerate(eager.tasks[: t + 1]):
+            want[t, i] = model.accuracy(params, task.test.x, task.test.y)
+    assert np.array_equal(state.matrix.values, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
