@@ -35,7 +35,7 @@ from .ioutil import atomic_write_text
 from .metrics import grad_approx_diagnostic
 from .model import init_params
 from .replay import DUMP_HEADER, format_sig
-from .trainer import REGISTRY, TrainConfig, clear_run_dir, run_metrics, run_stream
+from .trainer import REGISTRY, TrainConfig, clear_run_dir, run_metrics, run_stream, write_run_files
 
 
 def load_corpora(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -149,8 +149,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                 text = f"{type(exc).__name__}: {exc}"
                 if exc is stream_error:
                     text = f"stream for seed {run_seed} failed to build: {text}"
-                clear_run_dir(run_dir)
-                atomic_write_text(os.path.join(run_dir, "FAILED.txt"), text + "\n")
+                write_run_files(run_dir, {"FAILED.txt": f"{text}\n".encode("utf-8")})
                 print(f"{strategy} seed {run_seed} FAILED: {text}", file=sys.stderr)
     rows = []
     for strategy in cfg.strategies:

@@ -1,4 +1,4 @@
-"""Atomic file writes shared by checkpoint and artifact emitters."""
+"""Atomic file writes shared by the run-file writer and the command line."""
 
 from __future__ import annotations
 

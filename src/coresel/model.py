@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, EmptyInputError
-from .ioutil import atomic_write_bytes
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,7 @@ def accuracy(params: ParamSet, x, y) -> float:
     return float((np.argmax(a, axis=1) == y).mean())
 
 
-def save_checkpoint(params: ParamSet, path: str) -> None:
+def checkpoint_bytes(params: ParamSet) -> bytes:
     """Header line of layer dims, then the flat params as little-endian float64."""
     header = " ".join(str(d) for d in params.layer_sizes) + "\n"
-    payload = flatten_params(params).astype("<f8").tobytes()
-    atomic_write_bytes(path, header.encode("ascii") + payload)
+    return header.encode("ascii") + flatten_params(params).astype("<f8").tobytes()

@@ -26,7 +26,6 @@ by (seed, purpose tag); so a run is a pure function of (stream, config).
 from __future__ import annotations
 
 import contextvars
-import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -35,11 +34,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import ioutil
 from .datastream import NUM_CLASSES, Batch, Dataset, TaskStream, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
-from .ioutil import atomic_write_text
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
-from .model import GradSelector, ParamSet, accuracy, backprop, embeddings, init_params, save_checkpoint
+from .model import GradSelector, ParamSet, accuracy, backprop, checkpoint_bytes, embeddings, init_params
 from .replay import (
     Coreset,
     ReservoirState,
@@ -365,19 +364,12 @@ def _train_task(state: RunState, task, cfg: TrainConfig) -> None:
         raise DivergenceError(f"run diverged at {_position(state)}: {exc}") from exc
 
 
-def _fill_matrix(state: RunState, evaluations) -> None:
-    """Wait for the submitted evaluations in (t, i) order and fill the matrix; raise the first that failed."""
-    for t, (position, futures) in enumerate(evaluations):
-        for i, future in enumerate(futures):
-            try:
-                state.matrix.set(t, i, future.result())
-            except DivergenceError as exc:
-                raise DivergenceError(f"run diverged at {position}: {exc}") from exc
-
-
-def _evaluate(params: ParamSet, test) -> float:
-    """Accuracy on a test set, a view whose pixels are built here and dropped on return."""
-    return accuracy(params, test.x, test.y)
+def _evaluate(params: ParamSet, test, position: str) -> float:
+    """Accuracy on a test set, a view built here and dropped on return; a DivergenceError names `position`."""
+    try:
+        return accuracy(params, test.x, test.y)
+    except DivergenceError as exc:
+        raise DivergenceError(f"run diverged at {position}: {exc}") from exc
 
 
 def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None) -> RunState:
@@ -395,28 +387,31 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
     t, eval t, train t + 1 raises first.
     """
     state = new_run_state(cfg, len(stream), stream.tasks[0].train.width)
-    evaluations = []  # per finished task t: (its position, futures of test sets 0..t)
+    evaluations = []  # (t, i, future) of every submitted evaluation, in serial order
+    failure = None  # an Exception raised while training; a BaseException propagates at once
     pool = ThreadPoolExecutor(max_workers=_EVAL_THREADS, thread_name_prefix="coresel-eval")
     try:
         try:
             for t, task in enumerate(stream.tasks):
                 # A failed evaluation precedes every later task in the serial order: stop training.
-                if any(f.done() and f.exception() is not None for _, futures in evaluations for f in futures):
+                if any(f.done() and f.exception() is not None for _, _, f in evaluations):
                     break
                 state.task_index = t
                 state.lr = cfg.lr0 * cfg.lr_decay**t
                 _train_task(state, task, cfg)
-                futures = [
-                    pool.submit(contextvars.copy_context().run, _evaluate, state.params, seen.test)
-                    for seen in stream.tasks[: t + 1]
+                position = _position(state)
+                evaluations += [
+                    (t, i, pool.submit(contextvars.copy_context().run, _evaluate, state.params, seen.test, position))
+                    for i, seen in enumerate(stream.tasks[: t + 1])
                 ]
-                evaluations.append((_position(state), futures))
-        except Exception:
-            _fill_matrix(state, evaluations)  # an earlier task's failed evaluation comes first
-            raise
-        _fill_matrix(state, evaluations)
+        except Exception as exc:
+            failure = exc
+        for t, i, future in evaluations:  # an earlier task's failed evaluation comes before `failure`
+            state.matrix.set(t, i, future.result())
     finally:
         pool.shutdown(cancel_futures=True)
+    if failure is not None:
+        raise failure
     # Only a run that finished writes artifacts; a failed one leaves none behind.
     if out_dir is not None:
         _write_artifacts(state, stream, cfg, out_dir)
@@ -485,13 +480,30 @@ def clear_run_dir(out_dir: str) -> None:
         os.unlink(path)
 
 
-def _write_artifacts(state: RunState, stream: TaskStream, cfg: TrainConfig, out_dir: str) -> None:
-    """Write a finished run's artifacts, all of them or none, in place of an earlier run's files.
+def write_run_files(out_dir: str, files: dict[str, bytes]) -> None:
+    """Put `files` (name -> bytes) in out_dir in place of an earlier run's files, all of them or none.
 
-    Every text is rendered before the run directory is made, so one that
-    cannot be rendered leaves no directory; the checkpoint is serialised as it
-    is written. If a write fails, the files this call has written are removed.
+    A name outside RUN_FILES is refused before anything is cleared, so clear_run_dir removes every file a
+    run can leave. If a write fails, the files this call has written are removed.
     """
+    unknown = [name for name in files if name not in RUN_FILES]
+    if unknown:
+        raise ContractError(f"{unknown[0]!r} is not a run file: expected one of {RUN_FILES}")
+    clear_run_dir(out_dir)
+    written = []
+    try:
+        for name, data in files.items():
+            path = os.path.join(out_dir, name)
+            ioutil.atomic_write_bytes(path, data)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.unlink(path)
+        raise
+
+
+def _write_artifacts(state: RunState, stream: TaskStream, cfg: TrainConfig, out_dir: str) -> None:
+    """Render every file of a finished run, then write them: one that cannot be rendered leaves no directory."""
     texts = {
         "coreset_dump.csv": dump_csv(state.buffer_examples()),
         "accuracy_matrix.csv": _matrix_csv(state.matrix),
@@ -505,16 +517,6 @@ def _write_artifacts(state: RunState, stream: TaskStream, cfg: TrainConfig, out_
             for n, (s, v, a) in enumerate(zip(b.similarity, b.diversity, affinity)):
                 rows.append(f"{it},{n},{format_sig(s)},{format_sig(v)},{format_sig(a)},{int(n in selected)}")
         texts["scores.csv"] = "\n".join(rows) + "\n"
-    writers = [(name, functools.partial(atomic_write_text, text=text)) for name, text in texts.items()]
-    writers.append(("model.ckpt", functools.partial(save_checkpoint, state.params)))
-    clear_run_dir(out_dir)
-    written = []
-    try:
-        for name, write in writers:
-            path = os.path.join(out_dir, name)
-            write(path)
-            written.append(path)
-    except BaseException:
-        for path in written:
-            os.unlink(path)
-        raise
+    files = {name: text.encode("utf-8") for name, text in texts.items()}
+    files["model.ckpt"] = checkpoint_bytes(state.params)
+    write_run_files(out_dir, files)

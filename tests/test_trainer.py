@@ -4,11 +4,12 @@ import os
 import pathlib
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from coresel import model, trainer
+from coresel import ioutil, model, trainer
 from coresel.datastream import (
     PIXELS,
     Dataset,
@@ -569,13 +570,27 @@ def test_an_artifact_that_cannot_be_rendered_leaves_no_artifacts(tmp_path):
 
 
 def test_a_failed_write_removes_the_artifacts_already_written(tmp_path, monkeypatch):
-    def full_disk(params, path):
-        raise OSError(28, "No space left on device", path)
+    real, written = ioutil.atomic_write_bytes, []
 
-    monkeypatch.setattr(trainer, "save_checkpoint", full_disk)
+    def full_disk(path, data):  # the checkpoint is the last file written
+        if os.path.basename(path) == "model.ckpt":
+            raise OSError(28, "No space left on device", path)
+        real(path, data)
+        written.append(os.path.basename(path))
+
+    monkeypatch.setattr(ioutil, "atomic_write_bytes", full_disk)
     with pytest.raises(OSError, match="No space left"):
         run_stream(tiny_stream(num_tasks=2), tiny_config(log_scores=True), out_dir=str(tmp_path))
-    assert os.listdir(tmp_path) == []
+    assert "metrics.json" in written and os.listdir(tmp_path) == []
+
+
+def test_the_run_file_writer_refuses_a_name_outside_run_files(tmp_path):
+    # clear_run_dir removes only RUN_FILES: a file under any other name would outlive the next run.
+    (tmp_path / "metrics.json").write_text("an earlier run's\n")
+    with pytest.raises(ContractError, match="'notes.txt' is not a run file"):
+        trainer.write_run_files(str(tmp_path), {"model.ckpt": b"", "notes.txt": b"x"})
+    assert os.listdir(tmp_path) == ["metrics.json"]
+    assert (tmp_path / "metrics.json").read_text() == "an earlier run's\n"
 
 
 def noisy_stream(kind, build=None):
@@ -769,6 +784,57 @@ def test_failed_evaluation_is_reported_before_a_later_training_failure(tmp_path,
     assert str(info.value) == "run diverged at task 1, epoch 0, iteration 3, lr 0.04: evaluation failed"
     assert train_failed.is_set()
     assert not (tmp_path / "run").exists()
+
+
+def failing_evaluations_and_a_held_step(monkeypatch, then):
+    """Every evaluation fails once task 1 has begun; task 1's last step waits until task 0's evaluation is
+    done, then calls then(). Returns the task index of every step begun, in order.
+    """
+    futures, tasks = [], []
+    real_iteration = trainer.train_iteration
+    task1_began = threading.Event()
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    def evaluating(params, x, y):
+        task1_began.wait(timeout=30)
+        raise DivergenceError("evaluation failed")
+
+    def training(state, batch, cfg):
+        tasks.append(state.task_index)
+        if state.task_index == 1:
+            task1_began.set()
+            if state.iteration_in_epoch == 2:  # 60 rows in steps of 20: task 1's last step
+                futures[0].exception(timeout=30)
+                then()
+        return real_iteration(state, batch, cfg)
+
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(trainer, "accuracy", evaluating)
+    monkeypatch.setattr(trainer, "train_iteration", training)
+    return tasks
+
+
+def test_training_stops_once_an_evaluation_has_failed(tmp_path, monkeypatch):
+    tasks = failing_evaluations_and_a_held_step(monkeypatch, then=lambda: None)
+    with pytest.raises(DivergenceError) as info:
+        run_stream(tiny_stream(num_tasks=3), tiny_config(), out_dir=str(tmp_path / "run"))
+    assert str(info.value) == "run diverged at task 0, epoch 0, iteration 3, lr 0.05: evaluation failed"
+    assert tasks == [0, 0, 0, 1, 1, 1]  # task 2 never trains
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_interrupt_while_training_is_not_replaced_by_a_failed_evaluation(monkeypatch):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    tasks = failing_evaluations_and_a_held_step(monkeypatch, then=interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_stream(tiny_stream(num_tasks=3), tiny_config())
+    assert tasks == [0, 0, 0, 1, 1, 1]
 
 
 def test_run_metrics_rejects_an_unfinished_run():
