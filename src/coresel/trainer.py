@@ -10,8 +10,8 @@ backward pass, over its rows and the replay batch: the objective and the
 replay gradient are per-row weights on that pass's per-example gradients,
 and A-GEM reweights the rows through their Gram matrix. After each task the
 model is evaluated on every test set seen so far, filling one row of the
-accuracy matrix; those evaluations run on background threads while the next
-task trains.
+accuracy matrix; those evaluations run on one evaluator thread while the next
+task trains, and the trainer runs the backlog the thread has not begun.
 
 What differs between selection methods lives in one `Strategy` record per
 method, looked up by name in `REGISTRY`: a per-step pick and a commit order;
@@ -25,10 +25,13 @@ by (seed, purpose tag); so a run is a pure function of (stream, config).
 
 from __future__ import annotations
 
+import collections
 import contextvars
+import functools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -65,10 +68,6 @@ _T_SELECT = 3
 _T_COMMIT_REF = 4
 _T_COMMIT_RANK = 5
 _T_RESERVOIR = 6
-
-# Evaluator threads per run. With one, a task's evaluations can outlast the next task's
-# training and put the evaluator back on the critical path.
-_EVAL_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -372,24 +371,79 @@ def _evaluate(params: ParamSet, test, position: str) -> float:
         raise DivergenceError(f"run diverged at {position}: {exc}") from exc
 
 
+class _Evaluator:
+    """Queued evaluations: one background thread runs them from the oldest end, `run_backlog` from the newest.
+
+    Taking an evaluation removes it from the queue, so once begun it keeps no reference to its parameters
+    or test set. Each runs in a copy of the submitter's context.
+    """
+
+    def __init__(self):
+        self._queue = collections.deque()  # (future, call) of each evaluation nobody has begun, oldest first
+        self._changed = threading.Condition()
+        self._closed = False
+        self._thread = threading.Thread(target=self._serve, name="coresel-eval")
+        self._thread.start()
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        with self._changed:
+            self._queue.append((future, functools.partial(contextvars.copy_context().run, fn, *args)))
+            self._changed.notify()
+        return future
+
+    def run_backlog(self) -> None:
+        """Run here, newest first, every evaluation the thread has not begun, without waiting on the thread."""
+        while self._run_next(oldest=False):
+            pass
+
+    def close(self) -> None:
+        """Drop the evaluations nobody has begun, and wait for the one the thread is running."""
+        with self._changed:
+            self._queue.clear()
+            self._closed = True
+            self._changed.notify()
+        self._thread.join()
+
+    def _serve(self) -> None:
+        while self._run_next(oldest=True):
+            pass
+
+    def _run_next(self, oldest: bool) -> bool:
+        """Take one evaluation and run it, or give False once none is left (the thread waits until closed)."""
+        with self._changed:
+            if oldest:
+                self._changed.wait_for(lambda: self._queue or self._closed)
+            if not self._queue:
+                return False
+            future, call = self._queue.popleft() if oldest else self._queue.pop()
+        try:
+            future.set_result(call())
+        except Exception as exc:
+            future.set_exception(exc)
+        return True
+
+
 def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None) -> RunState:
     """Train through every task, evaluate after each, and emit artifacts.
 
     Evaluation is the only place test sets are touched; iteration code only
-    ever sees train data. Task t's t + 1 evaluations run on the run's own
-    evaluator threads while task t + 1 trains: parameter sets are never
-    mutated, so each sees what an inline one would, and each runs in a copy
-    of the caller's context, so it follows the caller's `np.errstate`. Each
-    evaluation builds its test set's pixels from the view on its own thread
-    and drops them when it returns, so no more test sets are built at once
-    than there are evaluator threads. The matrix is filled before anything is
-    returned or written, and a failed run raises what the serial order train
-    t, eval t, train t + 1 raises first.
+    ever sees train data. Task t's t + 1 evaluations run on the run's one
+    evaluator thread, oldest first, while task t + 1 trains; then the
+    trainer runs, newest first, those the thread has not begun, as it does
+    after the last task. So it never waits on the thread, and at most two
+    tasks' parameter sets wait to be scored. Parameter sets are never
+    mutated, so each evaluation sees what an inline one would, and each runs
+    in a copy of the caller's context, so it follows the caller's
+    `np.errstate`. Each builds its test set's pixels from the view and drops
+    them on return. The matrix is filled before anything is returned or
+    written, and a failed run raises what the serial order train t, eval t,
+    train t + 1 raises first.
     """
     state = new_run_state(cfg, len(stream), stream.tasks[0].train.width)
     evaluations = []  # (t, i, future) of every submitted evaluation, in serial order
     failure = None  # an Exception raised while training; a BaseException propagates at once
-    pool = ThreadPoolExecutor(max_workers=_EVAL_THREADS, thread_name_prefix="coresel-eval")
+    evaluator = _Evaluator()
     try:
         try:
             for t, task in enumerate(stream.tasks):
@@ -399,17 +453,19 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
                 state.task_index = t
                 state.lr = cfg.lr0 * cfg.lr_decay**t
                 _train_task(state, task, cfg)
+                evaluator.run_backlog()  # what is left of task t - 1's evaluations
                 position = _position(state)
                 evaluations += [
-                    (t, i, pool.submit(contextvars.copy_context().run, _evaluate, state.params, seen.test, position))
+                    (t, i, evaluator.submit(_evaluate, state.params, seen.test, position))
                     for i, seen in enumerate(stream.tasks[: t + 1])
                 ]
         except Exception as exc:
             failure = exc
+        evaluator.run_backlog()
         for t, i, future in evaluations:  # an earlier task's failed evaluation comes before `failure`
             state.matrix.set(t, i, future.result())
     finally:
-        pool.shutdown(cancel_futures=True)
+        evaluator.close()
     if failure is not None:
         raise failure
     # Only a run that finished writes artifacts; a failed one leaves none behind.

@@ -1,10 +1,13 @@
+import collections
 import functools
 import json
 import os
 import pathlib
+import sys
 import threading
+import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -300,34 +303,134 @@ def test_matrix_holds_the_accuracy_of_each_tasks_snapshot(monkeypatch):
                for t in range(2) for i in range(t + 1))
 
 
+def hold_the_evaluator_thread(monkeypatch):
+    """Keep each run's evaluator thread from taking an evaluation until the returned event is set."""
+    release = threading.Event()
+    real_serve = trainer._Evaluator._serve
+
+    def serve(evaluator):
+        release.wait(timeout=30)
+        real_serve(evaluator)
+
+    monkeypatch.setattr(trainer._Evaluator, "_serve", serve)
+    return release
+
+
+def serial_run(stream, cfg):
+    """The serial order, train t then evaluate t, with each committed ParamSet scored inline."""
+    state = new_run_state(cfg, len(stream), stream.tasks[0].train.width)
+    for t, task in enumerate(stream.tasks):
+        state.task_index, state.lr = t, cfg.lr0 * cfg.lr_decay**t
+        trainer._train_task(state, task, cfg)
+        for i, seen in enumerate(stream.tasks[: t + 1]):
+            state.matrix.set(t, i, model.accuracy(state.params, seen.test.x, seen.test.y))
+    return state
+
+
 def test_results_do_not_depend_on_the_evaluator_count(monkeypatch):
+    # The evaluator thread and the trainer each run some of the evaluations, and the run still matches the
+    # serial oracle, with every evaluation under the caller's np.errstate whichever of the two runs it.
     real = trainer.accuracy
-    seen = []  # (thread name, numpy error state) of each evaluation
+    seen = []  # (run on the main thread, numpy error state) of each evaluation
+    trainer_ran, thread_ran = hold_the_evaluator_thread(monkeypatch), threading.Event()
 
     def recording(params, x, y):
-        seen.append((threading.current_thread().name, np.geterr()))
+        on_main = threading.current_thread() is threading.main_thread()
+        seen.append((on_main, np.geterr()))
+        if on_main and trainer_ran.is_set():
+            thread_ran.wait(timeout=30)  # an evaluation is still queued, so the thread takes it meanwhile
+        (trainer_ran if on_main else thread_ran).set()
         return real(params, x, y)
 
     monkeypatch.setattr(trainer, "accuracy", recording)
     stream = tiny_stream(num_tasks=3)
     cfg = tiny_config()
-    runs = []
-    for threads in (trainer._EVAL_THREADS, 1):
-        monkeypatch.setattr(trainer, "_EVAL_THREADS", threads)
-        seen.clear()
-        with np.errstate(over="ignore", divide="raise", invalid="ignore", under="warn"):
-            runs.append(run_stream(stream, cfg))
-            caller = np.geterr()
-        assert len(seen) == 6
-        names = {name for name, _ in seen}
-        assert threading.current_thread().name not in names and 1 <= len(names) <= threads
-        assert all(errstate == caller for _, errstate in seen)  # evaluations follow the caller's np.errstate
-    default, single = runs
-    assert np.array_equal(default.matrix.values, single.matrix.values, equal_nan=True)
-    assert np.array_equal(flatten_params(default.params), flatten_params(single.params))
-    assert [(e.task_id, e.source_index, e.x.tobytes()) for e in default.buffer_examples()] == [
-        (e.task_id, e.source_index, e.x.tobytes()) for e in single.buffer_examples()
+    with np.errstate(over="ignore", divide="raise", invalid="ignore", under="warn"):
+        run = run_stream(stream, cfg)
+        caller = np.geterr()
+    assert len(seen) == 6 and {on_main for on_main, _ in seen} == {True, False}
+    assert all(errstate == caller for _, errstate in seen)  # evaluations follow the caller's np.errstate
+    serial = serial_run(stream, cfg)
+    assert np.array_equal(run.matrix.values, serial.matrix.values, equal_nan=True)
+    assert np.array_equal(flatten_params(run.params), flatten_params(serial.params))
+    assert [(e.task_id, e.source_index, e.x.tobytes()) for e in run.buffer_examples()] == [
+        (e.task_id, e.source_index, e.x.tobytes()) for e in serial.buffer_examples()
     ]
+
+
+def test_the_trainer_runs_the_backlog_the_evaluator_thread_has_not_begun(monkeypatch):
+    # With a slow evaluator thread, every evaluation of a task before t - 1 has begun when task t's first
+    # step runs, and a committed ParamSet whose evaluations have all finished is no longer alive.
+    real_accuracy, real_commit, real_iteration = trainer.accuracy, trainer.commit_current_task, trainer.train_iteration
+    committed = []  # a weak reference to each task's committed ParamSet
+    begun = collections.Counter()  # evaluations begun, by task
+    lock = threading.Lock()
+    thread_task = [None]  # the task of the evaluation the thread began last
+    checks = []  # (t, evaluations of tasks before t - 1 not begun, those tasks whose ParamSet is alive)
+
+    def evaluating(params, x, y):
+        s = next(s for s, ref in enumerate(committed) if ref() is params)
+        with lock:
+            begun[s] += 1
+        if threading.current_thread() is not threading.main_thread():
+            thread_task[0] = s
+            time.sleep(0.2)
+        return real_accuracy(params, x, y)
+
+    def committing(state, cfg):
+        record = real_commit(state, cfg)
+        committed.append(weakref.ref(state.params))
+        return record
+
+    def training(state, batch, cfg):
+        t = state.task_index
+        if state.epoch == state.iteration_in_epoch == 0:
+            older = range(t - 1)
+            deadline = time.monotonic() + 0.1  # the thread may not yet have entered an evaluation it took
+            while any(begun[s] < s + 1 for s in older) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            missing = sum(s + 1 - begun[s] for s in older)
+            # The thread's last evaluation may still run; every other evaluation of these tasks has finished.
+            checks.append((t, missing, [s for s in older if s != thread_task[0] and committed[s]() is not None]))
+        return real_iteration(state, batch, cfg)
+
+    monkeypatch.setattr(trainer, "accuracy", evaluating)
+    monkeypatch.setattr(trainer, "commit_current_task", committing)
+    monkeypatch.setattr(trainer, "train_iteration", training)
+    stream = tiny_stream(num_tasks=5)
+    state = run_stream(stream, tiny_config())
+    assert checks == [(t, 0, []) for t in range(5)]
+    assert sum(begun.values()) == 15 and not np.isnan(state.matrix.values[4]).any()
+
+
+def test_every_evaluation_runs_once_under_frequent_thread_switches(monkeypatch):
+    # Two runs at once, four threads on the queue's two ends: no evaluation is lost or run twice.
+    real = trainer.accuracy
+    calls = []
+
+    def counting(params, x, y):
+        calls.append(None)  # list.append is atomic
+        return real(params, x, y)
+
+    monkeypatch.setattr(trainer, "accuracy", counting)
+    stream, cfg = tiny_stream(num_tasks=6, train_per_task=20, test_per_task=10), tiny_config()
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda n=n: runs.update({n: run_stream(stream, cfg)}), name=f"run{n}")
+                   for n in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers) and sorted(runs) == [0, 1]
+    serial = serial_run(stream, cfg)
+    for run in runs.values():
+        assert np.array_equal(run.matrix.values, serial.matrix.values, equal_nan=True)
+    assert len(calls) == 2 * 21
 
 
 # Stub: trains on odd rows, commits the most recently staged rows first.
@@ -611,7 +714,7 @@ def is_train_view(stream, view):
 @pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
 def test_run_stream_never_materialises_a_train_set(monkeypatch, kind, strategy):
-    # Only the train views are watched: the evaluator threads build the test views meanwhile.
+    # Only the train views are watched: the evaluations build the test views meanwhile.
     stream = noisy_stream(kind)
     assert all(isinstance(task.train, TaskView) for task in stream.tasks)
     sizes = []
@@ -638,7 +741,7 @@ def test_run_stream_never_materialises_a_train_set(monkeypatch, kind, strategy):
 def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy):
     # A uniform pick reads its kappa rows; OCS and k-means read every candidate; the reservoir reads its
     # picked rows and the rows that enter it. Rows are named by source index, unique within a task. Only the
-    # train views are watched: the evaluator threads build the test views meanwhile.
+    # train views are watched: the evaluations build the test views meanwhile.
     stream = noisy_stream("rotate")
     built, entered, steps = [], [], []
     real_pixels, real_offer, real_iteration = TaskView._pixels_of, ReservoirState.offer, trainer.train_iteration
@@ -681,8 +784,9 @@ def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy
 
 
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
-def test_each_evaluation_builds_its_test_set_on_an_evaluator_thread(monkeypatch, kind):
-    # A test set is a view: each matrix cell builds its pixels on an evaluator thread and drops them on return.
+def test_each_evaluation_builds_its_test_set_once_and_drops_it(monkeypatch, kind):
+    # A test set is a view: each matrix cell builds its pixels, on the evaluator thread or the trainer, and
+    # drops them on return.
     stream = noisy_stream(kind)
     eager = noisy_stream(kind, build=functools.partial(oracles.build_stream, kind))
     builds, live, most_live = [], set(), [0]
@@ -698,7 +802,7 @@ def test_each_evaluation_builds_its_test_set_on_an_evaluator_thread(monkeypatch,
         x = real_pixels(view, positions)
         if any(view is task.test for task in stream.tasks):
             with lock:
-                builds.append((threading.current_thread() is threading.main_thread(), len(positions)))
+                builds.append(len(positions))
                 live.add(id(x))
                 most_live[0] = max(most_live[0], len(live))
             weakref.finalize(x, dropped, id(x))
@@ -712,8 +816,8 @@ def test_each_evaluation_builds_its_test_set_on_an_evaluator_thread(monkeypatch,
     monkeypatch.setattr(TaskView, "_pixels_of", pixels_of)
     monkeypatch.setattr(trainer, "commit_current_task", capturing)
     state = run_stream(stream, strategy_config("uniform"))
-    assert builds == [(False, 40)] * (1 + 2 + 3)  # one whole test set per matrix cell, none on the main thread
-    assert 1 <= most_live[0] <= trainer._EVAL_THREADS and not live
+    assert builds == [40] * (1 + 2 + 3)  # one whole test set per matrix cell
+    assert 1 <= most_live[0] <= 2 and not live  # the thread's and the trainer's, at most
     want = np.full((3, 3), np.nan)
     for t, params in enumerate(snapshots):
         for i, task in enumerate(eager.tasks[: t + 1]):
@@ -752,12 +856,15 @@ def test_failed_run_raises_and_writes_no_artifacts(tmp_path, monkeypatch):
     assert not (tmp_path / "run" / "metrics.json").exists()
 
 
-def test_failed_evaluation_is_reported_before_a_later_training_failure(tmp_path, monkeypatch):
+@pytest.mark.parametrize("evaluator", ["thread", "trainer"])
+def test_failed_evaluation_is_reported_before_a_later_training_failure(tmp_path, monkeypatch, evaluator):
     # Serial order: train 0, eval 0, train 1, eval 1 (fails), train 2 (fails). Task 1's evaluation is held
-    # back until task 2's training has failed, so the run must pick the earlier failure itself.
+    # back until task 2's training has failed, so the run must pick the earlier failure itself. The first to
+    # fail runs on the evaluator thread, or, with the thread held, on the trainer as it runs the backlog.
     real_commit, real_accuracy, real_iteration = trainer.commit_current_task, trainer.accuracy, trainer.train_iteration
-    snapshots = []
-    train_failed = threading.Event()
+    snapshots, failed_on_main = [], []
+    task1_evaluating, train_failed = threading.Event(), threading.Event()
+    release = hold_the_evaluator_thread(monkeypatch) if evaluator == "trainer" else threading.Event()
 
     def capturing(state, cfg):
         record = real_commit(state, cfg)
@@ -766,12 +873,17 @@ def test_failed_evaluation_is_reported_before_a_later_training_failure(tmp_path,
 
     def evaluating(params, x, y):
         if len(snapshots) > 1 and params is snapshots[1]:
+            failed_on_main.append(threading.current_thread() is threading.main_thread())
+            task1_evaluating.set()
             train_failed.wait(timeout=30)
+            release.set()
             raise DivergenceError("evaluation failed")
         return real_accuracy(params, x, y)
 
     def training(state, batch, cfg):
         if state.task_index == 2:
+            if evaluator == "thread":
+                task1_evaluating.wait(timeout=30)  # the trainer waits, so the thread takes task 1's first
             train_failed.set()
             raise RuntimeError("step failed")
         return real_iteration(state, batch, cfg)
@@ -782,25 +894,31 @@ def test_failed_evaluation_is_reported_before_a_later_training_failure(tmp_path,
     with pytest.raises(DivergenceError) as info:
         run_stream(tiny_stream(num_tasks=3), tiny_config(), out_dir=str(tmp_path / "run"))
     assert str(info.value) == "run diverged at task 1, epoch 0, iteration 3, lr 0.04: evaluation failed"
-    assert train_failed.is_set()
+    assert train_failed.is_set() and failed_on_main[0] == (evaluator == "trainer")
     assert not (tmp_path / "run").exists()
 
 
-def failing_evaluations_and_a_held_step(monkeypatch, then):
-    """Every evaluation fails once task 1 has begun; task 1's last step waits until task 0's evaluation is
-    done, then calls then(). Returns the task index of every step begun, in order.
+def failing_evaluations_and_a_held_step(monkeypatch, then, evaluator="thread"):
+    """Every evaluation fails once task 1 has begun, and task 1's last step calls then().
+
+    With evaluator "thread", that step first waits until task 0's evaluation has failed on the evaluator
+    thread; with "trainer", the thread is held until the trainer has failed one itself. Returns the task
+    index of every step begun, in order, and whether each failed evaluation ran on the main thread.
     """
-    futures, tasks = [], []
+    futures, tasks, failed_on_main = [], [], []
     real_iteration = trainer.train_iteration
     task1_began = threading.Event()
+    release = hold_the_evaluator_thread(monkeypatch) if evaluator == "trainer" else threading.Event()
 
-    class RecordingPool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            futures.append(super().submit(*args, **kwargs))
-            return futures[-1]
+    class RecordingFuture(Future):
+        def __init__(self):
+            super().__init__()
+            futures.append(self)
 
     def evaluating(params, x, y):
         task1_began.wait(timeout=30)
+        failed_on_main.append(threading.current_thread() is threading.main_thread())
+        release.set()
         raise DivergenceError("evaluation failed")
 
     def training(state, batch, cfg):
@@ -808,22 +926,25 @@ def failing_evaluations_and_a_held_step(monkeypatch, then):
         if state.task_index == 1:
             task1_began.set()
             if state.iteration_in_epoch == 2:  # 60 rows in steps of 20: task 1's last step
-                futures[0].exception(timeout=30)
+                if evaluator == "thread":
+                    futures[0].exception(timeout=30)
                 then()
         return real_iteration(state, batch, cfg)
 
-    monkeypatch.setattr(trainer, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(trainer, "Future", RecordingFuture)
     monkeypatch.setattr(trainer, "accuracy", evaluating)
     monkeypatch.setattr(trainer, "train_iteration", training)
-    return tasks
+    return tasks, failed_on_main
 
 
-def test_training_stops_once_an_evaluation_has_failed(tmp_path, monkeypatch):
-    tasks = failing_evaluations_and_a_held_step(monkeypatch, then=lambda: None)
+@pytest.mark.parametrize("evaluator", ["thread", "trainer"])
+def test_training_stops_once_an_evaluation_has_failed(tmp_path, monkeypatch, evaluator):
+    tasks, failed_on_main = failing_evaluations_and_a_held_step(monkeypatch, then=lambda: None, evaluator=evaluator)
     with pytest.raises(DivergenceError) as info:
         run_stream(tiny_stream(num_tasks=3), tiny_config(), out_dir=str(tmp_path / "run"))
     assert str(info.value) == "run diverged at task 0, epoch 0, iteration 3, lr 0.05: evaluation failed"
     assert tasks == [0, 0, 0, 1, 1, 1]  # task 2 never trains
+    assert failed_on_main[0] == (evaluator == "trainer")
     assert not (tmp_path / "run").exists()
 
 
@@ -831,7 +952,7 @@ def test_an_interrupt_while_training_is_not_replaced_by_a_failed_evaluation(monk
     def interrupt():
         raise KeyboardInterrupt
 
-    tasks = failing_evaluations_and_a_held_step(monkeypatch, then=interrupt)
+    tasks, _ = failing_evaluations_and_a_held_step(monkeypatch, then=interrupt)
     with pytest.raises(KeyboardInterrupt):
         run_stream(tiny_stream(num_tasks=3), tiny_config())
     assert tasks == [0, 0, 0, 1, 1, 1]
