@@ -224,7 +224,7 @@ def accuracy(params: ParamSet, x, y) -> float:
     active on any row: every row then gets the same logits.
     """
     x, y = _check_batch(params, x, y)
-    # Evaluations run on their own threads, and each thread's heap keeps its high-water mark:
+    # Evaluations run on the evaluator worker or on the trainer, and each thread's heap keeps its high-water mark:
     # hold one layer at a time.
     dead = None
     for l, a in enumerate(_layer_outputs(params, x)):

@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -304,15 +303,24 @@ def test_matrix_holds_the_accuracy_of_each_tasks_snapshot(monkeypatch):
 
 
 def hold_the_evaluator_thread(monkeypatch):
-    """Keep each run's evaluator thread from taking an evaluation until the returned event is set."""
+    """Keep each run's evaluator worker from beginning an evaluation until the returned event is set.
+
+    The pool's first job waits on the event, and shutting the pool down sets it only after cancelling what
+    is still queued, so a worker the test never releases begins no evaluation.
+    """
     release = threading.Event()
-    real_serve = trainer._Evaluator._serve
 
-    def serve(evaluator):
-        release.wait(timeout=30)
-        real_serve(evaluator)
+    class HeldPool(trainer.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            super().submit(release.wait, 30)
 
-    monkeypatch.setattr(trainer._Evaluator, "_serve", serve)
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", HeldPool)
     return release
 
 
@@ -902,23 +910,24 @@ def failing_evaluations_and_a_held_step(monkeypatch, then, evaluator="thread"):
     """Every evaluation fails once task 1 has begun, and task 1's last step calls then().
 
     With evaluator "thread", that step first waits until task 0's evaluation has failed on the evaluator
-    thread; with "trainer", the thread is held until the trainer has failed one itself. Returns the task
-    index of every step begun, in order, and whether each failed evaluation ran on the main thread.
+    worker; with "trainer", the worker is held for the whole run, so the trainer runs every evaluation that
+    runs. Returns the task index of every step begun, in order, and whether each failed evaluation ran on
+    the main thread.
     """
     futures, tasks, failed_on_main = [], [], []
     real_iteration = trainer.train_iteration
     task1_began = threading.Event()
-    release = hold_the_evaluator_thread(monkeypatch) if evaluator == "trainer" else threading.Event()
+    if evaluator == "trainer":
+        hold_the_evaluator_thread(monkeypatch)
 
-    class RecordingFuture(Future):
-        def __init__(self):
-            super().__init__()
-            futures.append(self)
+    class RecordingPool(trainer.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
 
     def evaluating(params, x, y):
         task1_began.wait(timeout=30)
         failed_on_main.append(threading.current_thread() is threading.main_thread())
-        release.set()
         raise DivergenceError("evaluation failed")
 
     def training(state, batch, cfg):
@@ -931,7 +940,7 @@ def failing_evaluations_and_a_held_step(monkeypatch, then, evaluator="thread"):
                 then()
         return real_iteration(state, batch, cfg)
 
-    monkeypatch.setattr(trainer, "Future", RecordingFuture)
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(trainer, "accuracy", evaluating)
     monkeypatch.setattr(trainer, "train_iteration", training)
     return tasks, failed_on_main
@@ -948,6 +957,19 @@ def test_training_stops_once_an_evaluation_has_failed(tmp_path, monkeypatch, eva
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("evaluator", ["thread", "trainer"])
+def test_a_failed_run_runs_no_evaluation_after_the_first_failure(monkeypatch, evaluator):
+    # Task 0's failed evaluation ends the run, so the trainer takes back none of task 1's. With the worker
+    # held, only task 0's evaluation runs; a free worker may begin task 1's before the pool is shut down.
+    _, failed_on_main = failing_evaluations_and_a_held_step(monkeypatch, then=lambda: None, evaluator=evaluator)
+    with pytest.raises(DivergenceError, match="at task 0, "):
+        run_stream(tiny_stream(num_tasks=3), tiny_config())
+    if evaluator == "trainer":
+        assert failed_on_main == [True]
+    else:
+        assert 1 <= len(failed_on_main) <= 3 and not any(failed_on_main)
+
+
 def test_an_interrupt_while_training_is_not_replaced_by_a_failed_evaluation(monkeypatch):
     def interrupt():
         raise KeyboardInterrupt
@@ -956,6 +978,30 @@ def test_an_interrupt_while_training_is_not_replaced_by_a_failed_evaluation(monk
     with pytest.raises(KeyboardInterrupt):
         run_stream(tiny_stream(num_tasks=3), tiny_config())
     assert tasks == [0, 0, 0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("failure", [None, RuntimeError("step failed"), KeyboardInterrupt()])
+def test_a_run_leaves_no_evaluator_thread_behind(monkeypatch, failure):
+    real = trainer.train_iteration
+    alive_in_task1 = []
+
+    def evaluator_threads():
+        return [thread for thread in threading.enumerate() if thread.name.startswith("coresel-eval")]
+
+    def training(state, batch, cfg):
+        if state.task_index == 1:
+            alive_in_task1.append(bool(evaluator_threads()))  # task 0's evaluation has started the worker
+            if failure is not None:
+                raise failure
+        return real(state, batch, cfg)
+
+    monkeypatch.setattr(trainer, "train_iteration", training)
+    if failure is None:
+        run_stream(tiny_stream(num_tasks=2), tiny_config())
+    else:
+        with pytest.raises(type(failure)):
+            run_stream(tiny_stream(num_tasks=2), tiny_config())
+    assert alive_in_task1[0] and not evaluator_threads()
 
 
 def test_run_metrics_rejects_an_unfinished_run():
