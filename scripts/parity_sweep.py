@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-parity sweep: the tiny four-strategy run under every objective variant and every stream.
+"""Byte-parity sweep: the tiny four-strategy run under every objective variant and every stream, and a tiny diagnose.
 
 Runs `coresel run` on three 60-row synthetic tasks (batch 20, kappa 5, buffer
 20, replay batch 5) for ocs, uniform, reservoir and kmeans_embedding x 2 seeds
@@ -7,9 +7,12 @@ with per-candidate score logs, which only the OCS runs write. On the rotated
 balanced stream it runs once for each combination of --lambda {1.0, 0.0},
 --agem {false, true} and --grad-layers {all, 1,2}; the other five --kind
 {rotated, permuted} x --variant {balanced, imbalanced, noisy} streams run once
-each at the default objective. Each configuration writes its own subdirectory
-of OUT_DIR (13 subdirectories, 572 files). BLAS is pinned to one thread,
-because the thread count changes checkpoint bits.
+each at the default objective. Last, `coresel diagnose` runs once on a
+300-row synthetic corpus (batch sizes 10 and full, 2 batches each), whose
+cross-dataset columns come from the corpus's permuted copy. Each of the 13
+configurations and the diagnose run writes its own subdirectory of OUT_DIR
+(14 subdirectories, 573 files). BLAS is pinned to one thread, because the
+thread count changes checkpoint bits.
 
 Two checkouts are at parity where their outputs compare equal:
 
@@ -36,15 +39,17 @@ TINY_SWEEP = [
 OBJECTIVES = {"lambda": ("1.0", "0.0"), "agem": ("false", "true"), "grad-layers": ("all", "1,2")}
 STREAMS = [("rotated", "imbalanced"), ("rotated", "noisy"), ("permuted", "balanced"), ("permuted", "imbalanced"),
            ("permuted", "noisy")]
+TINY_DIAGNOSE = ["diagnose", "--synthetic-train", "300", "--batch-sizes", "10,full", "--n-batches", "2"]
 
 
 def configurations():
-    """(subdirectory name, flags): the objective grid on the rotated balanced stream, then the other streams."""
+    """(subdirectory name, command line) of each run: the objective grid, the other streams, then the diagnose."""
     for values in itertools.product(*OBJECTIVES.values()):
         name = "-".join(f"{key}{value.replace(',', '_')}" for key, value in zip(OBJECTIVES, values))
-        yield name, [arg for key, value in zip(OBJECTIVES, values) for arg in (f"--{key}", value)]
+        yield name, TINY_SWEEP + [arg for key, value in zip(OBJECTIVES, values) for arg in (f"--{key}", value)]
     for kind, variant in STREAMS:
-        yield f"{kind}-{variant}", ["--kind", kind, "--variant", variant]
+        yield f"{kind}-{variant}", TINY_SWEEP + ["--kind", kind, "--variant", variant]
+    yield "diagnose", TINY_DIAGNOSE
 
 
 def _comparable(path: str) -> bytes:
@@ -80,10 +85,10 @@ def main(argv=None) -> int:
     from coresel.cli import main as cli_main
 
     failed = []
-    for name, flags in configurations():
+    for name, argv in configurations():
         out = os.path.join(args.out_dir, name)
         print(f"{name} -> {out}", flush=True)
-        if cli_main(TINY_SWEEP + flags + ["--output-dir", out]) != 0:
+        if cli_main(argv + ["--output-dir", out]) != 0:
             failed.append(name)
     differing = [] if args.against is None else differing_files(args.against, args.out_dir)
     for rel in differing:

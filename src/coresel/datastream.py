@@ -18,9 +18,11 @@ the rows it uses, each once. An evaluation reads the whole test set's `x`,
 built for that read alone. No task holds its own copy of the pixels.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
-synthetic corpus draws, patterns and clips a block at a time, and a
-transform gathers a block of corpus rows into a reused buffer and writes it,
-transformed, at the rows' final positions, so no whole-task temporary is made.
+synthetic corpus draws, patterns and clips a block at a time, and
+_transform_rows gathers a block of corpus rows into a reused buffer and
+transforms it into the block's rows of its output, so no whole-task temporary
+is made. _transform_rows only transforms: a TaskView gives it just the clean
+rows a read asks for and places the noise rows itself.
 """
 
 from __future__ import annotations
@@ -75,11 +77,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def width(self) -> int:
-        """Pixels per row."""
-        return self.x.shape[1]
-
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(self.x[indices], self.y[indices], self.source_index[indices])
@@ -125,12 +122,16 @@ class TaskView:
         return Batch(self, np.asarray(indices, dtype=np.int64))
 
     def _pixels_of(self, positions: np.ndarray) -> np.ndarray:
-        """The pixels of the task rows at `positions`, in that order: noise rows copied, clean rows transformed."""
+        """The pixels of the task rows at `positions`, in that order: clean rows transformed, noise rows copied."""
         slot = self._noise_slot[positions]
-        noisy = np.flatnonzero(slot >= 0)
+        clean = slot < 0
+        rows = self._rows[positions[clean]]  # only clean rows reach the kernel
+        clean_x = _transform_rows(self._kernel, self._pixels, rows, np.empty((rows.size, self.width)))
+        if rows.size == positions.size:  # every row clean: transformed straight into the result
+            return clean_x
         x = np.empty((positions.size, self.width))
-        x[noisy] = self._noise[slot[noisy]]
-        _transform_rows(self._kernel, self._pixels, self._rows[positions], x, skip=noisy)
+        x[clean] = clean_x
+        x[~clean] = self._noise[slot[~clean]]
         return x
 
 
@@ -324,36 +325,25 @@ def _blocks(n: int):
     return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
-def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray, skip=None) -> None:
-    """Write row rows[i] of `src`, transformed, into row i of dest, for every i but the positions `skip`.
+def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray) -> np.ndarray:
+    """Write row rows[i] of `src`, transformed, into row i of dest, and return dest.
 
     One block at a time: the block's source rows are gathered into a reused
     buffer, and `kernel(block, out)` writes the transformed block into `out`,
-    a view of dest or, when rows are skipped, a reused buffer copied into place.
+    the block's rows of dest.
     """
-    at = None
-    if skip is not None and skip.size:
-        keep = np.ones(rows.size, dtype=bool)
-        keep[skip] = False
-        at = np.flatnonzero(keep)
-        rows = rows[at]
     gather = np.empty((min(rows.size, _BLOCK_ROWS), src.shape[1]))
-    staged = None if at is None else np.empty_like(gather)
     for blk in _blocks(rows.size):
         # The rows are drawn positions of src, so mode="clip" changes nothing but lets take() fill `gather` unbuffered.
         block = np.take(src, rows[blk], axis=0, out=gather[: blk.stop - blk.start], mode="clip")
-        if at is None:
-            kernel(block, dest[blk])
-        else:
-            out = staged[: len(block)]
-            kernel(block, out)
-            dest[at[blk]] = out
+        kernel(block, dest[blk])
+    return dest
 
 
 def permute_pixels(ds: Dataset, seed) -> Dataset:
     """Apply one fixed random pixel permutation to every image."""
-    x = np.empty((len(ds), ds.width))
-    _transform_rows(_permuter(seed, ds.width), ds.x, np.arange(len(ds)), x)
+    n, width = ds.x.shape
+    x = _transform_rows(_permuter(seed, width), ds.x, np.arange(n), np.empty((n, width)))
     return Dataset(x, ds.y, ds.source_index)
 
 

@@ -41,7 +41,7 @@ def imbalanced(ds, reduced_classes, keep_fraction, seed):
 def rotated(ds, angle):
     """`ds` under the rotation kernel that streams use."""
     x = np.empty(ds.x.shape)
-    datastream._transform_rows(datastream._rotator(angle, ds.width), ds.x, np.arange(len(ds)), x)
+    datastream._transform_rows(datastream._rotator(angle, ds.x.shape[1]), ds.x, np.arange(len(ds)), x)
     return Dataset(x, ds.y, ds.source_index)
 
 
@@ -488,6 +488,44 @@ def test_stream_equals_transform_then_drop_oracle(kind, case):
     got = builder(train, test, 3, 17, **kwargs)
     assert len(got) == 3
     assert_same_stream(got, oracles.build_stream(kind, train, test, 3, 17, **kwargs))
+
+
+@pytest.mark.parametrize("kind", ["rotate", "permute"])
+def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
+    # A noisy train view transforms the clean rows a read asks for, each once, and copies its noise rows in: no
+    # noise row's corpus pixels are transformed only to be overwritten.
+    train = make_synthetic_corpus(240, 51)
+    test = make_synthetic_corpus(60, 52)
+    kwargs = dict(train_per_task=150, test_per_task=40, noise_fraction=0.4)
+    task = (build_rotated_stream if kind == "rotate" else build_permuted_stream)(train, test, 1, 23, **kwargs).tasks[0]
+    want = oracles.build_stream(kind, train, test, 1, 23, **kwargs).tasks[0].train
+    view, seen = task.train, []
+    kernel = view._kernel
+
+    def counting(block, out):
+        seen.extend(row.tobytes() for row in block)
+        kernel(block, out)
+
+    monkeypatch.setattr(view, "_kernel", counting)
+    noisy = np.flatnonzero(np.isin(view.source_index, list(task.noisy_source)))
+    order = np.random.default_rng(0).permutation(len(view))
+
+    def shuffled_batch():
+        batch = view.subset(order[:70])
+        batch.subset(np.arange(0, 70, 3)[::-1])  # a pick's rows first, then the rest
+        return batch.x
+
+    reads = {"x": (np.arange(len(view)), lambda: view.x), "batch": (order[:70], shuffled_batch),
+             "all-noise": (noisy[::-1], lambda: view.subset(noisy[::-1]).x),
+             "empty": (np.empty(0, dtype=np.int64), lambda: view.subset([]).x)}
+    for name, (positions, read) in reads.items():
+        seen.clear()
+        x = read()
+        asked = positions[~np.isin(positions, noisy)]
+        assert len(seen) == asked.size, name
+        assert sorted(seen) == sorted(row.tobytes() for row in train.x[view.source_index[asked]]), name
+        assert x.shape == (positions.size, train.x.shape[1]) and x.tobytes() == want.x[positions].tobytes(), name
+    assert noisy.size == 60
 
 
 # ---------------------------------------------------------------------------
