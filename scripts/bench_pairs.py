@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts: the parent (OLD_ROOT) against a change (NEW_ROOT).
+
+    python3 scripts/bench_pairs.py OLD_ROOT NEW_ROOT --workload ocs-imbalanced --pairs 10 --seed0 0
+
+Pair k runs `perfbench/run.py --trace 0 --seed SEED0+k` once in each
+checkout, one run at a time; even pairs run OLD first and odd pairs NEW
+first, so neither side always runs on a machine the other has just warmed.
+The run length and the end-to-end metrics, with the direction in which each
+is better and its bound, come from NEW_ROOT's BENCHMARK.json. For each
+metric it prints both sides' median and quartiles, the change of the median,
+whether that change is within the bound, and the pairs the change wins (ties
+count for neither side). It exits 1 if any run is not `correct`, has failed
+operations, or does not finish.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict | None:
+    """The result object a benchmark run prints last, or None if the run fails before printing it."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    return json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> str:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_root", help="checkout of the parent commit")
+    parser.add_argument("new_root", help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair; pair k runs seed0 + k")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    with open(os.path.join(args.new_root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+
+    results = {"old": [], "new": []}
+    bad = []
+    for k in range(args.pairs):
+        seed = args.seed0 + k
+        for side in ("old", "new") if k % 2 == 0 else ("new", "old"):
+            result = run_once(getattr(args, f"{side}_root"), args.workload, seed, bench["run_seconds"])
+            if result is None or not result["correct"] or result["failed"]:
+                outcome = "no result" if result is None else f"correct {result['correct']}, {result['failed']} failed"
+                bad.append(f"pair {k} {side} (seed {seed}): {outcome}")
+            results[side].append(result)
+            print(f"pair {k} {side}: " + ("no result" if result is None else ", ".join(
+                f"{name} {m['value']:.4g}" for name, m in result["metrics"].items())), flush=True)
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
+        return 1
+
+    attempted = sum(r["attempted"] for side in results.values() for r in side)
+    print(f"\n{args.workload}, {args.pairs} pairs: every run correct, 0 of {attempted} operations failed")
+    print("median [q1, q3]")
+    for metric in bench["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        old, new = ([r["metrics"][name]["value"] for r in results[side]] for side in ("old", "new"))
+        wins = sum((n < o) if lower else (n > o) for o, n in zip(old, new))
+        change = statistics.median(new) / statistics.median(old) - 1.0
+        worse = change if lower else -change
+        verdict = "within bound" if worse <= metric["bound"] else "WORSE than bound"
+        print(f"{name} ({metric['unit']}): old {summary(old)}, new {summary(new)}, median {change:+.1%} "
+              f"({verdict} {metric['bound']:.0%}), change wins {wins}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

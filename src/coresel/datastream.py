@@ -1,8 +1,8 @@
 """MNIST-format ingestion and deterministic task-stream synthesis.
 
 A Dataset is a bundle of flattened 28x28 images (rows of 784 floats), labels,
-and each example's index in the originating corpus: a corpus, a step's picked
-rows and the staging pool are Datasets. One per-task loop builds both stream
+and each example's index in the originating corpus: a corpus and the staging
+pool are Datasets. One per-task loop builds both stream
 kinds: every task subsamples the corpus, applies its
 kind's transform (rotation or pixel permutation), then optional class
 imbalance and label-preserving noise, with every random draw derived from
@@ -12,21 +12,22 @@ transforms just the clean rows it keeps.
 
 Every task's train and test set is a TaskView: the corpus pixels, the
 task's corpus rows, its transform and, for a noisy train set, its noise rows.
-A training step takes a Batch of the train set, which builds a row's pixels
-on the first read that needs them and keeps them, so a step transforms only
-the rows it uses, each once. An evaluation reads the whole test set's `x`,
-built for that read alone. No task holds its own copy of the pixels.
+A view's `x` builds its rows on each read and keeps none of them. A training
+step's candidates are a subset of the train set, itself a view, so a step
+transforms only the rows it reads; an evaluation reads the whole test set's
+`x`. No task holds its own copy of the pixels.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
 synthetic corpus draws, patterns and clips a block at a time, and
 _transform_rows gathers a block of corpus rows into a reused buffer and
 transforms it into the block's rows of its output, so no whole-task temporary
 is made. _transform_rows only transforms: a TaskView gives it just the clean
-rows a read asks for and places the noise rows itself.
+rows of a read and places the noise rows itself.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import os
@@ -55,13 +56,13 @@ _TAG_REDUCED_CLASSES = 6
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable-by-convention bundle of examples: a corpus or a step's picked rows.
+    """Immutable-by-convention bundle of examples: a corpus or the staging pool.
 
     source_index traces every row back to its position in the base corpus the
     stream was built from; transforms preserve it so stored coreset entries
-    stay identifiable. A task's train and test sets are TaskViews and a step's
-    candidates are a Batch, which read like a Dataset: len, y, source_index,
-    x and subset.
+    stay identifiable. A task's train and test sets and a step's candidates
+    are TaskViews, which read like a Dataset: len, y, source_index, x and
+    subset.
     """
 
     x: np.ndarray  # (n, 784) float64
@@ -87,9 +88,9 @@ class TaskView:
 
     It holds the corpus pixels, the task's corpus rows, the task's transform
     kernel (rotation or permutation) and, for a noisy train set, only its
-    noise rows. `subset(indices)` returns a Batch of those rows, whose pixels
-    are the rows an eager build would hold, and `x` builds the whole set anew
-    on every read. Making a view marks the corpus pixels read-only, so that a
+    noise rows. `x` builds every row anew on each read, the rows an eager
+    build would hold, and `subset(indices)` returns a view of those rows and
+    builds nothing. Making a view marks the corpus pixels read-only, so that a
     later write to the corpus raises instead of changing every task built
     from it.
     """
@@ -115,61 +116,24 @@ class TaskView:
 
     @property
     def x(self) -> np.ndarray:
-        """Every row's pixels, built anew on each read."""
-        return self._pixels_of(np.arange(len(self)))
-
-    def subset(self, indices) -> Batch:
-        return Batch(self, np.asarray(indices, dtype=np.int64))
-
-    def _pixels_of(self, positions: np.ndarray) -> np.ndarray:
-        """The pixels of the task rows at `positions`, in that order: clean rows transformed, noise rows copied."""
-        slot = self._noise_slot[positions]
-        clean = slot < 0
-        rows = self._rows[positions[clean]]  # only clean rows reach the kernel
+        """Every row's pixels, built anew on each read: clean rows transformed, noise rows copied."""
+        clean = self._noise_slot < 0
+        rows = self._rows[clean]  # only clean rows reach the kernel
         clean_x = _transform_rows(self._kernel, self._pixels, rows, np.empty((rows.size, self.width)))
-        if rows.size == positions.size:  # every row clean: transformed straight into the result
+        if rows.size == len(self):  # every row clean: transformed straight into the result
             return clean_x
-        x = np.empty((positions.size, self.width))
+        x = np.empty((len(self), self.width))
         x[clean] = clean_x
-        x[~clean] = self._noise[slot[~clean]]
+        x[~clean] = self._noise[self._noise_slot[~clean]]
         return x
 
-
-class Batch:
-    """A step's candidate rows of a TaskView: a row's pixels are built on the first read that needs them and kept.
-
-    `subset(indices)` builds just those rows and returns them as a Dataset, and `x` builds every row.
-    """
-
-    def __init__(self, view: TaskView, positions: np.ndarray):
-        self._view = view
-        self._positions = positions
-        self._x = np.empty((positions.size, view.width))  # a row holds its pixels once _built is set
-        self._built = np.zeros(positions.size, dtype=bool)
-        self.y = view.y[positions]
-        self.source_index = view.source_index[positions]
-
-    def __len__(self) -> int:
-        return self._positions.size
-
-    @property
-    def x(self) -> np.ndarray:
-        """Every row's pixels, built on the first read."""
-        self._build(np.arange(len(self)))
-        return self._x
-
-    def subset(self, indices) -> Dataset:
+    def subset(self, indices) -> TaskView:
+        """The rows at `indices`, in that order, as a view of the same corpus: no pixel is built."""
         indices = np.asarray(indices, dtype=np.int64)
-        self._build(indices)
-        return Dataset(self._x[indices], self.y[indices], self.source_index[indices])
-
-    def _build(self, indices: np.ndarray) -> None:
-        todo = np.unique(indices[~self._built[indices]])
-        if todo.size == len(self):  # every row at once: no copy into place
-            self._x = self._view._pixels_of(self._positions)
-        elif todo.size:
-            self._x[todo] = self._view._pixels_of(self._positions[todo])
-        self._built[todo] = True
+        view = copy.copy(self)
+        view._rows, view._noise_slot = self._rows[indices], self._noise_slot[indices]
+        view.y, view.source_index = self.y[indices], self.source_index[indices]
+        return view
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ class ReservoirState:
         self._rng = np.random.default_rng(seed)
 
     def offer(self, task_id: int, rows) -> None:
-        """Offer `rows` (a Dataset or a Batch) in stream order; only the rows that enter are read and copied.
+        """Offer `rows` (a Dataset or a TaskView) in stream order; only the rows that enter are read, once, and copied.
 
         Stream row i (1-based) takes the next free slot while the reservoir fills;
         past the fill it draws j in [0, i) and replaces slot j if j < capacity.
@@ -191,8 +191,9 @@ class ReservoirState:
         self.seen += n
         enter = np.flatnonzero(slots < self.capacity)
         entering = rows.subset(enter)
+        x = entering.x  # a view builds its rows on each read
         for i, slot in enumerate(slots[enter].tolist()):
-            item = StoredExample(int(task_id), entering.x[i].copy(), int(entering.y[i]), int(entering.source_index[i]))
+            item = StoredExample(int(task_id), x[i].copy(), int(entering.y[i]), int(entering.source_index[i]))
             self.items[slot : slot + 1] = [item]  # slot == len(items) appends
 
     def all_examples(self) -> list[StoredExample]:

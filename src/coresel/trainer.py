@@ -1,11 +1,12 @@
 """The training loop over a task stream.
 
-Each iteration takes one candidate batch, a `datastream.Batch` of the
-current task's shuffled train set, which builds a row's pixels when first
-read: pick a subset, form the objective gradient (selected-batch mean loss
-plus lambda times a replay-batch mean loss; with A-GEM, the selected-batch
-loss alone, projected away from conflicting with the replay gradient), step,
-and store examples for the end-of-task buffer commit. A step runs one
+Each iteration takes one candidate batch, a `datastream.TaskView` of a run
+of the current task's shuffled train set, which builds rows only when read;
+the step keeps the pixels it reads. It picks a subset, forms the objective
+gradient (selected-batch mean loss plus lambda times a replay-batch mean
+loss; with A-GEM, the selected-batch loss alone, projected away from
+conflicting with the replay gradient), steps, and stores examples for the
+end-of-task buffer commit. A step runs one
 backward pass, over its rows and the replay batch: the objective and the
 replay gradient are per-row weights on that pass's per-example gradients,
 and A-GEM reweights the rows through their Gram matrix. After each task the
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import ioutil
-from .datastream import NUM_CLASSES, Batch, Dataset, TaskStream, stream_manifest
+from .datastream import NUM_CLASSES, Dataset, TaskStream, TaskView, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
 from .model import GradSelector, ParamSet, accuracy, backprop, checkpoint_bytes, embeddings, init_params
@@ -279,8 +280,12 @@ REGISTRY: dict[str, Strategy] = {
 # one iteration
 
 
-def train_iteration(state: RunState, batch: Batch | Dataset, cfg: TrainConfig) -> IterationInfo:
-    """One selective update from a candidate batch; mutates state, and reads only the rows its pick and store use."""
+def train_iteration(state: RunState, batch: TaskView | Dataset, cfg: TrainConfig) -> IterationInfo:
+    """One selective update from a candidate batch; mutates state and keeps the pixels it reads.
+
+    It builds every candidate if the pick scores gradients, else the picked rows; a k-means pick reads every
+    candidate first, and a reservoir the rows that enter it.
+    """
     if len(batch) == 0:
         raise EmptyInputError("empty candidate batch")
     kappa = min(cfg.selection.kappa, len(batch))
@@ -290,13 +295,15 @@ def train_iteration(state: RunState, batch: Batch | Dataset, cfg: TrainConfig) -
 
     # One backward pass, replay rows last: over the candidates if the pick scores gradients, else the picked rows.
     if state.strategy.scores_gradients:
-        bp = backprop(state.params, *_with_replay(batch.x, batch.y, replay))
+        x = batch.x
+        bp = backprop(state.params, *_with_replay(x, batch.y, replay))
         selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, bp)
         lead = np.isin(np.arange(len(batch)), selected) / len(selected)
+        picked_x = x[selected]
     else:
         selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, None)
-        picked = batch.subset(selected)
-        bp = backprop(state.params, *_with_replay(picked.x, picked.y, replay))
+        picked_x = batch.subset(selected).x
+        bp = backprop(state.params, *_with_replay(picked_x, batch.y[selected], replay))
         lead = np.full(len(selected), 1.0 / len(selected))
 
     # Objective: mean(selected loss) + lam * mean(replay loss), as weights on bp's rows. A-GEM trains on the
@@ -313,8 +320,7 @@ def train_iteration(state: RunState, batch: Batch | Dataset, cfg: TrainConfig) -
     if state.strategy.commit_order is None:
         state.buffer.offer(state.task_index, batch)
     else:
-        picked = batch.subset(selected)
-        state.buffer.stage_candidates(state.task_index, picked.x, picked.y, picked.source_index)
+        state.buffer.stage_candidates(state.task_index, picked_x, batch.y[selected], batch.source_index[selected])
 
     if cfg.log_scores and breakdown is not None:
         state.score_records.append((state.global_iteration, breakdown, selected))

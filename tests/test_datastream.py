@@ -421,7 +421,7 @@ def assert_same_stream(got, want):
         assert_same_dataset(g.test, w.test)
         assert g.train.x.flags.c_contiguous
         # Batches as the trainer takes them: a shuffled order cut into runs that straddle a block edge. Each
-        # builds every third row first, in reverse order, as a pick does, and then the rest as a whole-batch read.
+        # reads every third row, in reverse order, as a pick's subset does, and then the whole batch.
         order = np.random.default_rng(t).permutation(len(g.train))
         for start in range(0, len(order), BLOCK + 3):
             batch, want_batch = (ds.subset(order[start : start + BLOCK + 3]) for ds in (g.train, w.train))
@@ -492,8 +492,8 @@ def test_stream_equals_transform_then_drop_oracle(kind, case):
 
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
 def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
-    # A noisy train view transforms the clean rows a read asks for, each once, and copies its noise rows in: no
-    # noise row's corpus pixels are transformed only to be overwritten.
+    # A noisy train view transforms the clean rows a read asks for, once per read, and copies its noise rows in:
+    # no noise row's corpus pixels are transformed only to be overwritten.
     train = make_synthetic_corpus(240, 51)
     test = make_synthetic_corpus(60, 52)
     kwargs = dict(train_per_task=150, test_per_task=40, noise_fraction=0.4)
@@ -510,12 +510,14 @@ def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
     noisy = np.flatnonzero(np.isin(view.source_index, list(task.noisy_source)))
     order = np.random.default_rng(0).permutation(len(view))
 
-    def shuffled_batch():
-        batch = view.subset(order[:70])
-        batch.subset(np.arange(0, 70, 3)[::-1])  # a pick's rows first, then the rest
-        return batch.x
+    picks = np.arange(0, 70, 3)[::-1]
 
-    reads = {"x": (np.arange(len(view)), lambda: view.x), "batch": (order[:70], shuffled_batch),
+    def pick_then_batch():
+        batch = view.subset(order[:70])
+        return np.concatenate([batch.subset(picks).x, batch.x])  # a pick's rows, then the whole batch
+
+    reads = {"x": (np.arange(len(view)), lambda: view.x),
+             "batch": (np.concatenate([order[:70][picks], order[:70]]), pick_then_batch),
              "all-noise": (noisy[::-1], lambda: view.subset(noisy[::-1]).x),
              "empty": (np.empty(0, dtype=np.int64), lambda: view.subset([]).x)}
     for name, (positions, read) in reads.items():

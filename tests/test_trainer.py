@@ -747,17 +747,19 @@ def test_run_stream_never_materialises_a_train_set(monkeypatch, kind, strategy):
 
 @pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
 def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy):
-    # A uniform pick reads its kappa rows; OCS and k-means read every candidate; the reservoir reads its
-    # picked rows and the rows that enter it. Rows are named by source index, unique within a task. Only the
-    # train views are watched: the evaluations build the test views meanwhile.
+    # Each read of a view's x builds its rows: a uniform pick reads its kappa rows, OCS every candidate, k-means
+    # every candidate and then its picks, the reservoir its picks and then the rows that enter it. Rows are named
+    # by source index, unique within a task. Only train-side views are watched, told apart by their corpus
+    # pixels, since a batch and its subsets are new views: the evaluations build the test views meanwhile.
     stream = noisy_stream("rotate")
-    built, entered, steps = [], [], []
-    real_pixels, real_offer, real_iteration = TaskView._pixels_of, ReservoirState.offer, trainer.train_iteration
+    train_pixels = stream.tasks[0].train._pixels
+    reads, entered, steps = [], [], []
+    real_x, real_offer, real_iteration = TaskView.x, ReservoirState.offer, trainer.train_iteration
 
-    def pixels_of(view, positions):
-        if is_train_view(stream, view):
-            built.extend(view.source_index[positions].tolist())
-        return real_pixels(view, positions)
+    def x(view):
+        if view._pixels is train_pixels:
+            reads.append(view.source_index.tolist())
+        return real_x.fget(view)
 
     def offer(reservoir, task_id, rows):
         real_rows_subset = rows.subset
@@ -765,30 +767,29 @@ def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy
         real_offer(reservoir, task_id, rows)
 
     def iteration(state, batch, cfg):
-        built.clear()
+        reads.clear()
         entered.clear()
         info = real_iteration(state, batch, cfg)
-        read = np.union1d(info.selected, np.array(entered, dtype=int))
-        if strategy in ("ocs", "kmeans_embedding"):
-            read = np.arange(len(batch))
-        steps.append((len(batch), built[:], batch.source_index[read].tolist()))
-        x, count = batch.x, len(built)  # read after the step, as the benchmark's OCS probe does:
-        assert batch.x is x and len(built) == count  # a re-read builds nothing
+        src = batch.source_index
+        want = {"uniform": [src[info.selected]], "ocs": [src], "kmeans_embedding": [src, src[info.selected]],
+                "reservoir": [src[info.selected], src[np.array(entered, dtype=int)]]}[strategy]
+        steps.append((len(batch), reads[:], [w.tolist() for w in want]))
         return info
 
-    monkeypatch.setattr(TaskView, "_pixels_of", pixels_of)
+    monkeypatch.setattr(TaskView, "x", property(x))
     monkeypatch.setattr(ReservoirState, "offer", offer)
     monkeypatch.setattr(trainer, "train_iteration", iteration)
     kappa = 5
     run_stream(stream, strategy_config(strategy, stream_batch_size=30, epochs=2))
     assert len(steps) == 24
-    for _, rows, read in steps:
-        assert sorted(rows) == sorted(read)  # each row it reads, once
+    for _, got, want in steps:
+        assert got == want  # each read, in order, builds the rows it reads
+    built = [(n, sum(len(r) for r in got)) for n, got, _ in steps]
     if strategy == "uniform":
-        assert all(len(rows) == kappa for _, rows, _ in steps)
+        assert all(count == kappa for _, count in built)
     if strategy == "reservoir":
-        assert any(len(rows) > kappa for _, rows, _ in steps)  # rows entered beyond the picks
-        assert any(len(rows) < n for n, rows, _ in steps)  # past the fill, most candidates are never built
+        assert any(count > kappa for _, count in built)  # rows entered beyond the picks
+        assert any(count < n for n, count in built)  # past the fill, most candidates are never built
 
 
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
@@ -799,18 +800,18 @@ def test_each_evaluation_builds_its_test_set_once_and_drops_it(monkeypatch, kind
     eager = noisy_stream(kind, build=functools.partial(oracles.build_stream, kind))
     builds, live, most_live = [], set(), [0]
     lock = threading.Lock()
-    real_pixels, real_commit = TaskView._pixels_of, trainer.commit_current_task
+    real_x, real_commit = TaskView.x, trainer.commit_current_task
     snapshots = []
 
     def dropped(key):
         with lock:
             live.discard(key)
 
-    def pixels_of(view, positions):
-        x = real_pixels(view, positions)
+    def built(view):
+        x = real_x.fget(view)
         if any(view is task.test for task in stream.tasks):
             with lock:
-                builds.append(len(positions))
+                builds.append(len(view))
                 live.add(id(x))
                 most_live[0] = max(most_live[0], len(live))
             weakref.finalize(x, dropped, id(x))
@@ -821,7 +822,7 @@ def test_each_evaluation_builds_its_test_set_once_and_drops_it(monkeypatch, kind
         snapshots.append(state.params)
         return record
 
-    monkeypatch.setattr(TaskView, "_pixels_of", pixels_of)
+    monkeypatch.setattr(TaskView, "x", property(built))
     monkeypatch.setattr(trainer, "commit_current_task", capturing)
     state = run_stream(stream, strategy_config("uniform"))
     assert builds == [40] * (1 + 2 + 3)  # one whole test set per matrix cell
