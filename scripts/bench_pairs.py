@@ -9,8 +9,12 @@ first, so neither side always runs on a machine the other has just warmed.
 The run length and the end-to-end metrics, with the direction in which each
 is better and its bound, come from NEW_ROOT's BENCHMARK.json. For each
 metric it prints both sides' median and quartiles, the change of the median,
-whether that change is within the bound, and the pairs the change wins (ties
-count for neither side). It exits 1 if any run is not `correct`, has failed
+its verdict, and the pairs the change wins (ties count for neither side).
+The verdict is "WORSE than bound" when the median worsens by more than the
+bound; else "unresolved" when OLD's own quartile spread, (q3 - q1) / median,
+is wider than the bound and some run of the change does not beat every run
+of OLD, since such a spread hides a change of the bound's size; else
+"within bound". It exits 1 if any run is not `correct`, has failed
 operations, or does not finish.
 """
 
@@ -34,8 +38,12 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict | None
     return json.loads(lines[-1])
 
 
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def summary(values: list[float]) -> str:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, median, q3 = quartiles(values)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
@@ -77,7 +85,14 @@ def main(argv=None) -> int:
         wins = sum((n < o) if lower else (n > o) for o, n in zip(old, new))
         change = statistics.median(new) / statistics.median(old) - 1.0
         worse = change if lower else -change
-        verdict = "within bound" if worse <= metric["bound"] else "WORSE than bound"
+        q1, median, q3 = quartiles(old)
+        clear_win = max(new) < min(old) if lower else min(new) > max(old)
+        if worse > metric["bound"]:
+            verdict = "WORSE than bound"
+        elif (q3 - q1) / median > metric["bound"] and not clear_win:
+            verdict = "unresolved, old spread wider than bound"
+        else:
+            verdict = "within bound"
         print(f"{name} ({metric['unit']}): old {summary(old)}, new {summary(new)}, median {change:+.1%} "
               f"({verdict} {metric['bound']:.0%}), change wins {wins}/{args.pairs}")
     return 0

@@ -21,8 +21,9 @@ Two checkouts are at parity where their outputs compare equal:
 
 With `--against OLD_DIR`, the sweep ends by listing every file of OUT_DIR
 that differs from its namesake in OLD_DIR, or that only one of the two holds,
-and exits 1 if there is any. The comparison ignores only the `output_dir`
-line of each `run_manifest.ini`, which names its own directory.
+then prints how many files it compared and how many differ, and exits 1 if
+any differs. The comparison ignores only the `output_dir` line of each
+`run_manifest.ini`, which names its own directory.
 """
 
 import argparse
@@ -61,14 +62,15 @@ def _comparable(path: str) -> bytes:
     return data
 
 
-def differing_files(old_dir: str, new_dir: str) -> list[str]:
-    """Sorted relative paths of the files that differ between the two trees or that only one of them holds."""
+def differing_files(old_dir: str, new_dir: str) -> tuple[int, list[str]]:
+    """(how many files the two trees hold together, sorted relative paths of those that differ or one lacks)."""
     def files(root):
         return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names}
 
     old, new = files(old_dir), files(new_dir)
-    return sorted(rel for rel in old | new if rel not in old or rel not in new
-                  or _comparable(os.path.join(old_dir, rel)) != _comparable(os.path.join(new_dir, rel)))
+    both = old | new
+    return len(both), sorted(rel for rel in both if rel not in old or rel not in new
+                             or _comparable(os.path.join(old_dir, rel)) != _comparable(os.path.join(new_dir, rel)))
 
 
 def main(argv=None) -> int:
@@ -90,9 +92,12 @@ def main(argv=None) -> int:
         print(f"{name} -> {out}", flush=True)
         if cli_main(argv + ["--output-dir", out]) != 0:
             failed.append(name)
-    differing = [] if args.against is None else differing_files(args.against, args.out_dir)
-    for rel in differing:
-        print(f"differs from {args.against}: {rel}")
+    differing = []
+    if args.against is not None:
+        compared, differing = differing_files(args.against, args.out_dir)
+        for rel in differing:
+            print(f"differs from {args.against}: {rel}")
+        print(f"compared {compared} files with {args.against}: {len(differing)} differ")
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 2

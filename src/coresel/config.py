@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, fields
 
 from .datastream import NUM_CLASSES
 from .errors import ConfigError
-from .model import GradSelector
 from .selection import SelectionConfig
 from .trainer import REGISTRY, TrainConfig
 
@@ -135,11 +134,10 @@ class ExperimentConfig:
     def train_config(self, strategy: str, seed: int) -> TrainConfig:
         """The TrainConfig of one run: fields named like a TrainConfig field pass through unchanged."""
         same = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if hasattr(self, f.name)}
-        selector = None if self.grad_layers is None else GradSelector(self.grad_layers)
         return TrainConfig(
             **same,
             selection=SelectionConfig(kappa=self.kappa, tau=self.tau, strategy=strategy),
-            grad_selector=selector,
+            grad_selector=self.grad_layers,
             seed=seed,
         )
 

@@ -5,9 +5,9 @@ identity on the output; the loss is softmax cross-entropy. Parameters flatten
 in one canonical order used everywhere (gradients, sgd steps, checkpoints):
 layer-0 weights row-major, layer-0 bias, layer-1 weights, layer-1 bias, ...
 
-A GradSelector names the layers whose (weight, bias) blocks `Backprop.gram`
-sums over: its inner products are those of the gradients restricted to those
-layers.
+`Backprop.gram(layers)` sums over the (weight, bias) blocks of the given
+layers: its inner products are those of the gradients restricted to those
+layers, and `TrainConfig` checks a run's layers.
 
 One forward loop serves `backprop`, `embeddings` and `accuracy`.
 `backprop` keeps one backward pass's layer inputs and deltas; its `gram` and
@@ -18,6 +18,7 @@ materialised rows as their oracle, in tests/oracles.py).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -61,23 +62,6 @@ class ParamSet:
     @property
     def n_classes(self) -> int:
         return self.weights[-1].shape[0]
-
-
-@dataclass(frozen=True)
-class GradSelector:
-    """Which layers' gradient blocks to extract; stored sorted and duplicate-free."""
-
-    layers: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise DimensionError("GradSelector needs at least one layer")
-        object.__setattr__(self, "layers", tuple(sorted(set(int(l) for l in self.layers))))
-
-    def resolve(self, n_layers: int) -> tuple[int, ...]:
-        if self.layers[0] < 0 or self.layers[-1] >= n_layers:
-            raise DimensionError(f"selector layers {self.layers} outside 0..{n_layers - 1}")
-        return self.layers
 
 
 def init_params(layer_sizes, rng: np.random.Generator) -> ParamSet:
@@ -162,13 +146,24 @@ class Backprop:
     acts: tuple[np.ndarray, ...]  # acts[l]: (B, in_l) input of layer l
     deltas: tuple[np.ndarray, ...]  # deltas[l]: (B, out_l)
 
-    def gram(self, selector: GradSelector | None = None) -> np.ndarray:
-        """G[n, m] = <g_n, g_m> = sum_l (a_n . a_m + 1)(d_n . d_m) over `selector`'s layers."""
-        b, n_layers = self.deltas[0].shape[0], self.params.n_layers
+    def gram(self, layers: tuple[int, ...] | None = None) -> np.ndarray:
+        """G[n, m] = <g_n, g_m> = sum_l (a_n . a_m + 1)(d_n . d_m) over `layers`, or every layer if None.
+
+        The every-layer matrix is formed once per pass and shared, read-only, by each call that asks for it.
+        """
+        if layers is None:
+            return self._every_layer_gram
+        b = self.deltas[0].shape[0]
         gram = np.zeros((b, b))
-        for l in range(n_layers) if selector is None else selector.resolve(n_layers):
+        for l in layers:
             a, d = self.acts[l], self.deltas[l]
             gram += (a @ a.T + 1.0) * (d @ d.T)
+        return gram
+
+    @functools.cached_property
+    def _every_layer_gram(self) -> np.ndarray:
+        gram = self.gram(range(self.params.n_layers))
+        gram.flags.writeable = False
         return gram
 
     def step(self, coef, lr: float) -> ParamSet:

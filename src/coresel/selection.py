@@ -24,15 +24,11 @@ from .errors import ContractError, DimensionError, DivergenceError, EmptyInputEr
 
 @dataclass(frozen=True)
 class SelectionConfig:
+    """The per-step selection settings, a plain record: `trainer.TrainConfig`, which holds it, checks them."""
+
     kappa: int = 10
     tau: float = 1000.0
-    strategy: str = "ocs"  # a name in trainer.REGISTRY, which TrainConfig checks
-
-    def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if not 0 <= self.tau < np.inf:
-            raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
+    strategy: str = "ocs"  # a name in trainer.REGISTRY
 
 
 def _cosine(dots, norms, other_norms) -> np.ndarray:

@@ -40,7 +40,7 @@ from . import ioutil
 from .datastream import NUM_CLASSES, Dataset, TaskStream, TaskView, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
-from .model import GradSelector, ParamSet, accuracy, backprop, checkpoint_bytes, embeddings, init_params
+from .model import ParamSet, accuracy, backprop, checkpoint_bytes, embeddings, init_params
 from .replay import (
     Coreset,
     ReservoirState,
@@ -80,14 +80,19 @@ class TrainConfig:
     lam: float = 1.0
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     agem: bool = False
-    grad_selector: GradSelector | None = None
+    grad_selector: tuple[int, ...] | None = None  # the layers OCS scores over, stored sorted; None: every layer
     hidden: tuple[int, ...] = (256, 256)
     seed: int = 0
     log_scores: bool = False
 
     def __post_init__(self):
+        """The one check of a run's training settings, the selection's and the grad layers' included."""
         if self.selection.strategy not in REGISTRY:
             raise ValueError(f"unknown strategy {self.selection.strategy!r}, expected one of {tuple(REGISTRY)}")
+        if self.selection.kappa < 1:
+            raise ValueError(f"kappa must be >= 1, got {self.selection.kappa}")
+        if not 0 <= self.selection.tau < np.inf:
+            raise ValueError(f"tau must be nonnegative and finite, got {self.selection.tau}")
         if self.selection.kappa > self.stream_batch_size:
             raise ValueError(
                 f"kappa {self.selection.kappa} exceeds stream_batch_size {self.stream_batch_size}"
@@ -106,9 +111,11 @@ class TrainConfig:
             raise ValueError(f"buffer_capacity must be nonnegative, got {self.buffer_capacity}")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        layers = () if self.grad_selector is None else self.grad_selector.layers
-        if layers and (layers[0] < 0 or layers[-1] > len(self.hidden)):
-            raise ValueError(f"grad layers {layers} outside the network's layers 0..{len(self.hidden)}")
+        if self.grad_selector is not None:
+            layers = tuple(sorted({int(l) for l in self.grad_selector}))
+            if not layers or layers[0] < 0 or layers[-1] > len(self.hidden):
+                raise ValueError(f"grad layers {layers} outside the network's layers 0..{len(self.hidden)}")
+            object.__setattr__(self, "grad_selector", layers)
 
 
 @dataclass(frozen=True)
@@ -216,11 +223,11 @@ def _with_replay(x, y, replay):
 class Strategy:
     """One selection method: its per-step pick, and its coreset's commit order or None for a reservoir.
 
-    `pick(state, cfg, batch, kappa, bp)` gives (indices to train on, ScoreBreakdown or None); bp is None,
-    or with `scores_gradients` the `Backprop` over the candidates followed by the replay rows. A Coreset
-    stages the picked rows during a task and, at its end, keeps the pool's best along `commit_order(state,
-    cfg, pool)`, staging-pool positions best first (per class when `class_balanced`). A reservoir is
-    offered every candidate and commits nothing.
+    `pick(state, cfg, batch, kappa, bp)` gives (indices to train on, ScoreBreakdown or None, every candidate's
+    pixels if it read them, else None); bp is None, or with `scores_gradients` the `Backprop` over the
+    candidates followed by the replay rows. A Coreset stages the picked rows during a task and, at its end,
+    keeps the pool's best along `commit_order(state, cfg, pool)`, staging-pool positions best first (per class
+    when `class_balanced`). A reservoir is offered every candidate and commits nothing.
     """
 
     pick: Callable
@@ -232,7 +239,7 @@ class Strategy:
 def _ocs_pick(state, cfg, batch, kappa, bp):
     """Top-kappa by gradient similarity + diversity + tau * affinity to the replay gradient."""
     breakdown = score_gram(bp.gram(cfg.grad_selector), len(batch), cfg.selection.tau)
-    return take_ranked(rank(breakdown.combined), kappa), breakdown
+    return take_ranked(rank(breakdown.combined), kappa), breakdown, None
 
 
 def _ocs_order(state, cfg, pool):
@@ -242,7 +249,7 @@ def _ocs_order(state, cfg, pool):
 
 
 def _uniform_pick(state, cfg, batch, kappa, bp):
-    return uniform_select(len(batch), kappa, _step_seed(state, cfg, _T_SELECT)), None
+    return uniform_select(len(batch), kappa, _step_seed(state, cfg, _T_SELECT)), None, None
 
 
 def _uniform_order(state, cfg, pool):
@@ -252,8 +259,8 @@ def _uniform_order(state, cfg, pool):
 
 def _kmeans_pick(state, cfg, batch, kappa, bp):
     """One representative per k-means cluster of penultimate-layer embeddings."""
-    emb = embeddings(state.params, batch.x)
-    return kmeans_embedding_select(emb, kappa, _step_seed(state, cfg, _T_SELECT)), None
+    x = batch.x
+    return kmeans_embedding_select(embeddings(state.params, x), kappa, _step_seed(state, cfg, _T_SELECT)), None, x
 
 
 def _kmeans_order(state, cfg, pool):
@@ -283,8 +290,8 @@ REGISTRY: dict[str, Strategy] = {
 def train_iteration(state: RunState, batch: TaskView | Dataset, cfg: TrainConfig) -> IterationInfo:
     """One selective update from a candidate batch; mutates state and keeps the pixels it reads.
 
-    It builds every candidate if the pick scores gradients, else the picked rows; a k-means pick reads every
-    candidate first, and a reservoir the rows that enter it.
+    It builds every candidate if the pick scores gradients or reads them (k-means), else the picked rows; a
+    reservoir builds the rows that enter it too.
     """
     if len(batch) == 0:
         raise EmptyInputError("empty candidate batch")
@@ -297,12 +304,12 @@ def train_iteration(state: RunState, batch: TaskView | Dataset, cfg: TrainConfig
     if state.strategy.scores_gradients:
         x = batch.x
         bp = backprop(state.params, *_with_replay(x, batch.y, replay))
-        selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, bp)
+        selected, breakdown, _ = state.strategy.pick(state, cfg, batch, kappa, bp)
         lead = np.isin(np.arange(len(batch)), selected) / len(selected)
         picked_x = x[selected]
     else:
-        selected, breakdown = state.strategy.pick(state, cfg, batch, kappa, None)
-        picked_x = batch.subset(selected).x
+        selected, breakdown, x = state.strategy.pick(state, cfg, batch, kappa, None)
+        picked_x = batch.subset(selected).x if x is None else x[selected]
         bp = backprop(state.params, *_with_replay(picked_x, batch.y[selected], replay))
         lead = np.full(len(selected), 1.0 / len(selected))
 
@@ -484,7 +491,7 @@ def _manifest_text(cfg: TrainConfig, stream: TaskStream) -> str:
             lines.append(f"kappa = {value.kappa}")
             lines.append(f"tau = {value.tau}")
         elif f.name == "grad_selector":
-            lines.append(f"grad_layers = {'all' if value is None else ','.join(str(l) for l in value.layers)}")
+            lines.append(f"grad_layers = {'all' if value is None else ','.join(str(l) for l in value)}")
         elif f.name == "hidden":
             lines.append(f"hidden = {','.join(str(h) for h in value)}")
         else:

@@ -30,17 +30,16 @@ import numpy as np
 from coresel import datastream
 from coresel.datastream import Dataset, Task, TaskSpec, TaskStream
 from coresel.errors import DimensionError
-from coresel.model import GradSelector, ParamSet, backprop
+from coresel.model import ParamSet, backprop
 from coresel.selection import ScoreBreakdown, score_gram
 
 
-def per_example_gradients(params: ParamSet, x, y, selector: GradSelector | None = None) -> np.ndarray:
-    """(B, P) rows: the exact gradient of each example's own loss, flattened per `selector`."""
+def per_example_gradients(params: ParamSet, x, y, layers: tuple[int, ...] | None = None) -> np.ndarray:
+    """(B, P) rows: the exact gradient of each example's own loss, flattened over `layers` (None: every layer)."""
     bp = backprop(params, x, y)
     b = bp.deltas[0].shape[0]
-    layers = range(params.n_layers) if selector is None else selector.resolve(params.n_layers)
     blocks = []
-    for l in layers:
+    for l in range(params.n_layers) if layers is None else layers:
         blocks += [np.einsum("bo,bi->boi", bp.deltas[l], bp.acts[l]).reshape(b, -1), bp.deltas[l]]
     return np.concatenate(blocks, axis=1)
 

@@ -6,7 +6,6 @@ import pytest
 from coresel import model
 from coresel.errors import DimensionError, DivergenceError, EmptyInputError
 from coresel.model import (
-    GradSelector,
     ParamSet,
     accuracy,
     backprop,
@@ -196,18 +195,9 @@ def test_partial_selector_slices_full_gradient():
     bounds = np.cumsum([0] + [w.size + b.size for w, b in zip(params.weights, params.biases)])
     slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     for chosen in [(0,), (2,), (0, 2), (1, 2), (0, 1, 2)]:
-        part = per_example_gradients(params, x, y, GradSelector(chosen))
+        part = per_example_gradients(params, x, y, chosen)
         want = np.concatenate([full[:, slices[l]] for l in chosen], axis=1)
         assert np.array_equal(part, want)
-
-
-def test_selector_validation():
-    rng = np.random.default_rng(4)
-    params = init_params([3, 4, 2], rng)
-    with pytest.raises(DimensionError):
-        GradSelector(())
-    with pytest.raises(DimensionError):
-        per_example_gradients(params, np.ones((2, 3)), [0, 1], GradSelector((2,)))
 
 
 def test_gradient_step_decreases_loss():

@@ -329,9 +329,3 @@ def test_kmeans_duplicate_points_yield_distinct_indices():
     picked = kmeans_embedding_select(x, 3, 0)
     assert len(set(int(i) for i in picked)) == 3
 
-
-def test_selection_config_validation():
-    with pytest.raises(ValueError):
-        SelectionConfig(kappa=0)
-    with pytest.raises(ValueError):
-        SelectionConfig(tau=-1.0)

@@ -23,7 +23,6 @@ from coresel.datastream import (
 from coresel.errors import ContractError, DimensionError, DivergenceError, EmptyInputError, IncompleteMatrixError
 from coresel.metrics import average_forgetting
 from coresel.model import (
-    GradSelector,
     backprop,
     flatten_params,
     mean_gradient,
@@ -168,10 +167,9 @@ def test_replay_reference_restricts_to_selected_layers():
     rx, ry = rng.uniform(size=(4, 784)), rng.integers(0, 10, size=4)
     bp = backprop(params, np.concatenate([x, rx]), np.concatenate([y, ry]))
     for layers in (None, (0,), (1,), (2,), (0, 2), (1, 2)):
-        selector = None if layers is None else GradSelector(layers)
-        ref = per_example_gradients(params, rx, ry, selector).mean(axis=0)
-        rows = per_example_gradients(params, x, y, selector)
-        got = score_gram(bp.gram(selector), 6, 1.0)
+        ref = per_example_gradients(params, rx, ry, layers).mean(axis=0)
+        rows = per_example_gradients(params, x, y, layers)
+        got = score_gram(bp.gram(layers), 6, 1.0)
         want = score_batch(rows, ref, 1.0)
         assert np.abs(got.affinity - want.affinity).max() <= 1e-12
 
@@ -443,7 +441,7 @@ def test_every_evaluation_runs_once_under_frequent_thread_switches(monkeypatch):
 
 # Stub: trains on odd rows, commits the most recently staged rows first.
 OddRowsLastFirst = Strategy(
-    pick=lambda state, cfg, batch, kappa, bp: (np.arange(1, batch.x.shape[0], 2)[:kappa], None),
+    pick=lambda state, cfg, batch, kappa, bp: (np.arange(1, len(batch), 2)[:kappa], None, None),
     commit_order=lambda state, cfg, pool: np.arange(len(pool))[::-1],
 )
 
@@ -747,10 +745,10 @@ def test_run_stream_never_materialises_a_train_set(monkeypatch, kind, strategy):
 
 @pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
 def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy):
-    # Each read of a view's x builds its rows: a uniform pick reads its kappa rows, OCS every candidate, k-means
-    # every candidate and then its picks, the reservoir its picks and then the rows that enter it. Rows are named
-    # by source index, unique within a task. Only train-side views are watched, told apart by their corpus
-    # pixels, since a batch and its subsets are new views: the evaluations build the test views meanwhile.
+    # Each read of a view's x builds its rows: a uniform pick reads its kappa rows, OCS and k-means every candidate,
+    # the reservoir its picks and then the rows that enter it. Rows are named by source index, unique within a
+    # task. Only train-side views are watched, told apart by their corpus pixels, since a batch and its subsets
+    # are new views: the evaluations build the test views meanwhile.
     stream = noisy_stream("rotate")
     train_pixels = stream.tasks[0].train._pixels
     reads, entered, steps = [], [], []
@@ -771,7 +769,7 @@ def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy
         entered.clear()
         info = real_iteration(state, batch, cfg)
         src = batch.source_index
-        want = {"uniform": [src[info.selected]], "ocs": [src], "kmeans_embedding": [src, src[info.selected]],
+        want = {"uniform": [src[info.selected]], "ocs": [src], "kmeans_embedding": [src],
                 "reservoir": [src[info.selected], src[np.array(entered, dtype=int)]]}[strategy]
         steps.append((len(batch), reads[:], [w.tolist() for w in want]))
         return info
@@ -790,6 +788,33 @@ def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy
     if strategy == "reservoir":
         assert any(count > kappa for _, count in built)  # rows entered beyond the picks
         assert any(count < n for n, count in built)  # past the fill, most candidates are never built
+
+
+@pytest.mark.parametrize("layers", [None, (1, 2)], ids=["all", "layers1-2"])
+def test_an_ocs_agem_step_forms_the_every_layer_gram_once(monkeypatch, layers):
+    # Once the buffer holds rows, the OCS pick reads the Gram over its grad layers and the A-GEM projection the
+    # every-layer Gram of the same pass: with every layer scored, both read one matrix, formed once.
+    formed, steps = [], []
+    real_gram, real_iteration = model.Backprop.gram, trainer.train_iteration
+
+    def gram(bp, layers=None):  # a call naming its layers forms a matrix; the every-layer one comes through here
+        if layers is not None:
+            formed.append(tuple(layers))
+        return real_gram(bp, layers)
+
+    def iteration(state, batch, cfg):
+        replays = bool(state.buffer_examples())
+        formed.clear()
+        info = real_iteration(state, batch, cfg)
+        steps.append((replays, formed[:]))
+        return info
+
+    monkeypatch.setattr(model.Backprop, "gram", gram)
+    monkeypatch.setattr(trainer, "train_iteration", iteration)
+    run_stream(tiny_stream(num_tasks=2), tiny_config(agem=True, grad_selector=layers))
+    every = (0, 1, 2)
+    assert [grams for replays, grams in steps if not replays] == [[layers or every]] * 3
+    assert [grams for replays, grams in steps if replays] == [[every] if layers is None else [layers, every]] * 3
 
 
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
@@ -1036,12 +1061,29 @@ def test_config_validation():
         with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
             tiny_config(lam=bad)
         with pytest.raises(ValueError, match="tau must be nonnegative and finite"):
-            SelectionConfig(kappa=5, tau=bad)
+            tiny_config(selection=SelectionConfig(kappa=5, tau=bad))
     with pytest.raises(ValueError):
         tiny_config(epochs=0)
     with pytest.raises(ValueError, match="hidden widths must be >= 1"):
         tiny_config(hidden=(16, 0))
     with pytest.raises(ValueError, match=r"grad layers \(3,\) outside the network's layers 0..2"):
-        tiny_config(hidden=(16, 16), grad_selector=GradSelector((3,)))
-    tiny_config(hidden=(16, 16), grad_selector=GradSelector((0, 2)))
-    tiny_config(hidden=(), grad_selector=GradSelector((0,)))  # no hidden layer: layer 0 is the output
+        tiny_config(hidden=(16, 16), grad_selector=(3,))
+    tiny_config(hidden=(16, 16), grad_selector=(0, 2))
+    tiny_config(hidden=(), grad_selector=(0,))  # no hidden layer: layer 0 is the output
+
+
+def test_train_config_stores_grad_layers_sorted_and_refuses_those_outside_the_network():
+    assert tiny_config(hidden=(16, 16), grad_selector=(2, 1, 1)).grad_selector == (1, 2)
+    assert tiny_config().grad_selector is None
+    for bad in ((), (-1,), (0, 3)):  # no layer, one below layer 0, and layer len(hidden) + 1
+        with pytest.raises(ValueError, match=r"grad layers \(.*\) outside the network's layers 0..2"):
+            tiny_config(hidden=(16, 16), grad_selector=bad)
+
+
+def test_train_config_checks_kappa_and_tau():
+    with pytest.raises(ValueError, match="kappa must be >= 1, got 0"):
+        tiny_config(selection=SelectionConfig(kappa=0))
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match=f"tau must be nonnegative and finite, got {bad}"):
+            tiny_config(selection=SelectionConfig(kappa=5, tau=bad))
+    SelectionConfig(kappa=0, tau=-1.0)  # a plain record: only the TrainConfig holding it checks it
