@@ -10,6 +10,10 @@ The run length and the end-to-end metrics, with the direction in which each
 is better and its bound, come from NEW_ROOT's BENCHMARK.json. For each
 metric it prints both sides' median and quartiles, the change of the median,
 its verdict, and the pairs the change wins (ties count for neither side).
+It also prints each side's median count of operations attempted per run:
+a run repeats rounds until the run length has passed, so a change that
+slows the untimed output checks shows up as fewer operations next to a
+`run_s` that is then a median over fewer rounds.
 The verdict is "WORSE than bound" when the median worsens by more than the
 bound; else "unresolved" when OLD's own quartile spread, (q3 - q1) / median,
 is wider than the bound and some run of the change does not beat every run
@@ -78,6 +82,8 @@ def main(argv=None) -> int:
 
     attempted = sum(r["attempted"] for side in results.values() for r in side)
     print(f"\n{args.workload}, {args.pairs} pairs: every run correct, 0 of {attempted} operations failed")
+    per_run = {side: statistics.median(r["attempted"] for r in runs) for side, runs in results.items()}
+    print(f"operations attempted per run, median: old {per_run['old']:g}, new {per_run['new']:g}")
     print("median [q1, q3]")
     for metric in bench["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"

@@ -11,18 +11,21 @@ bit-for-bit. The row draws read only labels, so a task
 transforms just the clean rows it keeps.
 
 Every task's train and test set is a TaskView: the corpus pixels, the
-task's corpus rows, its transform and, for a noisy train set, its noise rows.
-A view's `x` builds its rows on each read and keeps none of them. A training
-step's candidates are a subset of the train set, itself a view, so a step
-transforms only the rows it reads; an evaluation reads the whole test set's
-`x`. No task holds its own copy of the pixels.
+task's corpus rows, its transform and, for a noisy train set, the generator
+state each noise row's draw starts from. A view's `x` builds its rows on each
+read, transforming clean rows and drawing noise rows, and keeps none of them.
+A training step's candidates are a subset of the train set, itself a view, so
+a step builds only the rows it reads; an evaluation reads the whole test set's
+`x`. No task holds pixels: not its own copy of the corpus rows, and not its
+noise rows, which take 16 B each in place of a row of float64 pixels.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
 synthetic corpus draws, patterns and clips a block at a time, and
 _transform_rows gathers a block of corpus rows into a reused buffer and
-transforms it into the block's rows of its output, so no whole-task temporary
-is made. _transform_rows only transforms: a TaskView gives it just the clean
-rows of a read and places the noise rows itself.
+transforms it into the block's rows of its output, with a reused scratch
+block for the kernel, so no whole-task temporary is made. _transform_rows
+only transforms: a TaskView gives it just the clean rows of a read and draws
+the noise rows itself.
 """
 
 from __future__ import annotations
@@ -87,20 +90,20 @@ class TaskView:
     """A task's train or test set as a view of its corpus: its rows are transformed from the corpus when asked for.
 
     It holds the corpus pixels, the task's corpus rows, the task's transform
-    kernel (rotation or permutation) and, for a noisy train set, only its
-    noise rows. `x` builds every row anew on each read, the rows an eager
-    build would hold, and `subset(indices)` returns a view of those rows and
-    builds nothing. Making a view marks the corpus pixels read-only, so that a
-    later write to the corpus raises instead of changing every task built
-    from it.
+    kernel (rotation or permutation) and, for a noisy train set, a `_Noise`:
+    one generator state per noise row, and no noise pixels. `x` builds every
+    row anew on each read, the rows an eager build would hold, and
+    `subset(indices)` returns a view of those rows and builds nothing. Making
+    a view marks the corpus pixels read-only, so that a later write to the
+    corpus raises instead of changing every task built from it.
     """
 
-    def __init__(self, corpus: Dataset, rows: np.ndarray, kernel, noisy_at: np.ndarray, noise: np.ndarray):
+    def __init__(self, corpus: Dataset, rows: np.ndarray, kernel, noisy_at: np.ndarray, noise: _Noise | None):
         corpus.x.flags.writeable = False
         self._pixels = corpus.x
         self._rows = rows
         self._kernel = kernel
-        self._noise = noise  # (noisy_at.size, width): the noise row of each position in noisy_at, in order
+        self._noise = noise  # draws the noise row of each position in noisy_at, in order; None if there is none
         self._noise_slot = np.full(rows.size, -1, dtype=np.int64)  # per task row, its noise row, or -1 if clean
         self._noise_slot[noisy_at] = np.arange(noisy_at.size)
         self.y = corpus.y[rows]
@@ -116,7 +119,7 @@ class TaskView:
 
     @property
     def x(self) -> np.ndarray:
-        """Every row's pixels, built anew on each read: clean rows transformed, noise rows copied."""
+        """Every row's pixels, built anew on each read: clean rows transformed, noise rows drawn."""
         clean = self._noise_slot < 0
         rows = self._rows[clean]  # only clean rows reach the kernel
         clean_x = _transform_rows(self._kernel, self._pixels, rows, np.empty((rows.size, self.width)))
@@ -124,7 +127,7 @@ class TaskView:
             return clean_x
         x = np.empty((len(self), self.width))
         x[clean] = clean_x
-        x[~clean] = self._noise[self._noise_slot[~clean]]
+        x[~clean] = self._noise.pixels(self._noise_slot[~clean], self.width)
         return x
 
     def subset(self, indices) -> TaskView:
@@ -263,12 +266,11 @@ def _rotator(angle: float, width: int):
         raise ValueError(f"rotation angle must lie in [0, 180], got {angle}")
     idx, w = _rotation_sampler(angle)
 
-    def rotate(block: np.ndarray, out: np.ndarray) -> None:
+    def rotate(block: np.ndarray, out: np.ndarray, part: np.ndarray) -> None:
         # A fixed-order sum over the four corners: a row's pixels do not depend on the block it is in.
         # Indices lie in 0..783, so mode="clip" changes nothing but lets take() write into `out` unbuffered.
         np.take(block, idx[0], axis=1, out=out, mode="clip")
         out *= w[0]
-        part = np.empty_like(out)  # made per block: a task's view keeps its kernel for the whole run
         for k in range(1, 4):
             np.take(block, idx[k], axis=1, out=part, mode="clip")
             part *= w[k]
@@ -281,7 +283,7 @@ def _rotator(angle: float, width: int):
 def _permuter(seed, width: int):
     """The permutation kernel for `_transform_rows`: one fixed random pixel permutation drawn from `seed`."""
     perm = np.random.default_rng(seed).permutation(width)
-    return lambda block, out: np.take(block, perm, axis=1, out=out, mode="clip")
+    return lambda block, out, scratch: np.take(block, perm, axis=1, out=out, mode="clip")
 
 
 def _blocks(n: int):
@@ -293,14 +295,18 @@ def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray)
     """Write row rows[i] of `src`, transformed, into row i of dest, and return dest.
 
     One block at a time: the block's source rows are gathered into a reused
-    buffer, and `kernel(block, out)` writes the transformed block into `out`,
-    the block's rows of dest.
+    buffer, and `kernel(block, out, scratch)` writes the transformed block
+    into `out`, the block's rows of dest, using `scratch`, a reused block of
+    the same shape, as it likes. Both buffers belong to this call, so a kernel
+    is safe to call from two threads at once: a task's train and test views
+    share it, and the trainer and the evaluator thread read them.
     """
-    gather = np.empty((min(rows.size, _BLOCK_ROWS), src.shape[1]))
+    gather, scratch = np.empty((2, min(rows.size, _BLOCK_ROWS), src.shape[1]))
     for blk in _blocks(rows.size):
+        n = blk.stop - blk.start
         # The rows are drawn positions of src, so mode="clip" changes nothing but lets take() fill `gather` unbuffered.
-        block = np.take(src, rows[blk], axis=0, out=gather[: blk.stop - blk.start], mode="clip")
-        kernel(block, dest[blk])
+        block = np.take(src, rows[blk], axis=0, out=gather[:n], mode="clip")
+        kernel(block, dest[blk], scratch[:n])
     return dest
 
 
@@ -336,13 +342,52 @@ def apply_imbalance(labels, reduced_classes, keep_fraction: float, seed) -> np.n
     return rng.permutation(np.flatnonzero(keep))
 
 
-def _noise_rows(n: int, fraction: float, seed, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """floor(fraction * n) of n rows, uniformly chosen and sorted, and the N(0,1) pixels that replace ALL of theirs."""
+@dataclass(frozen=True)
+class _Noise:
+    """A noisy train set's noise rows, kept as the PCG64 state each row's standard_normal(width) draw starts from.
+
+    Row i's pixels are drawn from `starts[i]`, 16 B where its pixels take width * 8 B. Every draw is made on a
+    generator local to it, so two threads may read one view at once.
+    """
+
+    generator: dict  # the PCG64 state dict after the row choice: its inc, has_uint32 and uinteger hold for every row
+    starts: np.ndarray  # (count, 2) uint64: each row's 128-bit state at the start of its draw, high word first
+
+    def pixels(self, slots: np.ndarray, width: int) -> np.ndarray:
+        """The noise rows `slots`, in order; a run of consecutive slots is one draw from its first row's state."""
+        out = np.empty((slots.size, width))
+        bitgen = np.random.PCG64(0)
+        draw, inc = np.random.Generator(bitgen).standard_normal, self.generator["state"]["inc"]
+        heads = np.flatnonzero(np.diff(slots, prepend=-2) != 1)  # slots are >= 0, so the first row heads a run
+        for head, end in zip(heads.tolist(), heads[1:].tolist() + [slots.size]):
+            high, low = self.starts[slots[head]].tolist()
+            bitgen.state = self.generator | {"state": {"state": high << 64 | low, "inc": inc}}
+            draw(out=out[head:end])
+        return out
+
+
+def _noise_rows(n: int, fraction: float, seed, width: int) -> tuple[np.ndarray, _Noise]:
+    """floor(fraction * n) of n rows, uniformly chosen and sorted, and the N(0,1) pixels that replace ALL of theirs.
+
+    The pixels are one standard_normal((count, width)) draw after the choice. Drawn a row at a time they are the
+    same bits, so each row is drawn once here, into a reused row, to record the generator state it starts from.
+    """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
     count = int(math.floor(fraction * n))
-    return np.sort(rng.choice(n, size=count, replace=False)), rng.standard_normal((count, width))
+    at = np.sort(rng.choice(n, size=count, replace=False))
+    bitgen, row = rng.bit_generator, np.empty(width)
+    generator, starts = bitgen.state, np.empty((count, 2), dtype=np.uint64)
+    for i in range(count):
+        state = bitgen.state["state"]["state"]
+        starts[i] = state >> 64, state & 0xFFFF_FFFF_FFFF_FFFF
+        rng.standard_normal(out=row)
+    # A normal draw advances only the 128-bit state: inc, has_uint32 and uinteger belong to the task.
+    end = bitgen.state
+    end["state"]["state"] = generator["state"]["state"]
+    assert end == generator, f"a normal draw changed more than the 128-bit state: {end} from {generator}"
+    return at, _Noise(generator, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +426,12 @@ def _build_stream(
     from labels first, and only the clean rows it keeps are transformed: the
     transforms act on each row alone, so this equals transforming the whole
     subsample and then dropping and replacing rows. A task's train set is a
-    TaskView that does this per batch; its test set is a TaskView of the test
-    corpus's drawn rows, with no noise rows, so a stream holds no pixels. A
-    task left with no train rows is an EmptyInputError: no strategy could
-    train on it; so is one with no test rows, which no evaluation could score.
+    TaskView that does this per batch and keeps its noise rows as generator
+    states, drawing a noise row's pixels when a read asks for it; its test set
+    is a TaskView of the test corpus's drawn rows, with no noise rows, so a
+    stream holds no pixels. A task left with no train rows is an
+    EmptyInputError: no strategy could train on it; so is one with no test
+    rows, which no evaluation could score.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
@@ -409,7 +456,7 @@ def _build_stream(
         test_rows = _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET))
         if test_rows.size == 0:
             raise EmptyInputError(f"task {t} has no test rows: {len(test)} in the test corpus")
-        task_test = TaskView(test, test_rows, kernel, np.empty(0, dtype=np.int64), np.empty((0, width)))
+        task_test = TaskView(test, test_rows, kernel, np.empty(0, dtype=np.int64), None)
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy_source))
     return TaskStream(tuple(tasks), int(master_seed))
 

@@ -291,7 +291,7 @@ def train_iteration(state: RunState, batch: TaskView | Dataset, cfg: TrainConfig
     """One selective update from a candidate batch; mutates state and keeps the pixels it reads.
 
     It builds every candidate if the pick scores gradients or reads them (k-means), else the picked rows; a
-    reservoir builds the rows that enter it too.
+    reservoir builds the rows that enter it and were not built for the pick. No row is built twice.
     """
     if len(batch) == 0:
         raise EmptyInputError("empty candidate batch")
@@ -325,7 +325,8 @@ def train_iteration(state: RunState, batch: TaskView | Dataset, cfg: TrainConfig
 
     # Store: stage the picked rows for the commit, or offer every candidate to the reservoir.
     if state.strategy.commit_order is None:
-        state.buffer.offer(state.task_index, batch)
+        built = (selected, picked_x) if x is None else (np.arange(len(batch)), x)
+        state.buffer.offer(state.task_index, batch, built)
     else:
         state.buffer.stage_candidates(state.task_index, picked_x, batch.y[selected], batch.source_index[selected])
 

@@ -1,5 +1,8 @@
+import math
 import os
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -492,7 +495,7 @@ def test_stream_equals_transform_then_drop_oracle(kind, case):
 
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
 def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
-    # A noisy train view transforms the clean rows a read asks for, once per read, and copies its noise rows in:
+    # A noisy train view transforms the clean rows a read asks for, once per read, and draws its noise rows:
     # no noise row's corpus pixels are transformed only to be overwritten.
     train = make_synthetic_corpus(240, 51)
     test = make_synthetic_corpus(60, 52)
@@ -502,9 +505,9 @@ def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
     view, seen = task.train, []
     kernel = view._kernel
 
-    def counting(block, out):
+    def counting(block, out, scratch):
         seen.extend(row.tobytes() for row in block)
-        kernel(block, out)
+        kernel(block, out, scratch)
 
     monkeypatch.setattr(view, "_kernel", counting)
     noisy = np.flatnonzero(np.isin(view.source_index, list(task.noisy_source)))
@@ -530,6 +533,48 @@ def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
     assert noisy.size == 60
 
 
+@pytest.mark.parametrize("kind", ["rotate", "permute"])
+@pytest.mark.parametrize("noise_fraction", [0.0, 0.2, 0.6, 1.0])
+def test_noise_rows_are_one_normal_draw_after_the_choice(kind, noise_fraction):
+    # A view keeps one generator state per noise row and draws the row when read. Its noise rows must equal
+    # default_rng(seed).choice(n, count) followed by standard_normal((count, width)) on the task's noise seed, whatever
+    # the read: the whole view, again, a shuffled subset, or four threads reading at once.
+    builder = build_rotated_stream if kind == "rotate" else build_permuted_stream
+    stream = builder(make_synthetic_corpus(240, 61), make_synthetic_corpus(60, 62), 3, 29, train_per_task=150,
+                     test_per_task=40, imbalance=((0, 3, 5, 8), 0.4), noise_fraction=noise_fraction)
+    for t, task in enumerate(stream.tasks):
+        view, n = task.train, len(task.train)
+        rng = np.random.default_rng(datastream._task_seed(29, t, datastream._TAG_NOISE))
+        count = int(math.floor(noise_fraction * n))
+        at = np.sort(rng.choice(n, size=count, replace=False))
+        want = rng.standard_normal((count, view.width))
+        x = view.x
+        assert x[at].tobytes() == want.tobytes()
+        assert set(view.source_index[at].tolist()) == task.noisy_source and view._noise.starts.shape == (count, 2)
+        assert view.x.tobytes() == x.tobytes()
+        pick = np.random.default_rng(t).permutation(n)[: n // 2]
+        assert view.subset(pick).x.tobytes() == x[pick].tobytes()
+        reads, barrier = [], threading.Barrier(4)
+
+        def read(rows):
+            barrier.wait(timeout=30)
+            for _ in range(3):
+                reads.append((rows, view.subset(rows).x.tobytes()))  # list.append is atomic
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(rows,)) for rows in (pick, pick[::-1], at, at[::-1])]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and len(reads) == 12
+        assert all(got == x[rows].tobytes() for rows, got in reads)
+
+
 # ---------------------------------------------------------------------------
 # memory: a build holds its output and a few blocks
 
@@ -548,10 +593,11 @@ def traced_peak(build):
 
 
 def dataset_bytes(*datasets):
-    """The bytes the datasets hold; a view's pixels, built on demand, are not counted."""
+    """The bytes the datasets hold; a view's pixels, built on demand, are not counted, but its noise states are."""
     def arrays(ds):
         if isinstance(ds, TaskView):
-            return ds.y, ds.source_index, ds._rows, ds._noise_slot, ds._noise
+            noise = () if ds._noise is None else (ds._noise.starts,)
+            return ds.y, ds.source_index, ds._rows, ds._noise_slot, *noise
         return ds.x, ds.y, ds.source_index
 
     return sum(a.nbytes for ds in datasets for a in arrays(ds))
@@ -565,13 +611,15 @@ def test_builds_allocate_their_output_and_a_few_blocks():
     train = make_synthetic_corpus(1800, 41)  # also fills the cached pattern tables before anything is traced
     test = make_synthetic_corpus(600, 42)
     kwargs = dict(train_per_task=900, test_per_task=300)
-    # Builds hold their index arrays and noise rows, and no train or test pixels.
+    # Builds hold their index arrays and a generator state per noise row, and no train, test or noise pixels.
     for builder, noise_fraction in ((build_permuted_stream, 0.0), (build_permuted_stream, 0.6),
                                     (build_rotated_stream, 0.6)):
         stream, peak = traced_peak(lambda: builder(train, test, 3, 7, noise_fraction=noise_fraction, **kwargs))
         assert all(isinstance(t.train, TaskView) for t in stream.tasks)
         assert all(len(t.noisy_source) == int(900 * noise_fraction) for t in stream.tasks)
         assert peak <= stream_bytes(stream) + SLACK
+        noise_rows = sum(len(t.noisy_source) for t in stream.tasks)
+        assert sum(t.train._noise.starts.nbytes for t in stream.tasks) <= 64 * noise_rows
     corpus, peak = traced_peak(lambda: make_synthetic_corpus(1000, 43))
     assert peak <= dataset_bytes(corpus) + SLACK
 

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from coresel import ioutil, model, trainer
+from coresel import datastream, ioutil, model, trainer
 from coresel.datastream import (
     PIXELS,
     Dataset,
@@ -746,43 +746,61 @@ def test_run_stream_never_materialises_a_train_set(monkeypatch, kind, strategy):
 @pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
 def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy):
     # Each read of a view's x builds its rows: a uniform pick reads its kappa rows, OCS and k-means every candidate,
-    # the reservoir its picks and then the rows that enter it. Rows are named by source index, unique within a
-    # task. Only train-side views are watched, told apart by their corpus pixels, since a batch and its subsets
-    # are new views: the evaluations build the test views meanwhile.
+    # the reservoir its picks and then the rows that enter it and were not picked. Rows are named by source index,
+    # unique within a task. Only train-side views are watched, told apart by their corpus pixels, since a batch and
+    # its subsets are new views: the evaluations build the test views meanwhile. Each noise row a read asks for is
+    # drawn once, by that read.
     stream = noisy_stream("rotate")
     train_pixels = stream.tasks[0].train._pixels
-    reads, entered, steps = [], [], []
-    real_x, real_offer, real_iteration = TaskView.x, ReservoirState.offer, trainer.train_iteration
+    reads, noise_read, drawn, entered, offered, steps = [], [], [], [], [], []
+    real_x, real_subset, real_pixels = TaskView.x, TaskView.subset, datastream._Noise.pixels
+    real_offer, real_iteration = ReservoirState.offer, trainer.train_iteration
 
     def x(view):
         if view._pixels is train_pixels:
             reads.append(view.source_index.tolist())
+            noise_read.extend(view._noise_slot[view._noise_slot >= 0].tolist())
         return real_x.fget(view)
 
-    def offer(reservoir, task_id, rows):
-        real_rows_subset = rows.subset
-        rows.subset = lambda indices: entered.extend(np.asarray(indices).tolist()) or real_rows_subset(indices)
-        real_offer(reservoir, task_id, rows)
+    def subset(view, indices):
+        if offered and view is offered[-1]:  # the reservoir's pick of the offered rows that enter it
+            entered.extend(np.asarray(indices).tolist())
+        return real_subset(view, indices)
+
+    def pixels(noise, slots, width):
+        drawn.extend(slots.tolist())
+        return real_pixels(noise, slots, width)
+
+    def offer(reservoir, task_id, rows, built=None):
+        offered.append(rows)
+        real_offer(reservoir, task_id, rows, built)
 
     def iteration(state, batch, cfg):
-        reads.clear()
-        entered.clear()
+        for record in (reads, noise_read, drawn, entered, offered):
+            record.clear()
         info = real_iteration(state, batch, cfg)
         src = batch.source_index
+        fresh = [i for i in entered if i not in set(info.selected.tolist())]
         want = {"uniform": [src[info.selected]], "ocs": [src], "kmeans_embedding": [src],
-                "reservoir": [src[info.selected], src[np.array(entered, dtype=int)]]}[strategy]
-        steps.append((len(batch), reads[:], [w.tolist() for w in want]))
+                "reservoir": [src[info.selected]] + ([src[fresh]] if fresh else [])}[strategy]
+        steps.append((len(batch), reads[:], [w.tolist() for w in want], drawn[:], noise_read[:]))
         return info
 
     monkeypatch.setattr(TaskView, "x", property(x))
+    monkeypatch.setattr(TaskView, "subset", subset)
+    monkeypatch.setattr(datastream._Noise, "pixels", pixels)
     monkeypatch.setattr(ReservoirState, "offer", offer)
     monkeypatch.setattr(trainer, "train_iteration", iteration)
     kappa = 5
     run_stream(stream, strategy_config(strategy, stream_batch_size=30, epochs=2))
     assert len(steps) == 24
-    for _, got, want in steps:
+    for _, got, want, noise_drawn, noise_asked in steps:
         assert got == want  # each read, in order, builds the rows it reads
-    built = [(n, sum(len(r) for r in got)) for n, got, _ in steps]
+        rows = [s for r in got for s in r]
+        assert len(rows) == len(set(rows))  # and no row is built twice in a step
+        assert noise_drawn == noise_asked  # each noise row read is drawn, once
+    assert sum(len(step[3]) for step in steps) > 0
+    built = [(n, sum(len(r) for r in got)) for n, got, *_ in steps]
     if strategy == "uniform":
         assert all(count == kappa for _, count in built)
     if strategy == "reservoir":
