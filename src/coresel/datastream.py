@@ -386,7 +386,8 @@ def _noise_rows(n: int, fraction: float, seed, width: int) -> tuple[np.ndarray, 
     # A normal draw advances only the 128-bit state: inc, has_uint32 and uinteger belong to the task.
     end = bitgen.state
     end["state"]["state"] = generator["state"]["state"]
-    assert end == generator, f"a normal draw changed more than the 128-bit state: {end} from {generator}"
+    if end != generator:  # a stored row state would then no longer reproduce the row's draw
+        raise RuntimeError(f"a normal draw changed more than the 128-bit state: {end} from {generator}")
     return at, _Noise(generator, starts)
 
 

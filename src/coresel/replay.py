@@ -176,12 +176,12 @@ class ReservoirState:
         self.seen = 0
         self._rng = np.random.default_rng(seed)
 
-    def offer(self, task_id: int, rows, built: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    def offer(self, task_id: int, rows, built: tuple[np.ndarray, np.ndarray]) -> None:
         """Offer `rows` (a Dataset or a TaskView) in stream order; only the rows that enter are read, once, and copied.
 
-        `built` is (positions, pixels) of rows of `rows` the caller has built already: an entering row among them is
-        copied from its pixels, since a view builds its rows again on each read, and only the other rows are read.
-        Stream row i (1-based) takes the next free slot while the reservoir fills;
+        `built` is (positions, pixels) of rows of `rows` the caller has built already, possibly none: an entering row
+        among them is copied from its pixels, since a view builds its rows again on each read, and only the other
+        entering rows are read. Stream row i (1-based) takes the next free slot while the reservoir fills;
         past the fill it draws j in [0, i) and replaces slot j if j < capacity.
         """
         n = len(rows)
@@ -193,16 +193,14 @@ class ReservoirState:
         self.seen += n
         enter = np.flatnonzero(slots < self.capacity)
         entering = rows.subset(enter)
-        if built is None:
-            x = entering.x
-        else:
-            where = np.full(n, -1)  # per offered row, its position in built, or -1
-            where[built[0]] = np.arange(len(built[0]))
-            known = where[enter] >= 0
-            x = np.empty((enter.size, built[1].shape[1]))
-            x[known] = built[1][where[enter[known]]]
-            if not known.all():
-                x[~known] = entering.subset(np.flatnonzero(~known)).x
+        positions, pixels = built
+        where = np.full(n, -1)  # per offered row, its position in built, or -1
+        where[positions] = np.arange(len(positions))
+        known = where[enter] >= 0
+        x = np.empty((enter.size, pixels.shape[1]))
+        x[known] = pixels[where[enter[known]]]
+        if not known.all():
+            x[~known] = entering.subset(np.flatnonzero(~known)).x
         for i, slot in enumerate(slots[enter].tolist()):
             item = StoredExample(int(task_id), x[i].copy(), int(entering.y[i]), int(entering.source_index[i]))
             self.items[slot : slot + 1] = [item]  # slot == len(items) appends

@@ -366,11 +366,16 @@ def test_dump_csv_formats_each_pixel_like_format_sig():
 # reservoir
 
 
+def nothing_built(width):
+    """The (positions, pixels) of no built rows, for an offer whose caller has built none."""
+    return np.arange(0), np.empty((0, width))
+
+
 def offer_stream(state, n, batch_size, start=0):
     """Offer stream rows start..start+n-1 in batches; row r has label r % 10 and source index r."""
     for lo in range(start, start + n, batch_size):
         src = np.arange(lo, min(lo + batch_size, start + n))
-        state.offer(0, Dataset(src[:, None].astype(np.float64), src % 10, src))
+        state.offer(0, Dataset(src[:, None].astype(np.float64), src % 10, src), nothing_built(1))
 
 
 def test_reservoir_short_stream_keeps_everything():
@@ -441,7 +446,7 @@ def test_reservoir_reads_only_the_rows_that_enter():
     state = ReservoirState(capacity=3, seed=5)
     for r in range(40):
         asked = []
-        state.offer(0, Source(np.full((1, 2), float(r)), np.array([r % 10]), np.array([r])))
+        state.offer(0, Source(np.full((1, 2), float(r)), np.array([r % 10]), np.array([r])), nothing_built(2))
         held = any(e.source_index == r for e in state.items)
         assert asked == [[0] if held else []]
     assert state.seen == 40 and len(state.items) == 3
@@ -450,7 +455,20 @@ def test_reservoir_reads_only_the_rows_that_enter():
 def test_reservoir_copies_the_rows_it_keeps():
     state = ReservoirState(capacity=2, seed=4)
     x = np.zeros((3, 784))
-    state.offer(1, Dataset(x, np.array([3, 4, 5]), np.array([10, 11, 12])))
+    state.offer(1, Dataset(x, np.array([3, 4, 5]), np.array([10, 11, 12])), nothing_built(784))
     x[:] = 9.0
     assert all(e.x.max() == 0.0 and e.task_id == 1 for e in state.items)
     assert state.all_examples() == state.items and state.all_examples() is not state.items
+
+
+def test_reservoir_copies_built_rows_and_reads_the_others():
+    # Built rows are taken from the pixels handed in, marked here by their sign; the others are read from the rows.
+    src = np.arange(12)
+    rows = Dataset(src[:, None] + 1.0, src % 10, src)
+    positions = np.array([1, 4, 5, 9])
+    plain, state = ReservoirState(capacity=6, seed=6), ReservoirState(capacity=6, seed=6)
+    plain.offer(0, rows, nothing_built(1))
+    state.offer(0, rows, (positions, -rows.x[positions]))
+    assert [e.source_index for e in state.items] == [e.source_index for e in plain.items]
+    assert any(e.source_index in positions for e in plain.items)
+    assert [e.x[0] for e in state.items] == [-e.x[0] if e.source_index in positions else e.x[0] for e in plain.items]

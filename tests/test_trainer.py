@@ -771,7 +771,7 @@ def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy
         drawn.extend(slots.tolist())
         return real_pixels(noise, slots, width)
 
-    def offer(reservoir, task_id, rows, built=None):
+    def offer(reservoir, task_id, rows, built):
         offered.append(rows)
         real_offer(reservoir, task_id, rows, built)
 
