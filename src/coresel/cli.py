@@ -35,6 +35,7 @@ from .ioutil import atomic_write_text
 from .metrics import grad_approx_diagnostic
 from .model import init_params
 from .replay import DUMP_HEADER, format_sig
+from .seeds import derive
 from .trainer import REGISTRY, TrainConfig, clear_run_dir, run_metrics, run_stream, write_run_files
 
 
@@ -171,9 +172,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 def run_diagnose(cfg: ExperimentConfig) -> int:
     train, _ = _load(cfg)
     sizes = tuple(train.x.shape[0] if s == FULL_DATASET else s for s in cfg.batch_sizes)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed]))
+    rng = np.random.default_rng(derive(cfg.master_seed, "diagnose_init"))
     params = init_params([train.x.shape[1], *cfg.hidden, NUM_CLASSES], rng)
-    other = permute_pixels(train, np.random.SeedSequence([cfg.master_seed, 1])) if cfg.cross else None
+    other = permute_pixels(train, derive(cfg.master_seed, "diagnose_cross")) if cfg.cross else None
     table = grad_approx_diagnostic(
         params, train, sizes, n_batches=cfg.n_batches, seed=cfg.master_seed, other_dataset=other
     )

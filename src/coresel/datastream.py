@@ -5,9 +5,9 @@ and each example's index in the originating corpus: a corpus and the staging
 pool are Datasets. One per-task loop builds both stream
 kinds: every task subsamples the corpus, applies its
 kind's transform (rotation or pixel permutation), then optional class
-imbalance and label-preserving noise, with every random draw derived from
-(master_seed, task index, purpose tag), so rebuilding a stream reproduces it
-bit-for-bit. The row draws read only labels, so a task
+imbalance and label-preserving noise, with every random draw seeded by
+`seeds.derive(master_seed, purpose, task index)`, so rebuilding a stream
+reproduces it bit-for-bit. The row draws read only labels, so a task
 transforms just the clean rows it keeps.
 
 Every task's train and test set is a TaskView: the corpus pixels, the
@@ -40,21 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, FormatError
+from .seeds import derive
 
 IMAGE_SIDE = 28
 PIXELS = IMAGE_SIDE * IMAGE_SIDE
 NUM_CLASSES = 10
 # Rows per block of every pixel pass: a pass's block arrays (about 400 KB each) stay in cache between its steps.
 _BLOCK_ROWS = 64
-
-# Purpose tags for per-task seed derivation.
-_TAG_ANGLE = 0
-_TAG_TRAIN_SUBSET = 1
-_TAG_TEST_SUBSET = 2
-_TAG_IMBALANCE = 3
-_TAG_NOISE = 4
-_TAG_PERMUTE = 5
-_TAG_REDUCED_CLASSES = 6
 
 
 @dataclass(frozen=True)
@@ -164,10 +156,6 @@ class TaskStream:
 
     def __len__(self) -> int:
         return len(self.tasks)
-
-
-def _task_seed(master_seed: int, task: int, tag: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(master_seed), int(task), int(tag)])
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +390,7 @@ def _subsample(n: int, size, seed) -> np.ndarray:
 
 
 def draw_reduced_classes(master_seed: int, num_reduced: int = 8) -> tuple[int, ...]:
-    rng = np.random.default_rng(_task_seed(master_seed, 0, _TAG_REDUCED_CLASSES))
+    rng = np.random.default_rng(derive(master_seed, "reduced_classes"))
     return tuple(sorted(int(c) for c in rng.choice(NUM_CLASSES, size=num_reduced, replace=False)))
 
 
@@ -439,22 +427,21 @@ def _build_stream(
     tasks = []
     width = train.x.shape[1]
     for t in range(num_tasks):
-        seed = functools.partial(_task_seed, master_seed, t)  # tag -> this task's SeedSequence
         if kind == "rotate":
-            angle = float(np.random.default_rng(seed(_TAG_ANGLE)).uniform(0.0, 180.0))
+            angle = float(np.random.default_rng(derive(master_seed, "angle", t)).uniform(0.0, 180.0))
             kernel = _rotator(angle, width)
         else:
-            angle, kernel = None, _permuter(seed(_TAG_PERMUTE), width)
-        rows = drawn = _subsample(len(train), train_per_task, seed(_TAG_TRAIN_SUBSET))
+            angle, kernel = None, _permuter(derive(master_seed, "permutation", t), width)
+        rows = drawn = _subsample(len(train), train_per_task, derive(master_seed, "train_rows", t))
         if imbalance is not None:
-            rows = rows[apply_imbalance(train.y[rows], *imbalance, seed(_TAG_IMBALANCE))]
+            rows = rows[apply_imbalance(train.y[rows], *imbalance, derive(master_seed, "imbalance", t))]
         if rows.size == 0:  # a drawn row is lost only to class imbalance
             lost = ", 0 after class imbalance" if drawn.size else f" of {len(train)}"
             raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn{lost}")
-        noisy_at, noise = _noise_rows(rows.size, noise_fraction, seed(_TAG_NOISE), width)
+        noisy_at, noise = _noise_rows(rows.size, noise_fraction, derive(master_seed, "noise", t), width)
         task_train = TaskView(train, rows, kernel, noisy_at, noise)
         noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy_at]])
-        test_rows = _subsample(len(test), test_per_task, seed(_TAG_TEST_SUBSET))
+        test_rows = _subsample(len(test), test_per_task, derive(master_seed, "test_rows", t))
         if test_rows.size == 0:
             raise EmptyInputError(f"task {t} has no test rows: {len(test)} in the test corpus")
         task_test = TaskView(test, test_rows, kernel, np.empty(0, dtype=np.int64), None)
@@ -528,7 +515,7 @@ _CANVAS_SEED = 0x5EED
 
 
 def _class_canvas(digit: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([_CANVAS_SEED, digit]))
+    rng = np.random.default_rng(derive(_CANVAS_SEED, "canvas", digit))
     field = _box_blur(_box_blur(rng.standard_normal((IMAGE_SIDE, IMAGE_SIDE))))
     field /= field.std()
     # Low-frequency and high-contrast: smooth enough to survive bilinear
@@ -571,7 +558,7 @@ def make_synthetic_corpus(n: int, seed) -> Dataset:
     Class evidence fills the image (per-image norms far from zero) while
     same-class images still vary in position, contrast, and pixel noise.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(derive(seed, "corpus"))
     labels = rng.integers(0, NUM_CLASSES, size=n)
     shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
     amplitude = rng.uniform(0.4, 0.5, size=n)

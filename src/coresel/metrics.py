@@ -14,7 +14,10 @@ import numpy as np
 
 from .errors import DimensionError, IncompleteMatrixError
 from .model import ParamSet, mean_gradient
+from .seeds import derive
 from .selection import cosines_to_vector
+
+_CHUNK_ROWS = 2048  # rows per mean_gradient call of a whole-dataset gradient
 
 
 class AccuracyMatrix:
@@ -83,12 +86,12 @@ class DiagnosticRow:
     cross_cosine: float | None
 
 
-def _full_mean_gradient(params: ParamSet, x, y, chunk: int = 2048) -> np.ndarray:
-    """Whole-dataset mean loss gradient, accumulated in fixed-size chunks."""
+def _full_mean_gradient(params: ParamSet, x, y) -> np.ndarray:
+    """Whole-dataset mean loss gradient, accumulated in chunks of _CHUNK_ROWS rows."""
     n = x.shape[0]
     total = None
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
         g = mean_gradient(params, x[start:stop], y[start:stop]) * (stop - start)
         total = g if total is None else total + g
     return total / n
@@ -130,7 +133,7 @@ def grad_approx_diagnostic(
             if batch_size >= n:
                 idx = np.arange(n)
             else:
-                rng = np.random.default_rng(np.random.SeedSequence([int(seed), b_idx, k]))
+                rng = np.random.default_rng(derive(seed, "diagnose_batch", b_idx, k))
                 idx = rng.choice(n, size=batch_size, replace=False)
             g = mean_gradient(params, x[idx], y[idx])
             l2s.append(np.linalg.norm(targets - g, axis=1))

@@ -23,9 +23,8 @@ import numpy as np
 
 from .datastream import NUM_CLASSES, PIXELS, Dataset
 from .errors import ContractError, DimensionError, EmptyInputError
+from .seeds import derive
 from .selection import take_ranked
-
-_TAG_DOWNSAMPLE = 1
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,7 @@ class Coreset:
         # Uniformly down-sample every earlier task to the new quota.
         for old_task, kept in self._stored.items():
             if len(kept) > quota:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([self._seed, _TAG_DOWNSAMPLE, tasks_seen, old_task])
-                )
+                rng = np.random.default_rng(derive(self._seed, "downsample", tasks_seen, old_task))
                 positions = np.sort(rng.choice(len(kept), size=quota, replace=False))
                 self._stored[old_task] = [kept[int(i)] for i in positions]
 

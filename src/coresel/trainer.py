@@ -19,9 +19,9 @@ method, looked up by name in `REGISTRY`: a per-step pick and a commit order;
 a record with no commit order keeps a reservoir. `RunState.task_index` is
 the one record of the current task: staging, commits and every seed read it.
 
-Every random draw derives from (seed, task, epoch, iteration, purpose tag),
-except the reservoir's, which come in stream order from one generator seeded
-by (seed, purpose tag); so a run is a pure function of (stream, config).
+Every draw is seeded by `seeds.derive` from the run seed and the task, epoch
+and iteration it serves, except the reservoir's, which come in stream order
+from one generator per run; so a run is a pure function of (stream, config).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .replay import (
     format_sig,
     sample_items,
 )
+from .seeds import derive
 from .selection import (
     SelectionConfig,
     kmeans_embedding_select,
@@ -58,15 +59,6 @@ from .selection import (
     take_ranked,
     uniform_select,
 )
-
-# Purpose tags for seed derivation.
-_T_INIT = 0
-_T_SHUFFLE = 1
-_T_BUFFER = 2
-_T_SELECT = 3
-_T_COMMIT_REF = 4
-_T_COMMIT_RANK = 5
-_T_RESERVOIR = 6
 
 
 @dataclass(frozen=True)
@@ -142,20 +134,16 @@ class RunState:
         return self.buffer.all_examples()
 
 
-def _seed_seq(cfg_seed: int, *parts: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(cfg_seed)] + [int(p) for p in parts])
-
-
-def _step_seed(state: RunState, cfg: TrainConfig, tag: int) -> np.random.SeedSequence:
-    return _seed_seq(cfg.seed, state.task_index, state.epoch, state.iteration_in_epoch, tag)
+def _step_seed(state: RunState, cfg: TrainConfig, purpose: str):
+    return derive(cfg.seed, purpose, state.task_index, state.epoch, state.iteration_in_epoch)
 
 
 def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int) -> RunState:
     sizes = [input_dim, *cfg.hidden, NUM_CLASSES]
-    params = init_params(sizes, np.random.default_rng(_seed_seq(cfg.seed, _T_INIT)))
+    params = init_params(sizes, np.random.default_rng(derive(cfg.seed, "init")))
     strategy = REGISTRY[cfg.selection.strategy]
     if strategy.commit_order is None:
-        buffer = ReservoirState(cfg.buffer_capacity, _seed_seq(cfg.seed, _T_RESERVOIR))
+        buffer = ReservoirState(cfg.buffer_capacity, derive(cfg.seed, "reservoir"))
     else:
         buffer = Coreset(cfg.buffer_capacity, cfg.seed)
     return RunState(
@@ -243,24 +231,24 @@ def _ocs_pick(state, cfg, batch, kappa, bp):
 
 
 def _ocs_order(state, cfg, pool):
-    replay = _replay_batch(state, cfg, _seed_seq(cfg.seed, state.task_index, _T_COMMIT_REF))
+    replay = _replay_batch(state, cfg, derive(cfg.seed, "commit_reference", state.task_index))
     gram = backprop(state.params, *_with_replay(pool.x, pool.y, replay)).gram(cfg.grad_selector)
     return rank(score_gram(gram, len(pool), cfg.selection.tau).combined)
 
 
 def _uniform_pick(state, cfg, batch, kappa, bp):
-    return uniform_select(len(batch), kappa, _step_seed(state, cfg, _T_SELECT)), None, None
+    return uniform_select(len(batch), kappa, _step_seed(state, cfg, "select")), None, None
 
 
 def _uniform_order(state, cfg, pool):
-    rng = np.random.default_rng(_seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK))
+    rng = np.random.default_rng(derive(cfg.seed, "commit_order", state.task_index))
     return rng.permutation(len(pool)).astype(np.int64)
 
 
 def _kmeans_pick(state, cfg, batch, kappa, bp):
     """One representative per k-means cluster of penultimate-layer embeddings."""
     x = batch.x
-    return kmeans_embedding_select(embeddings(state.params, x), kappa, _step_seed(state, cfg, _T_SELECT)), None, x
+    return kmeans_embedding_select(embeddings(state.params, x), kappa, _step_seed(state, cfg, "select")), None, x
 
 
 def _kmeans_order(state, cfg, pool):
@@ -268,7 +256,7 @@ def _kmeans_order(state, cfg, pool):
     if quota < 1:
         return np.arange(n, dtype=np.int64)
     reps = kmeans_embedding_select(
-        embeddings(state.params, pool.x), min(quota, n), _seed_seq(cfg.seed, state.task_index, _T_COMMIT_RANK)
+        embeddings(state.params, pool.x), min(quota, n), derive(cfg.seed, "commit_order", state.task_index)
     )
     rest = np.setdiff1d(np.arange(n, dtype=np.int64), reps)
     return np.concatenate([reps, rest])
@@ -297,7 +285,7 @@ def train_iteration(state: RunState, batch: TaskView | Dataset, cfg: TrainConfig
         raise EmptyInputError("empty candidate batch")
     kappa = min(cfg.selection.kappa, len(batch))
 
-    replay = _replay_batch(state, cfg, _step_seed(state, cfg, _T_BUFFER))
+    replay = _replay_batch(state, cfg, _step_seed(state, cfg, "replay_batch"))
     m = 0 if replay is None else replay[1].shape[0]
 
     # One backward pass, replay rows last: over the candidates if the pick scores gradients, else the picked rows.
@@ -367,7 +355,7 @@ def _train_task(state: RunState, task, cfg: TrainConfig) -> None:
         for epoch in range(cfg.epochs):
             state.epoch = epoch
             state.iteration_in_epoch = 0
-            order = np.random.default_rng(_seed_seq(cfg.seed, t, epoch, _T_SHUFFLE)).permutation(len(task.train))
+            order = np.random.default_rng(derive(cfg.seed, "shuffle", t, epoch)).permutation(len(task.train))
             for start in range(0, len(order), cfg.stream_batch_size):
                 train_iteration(state, task.train.subset(order[start : start + cfg.stream_batch_size]), cfg)
         commit_current_task(state, cfg)

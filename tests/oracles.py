@@ -31,6 +31,7 @@ from coresel import datastream
 from coresel.datastream import Dataset, Task, TaskSpec, TaskStream
 from coresel.errors import DimensionError
 from coresel.model import ParamSet, backprop
+from coresel.seeds import derive
 from coresel.selection import ScoreBreakdown, score_gram
 
 
@@ -83,7 +84,7 @@ def score_batch(grads, ref_mean_grad, tau: float) -> ScoreBreakdown:
 
 def synthetic_corpus(n: int, seed) -> Dataset:
     """`datastream.make_synthetic_corpus`, one image at a time from the same draws."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(derive(seed, "corpus"))
     side = datastream.IMAGE_SIDE
     glyphs = np.stack([datastream._glyph_template(d) for d in range(datastream.NUM_CLASSES)])
     canvases = np.stack([datastream._class_canvas(d) for d in range(datastream.NUM_CLASSES)])
@@ -157,22 +158,21 @@ class EagerSet(Dataset):
 def build_stream(kind, train, test, num_tasks, master_seed, *, train_per_task=None, test_per_task=None,
                  imbalance=None, noise_fraction=0.0) -> TaskStream:
     """`datastream._build_stream`: transform each task's whole subsample, then drop rows and overwrite noisy ones."""
-    seed = datastream._task_seed
     tasks = []
     for t in range(num_tasks):
         if kind == "rotate":
-            angle = float(np.random.default_rng(seed(master_seed, t, datastream._TAG_ANGLE)).uniform(0.0, 180.0))
+            angle = float(np.random.default_rng(derive(master_seed, "angle", t)).uniform(0.0, 180.0))
             transform = functools.partial(rotate_dataset, angle=angle)
         else:
             angle = None
-            transform = functools.partial(permute_pixels, seed=seed(master_seed, t, datastream._TAG_PERMUTE))
-        task_train = transform(_subsample(train, train_per_task, seed(master_seed, t, datastream._TAG_TRAIN_SUBSET)))
-        task_test = transform(_subsample(test, test_per_task, seed(master_seed, t, datastream._TAG_TEST_SUBSET)))
+            transform = functools.partial(permute_pixels, seed=derive(master_seed, "permutation", t))
+        task_train = transform(_subsample(train, train_per_task, derive(master_seed, "train_rows", t)))
+        task_test = transform(_subsample(test, test_per_task, derive(master_seed, "test_rows", t)))
         noisy = frozenset()
         if imbalance is not None:
-            task_train = _imbalance(task_train, *imbalance, seed(master_seed, t, datastream._TAG_IMBALANCE))
+            task_train = _imbalance(task_train, *imbalance, derive(master_seed, "imbalance", t))
         if noise_fraction > 0.0:
-            task_train, positions = noised(task_train, noise_fraction, seed(master_seed, t, datastream._TAG_NOISE))
+            task_train, positions = noised(task_train, noise_fraction, derive(master_seed, "noise", t))
             noisy = frozenset(int(s) for s in task_train.source_index[positions])
         task_train, task_test = (EagerSet(ds.x, ds.y, ds.source_index) for ds in (task_train, task_test))
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy))

@@ -22,6 +22,7 @@ from coresel.datastream import (
     stream_manifest,
 )
 from coresel.errors import DimensionError, EmptyInputError, FormatError
+from coresel.seeds import derive
 
 MNIST_DIR = os.environ.get("MNIST_DIR", "")
 
@@ -544,7 +545,7 @@ def test_noise_rows_are_one_normal_draw_after_the_choice(kind, noise_fraction):
                      test_per_task=40, imbalance=((0, 3, 5, 8), 0.4), noise_fraction=noise_fraction)
     for t, task in enumerate(stream.tasks):
         view, n = task.train, len(task.train)
-        rng = np.random.default_rng(datastream._task_seed(29, t, datastream._TAG_NOISE))
+        rng = np.random.default_rng(derive(29, "noise", t))
         count = int(math.floor(noise_fraction * n))
         at = np.sort(rng.choice(n, size=count, replace=False))
         want = rng.standard_normal((count, view.width))

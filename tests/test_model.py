@@ -260,6 +260,18 @@ def test_non_finite_update_or_logits_raise_divergence():
             accuracy(huge, np.array([[1.0], [10.0]]), [0, 0])
 
 
+def test_accuracy_refuses_non_finite_logits():
+    # A NaN pixel makes its row's logits NaN: accuracy counts those rows and refuses the whole evaluation.
+    rng = np.random.default_rng(45)
+    params = init_params([5, 6, 4, 3], rng)
+    x = rng.uniform(size=(7, 5))
+    y = rng.integers(0, 3, size=7)
+    assert 0.0 <= accuracy(params, x, y) <= 1.0
+    x[[1, 4, 6], [0, 3, 2]] = np.nan
+    with pytest.raises(DivergenceError, match=r"^3 of 7 evaluation rows have non-finite logits$"):
+        accuracy(params, x, y)
+
+
 def test_dead_hidden_layer_fails_evaluation():
     # Every unit of hidden layer 1 is off on every row, so every row gets the same logits.
     rng = np.random.default_rng(41)
