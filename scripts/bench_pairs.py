@@ -18,8 +18,11 @@ The verdict is "WORSE than bound" when the median worsens by more than the
 bound; else "unresolved" when OLD's own quartile spread, (q3 - q1) / median,
 is wider than the bound and some run of the change does not beat every run
 of OLD, since such a spread hides a change of the bound's size; else
-"within bound". It exits 1 if any run is not `correct`, has failed
-operations, or does not finish.
+"within bound". Next to it each metric reads "gain shown" when the change
+wins at least 9 in 10 of the pairs and its median is better than OLD's by
+more than OLD's interquartile distance, q3 - q1, the rule a claimed gain is
+judged by; else "no gain shown". It exits 1 if any run is not `correct`, has
+failed operations, or does not finish.
 """
 
 import argparse
@@ -49,6 +52,26 @@ def quartiles(values: list[float]) -> list[float]:
 def summary(values: list[float]) -> str:
     q1, median, q3 = quartiles(values)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdict(old: list[float], new: list[float], lower: bool, bound: float) -> tuple[float, int, str, bool]:
+    """One metric over paired runs, old[k] against new[k]: the median's change, the pairs the change wins, the
+    bound's verdict, and whether a gain is shown, as the module docstring defines them.
+    """
+    wins = sum((n < o) if lower else (n > o) for o, n in zip(old, new))
+    q1, median, q3 = quartiles(old)
+    new_median = statistics.median(new)
+    change = new_median / median - 1.0
+    worse = change if lower else -change
+    clear_win = max(new) < min(old) if lower else min(new) > max(old)
+    if worse > bound:
+        bound_verdict = "WORSE than bound"
+    elif (q3 - q1) / median > bound and not clear_win:
+        bound_verdict = "unresolved, old spread wider than bound"
+    else:
+        bound_verdict = "within bound"
+    gain = median - new_median if lower else new_median - median
+    return change, wins, bound_verdict, wins >= 0.9 * len(old) and gain > q3 - q1
 
 
 def main(argv=None) -> int:
@@ -86,21 +109,12 @@ def main(argv=None) -> int:
     print(f"operations attempted per run, median: old {per_run['old']:g}, new {per_run['new']:g}")
     print("median [q1, q3]")
     for metric in bench["end_to_end"]:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         old, new = ([r["metrics"][name]["value"] for r in results[side]] for side in ("old", "new"))
-        wins = sum((n < o) if lower else (n > o) for o, n in zip(old, new))
-        change = statistics.median(new) / statistics.median(old) - 1.0
-        worse = change if lower else -change
-        q1, median, q3 = quartiles(old)
-        clear_win = max(new) < min(old) if lower else min(new) > max(old)
-        if worse > metric["bound"]:
-            verdict = "WORSE than bound"
-        elif (q3 - q1) / median > metric["bound"] and not clear_win:
-            verdict = "unresolved, old spread wider than bound"
-        else:
-            verdict = "within bound"
+        change, wins, bound_verdict, gain = verdict(old, new, metric["better"] == "lower", metric["bound"])
         print(f"{name} ({metric['unit']}): old {summary(old)}, new {summary(new)}, median {change:+.1%} "
-              f"({verdict} {metric['bound']:.0%}), change wins {wins}/{args.pairs}")
+              f"({bound_verdict} {metric['bound']:.0%}), change wins {wins}/{args.pairs}, "
+              + ("gain shown" if gain else "no gain shown"))
     return 0
 
 

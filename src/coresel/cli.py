@@ -39,14 +39,17 @@ from .seeds import derive
 from .trainer import REGISTRY, TrainConfig, clear_run_dir, run_metrics, run_stream, write_run_files
 
 
-def load_corpora(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+def load_train_corpus(cfg: ExperimentConfig) -> Dataset:
     if cfg.source == "idx":
-        train = load_idx(cfg.train_images, cfg.train_labels)
-        test = load_idx(cfg.test_images, cfg.test_labels)
-    else:
-        train = make_synthetic_corpus(cfg.synthetic_train, cfg.master_seed)
-        test = make_synthetic_corpus(cfg.synthetic_test, cfg.master_seed + 1)
-    return train, test
+        return load_idx(cfg.train_images, cfg.train_labels)
+    return make_synthetic_corpus(cfg.synthetic_train, cfg.master_seed)
+
+
+def load_corpora(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    train = load_train_corpus(cfg)
+    if cfg.source == "idx":
+        return train, load_idx(cfg.test_images, cfg.test_labels)
+    return train, make_synthetic_corpus(cfg.synthetic_test, cfg.master_seed + 1)
 
 
 def build_stream(cfg: ExperimentConfig, train: Dataset, test: Dataset, run_seed: int) -> TaskStream:
@@ -84,8 +87,8 @@ def _output_refused(path: str, exc: OSError) -> _Refused:
     return _Refused(f"output error: {path}: {exc.strerror or exc}")
 
 
-def _load(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """The corpora, or one `corpus error:` refusal when a file is missing or malformed.
+def _load(cfg: ExperimentConfig, load):
+    """`load(cfg)`, the corpora a command needs, or one `corpus error:` refusal when a file is missing or malformed.
 
     A file where the output directory must go is refused first with the error
     os.makedirs would raise, found without creating anything, so no corpus is built in vain.
@@ -97,7 +100,7 @@ def _load(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         code = errno.EEXIST if ancestor == cfg.output_dir else errno.ENOTDIR
         raise _output_refused(cfg.output_dir, OSError(code, os.strerror(code)))
     try:
-        return load_corpora(cfg)
+        return load(cfg)
     except (FormatError, OSError) as exc:
         raise _Refused(f"corpus error: {exc}") from None
 
@@ -119,7 +122,7 @@ def _remove_dropped_runs(cfg: ExperimentConfig) -> None:
 def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.agem and cfg.lam != TrainConfig.lam:  # A-GEM's objective has no replay term for lambda to weigh
         print("note: lambda has no effect with agem = true", file=sys.stderr)
-    train, test = _load(cfg)
+    train, test = _load(cfg, load_corpora)
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
         atomic_write_text(os.path.join(cfg.output_dir, "run_manifest.ini"), render_manifest(cfg))
@@ -170,7 +173,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 def run_diagnose(cfg: ExperimentConfig) -> int:
-    train, _ = _load(cfg)
+    train = _load(cfg, load_train_corpus)  # the diagnostic reads no test corpus
     sizes = tuple(train.x.shape[0] if s == FULL_DATASET else s for s in cfg.batch_sizes)
     rng = np.random.default_rng(derive(cfg.master_seed, "diagnose_init"))
     params = init_params([train.x.shape[1], *cfg.hidden, NUM_CLASSES], rng)

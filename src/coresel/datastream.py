@@ -11,13 +11,14 @@ reproduces it bit-for-bit. The row draws read only labels, so a task
 transforms just the clean rows it keeps.
 
 Every task's train and test set is a TaskView: the corpus pixels, the
-task's corpus rows, its transform and, for a noisy train set, the generator
-state each noise row's draw starts from. A view's `x` builds its rows on each
-read, transforming clean rows and drawing noise rows, and keeps none of them.
-A training step's candidates are a subset of the train set, itself a view, so
-a step builds only the rows it reads; an evaluation reads the whole test set's
+task's corpus rows, its transform and, for a noisy train set, its noise
+generator's state after the row choice, from which noise row s is drawn at an
+offset of s * 2**64 outputs. A view's `x` builds its rows on each read,
+transforming clean rows and drawing noise rows, and keeps none of them. A
+training step's candidates are a subset of the train set, itself a view, so a
+step builds only the rows it reads; an evaluation reads the whole test set's
 `x`. No task holds pixels: not its own copy of the corpus rows, and not its
-noise rows, which take 16 B each in place of a row of float64 pixels.
+noise rows, and building a stream draws none of them.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
 synthetic corpus draws, patterns and clips a block at a time, and
@@ -83,11 +84,11 @@ class TaskView:
 
     It holds the corpus pixels, the task's corpus rows, the task's transform
     kernel (rotation or permutation) and, for a noisy train set, a `_Noise`:
-    one generator state per noise row, and no noise pixels. `x` builds every
-    row anew on each read, the rows an eager build would hold, and
-    `subset(indices)` returns a view of those rows and builds nothing. Making
-    a view marks the corpus pixels read-only, so that a later write to the
-    corpus raises instead of changing every task built from it.
+    one generator state for all its noise rows, and no noise pixels. `x`
+    builds every row anew on each read, the rows an eager build would hold,
+    and `subset(indices)` returns a view of those rows and builds nothing.
+    Making a view marks the corpus pixels read-only, so that a later write to
+    the corpus raises instead of changing every task built from it.
     """
 
     def __init__(self, corpus: Dataset, rows: np.ndarray, kernel, noisy_at: np.ndarray, noise: _Noise | None):
@@ -332,51 +333,37 @@ def apply_imbalance(labels, reduced_classes, keep_fraction: float, seed) -> np.n
 
 @dataclass(frozen=True)
 class _Noise:
-    """A noisy train set's noise rows, kept as the PCG64 state each row's standard_normal(width) draw starts from.
+    """A noisy train set's noise rows, kept as one PCG64 state: the task's noise generator right after the row choice.
 
-    Row i's pixels are drawn from `starts[i]`, 16 B where its pixels take width * 8 B. Every draw is made on a
-    generator local to it, so two threads may read one view at once.
+    Noise row s is the standard_normal(width) draw that starts from `state` advanced by s * 2**64 outputs. A row's
+    draw takes about one output per pixel, far below 2**64, so no two rows overlap. Every read draws on a generator
+    local to it, so two threads may read one view at once.
     """
 
-    generator: dict  # the PCG64 state dict after the row choice: its inc, has_uint32 and uinteger hold for every row
-    starts: np.ndarray  # (count, 2) uint64: each row's 128-bit state at the start of its draw, high word first
+    state: dict  # the PCG64 state dict after the row choice
 
     def pixels(self, slots: np.ndarray, width: int) -> np.ndarray:
-        """The noise rows `slots`, in order; a run of consecutive slots is one draw from its first row's state."""
+        """The noise rows `slots`, in order: for each, one state set, one advance and one draw."""
         out = np.empty((slots.size, width))
         bitgen = np.random.PCG64(0)
-        draw, inc = np.random.Generator(bitgen).standard_normal, self.generator["state"]["inc"]
-        heads = np.flatnonzero(np.diff(slots, prepend=-2) != 1)  # slots are >= 0, so the first row heads a run
-        for head, end in zip(heads.tolist(), heads[1:].tolist() + [slots.size]):
-            high, low = self.starts[slots[head]].tolist()
-            bitgen.state = self.generator | {"state": {"state": high << 64 | low, "inc": inc}}
-            draw(out=out[head:end])
+        draw = np.random.Generator(bitgen).standard_normal
+        for row, slot in zip(out, slots.tolist()):
+            bitgen.state = self.state
+            bitgen.advance(slot << 64)
+            draw(out=row)
         return out
 
 
-def _noise_rows(n: int, fraction: float, seed, width: int) -> tuple[np.ndarray, _Noise]:
-    """floor(fraction * n) of n rows, uniformly chosen and sorted, and the N(0,1) pixels that replace ALL of theirs.
+def _noise_rows(n: int, fraction: float, seed) -> tuple[np.ndarray, _Noise]:
+    """floor(fraction * n) of n rows, uniformly chosen and sorted, and the `_Noise` of the N(0,1) rows replacing theirs.
 
-    The pixels are one standard_normal((count, width)) draw after the choice. Drawn a row at a time they are the
-    same bits, so each row is drawn once here, into a reused row, to record the generator state it starts from.
+    Each noise row is drawn from the generator's state after the choice at the row's own offset, so none is drawn here.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"noise fraction must lie in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    count = int(math.floor(fraction * n))
-    at = np.sort(rng.choice(n, size=count, replace=False))
-    bitgen, row = rng.bit_generator, np.empty(width)
-    generator, starts = bitgen.state, np.empty((count, 2), dtype=np.uint64)
-    for i in range(count):
-        state = bitgen.state["state"]["state"]
-        starts[i] = state >> 64, state & 0xFFFF_FFFF_FFFF_FFFF
-        rng.standard_normal(out=row)
-    # A normal draw advances only the 128-bit state: inc, has_uint32 and uinteger belong to the task.
-    end = bitgen.state
-    end["state"]["state"] = generator["state"]["state"]
-    if end != generator:  # a stored row state would then no longer reproduce the row's draw
-        raise RuntimeError(f"a normal draw changed more than the 128-bit state: {end} from {generator}")
-    return at, _Noise(generator, starts)
+    at = np.sort(rng.choice(n, size=int(math.floor(fraction * n)), replace=False))
+    return at, _Noise(rng.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +402,8 @@ def _build_stream(
     from labels first, and only the clean rows it keeps are transformed: the
     transforms act on each row alone, so this equals transforming the whole
     subsample and then dropping and replacing rows. A task's train set is a
-    TaskView that does this per batch and keeps its noise rows as generator
-    states, drawing a noise row's pixels when a read asks for it; its test set
+    TaskView that does this per batch and keeps its noise rows as one generator
+    state, drawing a noise row's pixels when a read asks for it; its test set
     is a TaskView of the test corpus's drawn rows, with no noise rows, so a
     stream holds no pixels. A task left with no train rows is an
     EmptyInputError: no strategy could train on it; so is one with no test
@@ -438,7 +425,7 @@ def _build_stream(
         if rows.size == 0:  # a drawn row is lost only to class imbalance
             lost = ", 0 after class imbalance" if drawn.size else f" of {len(train)}"
             raise EmptyInputError(f"task {t} has no training rows: {drawn.size} drawn{lost}")
-        noisy_at, noise = _noise_rows(rows.size, noise_fraction, derive(master_seed, "noise", t), width)
+        noisy_at, noise = _noise_rows(rows.size, noise_fraction, derive(master_seed, "noise", t))
         task_train = TaskView(train, rows, kernel, noisy_at, noise)
         noisy_source = frozenset(int(s) for s in train.source_index[rows[noisy_at]])
         test_rows = _subsample(len(test), test_per_task, derive(master_seed, "test_rows", t))

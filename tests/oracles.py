@@ -12,7 +12,8 @@ Gram matrix.
 `rotate_dataset` and `permute_pixels` transform a whole array in one pass:
 the rotation's four corner gathers summed in fixed order and then clipped,
 and one column gather. `noised` overwrites a share of the rows with N(0,1)
-pixels. `build_stream` applies the transform to every subsampled row of a
+pixels, the i-th drawn after advancing the generator's post-choice state by
+i * 2**64. `build_stream` applies the transform to every subsampled row of a
 task before imbalance drops rows and noise overwrites them, and holds each
 train and test set as an `EagerSet`, a Dataset with a TaskView's `width`.
 The package builds in row blocks, transforms only the rows a task keeps, and
@@ -138,12 +139,19 @@ def _imbalance(ds: Dataset, reduced_classes, keep_fraction: float, seed) -> Data
 
 
 def noised(ds: Dataset, fraction: float, seed) -> tuple[Dataset, np.ndarray]:
-    """`ds` with floor(fraction * n) uniformly chosen rows overwritten by N(0,1) pixels, and their sorted positions."""
+    """`ds` with floor(fraction * n) uniformly chosen rows overwritten by N(0,1) pixels, and their sorted positions.
+
+    The i-th chosen row is one standard_normal draw from the generator's state after the choice, advanced by i * 2**64.
+    """
     rng = np.random.default_rng(seed)
     count = int(math.floor(fraction * len(ds)))
     positions = np.sort(rng.choice(len(ds), size=count, replace=False))
+    after = rng.bit_generator.state
     x = ds.x.copy()
-    x[positions] = rng.standard_normal((count, ds.x.shape[1]))
+    for i, position in enumerate(positions):
+        rng.bit_generator.state = after
+        rng.bit_generator.advance(i * 2**64)
+        x[position] = rng.standard_normal(ds.x.shape[1])
     return Dataset(x, ds.y, ds.source_index), positions
 
 

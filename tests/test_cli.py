@@ -423,13 +423,32 @@ def test_empty_test_corpus_is_refused_at_load(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_diagnose_reads_no_test_corpus(tmp_path, monkeypatch, capsys):
+    images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+    images.write_bytes(struct.pack(">IIII", 0x803, 40, 28, 28) + bytes(range(256)) * 122 + bytes(128))  # 40 images
+    labels.write_bytes(struct.pack(">II", 0x801, 40) + bytes(k % 10 for k in range(40)))
+    bad_magic = tmp_path / "bad-idx3-ubyte"
+    bad_magic.write_bytes(struct.pack(">IIII", 0x804, 2, 28, 28) + bytes(2 * 784))
+    tables = []
+    for test_images in (images, bad_magic):  # a well-formed test file, then one that fails to load
+        out = tmp_path / f"diagnose-{test_images.name}"
+        args = ["diagnose", "--source", "idx", "--train-images", str(images), "--train-labels", str(labels),
+                "--test-images", str(test_images), "--test-labels", str(labels), "--batch-sizes", "10,full",
+                "--n-batches", "2", "--output-dir", str(out)]
+        assert run_cli(args, {}, monkeypatch) == 0
+        assert capsys.readouterr().err == ""
+        tables.append((out / "diagnostic_table.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_output_dir_that_is_a_file_exits_before_any_run(tmp_path, monkeypatch, capsys, command):
     path = write_config(tmp_path)
     blocker = tmp_path / "a-file"
     blocker.write_text("kept\n")
     flags = ["--batch-sizes", "10", "--n-batches", "2", "--cross", "false"] if command == "diagnose" else []
-    monkeypatch.setattr("coresel.cli.load_corpora", lambda cfg: pytest.fail("corpora built before the output check"))
+    for loader in ("load_corpora", "load_train_corpus"):  # run builds both corpora, diagnose the train corpus alone
+        monkeypatch.setattr(f"coresel.cli.{loader}", lambda cfg: pytest.fail("a corpus built before the output check"))
     for out, reason in ((blocker, "File exists"), (blocker / "runs", "Not a directory")):
         assert run_cli([command, "--config", path, "--output-dir", str(out), *flags], {}, monkeypatch) == 1
         captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import struct
@@ -536,22 +537,21 @@ def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
 @pytest.mark.parametrize("noise_fraction", [0.0, 0.2, 0.6, 1.0])
-def test_noise_rows_are_one_normal_draw_after_the_choice(kind, noise_fraction):
-    # A view keeps one generator state per noise row and draws the row when read. Its noise rows must equal
-    # default_rng(seed).choice(n, count) followed by standard_normal((count, width)) on the task's noise seed, whatever
-    # the read: the whole view, again, a shuffled subset, or four threads reading at once.
+def test_noise_row_s_is_a_normal_draw_at_offset_s_after_the_choice(kind, noise_fraction):
+    # A view keeps its noise generator's state after the row choice and draws a noise row when read. Noise row s must
+    # equal the standard_normal(width) draw from that state advanced by s * 2**64, as `oracles.noised` restates it,
+    # whatever the read: the whole view, again, a shuffled subset, or four threads reading at once.
     builder = build_rotated_stream if kind == "rotate" else build_permuted_stream
     stream = builder(make_synthetic_corpus(240, 61), make_synthetic_corpus(60, 62), 3, 29, train_per_task=150,
                      test_per_task=40, imbalance=((0, 3, 5, 8), 0.4), noise_fraction=noise_fraction)
     for t, task in enumerate(stream.tasks):
         view, n = task.train, len(task.train)
-        rng = np.random.default_rng(derive(29, "noise", t))
-        count = int(math.floor(noise_fraction * n))
-        at = np.sort(rng.choice(n, size=count, replace=False))
-        want = rng.standard_normal((count, view.width))
+        noised, at = oracles.noised(Dataset(np.zeros((n, view.width)), view.y, view.source_index), noise_fraction,
+                                    derive(29, "noise", t))
+        assert at.size == int(math.floor(noise_fraction * n))
         x = view.x
-        assert x[at].tobytes() == want.tobytes()
-        assert set(view.source_index[at].tolist()) == task.noisy_source and view._noise.starts.shape == (count, 2)
+        assert x[at].tobytes() == noised.x[at].tobytes()
+        assert set(view.source_index[at].tolist()) == task.noisy_source
         assert view.x.tobytes() == x.tobytes()
         pick = np.random.default_rng(t).permutation(n)[: n // 2]
         assert view.subset(pick).x.tobytes() == x[pick].tobytes()
@@ -576,6 +576,32 @@ def test_noise_rows_are_one_normal_draw_after_the_choice(kind, noise_fraction):
         assert all(got == x[rows].tobytes() for rows, got in reads)
 
 
+class _NoNormals(np.random.Generator):
+    """A generator that fails the test on any standard_normal draw."""
+
+    def standard_normal(self, *args, **kwargs):
+        pytest.fail("a stream build drew normals")
+
+
+@pytest.mark.parametrize("noise_fraction", [0.0, 0.2, 0.6, 1.0])
+def test_building_a_noisy_stream_draws_no_noise_pixels(monkeypatch, noise_fraction):
+    # A build keeps, per task, one state: its noise generator's state after the row choice. It draws no normal and
+    # reads no noise row, at any noise fraction; only a read of the view draws its noise rows.
+    train, test = make_synthetic_corpus(240, 71), make_synthetic_corpus(60, 72)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoNormals(np.random.PCG64(seed)))
+    monkeypatch.setattr(datastream._Noise, "pixels", lambda *args: pytest.fail("a stream build read noise rows"))
+    for builder in (build_rotated_stream, build_permuted_stream):
+        stream = builder(train, test, 3, 37, train_per_task=150, test_per_task=40, imbalance=((2, 7), 0.5),
+                         noise_fraction=noise_fraction)
+        for t, task in enumerate(stream.tasks):
+            rng = np.random.Generator(np.random.PCG64(derive(37, "noise", t)))
+            rng.choice(len(task.train), size=len(task.noisy_source), replace=False)
+            assert len(task.noisy_source) == int(math.floor(noise_fraction * len(task.train)))
+            assert [field.name for field in dataclasses.fields(task.train._noise)] == ["state"]
+            assert task.train._noise.state == rng.bit_generator.state
+            assert task.test._noise is None
+
+
 # ---------------------------------------------------------------------------
 # memory: a build holds its output and a few blocks
 
@@ -594,11 +620,10 @@ def traced_peak(build):
 
 
 def dataset_bytes(*datasets):
-    """The bytes the datasets hold; a view's pixels, built on demand, are not counted, but its noise states are."""
+    """The bytes the datasets hold in arrays; a view's pixels, built on demand, are not counted."""
     def arrays(ds):
         if isinstance(ds, TaskView):
-            noise = () if ds._noise is None else (ds._noise.starts,)
-            return ds.y, ds.source_index, ds._rows, ds._noise_slot, *noise
+            return ds.y, ds.source_index, ds._rows, ds._noise_slot
         return ds.x, ds.y, ds.source_index
 
     return sum(a.nbytes for ds in datasets for a in arrays(ds))
@@ -612,15 +637,13 @@ def test_builds_allocate_their_output_and_a_few_blocks():
     train = make_synthetic_corpus(1800, 41)  # also fills the cached pattern tables before anything is traced
     test = make_synthetic_corpus(600, 42)
     kwargs = dict(train_per_task=900, test_per_task=300)
-    # Builds hold their index arrays and a generator state per noise row, and no train, test or noise pixels.
+    # Builds hold their index arrays and one generator state per noisy task, and no train, test or noise pixels.
     for builder, noise_fraction in ((build_permuted_stream, 0.0), (build_permuted_stream, 0.6),
                                     (build_rotated_stream, 0.6)):
         stream, peak = traced_peak(lambda: builder(train, test, 3, 7, noise_fraction=noise_fraction, **kwargs))
         assert all(isinstance(t.train, TaskView) for t in stream.tasks)
         assert all(len(t.noisy_source) == int(900 * noise_fraction) for t in stream.tasks)
         assert peak <= stream_bytes(stream) + SLACK
-        noise_rows = sum(len(t.noisy_source) for t in stream.tasks)
-        assert sum(t.train._noise.starts.nbytes for t in stream.tasks) <= 64 * noise_rows
     corpus, peak = traced_peak(lambda: make_synthetic_corpus(1000, 43))
     assert peak <= dataset_bytes(corpus) + SLACK
 
