@@ -21,6 +21,7 @@ import numpy as np
 from .config import FULL_DATASET, ExperimentConfig, known_keys, parse_config, render_manifest
 from .datastream import (
     NUM_CLASSES,
+    PIXELS,
     Dataset,
     TaskStream,
     build_permuted_stream,
@@ -176,7 +177,7 @@ def run_diagnose(cfg: ExperimentConfig) -> int:
     train = _load(cfg, load_train_corpus)  # the diagnostic reads no test corpus
     sizes = tuple(train.x.shape[0] if s == FULL_DATASET else s for s in cfg.batch_sizes)
     rng = np.random.default_rng(derive(cfg.master_seed, "diagnose_init"))
-    params = init_params([train.x.shape[1], *cfg.hidden, NUM_CLASSES], rng)
+    params = init_params([PIXELS, *cfg.hidden, NUM_CLASSES], rng)
     other = permute_pixels(train, derive(cfg.master_seed, "diagnose_cross")) if cfg.cross else None
     table = grad_approx_diagnostic(
         params, train, sizes, n_batches=cfg.n_batches, seed=cfg.master_seed, other_dataset=other

@@ -106,21 +106,16 @@ class TaskView:
         return self._rows.size
 
     @property
-    def width(self) -> int:
-        """Pixels per row."""
-        return self._pixels.shape[1]
-
-    @property
     def x(self) -> np.ndarray:
         """Every row's pixels, built anew on each read: clean rows transformed, noise rows drawn."""
         clean = self._noise_slot < 0
         rows = self._rows[clean]  # only clean rows reach the kernel
-        clean_x = _transform_rows(self._kernel, self._pixels, rows, np.empty((rows.size, self.width)))
+        clean_x = _transform_rows(self._kernel, self._pixels, rows, np.empty((rows.size, PIXELS)))
         if rows.size == len(self):  # every row clean: transformed straight into the result
             return clean_x
-        x = np.empty((len(self), self.width))
+        x = np.empty((len(self), PIXELS))
         x[clean] = clean_x
-        x[~clean] = self._noise.pixels(self._noise_slot[~clean], self.width)
+        x[~clean] = self._noise.pixels(self._noise_slot[~clean])
         return x
 
     def subset(self, indices) -> TaskView:
@@ -247,12 +242,8 @@ def _rotation_sampler(angle: float):
     return indices, weights
 
 
-def _rotator(angle: float, width: int):
+def _rotator(angle: float):
     """The rotation kernel for `_transform_rows`: 28x28 images in [0,1] about the center pixel, bilinear, zero fill."""
-    if width != PIXELS:
-        raise DimensionError(f"rotation needs {PIXELS}-pixel rows, got {width}")
-    if not 0.0 <= angle <= 180.0:
-        raise ValueError(f"rotation angle must lie in [0, 180], got {angle}")
     idx, w = _rotation_sampler(angle)
 
     def rotate(block: np.ndarray, out: np.ndarray, part: np.ndarray) -> None:
@@ -269,9 +260,9 @@ def _rotator(angle: float, width: int):
     return rotate
 
 
-def _permuter(seed, width: int):
-    """The permutation kernel for `_transform_rows`: one fixed random pixel permutation drawn from `seed`."""
-    perm = np.random.default_rng(seed).permutation(width)
+def _permuter(seed):
+    """The permutation kernel for `_transform_rows`: one fixed random permutation of PIXELS pixels drawn from `seed`."""
+    perm = np.random.default_rng(seed).permutation(PIXELS)
     return lambda block, out, scratch: np.take(block, perm, axis=1, out=out, mode="clip")
 
 
@@ -300,9 +291,8 @@ def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray)
 
 
 def permute_pixels(ds: Dataset, seed) -> Dataset:
-    """Apply one fixed random pixel permutation to every image."""
-    n, width = ds.x.shape
-    x = _transform_rows(_permuter(seed, width), ds.x, np.arange(n), np.empty((n, width)))
+    """Apply one fixed random pixel permutation to every image of a corpus of PIXELS-pixel rows."""
+    x = _transform_rows(_permuter(seed), ds.x, np.arange(len(ds)), np.empty((len(ds), PIXELS)))
     return Dataset(x, ds.y, ds.source_index)
 
 
@@ -335,16 +325,16 @@ def apply_imbalance(labels, reduced_classes, keep_fraction: float, seed) -> np.n
 class _Noise:
     """A noisy train set's noise rows, kept as one PCG64 state: the task's noise generator right after the row choice.
 
-    Noise row s is the standard_normal(width) draw that starts from `state` advanced by s * 2**64 outputs. A row's
+    Noise row s is the standard_normal(PIXELS) draw that starts from `state` advanced by s * 2**64 outputs. A row's
     draw takes about one output per pixel, far below 2**64, so no two rows overlap. Every read draws on a generator
     local to it, so two threads may read one view at once.
     """
 
     state: dict  # the PCG64 state dict after the row choice
 
-    def pixels(self, slots: np.ndarray, width: int) -> np.ndarray:
+    def pixels(self, slots: np.ndarray) -> np.ndarray:
         """The noise rows `slots`, in order: for each, one state set, one advance and one draw."""
-        out = np.empty((slots.size, width))
+        out = np.empty((slots.size, PIXELS))
         bitgen = np.random.PCG64(0)
         draw = np.random.Generator(bitgen).standard_normal
         for row, slot in zip(out, slots.tolist()):
@@ -407,18 +397,21 @@ def _build_stream(
     is a TaskView of the test corpus's drawn rows, with no noise rows, so a
     stream holds no pixels. A task left with no train rows is an
     EmptyInputError: no strategy could train on it; so is one with no test
-    rows, which no evaluation could score.
+    rows, which no evaluation could score. Here is the one check of row width:
+    each corpus must hold PIXELS-pixel rows, as the whole package assumes.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
+    if (train.x.shape[1], test.x.shape[1]) != (PIXELS, PIXELS):
+        raise DimensionError(f"a stream needs {PIXELS}-pixel rows: the train corpus has {train.x.shape[1]}, "
+                             f"the test corpus {test.x.shape[1]}")
     tasks = []
-    width = train.x.shape[1]
     for t in range(num_tasks):
         if kind == "rotate":
             angle = float(np.random.default_rng(derive(master_seed, "angle", t)).uniform(0.0, 180.0))
-            kernel = _rotator(angle, width)
+            kernel = _rotator(angle)
         else:
-            angle, kernel = None, _permuter(derive(master_seed, "permutation", t), width)
+            angle, kernel = None, _permuter(derive(master_seed, "permutation", t))
         rows = drawn = _subsample(len(train), train_per_task, derive(master_seed, "train_rows", t))
         if imbalance is not None:
             rows = rows[apply_imbalance(train.y[rows], *imbalance, derive(master_seed, "imbalance", t))]

@@ -24,8 +24,6 @@ class AccuracyMatrix:
     """T x T grid holding a_{t,i} for i <= t; unset entries are NaN."""
 
     def __init__(self, num_tasks: int):
-        if num_tasks < 1:
-            raise DimensionError(f"matrix needs at least one task, got {num_tasks}")
         self.num_tasks = int(num_tasks)
         self.values = np.full((num_tasks, num_tasks), np.nan)
 
@@ -126,8 +124,6 @@ def grad_approx_diagnostic(
     rows = []
     for b_idx, batch_size in enumerate(batch_sizes):
         batch_size = int(batch_size)
-        if batch_size < 1:
-            raise DimensionError(f"batch size must be >= 1, got {batch_size}")
         l2s, cosines = [], []
         for k in range(1 if batch_size >= n else n_batches):
             if batch_size >= n:

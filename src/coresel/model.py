@@ -171,8 +171,6 @@ class Backprop:
         coef = np.asarray(coef, dtype=np.float64)
         if coef.shape != (self.deltas[0].shape[0],):
             raise DimensionError(f"{coef.shape} coefficients for {self.deltas[0].shape[0]} examples")
-        if lr < 0:
-            raise DimensionError("learning rate must be nonnegative")
         scale = -lr * coef
         weights, biases = [], []
         for w, bias, a, d in zip(self.params.weights, self.params.biases, self.acts, self.deltas):

@@ -51,11 +51,7 @@ def format_sig(value: float) -> str:
 
 
 def sample_items(items, batch_size: int, seed) -> list:
-    """Uniform batch from a list: without replacement, or with it when short."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not items:
-        raise EmptyInputError("cannot sample from an empty buffer")
+    """Uniform batch from a non-empty list: without replacement, or with it when short."""
     rng = np.random.default_rng(seed)
     replace = len(items) < batch_size
     picks = rng.choice(len(items), size=batch_size, replace=replace)
@@ -66,8 +62,6 @@ class Coreset:
     """Replay store bounded by `capacity` examples across all tasks."""
 
     def __init__(self, capacity: int, seed: int):
-        if capacity < 0:
-            raise ValueError(f"capacity must be nonnegative, got {capacity}")
         self.capacity = int(capacity)
         self._seed = int(seed)
         self._stored: dict[int, list[StoredExample]] = {}  # filled only by commit_task, so keys are in commit order
@@ -166,8 +160,6 @@ class ReservoirState:
     """Algorithm R over the stream: `items` holds min(capacity, seen) rows, `seen` counts every row offered."""
 
     def __init__(self, capacity: int, seed):
-        if capacity < 0:
-            raise ValueError(f"capacity must be nonnegative, got {capacity}")
         self.capacity = int(capacity)
         self.items: list[StoredExample] = []
         self.seen = 0
@@ -223,7 +215,5 @@ def dump_csv(examples) -> str:
     """Stored examples as CSV: task_id, class, example_index_in_source, then one column per pixel."""
     lines = [DUMP_HEADER]
     for e in examples:
-        if e.x.shape != (PIXELS,):
-            raise DimensionError(f"stored example has {e.x.shape} pixels, expected ({PIXELS},)")
         lines.append(f"{e.task_id},{e.y},{e.source_index},{_DUMP_ROW % tuple(e.x.tolist())}")
     return "\n".join(lines) + "\n"

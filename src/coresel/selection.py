@@ -150,10 +150,6 @@ def take_ranked(ranking, k: int, labels=None) -> np.ndarray:
 
 def uniform_select(batch_size: int, kappa: int, seed) -> np.ndarray:
     """kappa distinct uniform indices (all of them when kappa saturates)."""
-    if batch_size < 1:
-        raise EmptyInputError("empty candidate batch")
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
     if kappa >= batch_size:
         return np.arange(batch_size, dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -171,10 +167,6 @@ def kmeans_embedding_select(embeddings, kappa: int, seed) -> np.ndarray:
     if x.ndim != 2:
         raise DimensionError(f"embeddings must be a matrix, got shape {x.shape}")
     n = x.shape[0]
-    if n == 0:
-        raise EmptyInputError("empty embedding matrix")
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
     if kappa >= n:
         return np.arange(n, dtype=np.int64)
 

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import ioutil
-from .datastream import NUM_CLASSES, Dataset, TaskStream, TaskView, stream_manifest
+from .datastream import NUM_CLASSES, PIXELS, Dataset, TaskStream, TaskView, stream_manifest
 from .errors import ContractError, DimensionError, DivergenceError, EmptyInputError
 from .metrics import AccuracyMatrix, average_accuracy, average_forgetting
 from .model import ParamSet, accuracy, backprop, checkpoint_bytes, embeddings, init_params
@@ -138,8 +138,8 @@ def _step_seed(state: RunState, cfg: TrainConfig, purpose: str):
     return derive(cfg.seed, purpose, state.task_index, state.epoch, state.iteration_in_epoch)
 
 
-def new_run_state(cfg: TrainConfig, num_tasks: int, input_dim: int) -> RunState:
-    sizes = [input_dim, *cfg.hidden, NUM_CLASSES]
+def new_run_state(cfg: TrainConfig, num_tasks: int) -> RunState:
+    sizes = [PIXELS, *cfg.hidden, NUM_CLASSES]
     params = init_params(sizes, np.random.default_rng(derive(cfg.seed, "init")))
     strategy = REGISTRY[cfg.selection.strategy]
     if strategy.commit_order is None:
@@ -400,7 +400,7 @@ def run_stream(stream: TaskStream, cfg: TrainConfig, out_dir: str | None = None)
     order train t, eval t, train t + 1 raises first, and, but for what the
     worker had begun, runs no evaluation after the first failure.
     """
-    state = new_run_state(cfg, len(stream), stream.tasks[0].train.width)
+    state = new_run_state(cfg, len(stream))
     evaluations = []  # [t, i, future, box] of every evaluation, in serial order; whoever runs it empties its box
     failure = None  # an Exception raised while training; a BaseException propagates at once
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="coresel-eval")

@@ -15,10 +15,9 @@ and one column gather. `noised` overwrites a share of the rows with N(0,1)
 pixels, the i-th drawn after advancing the generator's post-choice state by
 i * 2**64. `build_stream` applies the transform to every subsampled row of a
 task before imbalance drops rows and noise overwrites them, and holds each
-train and test set as an `EagerSet`, a Dataset with a TaskView's `width`.
-The package builds in row blocks, transforms only the rows a task keeps, and
-builds a train row only when a batch reads it; its outputs must equal these
-byte for byte.
+train and test set as a Dataset. The package builds in row blocks,
+transforms only the rows a task keeps, and builds a train row only when a
+batch reads it; its outputs must equal these byte for byte.
 """
 
 from __future__ import annotations
@@ -155,14 +154,6 @@ def noised(ds: Dataset, fraction: float, seed) -> tuple[Dataset, np.ndarray]:
     return Dataset(x, ds.y, ds.source_index), positions
 
 
-class EagerSet(Dataset):
-    """An eagerly built train or test set: a Dataset that, like a TaskView, names its row width for the trainer."""
-
-    @property
-    def width(self) -> int:
-        return self.x.shape[1]
-
-
 def build_stream(kind, train, test, num_tasks, master_seed, *, train_per_task=None, test_per_task=None,
                  imbalance=None, noise_fraction=0.0) -> TaskStream:
     """`datastream._build_stream`: transform each task's whole subsample, then drop rows and overwrite noisy ones."""
@@ -182,6 +173,5 @@ def build_stream(kind, train, test, num_tasks, master_seed, *, train_per_task=No
         if noise_fraction > 0.0:
             task_train, positions = noised(task_train, noise_fraction, derive(master_seed, "noise", t))
             noisy = frozenset(int(s) for s in task_train.source_index[positions])
-        task_train, task_test = (EagerSet(ds.x, ds.y, ds.source_index) for ds in (task_train, task_test))
         tasks.append(Task(TaskSpec(kind, angle, imbalance, noise_fraction), task_train, task_test, noisy))
     return TaskStream(tuple(tasks), int(master_seed))

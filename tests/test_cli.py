@@ -10,7 +10,7 @@ import pytest
 import coresel
 
 from coresel.cli import build_stream, load_corpora, main
-from coresel.config import parse_config, render_manifest
+from coresel.config import FULL_DATASET, parse_config, render_manifest
 from coresel.errors import ConfigError
 from coresel import trainer
 from coresel.trainer import TrainConfig
@@ -158,6 +158,15 @@ def test_stream_keys_out_of_range_are_config_errors(key, bad, good):
             parse_config(None, {key: raw}, env={})
     for raw in good:
         parse_config(None, {key: raw}, env={})
+
+
+def test_batch_sizes_below_one_are_config_errors():
+    # The one check of the diagnose batch sizes: grad_approx_diagnostic takes them as given.
+    for raw in ("0", "-3"):
+        message = f"value for key 'batch_sizes' must be comma-separated sizes or 'full', got '{raw}' (flag)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(None, {"batch_sizes": raw}, env={})
+    assert parse_config(None, {"batch_sizes": "1,full"}, env={}).batch_sizes == (1, FULL_DATASET)
 
 
 def test_inline_comments_follow_whitespace(tmp_path):

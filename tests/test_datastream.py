@@ -46,7 +46,7 @@ def imbalanced(ds, reduced_classes, keep_fraction, seed):
 def rotated(ds, angle):
     """`ds` under the rotation kernel that streams use."""
     x = np.empty(ds.x.shape)
-    datastream._transform_rows(datastream._rotator(angle, ds.x.shape[1]), ds.x, np.arange(len(ds)), x)
+    datastream._transform_rows(datastream._rotator(angle), ds.x, np.arange(len(ds)), x)
     return Dataset(x, ds.y, ds.source_index)
 
 
@@ -188,15 +188,6 @@ def test_rotate_preserves_center_pixel():
     img[14, 14] = 1.0
     for angle in (0.0, 30.0, 90.0, 117.5, 180.0):
         assert rotate_image(img, angle)[14, 14] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_rotate_validation():
-    with pytest.raises(DimensionError):
-        rotate_image(np.zeros((27, 27)), 10.0)
-    with pytest.raises(ValueError):
-        rotate_image(np.zeros((28, 28)), 181.0)
-    with pytest.raises(ValueError):
-        rotate_image(np.zeros((28, 28)), -1.0)
 
 
 def test_rotate_dataset_matches_per_image():
@@ -373,6 +364,20 @@ def test_a_task_without_test_rows_fails_the_stream(build):
         build(small_dataset(), empty, 2, 0, train_per_task=20, test_per_task=10)
 
 
+@pytest.mark.parametrize("build", [build_rotated_stream, build_permuted_stream])
+@pytest.mark.parametrize("narrow", ["train", "test"])
+def test_a_corpus_without_784_pixel_rows_fails_the_stream_before_any_task(monkeypatch, build, narrow):
+    # The one check of row width: the kernels, the noise rows, the network and the coreset dump take 784 pixels.
+    for kernel in ("_rotator", "_permuter"):
+        monkeypatch.setattr(datastream, kernel, lambda *args: pytest.fail("a task was drawn"))
+    corpora = {"train": small_dataset(), "test": small_dataset(20)}
+    corpora[narrow] = Dataset(np.zeros((60, 12)), np.zeros(60, dtype=np.int64), np.arange(60))
+    train_width, test_width = (12, 784) if narrow == "train" else (784, 12)
+    with pytest.raises(DimensionError, match=f"^a stream needs 784-pixel rows: the train corpus has {train_width}, "
+                                             f"the test corpus {test_width}$"):
+        build(corpora["train"], corpora["test"], 2, 0, train_per_task=20, test_per_task=10)
+
+
 @pytest.mark.parametrize("imbalance", [None, ((1, 2), 0.5)])
 def test_a_task_without_train_rows_names_its_cause(imbalance):
     # An empty train corpus draws no rows; class imbalance is not what lost them, set or not.
@@ -451,25 +456,19 @@ def test_transforms_equal_whole_array_oracles(n):
     assert_same_dataset(permute_pixels(ds, n), oracles.permute_pixels(ds, n))
 
 
-def narrow(ds, width):
-    """`ds` cut to its first `width` pixels: permuted streams take rows of any width."""
-    return Dataset(np.ascontiguousarray(ds.x[:, :width]), ds.y, ds.source_index)
-
-
 @pytest.mark.parametrize("kind", ["rotate", "permute"])
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_stream_equals_oracle_at_block_edges(kind, n):
     # n clean train rows per task: written straight into place, scattered between n noise rows, and (about n)
-    # left by a class imbalance with noise. Permuted streams also run on 12-pixel rows.
+    # left by a class imbalance with noise.
     builder = build_rotated_stream if kind == "rotate" else build_permuted_stream
-    for width in (datastream.PIXELS, 12) if kind == "permute" else (datastream.PIXELS,):
-        train = narrow(make_synthetic_corpus(2 * BLOCK_EDGES[-1] + 10, 33), width)
-        test = narrow(make_synthetic_corpus(BLOCK_EDGES[-1] + 10, 34), width)
-        for kwargs in (dict(train_per_task=n), dict(train_per_task=2 * n, noise_fraction=0.5),
-                       dict(train_per_task=2 * n + 5, imbalance=((0, 1, 2, 3, 4), 0.5), noise_fraction=0.25)):
-            kwargs["test_per_task"] = n
-            want = oracles.build_stream(kind, train, test, 2, 19, **kwargs)
-            assert_same_stream(builder(train, test, 2, 19, **kwargs), want)
+    train = make_synthetic_corpus(2 * BLOCK_EDGES[-1] + 10, 33)
+    test = make_synthetic_corpus(BLOCK_EDGES[-1] + 10, 34)
+    for kwargs in (dict(train_per_task=n), dict(train_per_task=2 * n, noise_fraction=0.5),
+                   dict(train_per_task=2 * n + 5, imbalance=((0, 1, 2, 3, 4), 0.5), noise_fraction=0.25)):
+        kwargs["test_per_task"] = n
+        want = oracles.build_stream(kind, train, test, 2, 19, **kwargs)
+        assert_same_stream(builder(train, test, 2, 19, **kwargs), want)
 
 
 STREAM_CASES = {
@@ -539,15 +538,15 @@ def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
 @pytest.mark.parametrize("noise_fraction", [0.0, 0.2, 0.6, 1.0])
 def test_noise_row_s_is_a_normal_draw_at_offset_s_after_the_choice(kind, noise_fraction):
     # A view keeps its noise generator's state after the row choice and draws a noise row when read. Noise row s must
-    # equal the standard_normal(width) draw from that state advanced by s * 2**64, as `oracles.noised` restates it,
+    # equal the standard_normal(PIXELS) draw from that state advanced by s * 2**64, as `oracles.noised` restates it,
     # whatever the read: the whole view, again, a shuffled subset, or four threads reading at once.
     builder = build_rotated_stream if kind == "rotate" else build_permuted_stream
     stream = builder(make_synthetic_corpus(240, 61), make_synthetic_corpus(60, 62), 3, 29, train_per_task=150,
                      test_per_task=40, imbalance=((0, 3, 5, 8), 0.4), noise_fraction=noise_fraction)
     for t, task in enumerate(stream.tasks):
         view, n = task.train, len(task.train)
-        noised, at = oracles.noised(Dataset(np.zeros((n, view.width)), view.y, view.source_index), noise_fraction,
-                                    derive(29, "noise", t))
+        blank = Dataset(np.zeros((n, datastream.PIXELS)), view.y, view.source_index)
+        noised, at = oracles.noised(blank, noise_fraction, derive(29, "noise", t))
         assert at.size == int(math.floor(noise_fraction * n))
         x = view.x
         assert x[at].tobytes() == noised.x[at].tobytes()

@@ -135,8 +135,8 @@ def test_commit_ranking_matches_materialised_pool_scores(pool, monkeypatch):
         stream_batch_size=20, buffer_batch_size=10, buffer_capacity=40, hidden=(24, 16),
         selection=SelectionConfig(kappa=5, tau=1000.0), grad_selector=selector, seed=pool,
     )
-    state = new_run_state(cfg, num_tasks=2, input_dim=SIZES[0])
-    state.params = certain_of_class_3(state.params)
+    state = new_run_state(cfg, num_tasks=2)
+    state.params = certain_of_class_3(init_params(SIZES, rng))  # draw_batch draws 40-pixel rows for this net
     x, y = draw_batch(rng, state.params, pool)
     ocs = REGISTRY["ocs"]
     want = oracle(state.params, x, y, selector, None, cfg.selection.tau).combined
@@ -169,8 +169,8 @@ def test_step_pick_matches_materialised_scores():
             stream_batch_size=25, hidden=(24, 16), selection=SelectionConfig(kappa=10, tau=1000.0),
             grad_selector=selector,
         )
-        state = new_run_state(cfg, num_tasks=1, input_dim=SIZES[0])
-        state.params = certain_of_class_3(state.params)
+        state = new_run_state(cfg, num_tasks=1)
+        state.params = certain_of_class_3(init_params(SIZES, rng))
         x, y = draw_batch(rng, state.params, 25)
         batch = Dataset(x, y, np.arange(25))
         for replay in (None, draw_batch(rng, state.params, 10)):

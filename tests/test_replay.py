@@ -300,10 +300,8 @@ def test_sample_batch_with_replacement_when_short():
     assert {e.source_index for e in batch} <= {0, 1, 2}
 
 
-def test_sample_items_deterministic_and_rejects_empty():
+def test_sample_items_deterministic():
     c = Coreset(capacity=5, seed=14)
-    with pytest.raises(EmptyInputError):
-        sample_items(c.all_examples(), 3, seed=0)
     stage_labeled(c, 0, [0, 1, 2, 3, 4])
     c.commit_task(0, np.arange(5))
     a = [e.source_index for e in sample_items(c.all_examples(), 3, seed=9)]

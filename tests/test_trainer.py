@@ -13,7 +13,6 @@ import pytest
 
 from coresel import datastream, ioutil, model, trainer
 from coresel.datastream import (
-    PIXELS,
     Dataset,
     TaskView,
     build_permuted_stream,
@@ -107,7 +106,7 @@ def test_agem_non_finite_reference_raises():
 def test_agem_on_coefficients_matches_materialised_vectors():
     # Coefficients u, v over gradient rows M project through M M^T exactly as g = M^T u, g_ref = M^T v do.
     rng = np.random.default_rng(20240818)
-    params = new_run_state(tiny_config(), num_tasks=1, input_dim=PIXELS).params
+    params = new_run_state(tiny_config(), num_tasks=1).params
     x, y = rng.uniform(size=(9, 784)), rng.integers(0, 10, size=9)
     rows = per_example_gradients(params, x, y)
     gram = backprop(params, x, y).gram()
@@ -133,7 +132,7 @@ def first_replay_step(lam):
     """(params before, batch, info, update / lr) of the first step that draws a replay batch."""
     rng = np.random.default_rng(0)
     cfg = tiny_config(lam=lam)
-    state = new_run_state(cfg, num_tasks=2, input_dim=PIXELS)
+    state = new_run_state(cfg, num_tasks=2)
     train_iteration(state, make_batch(rng), cfg)
     commit_current_task(state, cfg)
     state.task_index, state.iteration_in_epoch = 1, 0
@@ -162,7 +161,7 @@ def test_replay_reference_restricts_to_selected_layers():
     # OCS takes its replay reference from the Gram blocks of one pass over candidates + replay rows:
     # over a selector's layers it is the replay batch's mean gradient restricted to those layers.
     rng = np.random.default_rng(4)
-    params = new_run_state(tiny_config(), num_tasks=1, input_dim=PIXELS).params
+    params = new_run_state(tiny_config(), num_tasks=1).params
     x, y = rng.uniform(size=(6, 784)), rng.integers(0, 10, size=6)
     rx, ry = rng.uniform(size=(4, 784)), rng.integers(0, 10, size=4)
     bp = backprop(params, np.concatenate([x, rx]), np.concatenate([y, ry]))
@@ -191,7 +190,7 @@ def test_empty_buffer_lambda_is_inert():
     results = []
     for lam in (0.0, 5.0):
         cfg = tiny_config(lam=lam)
-        state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
+        state = new_run_state(cfg, num_tasks=1)
         train_iteration(state, batch, cfg)
         results.append(flatten_params(state.params))
     assert np.array_equal(results[0], results[1])
@@ -211,7 +210,7 @@ def assert_plain_sgd(p0, x, y, lr, got):
 def test_saturated_selection_is_plain_sgd():
     batch = make_batch(np.random.default_rng(6))
     cfg = tiny_config(selection=SelectionConfig(kappa=20, tau=0.0, strategy="ocs"))
-    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
+    state = new_run_state(cfg, num_tasks=1)
     p0 = state.params
     info = train_iteration(state, batch, cfg)
     assert list(info.selected) == list(range(20))
@@ -221,7 +220,7 @@ def test_saturated_selection_is_plain_sgd():
 def test_iteration_stages_selected_examples():
     batch = make_batch(np.random.default_rng(7))
     cfg = tiny_config()
-    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
+    state = new_run_state(cfg, num_tasks=1)
     info = train_iteration(state, batch, cfg)
     src = state.buffer.staged_pool(0).source_index
     assert sorted(src) == sorted(int(i) for i in info.selected)
@@ -232,7 +231,7 @@ def test_iteration_stages_selected_examples():
 def test_reservoir_strategy_fills_reservoir_not_coreset():
     batch = make_batch(np.random.default_rng(8))
     cfg = tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy="reservoir"))
-    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
+    state = new_run_state(cfg, num_tasks=1)
     train_iteration(state, batch, cfg)
     assert isinstance(state.buffer, ReservoirState)
     assert len(state.buffer.items) == 20
@@ -324,7 +323,7 @@ def hold_the_evaluator_thread(monkeypatch):
 
 def serial_run(stream, cfg):
     """The serial order, train t then evaluate t, with each committed ParamSet scored inline."""
-    state = new_run_state(cfg, len(stream), stream.tasks[0].train.width)
+    state = new_run_state(cfg, len(stream))
     for t, task in enumerate(stream.tasks):
         state.task_index, state.lr = t, cfg.lr0 * cfg.lr_decay**t
         trainer._train_task(state, task, cfg)
@@ -449,7 +448,7 @@ OddRowsLastFirst = Strategy(
 def test_trainer_follows_stub_strategy(monkeypatch):
     monkeypatch.setitem(trainer.REGISTRY, "uniform", OddRowsLastFirst)
     cfg = tiny_config(buffer_capacity=3, selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform"))
-    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
+    state = new_run_state(cfg, num_tasks=1)
     batch = make_batch(np.random.default_rng(9))
     p0 = state.params
     info = train_iteration(state, batch, cfg)
@@ -550,7 +549,7 @@ def test_one_backward_pass_per_iteration(monkeypatch):
     for strategy in trainer.REGISTRY:
         for agem in (False, True):
             cfg = tiny_config(agem=agem, selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy))
-            state = new_run_state(cfg, num_tasks=2, input_dim=PIXELS)
+            state = new_run_state(cfg, num_tasks=2)
             for task_id in (0, 1):
                 state.task_index, state.iteration_in_epoch = task_id, 0
                 calls.clear()
@@ -649,31 +648,16 @@ def test_run_stream_artifacts(tmp_path, monkeypatch):
     assert len(dump_lines) == 1 + state.buffer.total_stored
 
 
-@pytest.mark.parametrize("strategy", list(trainer.REGISTRY))
-def test_run_stream_takes_its_input_width_from_the_stream(strategy):
-    # Rows need not be 784 pixels wide for training; only the coreset dump format is fixed at 784 columns.
-    rng = np.random.default_rng(12)
+def test_an_artifact_that_cannot_be_rendered_leaves_no_artifacts(tmp_path, monkeypatch):
+    # Every file is rendered before any is written. The checkpoint is rendered last, after the texts: when it cannot
+    # be rendered, the run fails before its directory is made.
+    def unrenderable(params):
+        raise ValueError("checkpoint cannot be rendered")
 
-    def corpus(n):
-        return Dataset(rng.uniform(size=(n, 12)), rng.integers(0, 10, size=n), np.arange(n))
-
-    stream = build_permuted_stream(corpus(200), corpus(60), 2, 5, train_per_task=60, test_per_task=30)
-    state = run_stream(stream, tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy=strategy)))
-    assert state.params.weights[0].shape == (16, 12)
-    assert not np.isnan(state.matrix.values[1]).any()
-
-
-def test_an_artifact_that_cannot_be_rendered_leaves_no_artifacts(tmp_path):
-    # 12-pixel rows train, but the coreset dump holds 784 columns: the run fails before its directory is made.
-    rng = np.random.default_rng(13)
-
-    def corpus(n):
-        return Dataset(rng.uniform(size=(n, 12)), rng.integers(0, 10, size=n), np.arange(n))
-
-    stream = build_permuted_stream(corpus(200), corpus(60), 2, 5, train_per_task=60, test_per_task=30)
+    monkeypatch.setattr(trainer, "checkpoint_bytes", unrenderable)
     out = tmp_path / "run"
-    with pytest.raises(DimensionError, match=r"stored example has \(12,\) pixels"):
-        run_stream(stream, tiny_config(selection=SelectionConfig(kappa=5, tau=1000.0, strategy="uniform")),
+    with pytest.raises(ValueError, match="^checkpoint cannot be rendered$"):
+        run_stream(tiny_stream(num_tasks=2), tiny_config(selection=SelectionConfig(kappa=5, strategy="uniform")),
                    out_dir=str(out))
     assert not out.exists()
 
@@ -767,9 +751,9 @@ def test_a_step_builds_each_row_it_reads_once_and_no_other(monkeypatch, strategy
             entered.extend(np.asarray(indices).tolist())
         return real_subset(view, indices)
 
-    def pixels(noise, slots, width):
+    def pixels(noise, slots):
         drawn.extend(slots.tolist())
-        return real_pixels(noise, slots, width)
+        return real_pixels(noise, slots)
 
     def offer(reservoir, task_id, rows, built):
         offered.append(rows)
@@ -1049,7 +1033,7 @@ def test_a_run_leaves_no_evaluator_thread_behind(monkeypatch, failure):
 
 
 def test_run_metrics_rejects_an_unfinished_run():
-    state = new_run_state(tiny_config(), num_tasks=2, input_dim=PIXELS)
+    state = new_run_state(tiny_config(), num_tasks=2)
     state.matrix.set(0, 0, 0.5)
     with pytest.raises(IncompleteMatrixError):
         trainer.run_metrics(state)
@@ -1057,7 +1041,7 @@ def test_run_metrics_rejects_an_unfinished_run():
 
 def test_commit_requires_staged_pool():
     cfg = tiny_config()
-    state = new_run_state(cfg, num_tasks=1, input_dim=PIXELS)
+    state = new_run_state(cfg, num_tasks=1)
     with pytest.raises(EmptyInputError, match="no staged candidates for task 0"):
         commit_current_task(state, cfg)
 
@@ -1082,6 +1066,10 @@ def test_config_validation():
             tiny_config(selection=SelectionConfig(kappa=5, tau=bad))
     with pytest.raises(ValueError):
         tiny_config(epochs=0)
+    with pytest.raises(ValueError, match="^buffer_capacity must be nonnegative, got -1$"):
+        tiny_config(buffer_capacity=-1)
+    with pytest.raises(ValueError, match="^buffer_batch_size must be >= 1, got 0$"):
+        tiny_config(buffer_batch_size=0)
     with pytest.raises(ValueError, match="hidden widths must be >= 1"):
         tiny_config(hidden=(16, 0))
     with pytest.raises(ValueError, match=r"grad layers \(3,\) outside the network's layers 0..2"):
