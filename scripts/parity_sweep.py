@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Byte-parity sweep: the tiny four-strategy run under every objective variant and every stream, and a tiny diagnose.
+"""Byte-parity sweep: the tiny four-strategy run under every objective variant and every stream, and a tiny diagnose,
+on the synthetic corpus and on an IDX corpus.
 
 Runs `coresel run` on three 60-row synthetic tasks (batch 20, kappa 5, buffer
 20, replay batch 5) for ocs, uniform, reservoir and kmeans_embedding x 2 seeds
@@ -7,12 +8,16 @@ with per-candidate score logs, which only the OCS runs write. On the rotated
 balanced stream it runs once for each combination of --lambda {1.0, 0.0},
 --agem {false, true} and --grad-layers {all, 1,2}; the other five --kind
 {rotated, permuted} x --variant {balanced, imbalanced, noisy} streams run once
-each at the default objective. Last, `coresel diagnose` runs once on a
+each at the default objective. Then `coresel diagnose` runs once on a
 300-row synthetic corpus (batch sizes 10 and full, 2 batches each), whose
-cross-dataset columns come from the corpus's permuted copy. Each of the 13
-configurations and the diagnose run writes its own subdirectory of OUT_DIR
-(14 subdirectories, 573 files). BLAS is pinned to one thread, because the
-thread count changes checkpoint bits.
+cross-dataset columns come from the corpus's permuted copy. Last, the sweep
+writes an IDX train and test pair of 300 and 120 images into OUT_DIR/idx-data,
+drawn from a fixed seed with Python's own generator, and runs the tiny sweep
+on its rotated noisy and permuted balanced streams, and the diagnose on its
+train pair. Each of the 15 configurations and the 2 diagnose runs writes its
+own subdirectory of OUT_DIR (18 subdirectories with idx-data, 666 files).
+BLAS is pinned to one thread, because the thread count changes checkpoint
+bits.
 
 Two checkouts are at parity where their outputs compare equal:
 
@@ -22,13 +27,17 @@ Two checkouts are at parity where their outputs compare equal:
 With `--against OLD_DIR`, the sweep ends by listing every file of OUT_DIR
 that differs from its namesake in OLD_DIR, or that only one of the two holds,
 then prints how many files it compared and how many differ, and exits 1 if
-any differs. The comparison ignores only the `output_dir` line of each
-`run_manifest.ini`, which names its own directory.
+any differs. The comparison ignores only the lines of each
+`run_manifest.ini` that name a path inside OUT_DIR: `output_dir`, its own
+directory, and the four IDX file paths, whose files are compared in
+idx-data.
 """
 
 import argparse
 import itertools
 import os
+import random
+import struct
 import sys
 
 TINY_SWEEP = [
@@ -41,24 +50,55 @@ OBJECTIVES = {"lambda": ("1.0", "0.0"), "agem": ("false", "true"), "grad-layers"
 STREAMS = [("rotated", "imbalanced"), ("rotated", "noisy"), ("permuted", "balanced"), ("permuted", "imbalanced"),
            ("permuted", "noisy")]
 TINY_DIAGNOSE = ["diagnose", "--synthetic-train", "300", "--batch-sizes", "10,full", "--n-batches", "2"]
+IDX_STREAMS = [("rotated", "noisy"), ("permuted", "balanced")]
+IDX_IMAGES = {"train": 300, "test": 120}
+IDX_SEED = 2106
 
 
-def configurations():
-    """(subdirectory name, command line) of each run: the objective grid, the other streams, then the diagnose."""
+def write_idx_corpora(data_dir: str) -> list[str]:
+    """Write the IDX train and test pairs of IDX_IMAGES images into data_dir; return the flags that name them.
+
+    Pixels and labels are bytes drawn from random.Random(IDX_SEED), so every checkout writes the same files.
+    """
+    os.makedirs(data_dir, exist_ok=True)
+    rng = random.Random(IDX_SEED)
+    flags = ["--source", "idx"]
+    for split, count in IDX_IMAGES.items():
+        images = os.path.join(data_dir, f"{split}-images-idx3-ubyte")
+        labels = os.path.join(data_dir, f"{split}-labels-idx1-ubyte")
+        with open(images, "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x803, count, 28, 28) + rng.randbytes(count * 28 * 28))
+        with open(labels, "wb") as fh:
+            fh.write(struct.pack(">II", 0x801, count) + bytes(rng.randrange(10) for _ in range(count)))
+        flags += [f"--{split}-images", images, f"--{split}-labels", labels]
+    return flags
+
+
+def configurations(idx_flags: list[str]):
+    """(subdirectory name, command line) of each run: the objective grid, the other streams, the diagnose, then the
+    IDX streams and diagnose, each with `idx_flags`."""
     for values in itertools.product(*OBJECTIVES.values()):
         name = "-".join(f"{key}{value.replace(',', '_')}" for key, value in zip(OBJECTIVES, values))
         yield name, TINY_SWEEP + [arg for key, value in zip(OBJECTIVES, values) for arg in (f"--{key}", value)]
     for kind, variant in STREAMS:
         yield f"{kind}-{variant}", TINY_SWEEP + ["--kind", kind, "--variant", variant]
     yield "diagnose", TINY_DIAGNOSE
+    for kind, variant in IDX_STREAMS:
+        yield f"idx-{kind}-{variant}", TINY_SWEEP + idx_flags + ["--kind", kind, "--variant", variant]
+    yield "idx-diagnose", TINY_DIAGNOSE + idx_flags
+
+
+# The run_manifest.ini keys whose values are paths inside OUT_DIR.
+PATH_KEYS = tuple(f"{key} =".encode() for key in
+                  ("output_dir", "train_images", "train_labels", "test_images", "test_labels"))
 
 
 def _comparable(path: str) -> bytes:
-    """The file's bytes, less the `output_dir` line if it is a run_manifest.ini."""
+    """The file's bytes, less the lines that start with one of PATH_KEYS if it is a run_manifest.ini."""
     with open(path, "rb") as fh:
         data = fh.read()
     if os.path.basename(path) == "run_manifest.ini":
-        data = b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(b"output_dir ="))
+        data = b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(PATH_KEYS))
     return data
 
 
@@ -87,7 +127,7 @@ def main(argv=None) -> int:
     from coresel.cli import main as cli_main
 
     failed = []
-    for name, argv in configurations():
+    for name, argv in configurations(write_idx_corpora(os.path.join(args.out_dir, "idx-data"))):
         out = os.path.join(args.out_dir, name)
         print(f"{name} -> {out}", flush=True)
         if cli_main(argv + ["--output-dir", out]) != 0:

@@ -30,6 +30,7 @@ from .datastream import (
     load_idx,
     make_synthetic_corpus,
     permute_pixels,
+    scale_pixels,
 )
 from .errors import ConfigError, FormatError
 from .ioutil import atomic_write_text
@@ -174,13 +175,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 def run_diagnose(cfg: ExperimentConfig) -> int:
-    train = _load(cfg, load_train_corpus)  # the diagnostic reads no test corpus
-    sizes = tuple(train.x.shape[0] if s == FULL_DATASET else s for s in cfg.batch_sizes)
+    corpus = _load(cfg, load_train_corpus)  # the diagnostic reads no test corpus
+    sizes = tuple(len(corpus) if s == FULL_DATASET else s for s in cfg.batch_sizes)
     rng = np.random.default_rng(derive(cfg.master_seed, "diagnose_init"))
     params = init_params([PIXELS, *cfg.hidden, NUM_CLASSES], rng)
-    other = permute_pixels(train, derive(cfg.master_seed, "diagnose_cross")) if cfg.cross else None
+    other = permute_pixels(corpus, derive(cfg.master_seed, "diagnose_cross")) if cfg.cross else None
     table = grad_approx_diagnostic(
-        params, train, sizes, n_batches=cfg.n_batches, seed=cfg.master_seed, other_dataset=other
+        params, scale_pixels(corpus), sizes, n_batches=cfg.n_batches, seed=cfg.master_seed, other_dataset=other
     )
     lines = ["batch_size,mean_l2,mean_cosine,cross_l2,cross_cosine"]
     for row in table:

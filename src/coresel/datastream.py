@@ -1,8 +1,10 @@
 """MNIST-format ingestion and deterministic task-stream synthesis.
 
-A Dataset is a bundle of flattened 28x28 images (rows of 784 floats), labels,
+A Dataset is a bundle of flattened 28x28 images (rows of 784 pixels), labels,
 and each example's index in the originating corpus: a corpus and the staging
-pool are Datasets. One per-task loop builds both stream
+pool are Datasets. A corpus keeps its pixels as uint8 levels, one byte each,
+as the IDX files store them; a pixel a task reads is level / 255.0 in
+float64, scaled by _transform_rows alone. One per-task loop builds both stream
 kinds: every task subsamples the corpus, applies its
 kind's transform (rotation or pixel permutation), then optional class
 imbalance and label-preserving noise, with every random draw seeded by
@@ -21,12 +23,12 @@ step builds only the rows it reads; an evaluation reads the whole test set's
 noise rows, and building a stream draws none of them.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
-synthetic corpus draws, patterns and clips a block at a time, and
-_transform_rows gathers a block of corpus rows into a reused buffer and
-transforms it into the block's rows of its output, with a reused scratch
-block for the kernel, so no whole-task temporary is made. _transform_rows
-only transforms: a TaskView gives it just the clean rows of a read and draws
-the noise rows itself.
+synthetic corpus draws, patterns, clips and quantises a block at a time, and
+_transform_rows gathers a block of corpus levels, scales it into a reused
+float64 buffer and transforms it into the block's rows of its output, with a
+reused scratch block for the kernel, so no whole-task temporary is made.
+_transform_rows only scales and transforms: a TaskView gives it just the
+clean rows of a read and draws the noise rows itself.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ _BLOCK_ROWS = 64
 class Dataset:
     """Immutable-by-convention bundle of examples: a corpus or the staging pool.
 
+    A corpus holds uint8 levels, as `load_idx` and `make_synthetic_corpus`
+    make it, and the stream builders refuse any other; the staging pool, and
+    a corpus's scaled or permuted copy, hold the float64 pixels a view builds.
+
     source_index traces every row back to its position in the base corpus the
     stream was built from; transforms preserve it so stored coreset entries
     stay identifiable. A task's train and test sets and a step's candidates
@@ -61,7 +67,7 @@ class Dataset:
     subset.
     """
 
-    x: np.ndarray  # (n, 784) float64
+    x: np.ndarray  # (n, 784) uint8 levels in a corpus, float64 pixels elsewhere
     y: np.ndarray  # (n,) int64
     source_index: np.ndarray  # (n,) int64
 
@@ -176,7 +182,7 @@ def _read_payload(fh, n: int, path: str, what: str) -> bytes:
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Read big-endian IDX image/label files into a Dataset (pixels scaled by 1/255).
+    """Read big-endian IDX image/label files into a corpus, keeping the image bytes as its uint8 levels.
 
     Header fields are unsigned 32-bit integers, as the IDX format defines them.
     """
@@ -200,8 +206,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     bad = np.flatnonzero(y >= NUM_CLASSES)
     if bad.size:
         raise FormatError(f"{labels_path}: label {y[bad[0]]} at offset {8 + bad[0]} lies outside 0..{NUM_CLASSES - 1}")
-    x = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
-    x /= 255.0  # in place: one float64 copy of the images, not two
+    x = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)  # the bytes read, not a copy
     return Dataset(x, y, np.arange(count, dtype=np.int64))
 
 
@@ -271,29 +276,43 @@ def _blocks(n: int):
     return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
-def _transform_rows(kernel, src: np.ndarray, rows: np.ndarray, dest: np.ndarray) -> np.ndarray:
-    """Write row rows[i] of `src`, transformed, into row i of dest, and return dest.
+def _transform_rows(kernel, levels: np.ndarray, rows: np.ndarray, dest: np.ndarray) -> np.ndarray:
+    """Write row rows[i] of the uint8 `levels`, scaled and transformed, into row i of dest, and return dest.
 
-    One block at a time: the block's source rows are gathered into a reused
-    buffer, and `kernel(block, out, scratch)` writes the transformed block
-    into `out`, the block's rows of dest, using `scratch`, a reused block of
-    the same shape, as it likes. Both buffers belong to this call, so a kernel
-    is safe to call from two threads at once: a task's train and test views
-    share it, and the trainer and the evaluator thread read them.
+    One block at a time: the block's rows of levels are gathered into a
+    reused uint8 buffer and scaled into a reused float64 one, each pixel
+    level / 255.0, the package's one scaling rule; then `kernel(block, out,
+    scratch)` writes the transformed block into `out`, the block's rows of
+    dest, using `scratch`, a reused block of the same shape, as it likes. The
+    buffers belong to this call, so a kernel is safe to call from two threads
+    at once: a task's train and test views share it, and the trainer and the
+    evaluator thread read them.
     """
-    gather, scratch = np.empty((2, min(rows.size, _BLOCK_ROWS), src.shape[1]))
+    shape = (min(rows.size, _BLOCK_ROWS), levels.shape[1])
+    gathered, (pixels, scratch) = np.empty(shape, dtype=np.uint8), np.empty((2, *shape))
     for blk in _blocks(rows.size):
         n = blk.stop - blk.start
-        # The rows are drawn positions of src, so mode="clip" changes nothing but lets take() fill `gather` unbuffered.
-        block = np.take(src, rows[blk], axis=0, out=gather[:n], mode="clip")
+        # Rows are drawn positions of levels, so mode="clip" changes nothing but lets take() fill `gathered` unbuffered.
+        np.take(levels, rows[blk], axis=0, out=gathered[:n], mode="clip")
+        block = np.divide(gathered[:n], 255.0, out=pixels[:n])
         kernel(block, dest[blk], scratch[:n])
     return dest
 
 
-def permute_pixels(ds: Dataset, seed) -> Dataset:
-    """Apply one fixed random pixel permutation to every image of a corpus of PIXELS-pixel rows."""
-    x = _transform_rows(_permuter(seed), ds.x, np.arange(len(ds)), np.empty((len(ds), PIXELS)))
-    return Dataset(x, ds.y, ds.source_index)
+def _whole_corpus(kernel, corpus: Dataset) -> Dataset:
+    """Every row of a corpus, scaled and transformed by `kernel`, as float64 pixels."""
+    x = _transform_rows(kernel, corpus.x, np.arange(len(corpus)), np.empty((len(corpus), PIXELS)))
+    return Dataset(x, corpus.y, corpus.source_index)
+
+
+def scale_pixels(corpus: Dataset) -> Dataset:
+    """A corpus's pixels, each level / 255.0, with no transform."""
+    return _whole_corpus(lambda block, out, scratch: np.copyto(out, block), corpus)
+
+
+def permute_pixels(corpus: Dataset, seed) -> Dataset:
+    """A corpus's pixels, each level / 255.0, under one fixed random pixel permutation drawn from `seed`."""
+    return _whole_corpus(_permuter(seed), corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +416,18 @@ def _build_stream(
     is a TaskView of the test corpus's drawn rows, with no noise rows, so a
     stream holds no pixels. A task left with no train rows is an
     EmptyInputError: no strategy could train on it; so is one with no test
-    rows, which no evaluation could score. Here is the one check of row width:
-    each corpus must hold PIXELS-pixel rows, as the whole package assumes.
+    rows, which no evaluation could score. Here is the one check of a
+    corpus's rows: each corpus must hold PIXELS-pixel rows, as the whole
+    package assumes, of uint8 levels, which a view scales to pixels.
     """
     if num_tasks < 1:
         raise EmptyInputError("a stream needs at least one task")
     if (train.x.shape[1], test.x.shape[1]) != (PIXELS, PIXELS):
         raise DimensionError(f"a stream needs {PIXELS}-pixel rows: the train corpus has {train.x.shape[1]}, "
                              f"the test corpus {test.x.shape[1]}")
+    if (train.x.dtype, test.x.dtype) != (np.uint8, np.uint8):
+        raise FormatError(f"a stream needs corpora of uint8 pixel levels: the train corpus holds {train.x.dtype}, "
+                          f"the test corpus {test.x.dtype}")
     tasks = []
     for t in range(num_tasks):
         if kind == "rotate":
@@ -532,11 +555,12 @@ def _pattern_tables() -> tuple[np.ndarray, np.ndarray]:
 def make_synthetic_corpus(n: int, seed) -> Dataset:
     """Deterministic corpus: digit glyphs over per-class textured canvases.
 
-    A stand-in with MNIST's shape and label alphabet for environments where
-    the real IDX files are absent. Every image is mid-gray plus its class
-    canvas at a per-example amplitude, with the class glyph drawn on top.
-    Class evidence fills the image (per-image norms far from zero) while
-    same-class images still vary in position, contrast, and pixel noise.
+    A stand-in with MNIST's shape, label alphabet and pixel alphabet for
+    environments where the real IDX files are absent. Every image is mid-gray
+    plus its class canvas at a per-example amplitude, with the class glyph
+    drawn on top. Class evidence fills the image (per-image norms far from
+    zero) while same-class images still vary in position, contrast, and pixel
+    noise. Each pixel value v is kept as the uint8 level rint(255 * clip(v, 0, 1)).
     """
     rng = np.random.default_rng(derive(seed, "corpus"))
     labels = rng.integers(0, NUM_CLASSES, size=n)
@@ -545,7 +569,7 @@ def make_synthetic_corpus(n: int, seed) -> Dataset:
     glyph_scale = rng.uniform(0.7, 1.0, size=n) * 0.5
     canvases, glyphs = _pattern_tables()
     shift_r, shift_c = (shifts + _MAX_SHIFT).T
-    x = np.empty((n, PIXELS))
+    x = np.empty((n, PIXELS), dtype=np.uint8)
     for block in _blocks(n):
         key = (labels[block], shift_r[block], shift_c[block])
         # A per-image build's order, which fixes every byte: (0.5 + amplitude * canvas) + glyph_scale * glyph, then
@@ -558,5 +582,7 @@ def make_synthetic_corpus(n: int, seed) -> Dataset:
         glyph *= glyph_scale[block, None]
         img += glyph
         img += rng.normal(0.0, _NOISE_SIGMA, size=img.shape)
-        np.clip(img, 0.0, 1.0, out=x[block])
+        np.clip(img, 0.0, 1.0, out=img)
+        img *= 255.0
+        np.rint(img, out=x[block], casting="unsafe")  # a whole number in 0..255, so the cast to uint8 is exact
     return Dataset(x, labels.astype(np.int64), np.arange(n, dtype=np.int64))

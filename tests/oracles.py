@@ -8,10 +8,12 @@ finite differences. `agem_project` is A-GEM's projection on such flat
 gradients; the package projects coefficients over the rows through their
 Gram matrix.
 
-`synthetic_corpus` builds the synthetic corpus one row at a time.
-`rotate_dataset` and `permute_pixels` transform a whole array in one pass:
-the rotation's four corner gathers summed in fixed order and then clipped,
-and one column gather. `noised` overwrites a share of the rows with N(0,1)
+`synthetic_corpus` builds the synthetic corpus one row at a time, and
+quantises each pixel value v to the uint8 level rint(255 * clip(v, 0, 1)).
+`rotate_dataset` and `permute_pixels` scale a whole corpus of levels to
+pixels, level / 255.0, and transform it in one pass: the rotation's four
+corner gathers summed in fixed order and then clipped, and one column
+gather. `noised` overwrites a share of the rows with N(0,1)
 pixels, the i-th drawn after advancing the generator's post-choice state by
 i * 2**64. `build_stream` applies the transform to every subsampled row of a
 task before imbalance drops rows and noise overwrites them, and holds each
@@ -100,23 +102,25 @@ def synthetic_corpus(n: int, seed) -> Dataset:
         r, c = 2 + dr, 2 + dc
         img[r : r + 24, c : c + 24] += intensity[i] * 0.5 * glyphs[labels[i]]
         x[i] = img
-    x = np.clip(x + noise, 0.0, 1.0).reshape(n, side * side)
-    return Dataset(x, labels.astype(np.int64), np.arange(n, dtype=np.int64))
+    levels = np.rint(255.0 * np.clip(x + noise, 0.0, 1.0)).astype(np.uint8).reshape(n, side * side)
+    return Dataset(levels, labels.astype(np.int64), np.arange(n, dtype=np.int64))
 
 
 def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
-    """The streams' rotation (`datastream._rotator`) in one whole-array pass over the same sampling plan."""
+    """The streams' rotation (`datastream._rotator`) of a corpus's scaled levels in one whole-array pass over the
+    same sampling plan."""
     idx, w = datastream._rotation_sampler(angle)
-    out = np.take(ds.x, idx[0], axis=1) * w[0]
+    pixels = ds.x / 255.0
+    out = np.take(pixels, idx[0], axis=1) * w[0]
     for k in range(1, 4):
-        out += np.take(ds.x, idx[k], axis=1) * w[k]
+        out += np.take(pixels, idx[k], axis=1) * w[k]
     return Dataset(np.clip(out, 0.0, 1.0), ds.y, ds.source_index)
 
 
 def permute_pixels(ds: Dataset, seed) -> Dataset:
-    """`datastream.permute_pixels` as one column gather."""
+    """`datastream.permute_pixels` as one column gather of a corpus's scaled levels."""
     perm = np.random.default_rng(seed).permutation(ds.x.shape[1])
-    return Dataset(np.take(ds.x, perm, axis=1), ds.y, ds.source_index)
+    return Dataset(np.take(ds.x / 255.0, perm, axis=1), ds.y, ds.source_index)
 
 
 def _subsample(ds: Dataset, size, seed) -> Dataset:

@@ -9,10 +9,11 @@ import pytest
 
 import coresel
 
-from coresel.cli import build_stream, load_corpora, main
+from coresel.cli import build_stream, load_corpora, load_train_corpus, main
 from coresel.config import FULL_DATASET, parse_config, render_manifest
 from coresel.errors import ConfigError
-from coresel import trainer
+from coresel import cli, trainer
+from coresel.seeds import derive
 from coresel.trainer import TrainConfig
 
 MINIMAL = """\
@@ -624,6 +625,26 @@ def test_diagnose_without_cross_dataset(tmp_path, monkeypatch):
     assert run_cli(args, {}, monkeypatch) == 0
     row = (tmp_path / "runs" / "diagnostic_table.csv").read_text().strip().splitlines()[1]
     assert row.endswith(",,")
+
+
+def test_diagnose_reads_its_corpus_as_scaled_pixels(tmp_path, monkeypatch):
+    # The corpus and its permuted copy are read as every view reads a corpus: each level / 255.0.
+    path = write_config(tmp_path)
+    levels = load_train_corpus(parse_config(path)).x
+    seen = []
+    real = cli.grad_approx_diagnostic
+
+    def capturing(params, dataset, sizes, **kwargs):
+        seen.append((dataset, kwargs["other_dataset"]))
+        return real(params, dataset, sizes, **kwargs)
+
+    monkeypatch.setattr(cli, "grad_approx_diagnostic", capturing)
+    assert run_cli(["diagnose", "--config", path, "--batch-sizes", "10", "--n-batches", "2"], {}, monkeypatch) == 0
+    (dataset, other), = seen
+    pixels = levels.astype(np.float64) / 255.0
+    perm = np.random.default_rng(derive(parse_config(path).master_seed, "diagnose_cross")).permutation(784)
+    assert dataset.x.tobytes() == pixels.tobytes()
+    assert other.x.tobytes() == pixels[:, perm].tobytes()
 
 
 def test_dump_coreset_roundtrip(tmp_path, monkeypatch, capsys):

@@ -20,6 +20,7 @@ from coresel.datastream import (
     load_idx,
     make_synthetic_corpus,
     permute_pixels,
+    scale_pixels,
     stream_manifest,
 )
 from coresel.errors import DimensionError, EmptyInputError, FormatError
@@ -44,19 +45,26 @@ def imbalanced(ds, reduced_classes, keep_fraction, seed):
 
 
 def rotated(ds, angle):
-    """`ds` under the rotation kernel that streams use."""
+    """The corpus `ds`, scaled to pixels, under the rotation kernel that streams use."""
     x = np.empty(ds.x.shape)
     datastream._transform_rows(datastream._rotator(angle), ds.x, np.arange(len(ds)), x)
     return Dataset(x, ds.y, ds.source_index)
 
 
 def small_dataset(n=60, seed=0):
+    """A corpus of n rows of uniformly drawn uint8 levels."""
     rng = np.random.default_rng(seed)
     return Dataset(
-        rng.uniform(size=(n, 784)),
+        rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
         rng.integers(0, 10, size=n).astype(np.int64),
         np.arange(n, dtype=np.int64),
     )
+
+
+def identity_view(corpus):
+    """Every row of `corpus` as a TaskView with no transform: what a view reads of its corpus's levels."""
+    return TaskView(corpus, np.arange(len(corpus)), lambda block, out, scratch: np.copyto(out, block),
+                    np.empty(0, dtype=np.int64), None)
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +72,21 @@ def small_dataset(n=60, seed=0):
 
 
 def test_load_idx_round_trip(tmp_path):
+    # The corpus keeps the file's bytes as its levels, with no float copy; a view reads each pixel as level / 255.0,
+    # the value the loader itself once stored, bit for bit.
     rng = np.random.default_rng(1)
-    images = rng.integers(0, 256, size=(7, 28, 28)).astype(np.uint8)
-    labels = rng.integers(0, 10, size=7)
-    ds = load_idx(*write_idx_pair(tmp_path, images, labels))
-    assert len(ds) == 7
+    images = rng.integers(0, 256, size=(200, 28, 28)).astype(np.uint8)
+    labels = rng.integers(0, 10, size=200)
+    paths = write_idx_pair(tmp_path, images, labels)
+    ds, peak = traced_peak(lambda: load_idx(*paths))
+    assert len(ds) == 200
     assert np.array_equal(ds.y, labels)
-    assert np.array_equal(ds.x, images.reshape(7, 784) / 255.0)
-    assert np.array_equal(ds.source_index, np.arange(7))
+    assert ds.x.dtype == np.uint8 and np.array_equal(ds.x, images.reshape(200, 784))
+    assert peak < 2 * images.nbytes  # a float64 copy alone would take 8 times the image bytes
+    assert np.array_equal(ds.source_index, np.arange(200))
+    scaled = images.reshape(200, 784).astype(np.float64) / 255.0
+    assert identity_view(ds).x.tobytes() == scaled.tobytes()
+    assert identity_view(ds).subset([5, 0]).x.tobytes() == scaled[[5, 0]].tobytes()
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -157,9 +172,11 @@ def test_imbalance_counts_on_official_files():
 
 
 def rotate_image(pixels, angle):
-    """One image through the rotation kernel, as a 1-row Dataset."""
-    one = Dataset(np.asarray(pixels, dtype=np.float64).reshape(1, -1), np.zeros(1, np.int64), np.zeros(1, np.int64))
-    return rotated(one, angle).x[0].reshape(pixels.shape)
+    """One image of float pixels through the rotation kernel."""
+    block = np.asarray(pixels, dtype=np.float64).reshape(1, -1)
+    out, scratch = np.empty((2, *block.shape))
+    datastream._rotator(angle)(block, out, scratch)
+    return out[0].reshape(pixels.shape)
 
 
 def test_rotate_identity_angle():
@@ -194,7 +211,7 @@ def test_rotate_dataset_matches_per_image():
     ds = small_dataset(5)
     out = rotated(ds, 33.0)
     for i in range(5):
-        assert np.array_equal(out.x[i], rotate_image(ds.x[i].reshape(28, 28), 33.0).ravel())
+        assert np.array_equal(out.x[i], rotate_image(ds.x[i].reshape(28, 28) / 255.0, 33.0).ravel())
     assert np.array_equal(out.y, ds.y)
     assert np.array_equal(out.source_index, ds.source_index)
 
@@ -210,7 +227,7 @@ def test_permute_pixels_is_seeded_bijection():
     c = permute_pixels(ds, 10)
     assert np.array_equal(a.x, b.x)
     assert not np.array_equal(a.x, c.x)
-    assert np.array_equal(np.sort(a.x, axis=1), np.sort(ds.x, axis=1))
+    assert np.array_equal(np.sort(a.x, axis=1), np.sort(ds.x / 255.0, axis=1))
     # C order, as on rotated streams: a row subset of a Fortran-ordered array is many times slower.
     assert a.x.flags.c_contiguous
 
@@ -252,14 +269,14 @@ def test_imbalance_deterministic():
 
 
 def test_noise_zero_fraction_is_identity():
-    ds = small_dataset(30)
+    ds = scale_pixels(small_dataset(30))
     out, positions = oracles.noised(ds, 0.0, 1)
     assert positions.size == 0
     assert np.array_equal(out.x, ds.x)
 
 
 def test_noise_exact_count_and_label_preservation():
-    ds = small_dataset(100, seed=3)
+    ds = scale_pixels(small_dataset(100, seed=3))
     out, positions = oracles.noised(ds, 0.6, 2)
     assert positions.shape == (60,)
     assert np.array_equal(out.y, ds.y)
@@ -269,7 +286,7 @@ def test_noise_exact_count_and_label_preservation():
 
 
 def test_noise_full_replacement_is_standard_normal():
-    ds = small_dataset(50, seed=4)
+    ds = scale_pixels(small_dataset(50, seed=4))
     out, positions = oracles.noised(ds, 1.0, 3)
     assert positions.shape == (50,)
     # Per-image mean and variance within 4 sigma of N(0,1) moments (784 draws).
@@ -359,7 +376,7 @@ def test_both_kinds_draw_the_same_rows():
 @pytest.mark.parametrize("build", [build_rotated_stream, build_permuted_stream])
 def test_a_task_without_test_rows_fails_the_stream(build):
     # No evaluation could score the task; a run would train through it first and fail on an empty batch.
-    empty = Dataset(np.zeros((0, 784)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    empty = Dataset(np.zeros((0, 784), np.uint8), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     with pytest.raises(EmptyInputError, match="^task 0 has no test rows: 0 in the test corpus$"):
         build(small_dataset(), empty, 2, 0, train_per_task=20, test_per_task=10)
 
@@ -371,17 +388,31 @@ def test_a_corpus_without_784_pixel_rows_fails_the_stream_before_any_task(monkey
     for kernel in ("_rotator", "_permuter"):
         monkeypatch.setattr(datastream, kernel, lambda *args: pytest.fail("a task was drawn"))
     corpora = {"train": small_dataset(), "test": small_dataset(20)}
-    corpora[narrow] = Dataset(np.zeros((60, 12)), np.zeros(60, dtype=np.int64), np.arange(60))
+    corpora[narrow] = Dataset(np.zeros((60, 12), np.uint8), np.zeros(60, dtype=np.int64), np.arange(60))
     train_width, test_width = (12, 784) if narrow == "train" else (784, 12)
     with pytest.raises(DimensionError, match=f"^a stream needs 784-pixel rows: the train corpus has {train_width}, "
                                              f"the test corpus {test_width}$"):
         build(corpora["train"], corpora["test"], 2, 0, train_per_task=20, test_per_task=10)
 
 
+@pytest.mark.parametrize("build", [build_rotated_stream, build_permuted_stream])
+@pytest.mark.parametrize("floating", ["train", "test"])
+def test_a_corpus_of_float_pixels_fails_the_stream_before_any_task(monkeypatch, build, floating):
+    # A view scales each corpus value by 1/255: a corpus already scaled to float pixels would be scaled twice.
+    for kernel in ("_rotator", "_permuter"):
+        monkeypatch.setattr(datastream, kernel, lambda *args: pytest.fail("a task was drawn"))
+    corpora = {"train": small_dataset(), "test": small_dataset(20)}
+    corpora[floating] = scale_pixels(corpora[floating])
+    train_type, test_type = ("float64", "uint8") if floating == "train" else ("uint8", "float64")
+    with pytest.raises(FormatError, match=f"^a stream needs corpora of uint8 pixel levels: the train corpus holds "
+                                          f"{train_type}, the test corpus {test_type}$"):
+        build(corpora["train"], corpora["test"], 2, 0, train_per_task=20, test_per_task=10)
+
+
 @pytest.mark.parametrize("imbalance", [None, ((1, 2), 0.5)])
 def test_a_task_without_train_rows_names_its_cause(imbalance):
     # An empty train corpus draws no rows; class imbalance is not what lost them, set or not.
-    empty = Dataset(np.zeros((0, 784)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    empty = Dataset(np.zeros((0, 784), np.uint8), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     with pytest.raises(EmptyInputError, match="^task 0 has no training rows: 0 drawn of 0$"):
         build_rotated_stream(empty, small_dataset(), 2, 0, train_per_task=20, test_per_task=10, imbalance=imbalance)
 
@@ -405,12 +436,23 @@ def test_stream_manifest_lists_every_task():
 def test_synthetic_corpus_shape_range_and_determinism():
     a = make_synthetic_corpus(500, 42)
     b = make_synthetic_corpus(500, 42)
-    assert a.x.shape == (500, 784)
-    assert a.x.min() >= 0.0 and a.x.max() <= 1.0
+    assert a.x.shape == (500, 784) and a.x.dtype == np.uint8
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert set(np.unique(a.y)) == set(range(10))
     c = make_synthetic_corpus(500, 43)
     assert not np.array_equal(a.x, c.x)
+
+
+def test_every_synthetic_pixel_read_is_a_level_over_255():
+    # The synthetic corpus has MNIST's pixel alphabet: every pixel read untransformed or permuted is k / 255 for a
+    # whole k in 0..255, bit for bit.
+    corpus = make_synthetic_corpus(300, 81)
+    task = build_permuted_stream(corpus, make_synthetic_corpus(60, 82), 1, 5, train_per_task=100,
+                                 test_per_task=40).tasks[0]
+    levels = np.arange(256) / 255.0
+    for x in (scale_pixels(corpus).x, permute_pixels(corpus, 3).x, task.train.x, task.test.x):
+        assert x.dtype == np.float64 and x.tobytes() == levels[np.rint(x * 255.0).astype(np.int64)].tobytes()
+    assert np.unique(corpus.x).size > 200  # the quantisation keeps the corpus's range of values
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +571,7 @@ def test_only_the_clean_rows_asked_for_reach_the_kernel(monkeypatch, kind):
         x = read()
         asked = positions[~np.isin(positions, noisy)]
         assert len(seen) == asked.size, name
-        assert sorted(seen) == sorted(row.tobytes() for row in train.x[view.source_index[asked]]), name
+        assert sorted(seen) == sorted(row.tobytes() for row in train.x[view.source_index[asked]] / 255.0), name
         assert x.shape == (positions.size, train.x.shape[1]) and x.tobytes() == want.x[positions].tobytes(), name
     assert noisy.size == 60
 
