@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-parity sweep: the tiny four-strategy run under every objective variant and every stream, and a tiny diagnose,
+"""Byte-parity sweep: the tiny four-strategy run under every objective variant and every stream, and small diagnoses,
 on the synthetic corpus and on an IDX corpus.
 
 Runs `coresel run` on three 60-row synthetic tasks (batch 20, kappa 5, buffer
@@ -8,14 +8,15 @@ with per-candidate score logs, which only the OCS runs write. On the rotated
 balanced stream it runs once for each combination of --lambda {1.0, 0.0},
 --agem {false, true} and --grad-layers {all, 1,2}; the other five --kind
 {rotated, permuted} x --variant {balanced, imbalanced, noisy} streams run once
-each at the default objective. Then `coresel diagnose` runs once on a
-300-row synthetic corpus (batch sizes 10 and full, 2 batches each), whose
-cross-dataset columns come from the corpus's permuted copy. Last, the sweep
-writes an IDX train and test pair of 300 and 120 images into OUT_DIR/idx-data,
-drawn from a fixed seed with Python's own generator, and runs the tiny sweep
-on its rotated noisy and permuted balanced streams, and the diagnose on its
-train pair. Each of the 15 configurations and the 2 diagnose runs writes its
-own subdirectory of OUT_DIR (18 subdirectories with idx-data, 666 files).
+each at the default objective. Then `coresel diagnose` runs on a 300-row
+and on a 2,500-row synthetic corpus (batch sizes 10 and full, 2 batches
+each); the second reads each full gradient in two chunks of up to 2,048 rows.
+A diagnose's cross-dataset columns come from a permuted view of its corpus.
+Last, the sweep writes an IDX train and test pair of 300 and 120 images into
+OUT_DIR/idx-data, drawn from a fixed seed with Python's own generator, and
+runs the tiny sweep on its rotated noisy and permuted balanced streams, and
+the 300-row diagnose's settings on its train pair. Each of the 15 configurations and the 3 diagnose runs writes its
+own subdirectory of OUT_DIR (19 subdirectories with idx-data, 667 files).
 BLAS is pinned to one thread, because the thread count changes checkpoint
 bits.
 
@@ -50,6 +51,8 @@ OBJECTIVES = {"lambda": ("1.0", "0.0"), "agem": ("false", "true"), "grad-layers"
 STREAMS = [("rotated", "imbalanced"), ("rotated", "noisy"), ("permuted", "balanced"), ("permuted", "imbalanced"),
            ("permuted", "noisy")]
 TINY_DIAGNOSE = ["diagnose", "--synthetic-train", "300", "--batch-sizes", "10,full", "--n-batches", "2"]
+# More rows than one chunk of a full-gradient pass (metrics._CHUNK_ROWS, 2,048), so the pass reads two.
+CHUNKED_DIAGNOSE = ["diagnose", "--synthetic-train", "2500", "--batch-sizes", "10,full", "--n-batches", "2"]
 IDX_STREAMS = [("rotated", "noisy"), ("permuted", "balanced")]
 IDX_IMAGES = {"train": 300, "test": 120}
 IDX_SEED = 2106
@@ -75,14 +78,15 @@ def write_idx_corpora(data_dir: str) -> list[str]:
 
 
 def configurations(idx_flags: list[str]):
-    """(subdirectory name, command line) of each run: the objective grid, the other streams, the diagnose, then the
-    IDX streams and diagnose, each with `idx_flags`."""
+    """(subdirectory name, command line) of each run: the objective grid, the other streams, the two synthetic
+    diagnoses, then the IDX streams and diagnose, each with `idx_flags`."""
     for values in itertools.product(*OBJECTIVES.values()):
         name = "-".join(f"{key}{value.replace(',', '_')}" for key, value in zip(OBJECTIVES, values))
         yield name, TINY_SWEEP + [arg for key, value in zip(OBJECTIVES, values) for arg in (f"--{key}", value)]
     for kind, variant in STREAMS:
         yield f"{kind}-{variant}", TINY_SWEEP + ["--kind", kind, "--variant", variant]
     yield "diagnose", TINY_DIAGNOSE
+    yield "diagnose-chunked", CHUNKED_DIAGNOSE
     for kind, variant in IDX_STREAMS:
         yield f"idx-{kind}-{variant}", TINY_SWEEP + idx_flags + ["--kind", kind, "--variant", variant]
     yield "idx-diagnose", TINY_DIAGNOSE + idx_flags

@@ -26,11 +26,10 @@ from .datastream import (
     TaskStream,
     build_permuted_stream,
     build_rotated_stream,
+    corpus_view,
     draw_reduced_classes,
     load_idx,
     make_synthetic_corpus,
-    permute_pixels,
-    scale_pixels,
 )
 from .errors import ConfigError, FormatError
 from .ioutil import atomic_write_text
@@ -179,9 +178,9 @@ def run_diagnose(cfg: ExperimentConfig) -> int:
     sizes = tuple(len(corpus) if s == FULL_DATASET else s for s in cfg.batch_sizes)
     rng = np.random.default_rng(derive(cfg.master_seed, "diagnose_init"))
     params = init_params([PIXELS, *cfg.hidden, NUM_CLASSES], rng)
-    other = permute_pixels(corpus, derive(cfg.master_seed, "diagnose_cross")) if cfg.cross else None
+    other = corpus_view(corpus, derive(cfg.master_seed, "diagnose_cross")) if cfg.cross else None
     table = grad_approx_diagnostic(
-        params, scale_pixels(corpus), sizes, n_batches=cfg.n_batches, seed=cfg.master_seed, other_dataset=other
+        params, corpus_view(corpus), sizes, n_batches=cfg.n_batches, seed=cfg.master_seed, other_dataset=other
     )
     lines = ["batch_size,mean_l2,mean_cosine,cross_l2,cross_cosine"]
     for row in table:

@@ -20,7 +20,8 @@ transforming clean rows and drawing noise rows, and keeps none of them. A
 training step's candidates are a subset of the train set, itself a view, so a
 step builds only the rows it reads; an evaluation reads the whole test set's
 `x`. No task holds pixels: not its own copy of the corpus rows, and not its
-noise rows, and building a stream draws none of them.
+noise rows, and building a stream draws none of them. The gradient diagnostic
+reads a whole corpus as one view (`corpus_view`), a chunk or batch at a time.
 
 Every pixel pass works on blocks of _BLOCK_ROWS rows that stay in cache: the
 synthetic corpus draws, patterns, clips and quantises a block at a time, and
@@ -57,8 +58,8 @@ class Dataset:
     """Immutable-by-convention bundle of examples: a corpus or the staging pool.
 
     A corpus holds uint8 levels, as `load_idx` and `make_synthetic_corpus`
-    make it, and the stream builders refuse any other; the staging pool, and
-    a corpus's scaled or permuted copy, hold the float64 pixels a view builds.
+    make it, and the stream builders refuse any other; the staging pool holds
+    float64 pixels that a view built.
 
     source_index traces every row back to its position in the base corpus the
     stream was built from; transforms preserve it so stored coreset entries
@@ -67,7 +68,7 @@ class Dataset:
     subset.
     """
 
-    x: np.ndarray  # (n, 784) uint8 levels in a corpus, float64 pixels elsewhere
+    x: np.ndarray  # (n, 784) uint8 levels in a corpus, float64 pixels in the staging pool
     y: np.ndarray  # (n,) int64
     source_index: np.ndarray  # (n,) int64
 
@@ -86,10 +87,10 @@ class Dataset:
 
 
 class TaskView:
-    """A task's train or test set as a view of its corpus: its rows are transformed from the corpus when asked for.
+    """A task's train or test set, or a whole corpus (`corpus_view`), as a view: rows are built when asked for.
 
-    It holds the corpus pixels, the task's corpus rows, the task's transform
-    kernel (rotation or permutation) and, for a noisy train set, a `_Noise`:
+    It holds the corpus pixels, the view's corpus rows, its transform kernel
+    (rotation, permutation or a plain copy) and, for a noisy train set, a `_Noise`:
     one generator state for all its noise rows, and no noise pixels. `x`
     builds every row anew on each read, the rows an eager build would hold,
     and `subset(indices)` returns a view of those rows and builds nothing.
@@ -299,20 +300,11 @@ def _transform_rows(kernel, levels: np.ndarray, rows: np.ndarray, dest: np.ndarr
     return dest
 
 
-def _whole_corpus(kernel, corpus: Dataset) -> Dataset:
-    """Every row of a corpus, scaled and transformed by `kernel`, as float64 pixels."""
-    x = _transform_rows(kernel, corpus.x, np.arange(len(corpus)), np.empty((len(corpus), PIXELS)))
-    return Dataset(x, corpus.y, corpus.source_index)
-
-
-def scale_pixels(corpus: Dataset) -> Dataset:
-    """A corpus's pixels, each level / 255.0, with no transform."""
-    return _whole_corpus(lambda block, out, scratch: np.copyto(out, block), corpus)
-
-
-def permute_pixels(corpus: Dataset, seed) -> Dataset:
-    """A corpus's pixels, each level / 255.0, under one fixed random pixel permutation drawn from `seed`."""
-    return _whole_corpus(_permuter(seed), corpus)
+def corpus_view(corpus: Dataset, permutation_seed=None) -> TaskView:
+    """Every row of a corpus as a view: its pixels as they are, or under the permutation `permutation_seed` draws."""
+    plain = lambda block, out, scratch: np.copyto(out, block)
+    kernel = plain if permutation_seed is None else _permuter(permutation_seed)
+    return TaskView(corpus, np.arange(len(corpus)), kernel, np.empty(0, dtype=np.int64), None)
 
 
 # ---------------------------------------------------------------------------

@@ -84,13 +84,13 @@ class DiagnosticRow:
     cross_cosine: float | None
 
 
-def _full_mean_gradient(params: ParamSet, x, y) -> np.ndarray:
-    """Whole-dataset mean loss gradient, accumulated in chunks of _CHUNK_ROWS rows."""
-    n = x.shape[0]
+def _full_mean_gradient(params: ParamSet, dataset) -> np.ndarray:
+    """Whole-dataset mean loss gradient, accumulated over reads of _CHUNK_ROWS rows."""
+    n = len(dataset)
     total = None
     for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        g = mean_gradient(params, x[start:stop], y[start:stop]) * (stop - start)
+        chunk = dataset.subset(np.arange(start, min(start + _CHUNK_ROWS, n)))
+        g = mean_gradient(params, chunk.x, chunk.y) * len(chunk)
         total = g if total is None else total + g
     return total / n
 
@@ -110,14 +110,14 @@ def grad_approx_diagnostic(
     distance and cosine similarity between the batch gradient and the
     full-dataset gradient; when `other_dataset` is given, the same figures
     against that dataset's full gradient for contrast. A batch size >= the
-    dataset uses the whole dataset once.
+    dataset uses the whole dataset once. Each dataset is a Dataset or a
+    TaskView, and only the rows of one chunk or batch are read at a time.
     """
-    x, y = dataset.x, dataset.y
-    n = x.shape[0]
+    n = len(dataset)
     # Row 0: this dataset's full gradient; row 1 (optional): the other dataset's.
-    targets = [_full_mean_gradient(params, x, y)]
+    targets = [_full_mean_gradient(params, dataset)]
     if other_dataset is not None:
-        targets.append(_full_mean_gradient(params, other_dataset.x, other_dataset.y))
+        targets.append(_full_mean_gradient(params, other_dataset))
     targets = np.stack(targets)
     cross = other_dataset is not None
 
@@ -131,7 +131,8 @@ def grad_approx_diagnostic(
             else:
                 rng = np.random.default_rng(derive(seed, "diagnose_batch", b_idx, k))
                 idx = rng.choice(n, size=batch_size, replace=False)
-            g = mean_gradient(params, x[idx], y[idx])
+            batch = dataset.subset(idx)
+            g = mean_gradient(params, batch.x, batch.y)
             l2s.append(np.linalg.norm(targets - g, axis=1))
             cosines.append(cosines_to_vector(targets, g))
         l2 = np.mean(l2s, axis=0)

@@ -78,7 +78,10 @@ def init_params(layer_sizes, rng: np.random.Generator) -> ParamSet:
 
 
 def _check_batch(params: ParamSet, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray | None]:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.floating):  # a corpus's uint8 levels are not pixels: a view scales them
+        raise DimensionError(f"expected floating-point pixels, got {x.dtype} rows")
+    x = x.astype(np.float64, copy=False)
     if x.ndim != 2:
         raise DimensionError(f"expected a (batch, features) matrix, got shape {x.shape}")
     if x.shape[0] == 0:
@@ -172,9 +175,12 @@ class Backprop:
         if coef.shape != (self.deltas[0].shape[0],):
             raise DimensionError(f"{coef.shape} coefficients for {self.deltas[0].shape[0]} examples")
         scale = -lr * coef
+        # The weight product reads only the weighted rows: to about 300 rows, OpenBLAS gives it the every-row product's
+        # bits. A bias sum over fewer rows rounds differently, so it reads every row.
+        rows = np.flatnonzero(scale)
         weights, biases = [], []
         for w, bias, a, d in zip(self.params.weights, self.params.biases, self.acts, self.deltas):
-            new_w = (d * scale[:, None]).T @ a
+            new_w = (d[rows] * scale[rows, None]).T @ a[rows]
             new_w += w
             weights.append(new_w)
             biases.append(bias + scale @ d)

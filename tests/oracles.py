@@ -118,7 +118,7 @@ def rotate_dataset(ds: Dataset, angle: float) -> Dataset:
 
 
 def permute_pixels(ds: Dataset, seed) -> Dataset:
-    """`datastream.permute_pixels` as one column gather of a corpus's scaled levels."""
+    """The pixels of `datastream.corpus_view(ds, seed)` as one column gather of a corpus's scaled levels."""
     perm = np.random.default_rng(seed).permutation(ds.x.shape[1])
     return Dataset(np.take(ds.x / 255.0, perm, axis=1), ds.y, ds.source_index)
 

@@ -21,7 +21,7 @@ import pytest
 
 from coresel.cli import build_stream, load_corpora, run_experiment
 from coresel.config import parse_config
-from coresel.datastream import make_synthetic_corpus, permute_pixels, scale_pixels
+from coresel.datastream import corpus_view, make_synthetic_corpus
 from coresel.metrics import (
     AccuracyMatrix,
     average_accuracy,
@@ -226,10 +226,10 @@ def test_criterion_05_metrics_match_brute_force():
 def test_criterion_06_gradient_approximation_trend():
     started = time.perf_counter()
     corpus = make_synthetic_corpus(5000, 20260820)
-    cross = permute_pixels(corpus, np.random.SeedSequence([20260820, 1]))
+    cross = corpus_view(corpus, np.random.SeedSequence([20260820, 1]))
     params = init_params([784, 256, 256, 10], np.random.default_rng(np.random.SeedSequence([20260820])))
     rows = grad_approx_diagnostic(
-        params, scale_pixels(corpus), (10, 50, 100, 500), n_batches=20, seed=20260820, other_dataset=cross
+        params, corpus_view(corpus), (10, 50, 100, 500), n_batches=20, seed=20260820, other_dataset=cross
     )
     cosines = [row.mean_cosine for row in rows]
     crosses = [row.cross_cosine for row in rows]

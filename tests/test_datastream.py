@@ -17,10 +17,9 @@ from coresel.datastream import (
     apply_imbalance,
     build_permuted_stream,
     build_rotated_stream,
+    corpus_view,
     load_idx,
     make_synthetic_corpus,
-    permute_pixels,
-    scale_pixels,
     stream_manifest,
 )
 from coresel.errors import DimensionError, EmptyInputError, FormatError
@@ -61,12 +60,6 @@ def small_dataset(n=60, seed=0):
     )
 
 
-def identity_view(corpus):
-    """Every row of `corpus` as a TaskView with no transform: what a view reads of its corpus's levels."""
-    return TaskView(corpus, np.arange(len(corpus)), lambda block, out, scratch: np.copyto(out, block),
-                    np.empty(0, dtype=np.int64), None)
-
-
 # ---------------------------------------------------------------------------
 # load_idx
 
@@ -85,8 +78,8 @@ def test_load_idx_round_trip(tmp_path):
     assert peak < 2 * images.nbytes  # a float64 copy alone would take 8 times the image bytes
     assert np.array_equal(ds.source_index, np.arange(200))
     scaled = images.reshape(200, 784).astype(np.float64) / 255.0
-    assert identity_view(ds).x.tobytes() == scaled.tobytes()
-    assert identity_view(ds).subset([5, 0]).x.tobytes() == scaled[[5, 0]].tobytes()
+    assert corpus_view(ds).x.tobytes() == scaled.tobytes()
+    assert corpus_view(ds).subset([5, 0]).x.tobytes() == scaled[[5, 0]].tobytes()
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -222,9 +215,9 @@ def test_rotate_dataset_matches_per_image():
 
 def test_permute_pixels_is_seeded_bijection():
     ds = small_dataset(4)
-    a = permute_pixels(ds, 9)
-    b = permute_pixels(ds, 9)
-    c = permute_pixels(ds, 10)
+    a = corpus_view(ds, 9)
+    b = corpus_view(ds, 9)
+    c = corpus_view(ds, 10)
     assert np.array_equal(a.x, b.x)
     assert not np.array_equal(a.x, c.x)
     assert np.array_equal(np.sort(a.x, axis=1), np.sort(ds.x / 255.0, axis=1))
@@ -269,14 +262,14 @@ def test_imbalance_deterministic():
 
 
 def test_noise_zero_fraction_is_identity():
-    ds = scale_pixels(small_dataset(30))
+    ds = corpus_view(small_dataset(30))
     out, positions = oracles.noised(ds, 0.0, 1)
     assert positions.size == 0
     assert np.array_equal(out.x, ds.x)
 
 
 def test_noise_exact_count_and_label_preservation():
-    ds = scale_pixels(small_dataset(100, seed=3))
+    ds = corpus_view(small_dataset(100, seed=3))
     out, positions = oracles.noised(ds, 0.6, 2)
     assert positions.shape == (60,)
     assert np.array_equal(out.y, ds.y)
@@ -286,7 +279,7 @@ def test_noise_exact_count_and_label_preservation():
 
 
 def test_noise_full_replacement_is_standard_normal():
-    ds = scale_pixels(small_dataset(50, seed=4))
+    ds = corpus_view(small_dataset(50, seed=4))
     out, positions = oracles.noised(ds, 1.0, 3)
     assert positions.shape == (50,)
     # Per-image mean and variance within 4 sigma of N(0,1) moments (784 draws).
@@ -402,7 +395,8 @@ def test_a_corpus_of_float_pixels_fails_the_stream_before_any_task(monkeypatch, 
     for kernel in ("_rotator", "_permuter"):
         monkeypatch.setattr(datastream, kernel, lambda *args: pytest.fail("a task was drawn"))
     corpora = {"train": small_dataset(), "test": small_dataset(20)}
-    corpora[floating] = scale_pixels(corpora[floating])
+    corpus = corpora[floating]
+    corpora[floating] = Dataset(corpus_view(corpus).x, corpus.y, corpus.source_index)
     train_type, test_type = ("float64", "uint8") if floating == "train" else ("uint8", "float64")
     with pytest.raises(FormatError, match=f"^a stream needs corpora of uint8 pixel levels: the train corpus holds "
                                           f"{train_type}, the test corpus {test_type}$"):
@@ -450,7 +444,7 @@ def test_every_synthetic_pixel_read_is_a_level_over_255():
     task = build_permuted_stream(corpus, make_synthetic_corpus(60, 82), 1, 5, train_per_task=100,
                                  test_per_task=40).tasks[0]
     levels = np.arange(256) / 255.0
-    for x in (scale_pixels(corpus).x, permute_pixels(corpus, 3).x, task.train.x, task.test.x):
+    for x in (corpus_view(corpus).x, corpus_view(corpus, 3).x, task.train.x, task.test.x):
         assert x.dtype == np.float64 and x.tobytes() == levels[np.rint(x * 255.0).astype(np.int64)].tobytes()
     assert np.unique(corpus.x).size > 200  # the quantisation keeps the corpus's range of values
 
@@ -495,7 +489,7 @@ def test_synthetic_corpus_equals_per_row_oracle(n):
 def test_transforms_equal_whole_array_oracles(n):
     ds = make_synthetic_corpus(n, 2000 + n)
     assert_same_dataset(rotated(ds, 33.0), oracles.rotate_dataset(ds, 33.0))
-    assert_same_dataset(permute_pixels(ds, n), oracles.permute_pixels(ds, n))
+    assert_same_dataset(corpus_view(ds, n), oracles.permute_pixels(ds, n))
 
 
 @pytest.mark.parametrize("kind", ["rotate", "permute"])

@@ -6,7 +6,9 @@ over the candidates followed by the replay rows gives their Gram matrix, and
 The oracle is `score_batch(per_example_gradients(...))` from `oracles.py`,
 which materialises every row, against the mean of the replay rows' gradients.
 Scores may differ in the last bits because the sums run in another order;
-the ranking may not.
+the ranking may not. `Backprop.step` multiplies only the rows whose
+coefficient is nonzero; at the suite's step shapes that is the every-row
+product bit for bit, and the materialised rows' weighted sum to rounding.
 """
 
 import numpy as np
@@ -14,9 +16,9 @@ import pytest
 
 from coresel import trainer
 from coresel.datastream import Dataset
-from coresel.model import ParamSet, backprop, init_params
+from coresel.model import ParamSet, backprop, flatten_params, init_params
 from coresel.selection import SelectionConfig, rank, score_gram, take_ranked
-from coresel.trainer import REGISTRY, TrainConfig, _with_replay, new_run_state
+from coresel.trainer import REGISTRY, TrainConfig, _with_replay, agem_project, new_run_state
 from oracles import per_example_gradients, score_batch
 
 SIZES = [40, 24, 16, 10]  # three layers, so every selector subset below is proper
@@ -179,3 +181,38 @@ def test_step_pick_matches_materialised_scores():
             want = oracle(state.params, x, y, selector, replay, cfg.selection.tau)
             assert_scores_match(got, want)
             assert np.array_equal(picked, take_ranked(rank(want.combined), 10))
+
+
+
+# (hidden widths, candidates b, replay rows m, picks kappa) of the steps the suite and the benchmark take.
+STEP_SHAPES = [((16, 16), 20, 5, 5), ((16, 16), 30, 5, 5), ((32,), 20, 5, 5), ((256, 256), 25, 10, 10),
+               ((256, 256), 100, 10, 10)]
+
+
+@pytest.mark.parametrize("hidden, b, m, kappa", STEP_SHAPES)
+def test_a_step_over_its_weighted_rows_equals_the_every_row_product(hidden, b, m, kappa):
+    rng = np.random.default_rng(b + m + len(hidden))
+    params = init_params([784, *hidden, 10], rng)
+    x, y = rng.uniform(size=(b + m, 784)), rng.integers(0, 10, size=b + m)
+    bp = backprop(params, x, y)
+    lead = np.isin(np.arange(b), rng.choice(b, size=kappa, replace=False)) / kappa
+    replay_mean = np.full(m, 1.0 / m)
+    # An OCS step, one with lambda = 0 (A-GEM's objective), its A-GEM projections onto either sign of the replay
+    # mean (one of them conflicts, so its replay rows get weight), and a step whose every row has weight.
+    coefs = [np.concatenate([lead, lam * replay_mean]) for lam in (1.0, 0.0)]
+    coefs += [agem_project(coefs[1], np.concatenate([np.zeros(b), sign * replay_mean]), bp.gram()) for sign in (1, -1)]
+    coefs.append(np.full(b + m, 1.0 / (b + m)))
+    assert any(np.count_nonzero(coef) == kappa + m for coef in coefs[2:4])
+    # The materialised rows of a 256-wide net would take about 240 MB at 110 rows: the narrow nets check them.
+    rows = per_example_gradients(params, x, y) if max(hidden) <= 32 else None
+    for coef in coefs:
+        got = bp.step(coef, 0.05)
+        scale = -0.05 * coef
+        for l, (w, bias, a, d) in enumerate(zip(params.weights, params.biases, bp.acts, bp.deltas)):
+            want = (d * scale[:, None]).T @ a
+            want += w
+            assert got.weights[l].tobytes() == want.tobytes()
+            assert got.biases[l].tobytes() == (bias + scale @ d).tobytes()
+        if rows is not None:
+            want = flatten_params(params) - 0.05 * (rows.T @ coef)
+            assert np.abs(flatten_params(got) - want).max() <= 1e-15 * np.abs(want).max()

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from coresel.datastream import Dataset
+from coresel.datastream import NUM_CLASSES, PIXELS, Dataset, corpus_view, make_synthetic_corpus
 from coresel.errors import DimensionError, IncompleteMatrixError
 from coresel.metrics import AccuracyMatrix, average_accuracy, average_forgetting, grad_approx_diagnostic
 from coresel.model import init_params
@@ -155,3 +157,21 @@ def test_diagnostic_larger_batches_track_full_gradient_closer():
     rows = grad_approx_diagnostic(params, ds, [2, 100], n_batches=40, seed=11)
     assert rows[0].mean_l2 > rows[1].mean_l2
     assert rows[0].mean_cosine < rows[1].mean_cosine
+
+
+def test_diagnostic_over_corpus_views_holds_no_whole_corpus_copy():
+    # It reads a 2,048-row chunk or one batch at a time: its peak stays below one float64 copy of the corpus, and its
+    # figures are those over the scaled corpus held whole.
+    corpus = make_synthetic_corpus(8000, 12)
+    params = init_params([PIXELS, 256, 256, NUM_CLASSES], np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        rows = grad_approx_diagnostic(params, corpus_view(corpus), (10, 100), n_batches=2, seed=12,
+                                      other_dataset=corpus_view(corpus, 13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(corpus) * PIXELS * 8
+    whole, permuted = (Dataset(view.x, corpus.y, corpus.source_index) for view in (corpus_view(corpus),
+                                                                                corpus_view(corpus, 13)))
+    assert rows == grad_approx_diagnostic(params, whole, (10, 100), n_batches=2, seed=12, other_dataset=permuted)

@@ -147,6 +147,18 @@ def test_forward_dimension_errors():
         embeddings(params, np.empty((0, 5)))
 
 
+@pytest.mark.parametrize("entry", [backprop, accuracy, mean_gradient, lambda params, x, y: embeddings(params, x)],
+                         ids=["backprop", "accuracy", "mean_gradient", "embeddings"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_the_network_refuses_rows_that_are_not_floating_point(entry, dtype):
+    # A corpus's uint8 levels read as pixels would be 0-255, not 0-1: only a view's scaled rows reach the network.
+    params = init_params([5, 4, 3], np.random.default_rng(0))
+    levels = np.random.default_rng(1).integers(0, 256, size=(6, 5)).astype(dtype)
+    with pytest.raises(DimensionError, match=f"^expected floating-point pixels, got {np.dtype(dtype)} rows$"):
+        entry(params, levels, np.zeros(6, dtype=np.int64))
+    entry(params, levels / 255.0, np.zeros(6, dtype=np.int64))  # the same rows scaled pass
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
