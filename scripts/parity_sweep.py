@@ -9,8 +9,9 @@ balanced stream it runs once for each combination of --lambda {1.0, 0.0},
 --agem {false, true} and --grad-layers {all, 1,2}; the other five --kind
 {rotated, permuted} x --variant {balanced, imbalanced, noisy} streams run once
 each at the default objective. Then `coresel diagnose` runs on a 300-row
-and on a 2,500-row synthetic corpus (batch sizes 10 and full, 2 batches
-each); the second reads each full gradient in two chunks of up to 2,048 rows.
+synthetic corpus (batch sizes 10 and full, 2 batches) and on a 2,500-row one
+(batch sizes 10, 2,100 and full, 2 batches), whose full and 2,100-row
+gradients are each read in two chunks of up to 2,048 rows.
 A diagnose's cross-dataset columns come from a permuted view of its corpus.
 Last, the sweep writes an IDX train and test pair of 300 and 120 images into
 OUT_DIR/idx-data, drawn from a fixed seed with Python's own generator, and
@@ -28,10 +29,11 @@ Two checkouts are at parity where their outputs compare equal:
 With `--against OLD_DIR`, the sweep ends by listing every file of OUT_DIR
 that differs from its namesake in OLD_DIR, or that only one of the two holds,
 then prints how many files it compared and how many differ, and exits 1 if
-any differs. The comparison ignores only the lines of each
-`run_manifest.ini` that name a path inside OUT_DIR: `output_dir`, its own
-directory, and the four IDX file paths, whose files are compared in
-idx-data.
+any differs. Under each differing UTF-8 text file it prints the first line
+that differs: its number, the old text and the new text. The comparison
+ignores only the lines of each `run_manifest.ini` that name a path inside
+OUT_DIR: `output_dir`, its own directory, and the four IDX file paths, whose
+files are compared in idx-data.
 """
 
 import argparse
@@ -51,8 +53,8 @@ OBJECTIVES = {"lambda": ("1.0", "0.0"), "agem": ("false", "true"), "grad-layers"
 STREAMS = [("rotated", "imbalanced"), ("rotated", "noisy"), ("permuted", "balanced"), ("permuted", "imbalanced"),
            ("permuted", "noisy")]
 TINY_DIAGNOSE = ["diagnose", "--synthetic-train", "300", "--batch-sizes", "10,full", "--n-batches", "2"]
-# More rows than one chunk of a full-gradient pass (metrics._CHUNK_ROWS, 2,048), so the pass reads two.
-CHUNKED_DIAGNOSE = ["diagnose", "--synthetic-train", "2500", "--batch-sizes", "10,full", "--n-batches", "2"]
+# More rows than one gradient read (metrics._CHUNK_ROWS, 2,048), so the full and the 2,100-row gradients read two.
+CHUNKED_DIAGNOSE = ["diagnose", "--synthetic-train", "2500", "--batch-sizes", "10,2100,full", "--n-batches", "2"]
 IDX_STREAMS = [("rotated", "noisy"), ("permuted", "balanced")]
 IDX_IMAGES = {"train": 300, "test": 120}
 IDX_SEED = 2106
@@ -97,13 +99,36 @@ PATH_KEYS = tuple(f"{key} =".encode() for key in
                   ("output_dir", "train_images", "train_labels", "test_images", "test_labels"))
 
 
+def _numbered_lines(path: str) -> list[tuple[int, bytes]]:
+    """The file's lines, numbered from 1, less those that start with one of PATH_KEYS if it is a run_manifest.ini."""
+    with open(path, "rb") as fh:
+        lines = list(enumerate(fh.read().splitlines(keepends=True), 1))
+    manifest = os.path.basename(path) == "run_manifest.ini"
+    return [(number, line) for number, line in lines if not (manifest and line.startswith(PATH_KEYS))]
+
+
 def _comparable(path: str) -> bytes:
     """The file's bytes, less the lines that start with one of PATH_KEYS if it is a run_manifest.ini."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if os.path.basename(path) == "run_manifest.ini":
-        data = b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(PATH_KEYS))
-    return data
+    return b"".join(line for _, line in _numbered_lines(path))
+
+
+def first_difference(old_path: str, new_path: str) -> str | None:
+    """'line N: OLD -> NEW' for the first compared line that differs between two UTF-8 text files, else None.
+
+    N is the line's number in the new file, or in the old one past the new one's end; a side past its end reads
+    <end of file>. None means the files are not both UTF-8 text, or no line differs but its line ending.
+    """
+    try:
+        old, new = ([(number, line.decode().rstrip("\r\n")) for number, line in _numbered_lines(path)]
+                    for path in (old_path, new_path))
+    except UnicodeDecodeError:
+        return None
+    for k in range(max(len(old), len(new))):
+        a, b = (lines[k] if k < len(lines) else None for lines in (old, new))
+        if a is None or b is None or a[1] != b[1]:
+            old_text, new_text = ("<end of file>" if side is None else repr(side[1]) for side in (a, b))
+            return f"line {(b or a)[0]}: {old_text} -> {new_text}"
+    return None
 
 
 def differing_files(old_dir: str, new_dir: str) -> tuple[int, list[str]]:
@@ -141,6 +166,10 @@ def main(argv=None) -> int:
         compared, differing = differing_files(args.against, args.out_dir)
         for rel in differing:
             print(f"differs from {args.against}: {rel}")
+            old, new = os.path.join(args.against, rel), os.path.join(args.out_dir, rel)
+            line = first_difference(old, new) if os.path.isfile(old) and os.path.isfile(new) else None
+            if line is not None:
+                print(f"  {line}")
         print(f"compared {compared} files with {args.against}: {len(differing)} differ")
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)

@@ -301,7 +301,9 @@ def _transform_rows(kernel, levels: np.ndarray, rows: np.ndarray, dest: np.ndarr
 
 
 def corpus_view(corpus: Dataset, permutation_seed=None) -> TaskView:
-    """Every row of a corpus as a view: its pixels as they are, or under the permutation `permutation_seed` draws."""
+    """Every row of a corpus of uint8 levels as a view, plain or under the permutation `permutation_seed` draws."""
+    if corpus.x.dtype != np.uint8:
+        raise FormatError(f"a corpus view reads uint8 pixel levels, but the corpus holds {corpus.x.dtype}")
     plain = lambda block, out, scratch: np.copyto(out, block)
     kernel = plain if permutation_seed is None else _permuter(permutation_seed)
     return TaskView(corpus, np.arange(len(corpus)), kernel, np.empty(0, dtype=np.int64), None)
@@ -408,8 +410,8 @@ def _build_stream(
     is a TaskView of the test corpus's drawn rows, with no noise rows, so a
     stream holds no pixels. A task left with no train rows is an
     EmptyInputError: no strategy could train on it; so is one with no test
-    rows, which no evaluation could score. Here is the one check of a
-    corpus's rows: each corpus must hold PIXELS-pixel rows, as the whole
+    rows, which no evaluation could score. Here, before any task is drawn, is
+    the check of both corpora: each must hold PIXELS-pixel rows, as the whole
     package assumes, of uint8 levels, which a view scales to pixels.
     """
     if num_tasks < 1:

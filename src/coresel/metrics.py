@@ -4,6 +4,9 @@ The accuracy matrix is lower-triangular: entry (t, i) is the test accuracy on
 task i measured after finishing task t, so row t exists only for i <= t.
 Average accuracy is a row mean; average forgetting compares each task's peak
 accuracy before the final row against its final-row accuracy.
+
+The diagnostic reads every gradient, full-dataset or batch, in chunks of at
+most 2,048 rows, so over a view it builds one chunk's float64 pixels at a time.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, IncompleteMatrixError
+from .errors import DimensionError, EmptyInputError, IncompleteMatrixError
 from .model import ParamSet, mean_gradient
 from .seeds import derive
 from .selection import cosines_to_vector
 
-_CHUNK_ROWS = 2048  # rows per mean_gradient call of a whole-dataset gradient
+_CHUNK_ROWS = 2048  # the most rows one mean_gradient call of the diagnostic reads
 
 
 class AccuracyMatrix:
@@ -84,15 +87,19 @@ class DiagnosticRow:
     cross_cosine: float | None
 
 
-def _full_mean_gradient(params: ParamSet, dataset) -> np.ndarray:
-    """Whole-dataset mean loss gradient, accumulated over reads of _CHUNK_ROWS rows."""
-    n = len(dataset)
-    total = None
+def _mean_gradient(params: ParamSet, rows) -> np.ndarray:
+    """Mean loss gradient over a Dataset or view, read in chunks of at most _CHUNK_ROWS rows.
+
+    Each chunk's mean is weighted by its share of the rows, so a one-chunk read is mean_gradient's own value.
+    """
+    n = len(rows)
+    if n == 0:
+        raise EmptyInputError("no rows to take a mean gradient over")
+    total = 0.0
     for start in range(0, n, _CHUNK_ROWS):
-        chunk = dataset.subset(np.arange(start, min(start + _CHUNK_ROWS, n)))
-        g = mean_gradient(params, chunk.x, chunk.y) * len(chunk)
-        total = g if total is None else total + g
-    return total / n
+        chunk = rows.subset(np.arange(start, min(start + _CHUNK_ROWS, n)))
+        total = total + mean_gradient(params, chunk.x, chunk.y) * (len(chunk) / n)
+    return total
 
 
 def grad_approx_diagnostic(
@@ -109,41 +116,31 @@ def grad_approx_diagnostic(
     For each batch size, over `n_batches` seeded uniform batches: the mean l2
     distance and cosine similarity between the batch gradient and the
     full-dataset gradient; when `other_dataset` is given, the same figures
-    against that dataset's full gradient for contrast. A batch size >= the
-    dataset uses the whole dataset once. Each dataset is a Dataset or a
-    TaskView, and only the rows of one chunk or batch are read at a time.
+    against that dataset's full gradient for contrast. A batch size of n or
+    more is the full-dataset row: it is labelled n and its gradient is the
+    full gradient itself, so its l2 is 0 and its cosine 1. Each dataset is a
+    Dataset or a TaskView, and every gradient is read in chunks of at most
+    _CHUNK_ROWS rows.
     """
     n = len(dataset)
     # Row 0: this dataset's full gradient; row 1 (optional): the other dataset's.
-    targets = [_full_mean_gradient(params, dataset)]
-    if other_dataset is not None:
-        targets.append(_full_mean_gradient(params, other_dataset))
-    targets = np.stack(targets)
+    targets = np.stack([_mean_gradient(params, d) for d in (dataset, other_dataset) if d is not None])
     cross = other_dataset is not None
 
     rows = []
     for b_idx, batch_size in enumerate(batch_sizes):
-        batch_size = int(batch_size)
+        batch_size = min(int(batch_size), n)
         l2s, cosines = [], []
-        for k in range(1 if batch_size >= n else n_batches):
-            if batch_size >= n:
-                idx = np.arange(n)
+        for k in range(1 if batch_size == n else n_batches):
+            if batch_size == n:
+                g = targets[0]
             else:
                 rng = np.random.default_rng(derive(seed, "diagnose_batch", b_idx, k))
-                idx = rng.choice(n, size=batch_size, replace=False)
-            batch = dataset.subset(idx)
-            g = mean_gradient(params, batch.x, batch.y)
+                g = _mean_gradient(params, dataset.subset(rng.choice(n, size=batch_size, replace=False)))
             l2s.append(np.linalg.norm(targets - g, axis=1))
             cosines.append(cosines_to_vector(targets, g))
-        l2 = np.mean(l2s, axis=0)
-        cos = np.mean(cosines, axis=0)
-        rows.append(
-            DiagnosticRow(
-                batch_size=batch_size,
-                mean_l2=float(l2[0]),
-                mean_cosine=float(cos[0]),
-                cross_l2=float(l2[1]) if cross else None,
-                cross_cosine=float(cos[1]) if cross else None,
-            )
-        )
+        l2, cos = np.mean(l2s, axis=0), np.mean(cosines, axis=0)
+        cross_l2, cross_cosine = (float(l2[1]), float(cos[1])) if cross else (None, None)
+        rows.append(DiagnosticRow(batch_size=batch_size, mean_l2=float(l2[0]), mean_cosine=float(cos[0]),
+                                  cross_l2=cross_l2, cross_cosine=cross_cosine))
     return rows

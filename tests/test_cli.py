@@ -619,6 +619,16 @@ def test_diagnose_writes_table(tmp_path, monkeypatch):
     assert (tmp_path / "runs" / "diagnostic_table.csv").read_text() == text
 
 
+def test_diagnose_labels_a_row_with_the_rows_it_averages(tmp_path, monkeypatch):
+    # Only 5 rows exist, so a batch of 10 averages the same 5 as `full`: both rows are the full-gradient row.
+    out = tmp_path / "runs"
+    args = ["diagnose", "--synthetic-train", "5", "--batch-sizes", "10,full", "--n-batches", "2", "--output-dir",
+            str(out)]
+    assert run_cli(args, {}, monkeypatch) == 0
+    lines = (out / "diagnostic_table.csv").read_text().strip().splitlines()
+    assert len(lines) == 3 and lines[1] == lines[2] and lines[1].startswith("5,0,1,")
+
+
 def test_diagnose_without_cross_dataset(tmp_path, monkeypatch):
     path = write_config(tmp_path)
     args = ["diagnose", "--config", path, "--batch-sizes", "10", "--n-batches", "2", "--cross", "false"]

@@ -82,6 +82,16 @@ def test_load_idx_round_trip(tmp_path):
     assert corpus_view(ds).subset([5, 0]).x.tobytes() == scaled[[5, 0]].tobytes()
 
 
+@pytest.mark.parametrize("dtype", ["float64", "int64"])
+def test_a_corpus_view_refuses_a_corpus_that_is_not_uint8_levels(dtype):
+    # A view casts a corpus's values to uint8 levels as it gathers them: float pixels would all read 0.
+    corpus = small_dataset(5)
+    values = corpus.x / 255.0 if dtype == "float64" else corpus.x.astype(np.int64)
+    with pytest.raises(FormatError, match=f"^a corpus view reads uint8 pixel levels, but the corpus holds {dtype}$"):
+        corpus_view(Dataset(values, corpus.y, corpus.source_index))
+    assert corpus_view(corpus).x.tobytes() == (corpus.x / 255.0).tobytes()
+
+
 def test_load_idx_bad_magic(tmp_path):
     imgs, labs = write_idx_pair(tmp_path, np.zeros((2, 28, 28)), [0, 1], image_magic=0x00000804)
     with pytest.raises(FormatError, match="magic"):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from coresel.datastream import NUM_CLASSES, PIXELS, Dataset, corpus_view, make_synthetic_corpus
-from coresel.errors import DimensionError, IncompleteMatrixError
+from coresel import metrics
+from coresel.errors import DimensionError, EmptyInputError, IncompleteMatrixError
 from coresel.metrics import AccuracyMatrix, average_accuracy, average_forgetting, grad_approx_diagnostic
-from coresel.model import init_params
+from coresel.model import init_params, mean_gradient
 
 
 def full_matrix(values):
@@ -135,6 +136,50 @@ def test_diagnostic_full_batch_row():
     assert rows[0].mean_l2 == pytest.approx(0.0, abs=1e-10)
     assert rows[0].mean_cosine == pytest.approx(1.0, abs=1e-10)
     assert rows[0].cross_l2 is None
+    assert rows[0].mean_l2 == 0.0  # its gradient is the full gradient itself, not a second read of it
+
+
+def test_a_batch_size_above_the_dataset_is_labelled_with_the_rows_it_averages():
+    params = init_params([12, 8, 4], np.random.default_rng(0))
+    ds, other = tiny_dataset(5), tiny_dataset(6)
+    rows = grad_approx_diagnostic(params, ds, [len(ds) + 1, 10_000, len(ds)], seed=3, other_dataset=other)
+    assert [row.batch_size for row in rows] == [120] * 3
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_an_empty_dataset_has_no_mean_gradient():
+    params = init_params([12, 8, 4], np.random.default_rng(0))
+    empty = Dataset(np.zeros((0, 12)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    with pytest.raises(EmptyInputError, match="^no rows to take a mean gradient over$"):
+        grad_approx_diagnostic(params, empty, [10], seed=3)
+    with pytest.raises(EmptyInputError, match="^no rows to take a mean gradient over$"):
+        grad_approx_diagnostic(params, tiny_dataset(5), [10], seed=3, other_dataset=empty)
+
+
+def test_every_gradient_is_read_in_chunks_and_the_full_row_reads_nothing(monkeypatch):
+    # 5,000 rows are three chunks and the 2,100-row other dataset two; a 3,000-row batch is two chunks. Sizes of n
+    # or more read no row beyond the two target passes.
+    params = init_params([12, 8, 4], np.random.default_rng(4))
+    ds, other = tiny_dataset(9, n=5000), tiny_dataset(10, n=2100)
+    read = []
+
+    def counting(params, x, y):
+        read.append(len(x))
+        return mean_gradient(params, x, y)
+
+    monkeypatch.setattr(metrics, "mean_gradient", counting)
+    grad_approx_diagnostic(params, ds, [10, 3000, 5000, 9000], n_batches=3, seed=4, other_dataset=other)
+    assert max(read) <= metrics._CHUNK_ROWS == 2048
+    assert read == [2048, 2048, 904, 2048, 52] + [10] * 3 + [2048, 952] * 3
+
+
+def test_a_chunked_mean_gradient_weights_each_chunk_by_its_share():
+    # Up to one chunk, the read is mean_gradient's own value bit for bit; over more, it is the one-pass mean.
+    params = init_params([12, 8, 4], np.random.default_rng(5))
+    small, large = tiny_dataset(11, n=2048), tiny_dataset(12, n=5000)
+    assert metrics._mean_gradient(params, small).tobytes() == mean_gradient(params, small.x, small.y).tobytes()
+    assert np.allclose(metrics._mean_gradient(params, large), mean_gradient(params, large.x, large.y),
+                       rtol=0, atol=1e-15)
 
 
 def test_diagnostic_cross_dataset_and_determinism():
@@ -160,13 +205,15 @@ def test_diagnostic_larger_batches_track_full_gradient_closer():
 
 
 def test_diagnostic_over_corpus_views_holds_no_whole_corpus_copy():
-    # It reads a 2,048-row chunk or one batch at a time: its peak stays below one float64 copy of the corpus, and its
-    # figures are those over the scaled corpus held whole.
+    # It reads at most a 2,048-row chunk at a time, for a batch longer than one chunk (3,000) and the whole corpus
+    # (8,000) too: its peak stays below one float64 copy of the corpus, and its figures are those over the scaled
+    # corpus held whole.
     corpus = make_synthetic_corpus(8000, 12)
     params = init_params([PIXELS, 256, 256, NUM_CLASSES], np.random.default_rng(12))
+    sizes = (10, 100, 3000, 8000)
     tracemalloc.start()
     try:
-        rows = grad_approx_diagnostic(params, corpus_view(corpus), (10, 100), n_batches=2, seed=12,
+        rows = grad_approx_diagnostic(params, corpus_view(corpus), sizes, n_batches=2, seed=12,
                                       other_dataset=corpus_view(corpus, 13))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -174,4 +221,4 @@ def test_diagnostic_over_corpus_views_holds_no_whole_corpus_copy():
     assert peak < len(corpus) * PIXELS * 8
     whole, permuted = (Dataset(view.x, corpus.y, corpus.source_index) for view in (corpus_view(corpus),
                                                                                 corpus_view(corpus, 13)))
-    assert rows == grad_approx_diagnostic(params, whole, (10, 100), n_batches=2, seed=12, other_dataset=permuted)
+    assert rows == grad_approx_diagnostic(params, whole, sizes, n_batches=2, seed=12, other_dataset=permuted)
